@@ -325,7 +325,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FormatError, FileNotFoundError) as exc:
+    except (InputError, FormatError, FileNotFoundError, IsADirectoryError,
+            UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (PlanInfeasible, SearchExhausted) as exc:

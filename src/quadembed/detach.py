@@ -271,7 +271,8 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0,
     for i, j in enumerate(search.choice):
         assigned[j].append(items[i][0])
     fact = Factorization(m, lam, r, assigned)
-    assert is_valid_factorization(fact)
+    if not is_valid_factorization(fact):
+        raise RuntimeError("generated base fails verification")
     return fact
 
 
@@ -317,5 +318,6 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
         outer_classes[j].append(items[i][0])
     outer = Factorization(n, p.lam, s, outer_classes)
     cert = EmbeddingCertificate(inner=base, outer=outer)
-    assert verify_certificate(cert), "detachment output fails verification"
+    if not verify_certificate(cert):
+        raise RuntimeError("detachment output fails verification")
     return cert

@@ -16,7 +16,7 @@ class FormatError(ValueError):
 
 
 class PlanInfeasible(RuntimeError):
-    """No per-color assignment found (general machinery, registry and fallback all failed)."""
+    """No per-color assignment exists: the exact e-solve over the master range found none."""
 
 
 class SearchExhausted(RuntimeError):

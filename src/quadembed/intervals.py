@@ -66,7 +66,8 @@ class IntervalSystem:
             take = min(room, deficit)
             xs[i] += take
             deficit -= take
-        assert deficit == 0
+        if deficit:
+            raise RuntimeError(f"interval solve left a deficit of {deficit}")
         return xs
 
     def satisfied_by(self, xs) -> bool:

@@ -22,19 +22,21 @@ which makes every class satisfy the degree laws
 
 The general machinery can pick an e-coloring whose f-system is infeasible
 (a parity effect: too many colors with sm + e_j odd when few {1 old, 3 new}
-subsets exist).  On such a failure the planner consults the sporadic
-registry, then falls back to exhaustive search over e_j multisets within
-the master range [max(iota_i, 0), floor(rho_i)].
+subsets exist).  On such a failure the planner solves for the e_j exactly
+over the master range [max(iota_i, 0), floor(rho_i)], which holds the e_j of
+every plan: the f-system is feasible exactly when sum_j max(iota_ij, 0) <= f
+and at most K - 2f colors have 2 rho_ij odd, where K = sum_j 2 rho_ij is
+fixed by e (see ``solve_e``).
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from . import sporadic
 from .bounds import (
     AmalgamCase,
     BoundSet,
@@ -45,7 +47,7 @@ from .bounds import (
     sign_case,
 )
 from .combinat import binomial
-from .errors import InputError, PlanInfeasible
+from .errors import FormatError, InputError, PlanInfeasible
 from .intervals import IntervalSystem
 from .params import (
     ConditionReport,
@@ -55,15 +57,13 @@ from .params import (
     color_counts,
 )
 
-FALLBACK_CAP = 200_000  # e-multiset candidates tried before giving up
-
 
 @dataclass(frozen=True)
 class AmalgamPlan:
     params: EmbeddingParams
     case: AmalgamCase
     subcase: str | None  # "i" / "ii" / "iii" for the threshold cases
-    via: str  # "general", "sporadic" or "fallback"
+    via: str  # "general", or "fallback" for the exact master-range e-solve
     e: tuple[int, ...]
     f: tuple[int, ...]
     g: tuple[int, ...]
@@ -174,7 +174,7 @@ def extend_plan(
     subcase: str | None = None,
     via: str = "general",
 ) -> AmalgamPlan:
-    """Force g_j and h_j from (e_j, f_j) and assert every plan invariant."""
+    """Force g_j and h_j from (e_j, f_j) and check every plan invariant."""
     q, k = color_counts(p)
     if case is None:
         case = sign_case(global_bounds(p))
@@ -182,16 +182,20 @@ def extend_plan(
     for e_j, f_j, tier in zip(e_list, f_list, color_tiers(q, k)):
         pc = per_color_bounds(p, tier, e_j)
         two_rho = 2 * pc.rho
-        assert two_rho.denominator == 1
+        if two_rho.denominator != 1:
+            raise InputError(f"2 rho_ij = {two_rho} not integral for e_j={e_j}")
         g_j = int(two_rho) - 2 * f_j
         h_j = f_j - pc.iota
-        assert g_j >= 0, f"f_j={f_j} above rho for e_j={e_j}"
-        assert h_j >= 0, f"f_j={f_j} below iota for e_j={e_j}"
+        if g_j < 0:
+            raise InputError(f"f_j={f_j} above rho for e_j={e_j}")
+        if h_j < 0:
+            raise InputError(f"f_j={f_j} below iota for e_j={e_j}")
         g_list.append(g_j)
         h_list.append(h_j)
     plan = AmalgamPlan(p, case, subcase, via,
                        tuple(e_list), tuple(f_list), tuple(g_list), tuple(h_list))
-    assert verify_plan(p, plan), "constructed plan fails independent verification"
+    if not verify_plan(p, plan):
+        raise InputError("constructed plan fails independent verification")
     return plan
 
 
@@ -219,62 +223,74 @@ def verify_plan(p: EmbeddingParams, plan: AmalgamPlan) -> bool:
     return True
 
 
-def _multiset_lists(values: list[int], slots: int, total: int):
-    """All length-``slots`` multisets over ``values`` with the given sum."""
-    if slots == 0:
-        if total == 0:
-            yield []
-        return
-    if not values:
-        return
-    v, rest = values[0], values[1:]
-    lo = min(rest) if rest else None
-    hi = max(rest) if rest else None
-    for count in range(slots, -1, -1):
-        remaining = total - count * v
-        left = slots - count
-        if left == 0:
-            if remaining == 0:
-                yield [v] * count
-            continue
-        if lo is None or not (left * lo <= remaining <= left * hi):
-            continue
-        for tail in _multiset_lists(rest, left, remaining):
-            yield [v] * count + tail
+_TierFit = namedtuple("_TierFit", "values w lower odd splits cost")
 
 
-def _fallback_candidates(p, b: BoundSet, q: int, k: int, e_total: int):
-    """e-multisets within the master range, parity-friendly values first."""
-    sm = p.s * p.m
+def _tier_fit(count: int, c: int, d: int, total: int) -> _TierFit:
+    """Balanced values y, y + 1 for ``count`` colors summing to ``total``.
 
-    def tier_values(iota, rho):
-        lo, hi = max(iota, 0), floor(rho)
-        vals = list(range(lo, hi + 1))
-        return sorted(vals, key=lambda v: ((sm + v) % 2, v))
+    A color at e_j = v has iota_ij = c - 2v and 2 rho_ij = d - 3v.  Balanced
+    values minimise the convex lower sum; the colors with 2 rho_ij odd all sit
+    at w, and ``splits`` pairs of them may move to w - 1 and w + 1 inside the
+    master range [max(2c - d, 0), floor(d/3)], each adding ``cost`` to it.
+    """
+    y, a = divmod(total, count) if count else (0, 0)
+    w = y if (d + y) % 2 else y + 1
+    odd = count - a if w == y else a
+    phi = lambda v: max(c - 2 * v, 0)
+    lower = (count - a) * phi(y) + a * phi(y + 1)
+    splits = odd // 2 if max(2 * c - d, 0) <= w - 1 and w + 1 <= d // 3 else 0
+    cost = phi(w - 1) + phi(w + 1) - 2 * phi(w)
+    return _TierFit(Counter({y: count - a, y + 1: a}), w, lower, odd, splits, cost)
 
-    vals1 = tier_values(b.iota1, b.rho1)
-    if not b.two_tier:
-        for ms in _multiset_lists(vals1, q, e_total):
-            yield ms
-        return
-    vals2 = tier_values(b.iota2, b.rho2)
-    lo2, hi2 = (k - q) * min(vals2), (k - q) * max(vals2)
-    for s1 in range(max(q * min(vals1), e_total - hi2),
-                    min(q * max(vals1), e_total - lo2) + 1):
-        for ms1 in _multiset_lists(vals1, q, s1):
-            for ms2 in _multiset_lists(vals2, k - q, e_total - s1):
-                yield ms1 + ms2
+
+def solve_e(tiers: list[tuple[int, int, int]], e_total: int, f_total: int):
+    """First e-list in the master range with a feasible f-system, or None.
+
+    ``tiers`` holds (count, c, d) for the old and the new tier.  At a fixed
+    tier sum, balanced values plus the fewest splits give the least lower sum
+    for each odd count, so scanning the old-tier sum upwards and spending the
+    cheaper splits first is exact.  Each tier's values come out ascending.
+    """
+    (n1, c1, d1), (n2, c2, d2) = tiers
+    odd_cap = n1 * d1 + n2 * d2 - 3 * e_total - 2 * f_total  # K - 2f
+    for s1 in range(max(n1 * max(2 * c1 - d1, 0), e_total - n2 * (d2 // 3)),
+                    min(n1 * (d1 // 3), e_total - n2 * max(2 * c2 - d2, 0)) + 1):
+        fits = [_tier_fit(n1, c1, d1, s1), _tier_fit(n2, c2, d2, e_total - s1)]
+        lower = sum(fit.lower for fit in fits)
+        need = (max(sum(fit.odd for fit in fits) - odd_cap, 0) + 1) // 2
+        for fit in sorted(fits, key=lambda fit: fit.cost):
+            take = min(fit.splits, need)
+            need -= take
+            lower += take * fit.cost
+            fit.values.update({fit.w: -2 * take, fit.w - 1: take, fit.w + 1: take})
+        if need == 0 and lower <= f_total:
+            return [v for fit in fits for v in sorted(fit.values.elements())]
+    return None
+
+
+def plan_e_exact(p: EmbeddingParams) -> list[int]:
+    """``solve_e`` over the master range of p; PlanInfeasible proves no plan exists."""
+    q, k = color_counts(p)
+    tiers = []
+    for tier, count in ((Tier.OLD, q), (Tier.NEW, k - q)):
+        pc = per_color_bounds(p, tier, 0)
+        tiers.append((count, pc.iota, int(2 * pc.rho)))
+    e_list = solve_e(tiers, *totals(p)[:2])
+    if e_list is None:
+        raise PlanInfeasible("no e-multiset in the master range admits a feasible f-system")
+    return e_list
 
 
 def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
                force_out_of_scope: bool = False) -> AmalgamPlan:
-    """Full planning pipeline: general machinery, then registry, then fallback.
+    """Full planning pipeline: general machinery, then the exact e-solve.
 
     Out-of-scope parameters are refused by default (no feasibility guarantee
-    exists there).  With ``force_out_of_scope`` the pipeline still runs: the
-    master interval system is exact regardless of regime, so a returned plan
-    is sound, but failure to find one proves nothing.  Failing necessary
-    conditions are never bypassed.
+    exists there).  With ``force_out_of_scope`` the pipeline still runs.
+    Every plan has its e_j in the master range, so a ``PlanInfeasible`` from
+    the exact stage proves that no plan exists, in any regime.  Failing
+    necessary conditions are never bypassed.
     """
     report = report if report is not None else check_conditions(p)
     if not report.all_hold():
@@ -282,7 +298,6 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
     if report.theorem_case is TheoremCase.OUT_OF_SCOPE and not force_out_of_scope:
         raise InputError("parameters out of scope; refusing to plan")
     b = global_bounds(p)
-    q, k = color_counts(p)
     case = sign_case(b)
 
     try:
@@ -290,30 +305,8 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
         f_list = plan_f(p, b, e_list)
         return extend_plan(p, e_list, f_list, case, subcase)
     except PlanInfeasible:
-        pass
-
-    if p.lam == 1:
-        reg = sporadic.lookup(p.m, p.n, p.r, p.s)
-        if reg is not None:
-            old_vals, new_vals = reg
-            if len(old_vals) == q and len(new_vals) == k - q:
-                try:
-                    e_list = old_vals + new_vals
-                    f_list = plan_f(p, b, e_list)
-                    return extend_plan(p, e_list, f_list, case, None, via="sporadic")
-                except PlanInfeasible:
-                    pass
-
-    e_total = totals(p)[0]
-    for tried, e_list in enumerate(_fallback_candidates(p, b, q, k, e_total)):
-        if tried >= FALLBACK_CAP:
-            raise PlanInfeasible(f"fallback cap of {FALLBACK_CAP} e-multisets exhausted")
-        try:
-            f_list = plan_f(p, b, e_list)
-            return extend_plan(p, e_list, f_list, case, None, via="fallback")
-        except PlanInfeasible:
-            continue
-    raise PlanInfeasible("no feasible e-multiset in the master range")
+        e_list = plan_e_exact(p)
+    return extend_plan(p, e_list, plan_f(p, b, e_list), case, None, via="fallback")
 
 
 def render_plan(plan: AmalgamPlan) -> str:
@@ -329,9 +322,7 @@ def render_plan(plan: AmalgamPlan) -> str:
 
 
 def parse_plan(text: str) -> AmalgamPlan:
-    from .errors import FormatError
-
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     if not lines:
         raise FormatError("empty plan file", 1)
     head = lines[0].split()
@@ -341,29 +332,34 @@ def parse_plan(text: str) -> AmalgamPlan:
         m, n, r, s, lam, q, k = (int(x) for x in head[:7])
     except ValueError as exc:
         raise FormatError(f"bad header: {exc}", 1) from exc
-    case = AmalgamCase(head[7])
+    try:
+        case = AmalgamCase(head[7])
+    except ValueError as exc:
+        raise FormatError(f"unknown case code {head[7]!r}", 1) from exc
     subcase = None if head[8] == "-" else head[8]
     via = head[9]
     p = EmbeddingParams(m, n, r, s, lam)
-    rows = [ln for ln in lines[1:] if ln.strip()]
+    rows = [(i, ln) for i, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(rows) != k:
         raise FormatError(f"expected {k} color rows, got {len(rows)}", len(lines))
     e, f, g, h = [], [], [], []
-    for offset, ln in enumerate(rows):
+    for offset, (lineno, ln) in enumerate(rows):
         parts = ln.split()
-        lineno = offset + 2
         if len(parts) != 6:
             raise FormatError(f"expected 6 fields, got {len(parts)}", lineno)
-        j = int(parts[0])
+        try:
+            j, e_j, f_j, g_j, h_j = (int(x) for x in parts[:1] + parts[2:])
+        except ValueError as exc:
+            raise FormatError(f"bad color row: {exc}", lineno) from exc
         if j != offset + 1:
             raise FormatError(f"color index {j} out of order", lineno)
         want_tier = "old" if offset < q else "new"
         if parts[1] != want_tier:
             raise FormatError(f"color {j} should be tier {want_tier}", lineno)
-        e.append(int(parts[2]))
-        f.append(int(parts[3]))
-        g.append(int(parts[4]))
-        h.append(int(parts[5]))
+        e.append(e_j)
+        f.append(f_j)
+        g.append(g_j)
+        h.append(h_j)
     return AmalgamPlan(p, case, subcase, via, tuple(e), tuple(f), tuple(g), tuple(h))
 
 

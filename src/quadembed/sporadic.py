@@ -1,12 +1,10 @@
-"""Registry of hand-picked e_j multisets for the small tuples the general
-machinery can miss.
+"""The paper's table of sporadic cases: hand-picked e_j multisets for small tuples.
 
 Each entry is keyed by (m, n, r, s) at multiplicity 1 and gives the counts
 of {3 old, 1 new} subsets per color, in exponent notation "value^count",
-for the old tier and (when present) the new tier.  The planner consults the
-registry only after the general case machinery produced an infeasible
-follow-up system; for multiplicities above 1 it goes straight to the
-exhaustive fallback instead.
+for the old tier and (when present) the new tier.  The planner does not read
+it (its exact e-solve covers every tuple); the table is kept for
+``scripts/reproduce_sporadic_table.py`` and the acceptance suite.
 """
 
 from __future__ import annotations

@@ -98,6 +98,18 @@ def test_missing_file(capsys):
     capsys.readouterr()
 
 
+def test_verify_non_ascii_file(tmp_path, capsys):
+    f = tmp_path / "accents.txt"
+    f.write_bytes("6 1 2 5\n1: 1 2 3 \u00e9\n".encode("utf-8"))
+    assert main(["verify", str(f)]) == 3
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_verify_directory(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def _sweep_rows(capsys, extra=()):
     assert main(["sweep", "--m", "6..6", "--n", "8..9", "--r", "2..2",
                  "--s", "4..8", "--lam", "1", *extra]) == 0

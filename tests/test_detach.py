@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 
 import pytest
@@ -125,3 +126,21 @@ def test_detach_deterministic_per_seed():
     b = detach(p, base, plan, seed=3)
     assert a.outer == b.outer
     assert verify_certificate(a)
+
+
+# the package re-exports the function ``detach``, which shadows the submodule
+detach_module = importlib.import_module("quadembed.detach")
+
+
+def test_generate_base_raises_when_verification_fails(monkeypatch):
+    monkeypatch.setattr(detach_module, "is_valid_factorization", lambda fact: False)
+    with pytest.raises(RuntimeError, match="fails verification"):
+        generate_base(6, 2, 1)
+
+
+def test_detach_raises_when_verification_fails(monkeypatch):
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    base, plan = generate_base(6, 2, 1), build_plan(p)
+    monkeypatch.setattr(detach_module, "verify_certificate", lambda cert: False)
+    with pytest.raises(RuntimeError, match="fails verification"):
+        detach(p, base, plan)

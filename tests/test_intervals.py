@@ -31,6 +31,14 @@ def test_zero_target_all_slack():
     assert sys.solve() == [0, 0, 0]
 
 
+def test_solve_raises_when_its_check_fails(monkeypatch):
+    # an infeasible system that claims feasibility must not return a vector
+    sys = IntervalSystem(10, [(0, 2), (0, 3)])
+    monkeypatch.setattr(IntervalSystem, "feasible", lambda self: True)
+    with pytest.raises(RuntimeError, match="deficit"):
+        sys.solve()
+
+
 def test_constructor_validation():
     with pytest.raises(InputError):
         IntervalSystem(5, [(0, -1)])

@@ -1,22 +1,29 @@
 from collections import Counter
+from functools import cache
+from itertools import combinations_with_replacement
+from math import floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadembed.bounds import AmalgamCase, global_bounds
-from quadembed.errors import InputError, PlanInfeasible
+from quadembed import planner, sporadic
+from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds
+from quadembed.errors import FormatError, InputError, PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions, color_counts
 from quadembed.planner import (
     build_plan,
+    color_tiers,
     extend_plan,
     parse_plan,
     plan_e,
+    plan_e_exact,
     plan_f,
     plan_to_json,
     render_plan,
+    solve_e,
     totals,
     verify_plan,
 )
-from quadembed import sporadic
 
 
 def test_totals_examples():
@@ -108,11 +115,177 @@ def test_build_plan_gates():
 
 def test_build_plan_fallback_repairs_parity():
     # greedy e-choice leaves an odd color count exceeding the {1 old, 3 new}
-    # supply; the exhaustive fallback must find a workable multiset
+    # supply; the exact parity-aware e-solve must find a workable multiset
     p = EmbeddingParams(12, 16, 1, 2, 2)
     plan = build_plan(p)
     assert plan.via == "fallback"
     assert verify_plan(p, plan)
+
+
+def test_build_plan_fallback_at_higher_multiplicity():
+    p = EmbeddingParams(12, 16, 1, 2, 4)
+    plan = build_plan(p)
+    assert plan.via == "fallback"
+    assert verify_plan(p, plan)
+
+
+def _multiset_lists(values: list[int], slots: int, total: int):
+    """All length-``slots`` multisets over ``values`` with the given sum."""
+    if slots == 0:
+        if total == 0:
+            yield []
+        return
+    if not values:
+        return
+    v, rest = values[0], values[1:]
+    lo = min(rest) if rest else None
+    hi = max(rest) if rest else None
+    for count in range(slots, -1, -1):
+        remaining = total - count * v
+        left = slots - count
+        if left == 0:
+            if remaining == 0:
+                yield [v] * count
+            continue
+        if lo is None or not (left * lo <= remaining <= left * hi):
+            continue
+        for tail in _multiset_lists(rest, left, remaining):
+            yield [v] * count + tail
+
+
+def _fallback_candidates(p, b, q: int, k: int, e_total: int):
+    """e-multisets within the master range, parity-friendly values first."""
+    sm = p.s * p.m
+
+    def tier_values(iota, rho):
+        lo, hi = max(iota, 0), floor(rho)
+        vals = list(range(lo, hi + 1))
+        return sorted(vals, key=lambda v: ((sm + v) % 2, v))
+
+    vals1 = tier_values(b.iota1, b.rho1)
+    if not b.two_tier:
+        for ms in _multiset_lists(vals1, q, e_total):
+            yield ms
+        return
+    vals2 = tier_values(b.iota2, b.rho2)
+    if not vals1 or not vals2:
+        return
+    lo2, hi2 = (k - q) * min(vals2), (k - q) * max(vals2)
+    for s1 in range(max(q * min(vals1), e_total - hi2),
+                    min(q * max(vals1), e_total - lo2) + 1):
+        for ms1 in _multiset_lists(vals1, q, s1):
+            for ms2 in _multiset_lists(vals2, k - q, e_total - s1):
+                yield ms1 + ms2
+
+
+@cache
+def _f_interval(p, tier, e_j) -> tuple[int, int]:
+    pc = per_color_bounds(p, tier, e_j)
+    return max(pc.iota, 0), floor(pc.rho)
+
+
+def _f_system_feasible(p, e_list, q, k) -> bool:
+    """The interval criterion of the f-system: sum max(iota, 0) <= f <= sum floor(rho)."""
+    lower = upper = 0
+    for (tier, e_j), count in Counter(zip(color_tiers(q, k), e_list)).items():
+        lo, hi = _f_interval(p, tier, e_j)
+        lower += count * lo
+        upper += count * hi
+    return lower <= totals(p)[1] <= upper
+
+
+ORACLE_CAP = 2_000  # candidates the reference enumerator may try per tuple
+
+
+def test_exact_e_solve_agrees_with_enumerator():
+    from conftest import sweep_params
+
+    resolved = unresolved = 0
+    for p in sweep_params(n_hi=12, r_hi=8, s_hi=8, lam_hi=2):
+        q, k = color_counts(p)
+        if p.s < p.r or k < q:
+            continue
+        b = global_bounds(p)
+        candidates = _fallback_candidates(p, b, q, k, totals(p)[0])
+        for tried, e_list in enumerate(candidates):
+            if tried == ORACLE_CAP:
+                found = None
+                break
+            if _f_system_feasible(p, e_list, q, k):
+                found = True
+                break
+        else:
+            found = False  # every candidate tried
+        if found is None:
+            unresolved += 1
+            continue
+        resolved += 1
+        if not found:
+            with pytest.raises(PlanInfeasible):
+                plan_e_exact(p)
+            continue
+        e_list = plan_e_exact(p)
+        assert verify_plan(p, extend_plan(p, e_list, plan_f(p, b, e_list)))
+    assert (resolved, unresolved) == (151, 19)
+
+
+def _brute_force_e(tiers, e_total, f_total) -> bool:
+    """Some e-list in the master range whose f-system is feasible?"""
+    lists = []
+    for count, c, d in tiers:
+        values = range(max(2 * c - d, 0), d // 3 + 1)
+        by_sum: dict[int, list] = {}
+        for ms in combinations_with_replacement(values, count):
+            by_sum.setdefault(sum(ms), []).append(ms)
+        lists.append(by_sum)
+    for s1, old_lists in lists[0].items():
+        for old in old_lists:
+            for new in lists[1].get(e_total - s1, []):
+                if _tiers_feasible(tiers, old, new, f_total):
+                    return True
+    return False
+
+
+def _tiers_feasible(tiers, old, new, f_total) -> bool:
+    lower = upper = 0
+    for (_, c, d), values in zip(tiers, (old, new)):
+        lower += sum(max(c - 2 * v, 0) for v in values)
+        upper += sum((d - 3 * v) // 2 for v in values)
+    return lower <= f_total <= upper
+
+
+_tier = st.tuples(st.integers(-3, 12), st.integers(0, 17))  # (c, d): values in 0..5
+
+
+@settings(max_examples=500)
+@given(old=_tier, new=_tier, n1=st.integers(1, 5), n2=st.integers(0, 5),
+       data=st.data())
+def test_solve_e_matches_brute_force(old, new, n1, n2, data):
+    tiers = [(n1, *old), (n2, *new)]
+    lo = sum(n * max(2 * c - d, 0) for n, c, d in tiers)
+    hi = sum(n * (d // 3) for n, c, d in tiers)
+    e_total = data.draw(st.integers(max(min(lo, hi) - 2, 0), max(lo, hi) + 2))
+    f_total = data.draw(st.integers(0, 60))
+    got = solve_e(tiers, e_total, f_total)
+    assert (got is not None) == _brute_force_e(tiers, e_total, f_total)
+    if got is not None:
+        old_vals, new_vals = got[:n1], got[n1:]
+        assert len(new_vals) == n2 and sum(got) == e_total
+        for (_, c, d), values in zip(tiers, (old_vals, new_vals)):
+            assert all(max(2 * c - d, 0) <= v <= d // 3 for v in values)
+        assert _tiers_feasible(tiers, old_vals, new_vals, f_total)
+
+
+def test_extend_plan_rejects_f_outside_its_interval():
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    with pytest.raises(InputError, match="above rho"):
+        extend_plan(p, [4] * 5 + [10] * 2, [4] * 5 + [0] * 2)
+
+
+def test_extend_plan_raises_when_verification_fails(monkeypatch):
+    monkeypatch.setattr(planner, "verify_plan", lambda p, plan: False)
+    with pytest.raises(InputError, match="independent verification"):
+        extend_plan(EmbeddingParams(6, 8, 2, 5, 1), [4] * 5 + [10] * 2, [3] * 5 + [0] * 2)
 
 
 def test_sporadic_registry_rows_are_consistent():
@@ -143,6 +316,20 @@ def test_plan_round_trip_text():
         again = parse_plan(render_plan(plan))
         assert again == plan
         assert render_plan(again) == render_plan(plan)
+
+
+@pytest.mark.parametrize("old, new, line", [
+    ("5.2 - general", "9.9 - general", 1),       # unknown case code
+    ("1 old 4 3 0 0", "1 old x 3 0 0", 2),       # non-integer e_j
+    ("3 old 4 3 0 0", "3 old 4 3 0 0.5", 4),     # non-integer h_j
+    ("7 new 10 0 0 0", "seven new 10 0 0 0", 8),  # non-integer color index
+])
+def test_parse_plan_bad_fields_raise_format_error(old, new, line):
+    text = render_plan(build_plan(EmbeddingParams(6, 8, 2, 5, 1)))
+    assert old in text
+    with pytest.raises(FormatError) as err:
+        parse_plan(text.replace(old, new))
+    assert err.value.line == line
 
 
 def test_plan_json_shape():
