@@ -330,7 +330,9 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (PlanInfeasible, SearchExhausted) as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
+        nodes = getattr(exc, "nodes", None)
+        after = f" after {nodes} nodes" if nodes is not None else ""
+        print(f"search exhausted{after}: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
 
 

@@ -20,11 +20,26 @@ built, not dozens of assignments later.  Symmetry breaking and pruning:
   * a class whose maximum remaining vertex budget exceeds its remaining
     block count (or with fewer than 4 usable vertices) is dead;
   * after every assignment, each incomplete class must retain enough
-    compatible unassigned blocks, in total and per vertex.
+    compatible unassigned blocks, in total and per vertex, and every
+    unassigned block must still fit some class.
 
-A node budget converts pathological instances into an explicit
-SearchExhausted instead of nontermination; exhaustion is never interpreted
-as nonexistence.
+The last check runs at every node, so it reads counters instead of
+rescanning the items.  Item i fits class j when j's size budget, its budget
+for i's shape and its budget at each vertex of i are all positive;
+``blocked[j][i]`` counts the ones of these that are exhausted.  Over the
+unassigned items, ``supply[j]`` and ``vsupply[j][v]`` count those with
+``blocked[j][i] == 0`` (at vertex v), ``nfit[i]`` counts the classes item i
+fits, and ``orphans`` the unassigned items that fit none.  ``_apply`` and
+``_undo`` keep these exact: assigning an item removes it from the supplies
+(O(classes)), and a budget of class j crossing 0 revisits only the items
+that need it (``by_vertex[v]``, ``by_shape[t]``, or every item for the
+size budget).  The per-node check is then O(classes × ground) instead of
+O(items × classes), and the search visits the same nodes in the same order
+as a full rescan would.
+
+A node budget (at least 1) converts pathological instances into an
+explicit SearchExhausted, which carries the number of nodes visited,
+instead of nontermination; exhaustion is never interpreted as nonexistence.
 """
 
 from __future__ import annotations
@@ -33,6 +48,7 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import combinations
+from operator import gt
 
 from .combinat import binomial
 from .errors import InputError, SearchExhausted
@@ -61,6 +77,8 @@ class _ClassState:
 class _CoverSearch:
     def __init__(self, ground: int, items: list[tuple[Block, int]],
                  classes: list[_ClassState], node_budget: int, m_old: int = 0):
+        if node_budget < 1:
+            raise InputError(f"node budget must be at least 1, got {node_budget}")
         self.ground = ground
         self.items = items
         self.classes = classes
@@ -68,13 +86,32 @@ class _CoverSearch:
         self.nodes = 0
         self.m_old = m_old
         self.choice = [-1] * len(items)
-
-    def _fits(self, cls: _ClassState, block: Block, shape: int) -> bool:
-        if cls.size_budget == 0:
-            return False
-        if cls.shape_budget is not None and cls.shape_budget[shape] == 0:
-            return False
-        return all(cls.vbudget[v] > 0 for v in block)
+        self.assigned = [False] * len(items)
+        # items to revisit when a vertex or shape budget of a class hits 0
+        self.by_vertex: list[list[int]] = [[] for _ in range(ground + 1)]
+        self.by_shape: list[list[int]] = [[] for _ in range(5)]
+        for i, (block, shape) in enumerate(items):
+            for v in block:
+                self.by_vertex[v].append(i)
+            self.by_shape[shape].append(i)
+        # blocked[j][i]: exhausted budgets of class j that item i needs
+        self.blocked = [
+            [(cls.size_budget == 0)
+             + (cls.shape_budget is not None and cls.shape_budget[shape] == 0)
+             + sum(cls.vbudget[v] == 0 for v in block)
+             for block, shape in items]
+            for cls in classes]
+        # supply over unassigned items that class j can still take
+        self.supply = [row.count(0) for row in self.blocked]
+        self.vsupply = [[0] * (ground + 1) for _ in classes]
+        self.nfit = [0] * len(items)
+        for row, vs in zip(self.blocked, self.vsupply):
+            for i, b in enumerate(row):
+                if not b:
+                    self.nfit[i] += 1
+                    for v in items[i][0]:
+                        vs[v] += 1
+        self.orphans = self.nfit.count(0)
 
     def _class_alive(self, cls: _ClassState) -> bool:
         if cls.size_budget == 0:
@@ -96,74 +133,121 @@ class _CoverSearch:
                 return False
         return True
 
-    def _supply_ok(self, assigned: list[bool]) -> bool:
+    def _supply_ok(self) -> bool:
         """Every unassigned block still fits somewhere, and every incomplete
         class keeps enough compatible unassigned blocks, in total and per
         vertex."""
-        items, classes = self.items, self.classes
-        active = [j for j, cls in enumerate(classes) if cls.size_budget > 0]
+        active = [j for j, cls in enumerate(self.classes) if cls.size_budget > 0]
         if not active:
             return True
-        supply = {j: 0 for j in active}
-        vsupply = {j: [0] * (self.ground + 1) for j in active}
-        i = 0
-        n = len(items)
-        while i < n:
-            if assigned[i]:
-                i += 1
-                continue
-            block, shape = items[i]
-            count = 1
-            while i + count < n and not assigned[i + count] \
-                    and items[i + count][0] == block:
-                count += 1
-            fits_any = False
-            for j in active:
-                if self._fits(classes[j], block, shape):
-                    fits_any = True
-                    supply[j] += count
-                    row = vsupply[j]
-                    for v in block:
-                        row[v] += count
-            if not fits_any:
-                return False
-            i += count
+        if self.orphans:
+            return False
         for j in active:
-            cls = classes[j]
-            if supply[j] < cls.size_budget:
+            cls = self.classes[j]
+            if self.supply[j] < cls.size_budget \
+                    or any(map(gt, cls.vbudget, self.vsupply[j])):
                 return False
-            row = vsupply[j]
-            for v in range(1, self.ground + 1):
-                if cls.vbudget[v] > row[v]:
-                    return False
         return True
+
+    def _block(self, j: int, idxs) -> None:
+        """A budget of class j hit 0: every item in idxs needs it."""
+        row, vs, nfit = self.blocked[j], self.vsupply[j], self.nfit
+        items, assigned = self.items, self.assigned
+        lost = orphaned = 0
+        for i in idxs:
+            row[i] += 1
+            if row[i] == 1:
+                nfit[i] -= 1
+                if not assigned[i]:
+                    lost += 1
+                    a, b, c, d = items[i][0]
+                    vs[a] -= 1
+                    vs[b] -= 1
+                    vs[c] -= 1
+                    vs[d] -= 1
+                    if not nfit[i]:
+                        orphaned += 1
+        self.supply[j] -= lost
+        self.orphans += orphaned
+
+    def _unblock(self, j: int, idxs) -> None:
+        """A budget of class j left 0: the inverse of _block."""
+        row, vs, nfit = self.blocked[j], self.vsupply[j], self.nfit
+        items, assigned = self.items, self.assigned
+        gained = rescued = 0
+        for i in idxs:
+            row[i] -= 1
+            if not row[i]:
+                nfit[i] += 1
+                if not assigned[i]:
+                    gained += 1
+                    a, b, c, d = items[i][0]
+                    vs[a] += 1
+                    vs[b] += 1
+                    vs[c] += 1
+                    vs[d] += 1
+                    if nfit[i] == 1:
+                        rescued += 1
+        self.supply[j] += gained
+        self.orphans -= rescued
+
+    def _take(self, i: int, sign: int) -> None:
+        """Item i leaves (sign -1) or rejoins (+1) the unassigned pool; it
+        fits the class it is assigned to, so it is never an orphan here."""
+        a, b, c, d = self.items[i][0]
+        supply, vsupply = self.supply, self.vsupply
+        for j, row in enumerate(self.blocked):
+            if not row[i]:
+                supply[j] += sign
+                vs = vsupply[j]
+                vs[a] += sign
+                vs[b] += sign
+                vs[c] += sign
+                vs[d] += sign
 
     def _apply(self, i: int, j: int) -> None:
         block, shape = self.items[i]
         cls = self.classes[j]
+        self._take(i, -1)
+        self.assigned[i] = True
         for v in block:
             cls.vbudget[v] -= 1
+            if cls.vbudget[v] == 0:
+                self._block(j, self.by_vertex[v])
         if cls.shape_budget is not None:
             cls.shape_budget[shape] -= 1
+            if cls.shape_budget[shape] == 0:
+                self._block(j, self.by_shape[shape])
         cls.size_budget -= 1
+        if cls.size_budget == 0:
+            self._block(j, range(len(self.items)))
         self.choice[i] = j
 
     def _undo(self, i: int, j: int) -> None:
         block, shape = self.items[i]
         cls = self.classes[j]
-        for v in block:
-            cls.vbudget[v] += 1
-        if cls.shape_budget is not None:
-            cls.shape_budget[shape] += 1
+        if cls.size_budget == 0:
+            self._unblock(j, range(len(self.items)))
         cls.size_budget += 1
+        if cls.shape_budget is not None:
+            if cls.shape_budget[shape] == 0:
+                self._unblock(j, self.by_shape[shape])
+            cls.shape_budget[shape] += 1
+        for v in block:
+            if cls.vbudget[v] == 0:
+                self._unblock(j, self.by_vertex[v])
+            cls.vbudget[v] += 1
+        self.assigned[i] = False
+        self._take(i, +1)
         self.choice[i] = -1
 
-    def run(self) -> bool:
-        """True iff a full assignment was found; raises on node-budget hit."""
-        items, classes = self.items, self.classes
+    def run(self, exhausted: str) -> None:
+        """Assign every item.  Raises SearchExhausted, carrying ``nodes``, on
+        a node-budget hit or, with message ``exhausted``, when the whole
+        space has been searched without a full assignment."""
+        items, classes, assigned = self.items, self.classes, self.assigned
         n_items = len(items)
         sys.setrecursionlimit(max(sys.getrecursionlimit(), n_items + 100))
-        assigned = [False] * n_items
         # tightest class first; stable, so group members stay consecutive
         order = sorted(range(len(classes)),
                        key=lambda j: (classes[j].size_budget, j))
@@ -192,30 +276,29 @@ class _CoverSearch:
             self.nodes += 1
             if self.nodes > self.budget:
                 raise SearchExhausted(
-                    f"node budget {self.budget} exhausted", complete=False)
+                    f"node budget {self.budget} exhausted", complete=False,
+                    nodes=self.nodes)
             empty = cls.first_item < 0
             forced = empty and single_group_left(pos)
+            blocked = self.blocked[j]
             for i in range(cursor, n_items):
                 if assigned[i]:
                     continue
                 if i > 0 and items[i - 1][0] == items[i][0] \
                         and not assigned[i - 1]:
                     continue  # copies are consumed in index order
-                block, shape = items[i]
-                if not self._fits(cls, block, shape):
+                if blocked[i]:
                     if forced:
                         # interchangeable classes: the lowest unassigned block
                         # must open the next bundle, or nothing does
                         return False
                     continue
                 self._apply(i, j)
-                assigned[i] = True
                 if empty:
                     cls.first_item = i
-                ok = self._class_alive(cls) and self._supply_ok(assigned)
+                ok = self._class_alive(cls) and self._supply_ok()
                 if ok and fill(pos, i + 1, depth + 1):
                     return True
-                assigned[i] = False
                 self._undo(i, j)
                 if empty:
                     cls.first_item = -1
@@ -223,7 +306,8 @@ class _CoverSearch:
                     return False
             return False
 
-        return fill(0, start_cursor(0), 0)
+        if not fill(0, start_cursor(0), 0):
+            raise SearchExhausted(exhausted, complete=True, nodes=self.nodes)
 
 
 def _seeded_items(blocks: list[Block], lam: int, seed: int,
@@ -263,10 +347,8 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0,
     ]
     items = _seeded_items(list(combinations(range(1, m + 1), 4)), lam, seed)
     search = _CoverSearch(m, items, classes, node_budget)
-    if not search.run():
-        raise SearchExhausted(
-            f"no {r}-factorization of {lam}*K_{m}^4 found"
-            " (search space exhausted)", complete=True)
+    search.run(f"no {r}-factorization of {lam}*K_{m}^4 found"
+               " (search space exhausted)")
     assigned: list[list[Block]] = [[] for _ in range(q)]
     for i, j in enumerate(search.choice):
         assigned[j].append(items[i][0])
@@ -307,10 +389,8 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
     items = _seeded_items(blocks, p.lam, seed,
                           shape_of=lambda b: sum(1 for v in b if v <= m))
     search = _CoverSearch(n, items, classes, node_budget, m_old=m)
-    if not search.run():
-        raise SearchExhausted(
-            "no detachment found at this scale (search space exhausted);"
-            " this does not certify nonexistence", complete=True)
+    search.run("no detachment found at this scale (search space exhausted);"
+               " this does not certify nonexistence")
 
     outer_classes: list[list[Block]] = [list(base.classes[j]) for j in range(q)]
     outer_classes += [[] for _ in range(k - q)]

@@ -24,9 +24,12 @@ class SearchExhausted(RuntimeError):
 
     ``complete`` is True when the whole space was searched (a genuine
     non-existence certificate at this scale), False when the node budget ran
-    out first (inconclusive).
+    out first (inconclusive).  ``nodes`` is how many search nodes were
+    visited.
     """
 
-    def __init__(self, message: str, complete: bool = False):
+    def __init__(self, message: str, complete: bool = False,
+                 nodes: int | None = None):
         self.complete = complete
+        self.nodes = nodes
         super().__init__(message)

@@ -71,6 +71,19 @@ def test_embed_with_base_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("base", [[], ["--base", str(FIXTURES / "intro_6.txt")]])
+def test_embed_node_budget_below_one_is_input_error(budget, base, capsys):
+    rc = main(["embed", "6", "8", "2", "5", "1", *base, "--node-budget", budget])
+    assert rc == 3
+    assert "input error: node budget" in capsys.readouterr().err
+
+
+def test_embed_exhausted_reports_nodes(capsys):
+    assert main(["embed", "6", "8", "2", "5", "1", "--node-budget", "3"]) == 2
+    assert "search exhausted after 4 nodes" in capsys.readouterr().err
+
+
 def test_verify_fixture(capsys):
     assert main(["verify", str(FIXTURES / "intro_9.txt")]) == 0
     assert main(["verify", str(FIXTURES / "intro_9.txt"),

@@ -1,17 +1,22 @@
 import importlib
+import random
 from collections import Counter
+from hashlib import sha256
 
 import pytest
 
 from quadembed.detach import detach, generate_base
-from quadembed.errors import InputError, SearchExhausted
+from quadembed.errors import InputError, PlanInfeasible, SearchExhausted
 from quadembed.factorization import (
     crossing_profile,
     is_valid_factorization,
+    render_factorization,
     verify_certificate,
 )
-from quadembed.params import EmbeddingParams, color_counts
+from quadembed.params import EmbeddingParams, check_conditions, color_counts
 from quadembed.planner import build_plan, totals
+
+from conftest import sweep_params
 
 
 def test_generate_base_small():
@@ -99,6 +104,16 @@ def test_detach_node_budget_exhaustion():
     with pytest.raises(SearchExhausted) as err:
         detach(p, base, plan, node_budget=3)
     assert not err.value.complete
+    assert err.value.nodes == 4
+
+
+def test_complete_exhaustion_reports_nodes(monkeypatch):
+    # with every supply check failing, the search closes after the first
+    # node's candidates without finding a cover
+    monkeypatch.setattr(detach_module._CoverSearch, "_supply_ok", lambda self: False)
+    with pytest.raises(SearchExhausted) as err:
+        generate_base(6, 2, 1)
+    assert err.value.complete and err.value.nodes == 1
 
 
 def test_detach_class_sizes():
@@ -144,3 +159,178 @@ def test_detach_raises_when_verification_fails(monkeypatch):
     monkeypatch.setattr(detach_module, "verify_certificate", lambda cert: False)
     with pytest.raises(RuntimeError, match="fails verification"):
         detach(p, base, plan)
+
+
+def _rescan_supply_ok(search) -> bool:
+    """Reference for _CoverSearch._supply_ok: the full rescan of every
+    unassigned item against every incomplete class that the counters
+    replace."""
+    items, classes, assigned = search.items, search.classes, search.assigned
+
+    def fits(cls, block, shape):
+        if cls.size_budget == 0:
+            return False
+        if cls.shape_budget is not None and cls.shape_budget[shape] == 0:
+            return False
+        return all(cls.vbudget[v] > 0 for v in block)
+
+    active = [j for j, cls in enumerate(classes) if cls.size_budget > 0]
+    if not active:
+        return True
+    supply = {j: 0 for j in active}
+    vsupply = {j: [0] * (search.ground + 1) for j in active}
+    i = 0
+    n = len(items)
+    while i < n:
+        if assigned[i]:
+            i += 1
+            continue
+        block, shape = items[i]
+        count = 1
+        while i + count < n and not assigned[i + count] \
+                and items[i + count][0] == block:
+            count += 1
+        fits_any = False
+        for j in active:
+            if fits(classes[j], block, shape):
+                fits_any = True
+                supply[j] += count
+                row = vsupply[j]
+                for v in block:
+                    row[v] += count
+        if not fits_any:
+            return False
+        i += count
+    for j in active:
+        cls = classes[j]
+        if supply[j] < cls.size_budget:
+            return False
+        row = vsupply[j]
+        for v in range(1, search.ground + 1):
+            if cls.vbudget[v] > row[v]:
+                return False
+    return True
+
+
+def test_supply_counters_agree_with_rescan(monkeypatch):
+    checks = Counter()
+    supply_ok = detach_module._CoverSearch._supply_ok
+
+    def checked(self):
+        got = supply_ok(self)
+        assert got == _rescan_supply_ok(self), (self.nodes, self.choice)
+        checks[got] += 1
+        return got
+
+    monkeypatch.setattr(detach_module._CoverSearch, "_supply_ok", checked)
+    tuples = [p for p in sweep_params(8, 8, 12, 2)
+              if check_conditions(p).all_hold()]
+    assert len(tuples) == 29
+    for p in tuples:
+        for seed in range(3):
+            try:
+                base = generate_base(p.m, p.r, p.lam, seed=seed, node_budget=150)
+                plan = build_plan(p, force_out_of_scope=True)
+                detach(p, base, plan, seed=seed, node_budget=150)
+            except (SearchExhausted, PlanInfeasible, InputError):
+                pass
+    # both verdicts occur, and often enough that the agreement means something
+    assert checks[True] >= 1000 and checks[False] >= 1000
+    assert sum(checks.values()) >= 16_000
+
+
+class _Captured(Exception):
+    pass
+
+
+def _captured_search(monkeypatch, build):
+    """The _CoverSearch that ``build`` sets up, before it runs."""
+    seen = []
+
+    def grab(self, *args):
+        seen.append(self)
+        raise _Captured
+
+    monkeypatch.setattr(detach_module._CoverSearch, "run", grab)
+    with pytest.raises(_Captured):
+        build()
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _recount(search):
+    """The supply counters recomputed from the budgets and assignment."""
+    items, assigned = search.items, search.assigned
+    blocked = [
+        [(cls.size_budget == 0)
+         + (cls.shape_budget is not None and cls.shape_budget[shape] == 0)
+         + sum(cls.vbudget[v] == 0 for v in block)
+         for block, shape in items]
+        for cls in search.classes]
+    free = [i for i in range(len(items)) if not assigned[i]]
+    supply = [sum(not row[i] for i in free) for row in blocked]
+    vsupply = [[sum(not row[i] for i in free if v in items[i][0])
+                for v in range(search.ground + 1)] for row in blocked]
+    nfit = [sum(not row[i] for row in blocked) for i in range(len(items))]
+    orphans = sum(not nfit[i] for i in free)
+    return blocked, supply, vsupply, nfit, orphans
+
+
+@pytest.mark.parametrize("instance", ["base", "detach"])
+def test_supply_counters_survive_apply_undo(instance, monkeypatch):
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    if instance == "base":
+        search = _captured_search(monkeypatch, lambda: generate_base(6, 2, 1))
+    else:
+        base, plan = generate_base(6, 2, 1), build_plan(p)
+        search = _captured_search(monkeypatch, lambda: detach(p, base, plan))
+    rng = random.Random(0)
+    stack = []
+    completed = reopened = 0
+    for _ in range(400):
+        moves = [(i, j) for j, row in enumerate(search.blocked)
+                 for i, b in enumerate(row) if not b and not search.assigned[i]]
+        if moves and (not stack or rng.random() < 0.6):
+            i, j = rng.choice(moves)
+            search._apply(i, j)
+            stack.append((i, j))
+            completed += search.classes[j].size_budget == 0
+        elif stack:
+            i, j = stack.pop()
+            reopened += search.classes[j].size_budget == 0
+            search._undo(i, j)
+        state = (search.blocked, search.supply, search.vsupply,
+                 search.nfit, search.orphans)
+        assert state == _recount(search)
+    assert completed and reopened
+    while stack:
+        search._undo(*stack.pop())
+    assert search.choice == [-1] * len(search.items)
+
+
+# seed-0 search nodes (generate_base, detach) and the certificate's SHA-256
+# prefix; the supply counters must not change the search order
+PINNED_SEARCHES = {
+    (6, 8, 2, 5, 1): ([15, 60], "99c9fd3a42e1ec0d"),
+    (5, 8, 8, 10, 2): ([10, 6570], "bd17f9a4db2e8c1a"),
+    (6, 9, 2, 4, 1): ([15, 3713], "3ea5b8bf6de7dba2"),
+}
+
+
+@pytest.mark.parametrize("tup", sorted(PINNED_SEARCHES))
+def test_search_order_pinned(tup, monkeypatch):
+    nodes = []
+    run = detach_module._CoverSearch.run
+
+    def counted(self, *args):
+        try:
+            return run(self, *args)
+        finally:
+            nodes.append(self.nodes)
+
+    monkeypatch.setattr(detach_module._CoverSearch, "run", counted)
+    p = EmbeddingParams(*tup)
+    base = generate_base(p.m, p.r, p.lam)
+    cert = detach(p, base, build_plan(p, force_out_of_scope=True))
+    digest = sha256(render_factorization(cert.outer).encode()).hexdigest()
+    assert (nodes, digest[:16]) == PINNED_SEARCHES[tup]
