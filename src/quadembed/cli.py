@@ -325,8 +325,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FormatError, FileNotFoundError, IsADirectoryError,
-            UnicodeDecodeError) as exc:
+    except (InputError, FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (PlanInfeasible, SearchExhausted) as exc:

@@ -20,22 +20,32 @@ built, not dozens of assignments later.  Symmetry breaking and pruning:
   * a class whose maximum remaining vertex budget exceeds its remaining
     block count (or with fewer than 4 usable vertices) is dead;
   * after every assignment, each incomplete class must retain enough
-    compatible unassigned blocks, in total and per vertex, and every
-    unassigned block must still fit some class.
+    compatible unassigned blocks at every vertex, and every unassigned
+    block must still fit some class.
 
-The last check runs at every node, so it reads counters instead of
-rescanning the items.  Item i fits class j when j's size budget, its budget
-for i's shape and its budget at each vertex of i are all positive;
-``blocked[j][i]`` counts the ones of these that are exhausted.  Over the
-unassigned items, ``supply[j]`` and ``vsupply[j][v]`` count those with
-``blocked[j][i] == 0`` (at vertex v), ``nfit[i]`` counts the classes item i
-fits, and ``orphans`` the unassigned items that fit none.  ``_apply`` and
-``_undo`` keep these exact: assigning an item removes it from the supplies
-(O(classes)), and a budget of class j crossing 0 revisits only the items
-that need it (``by_vertex[v]``, ``by_shape[t]``, or every item for the
-size budget).  The per-node check is then O(classes × ground) instead of
-O(items × classes), and the search visits the same nodes in the same order
-as a full rescan would.
+Sets of items are Python ints used as bitsets over item indices.  Static
+masks give the items containing vertex v (``vmask[v]``) and the items of
+shape t (``smask[t]``); ``free`` holds the unassigned items, and
+``fit[j]`` the items whose size budget, shape budget and vertex budgets in
+class j are all positive.  Assigning an item to class j clears its bit in
+``free``; a budget of j crossing 0 removes ``vmask[v]`` or ``smask[t]`` from
+``fit[j]``, and the size budget reaching 0 empties it.  ``_apply`` pushes
+the old ``fit[j]`` and ``_undo`` pops it, so undoing needs no inverse
+bookkeeping: only class j's budgets changed, and the saved mask is the one
+they determine.
+
+The per-node check computes ``fit[j] & free`` for every incomplete class
+and compares each vertex budget with the popcount of that set at the
+vertex; an unassigned item outside the union of these sets is an orphan.
+A total-supply test (at least ``size_budget`` compatible items) would be
+redundant: every class keeps sum_v vbudget[v] == 4 * size_budget (true of
+the initial budgets, which are the degree laws of the base or the plan, and
+kept by each assignment, which takes 4 vertex degrees and 1 block), and
+every item has 4 vertices, so passing the per-vertex test means
+4 * supply >= sum_v vbudget[v] = 4 * size_budget.  A node thus costs
+O(classes × ground) big-int operations on masks of one bit per item,
+and the search visits the same nodes in the same order as a full rescan of
+the items would.
 
 A node budget (at least 1) converts pathological instances into an
 explicit SearchExhausted, which carries the number of nodes visited,
@@ -48,7 +58,6 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from operator import gt
 
 from .combinat import binomial
 from .errors import InputError, SearchExhausted
@@ -86,32 +95,24 @@ class _CoverSearch:
         self.nodes = 0
         self.m_old = m_old
         self.choice = [-1] * len(items)
-        self.assigned = [False] * len(items)
-        # items to revisit when a vertex or shape budget of a class hits 0
-        self.by_vertex: list[list[int]] = [[] for _ in range(ground + 1)]
-        self.by_shape: list[list[int]] = [[] for _ in range(5)]
+        self.free = (1 << len(items)) - 1
+        self.vmask = [0] * (ground + 1)
+        self.smask = [0] * 5
         for i, (block, shape) in enumerate(items):
             for v in block:
-                self.by_vertex[v].append(i)
-            self.by_shape[shape].append(i)
-        # blocked[j][i]: exhausted budgets of class j that item i needs
-        self.blocked = [
-            [(cls.size_budget == 0)
-             + (cls.shape_budget is not None and cls.shape_budget[shape] == 0)
-             + sum(cls.vbudget[v] == 0 for v in block)
-             for block, shape in items]
-            for cls in classes]
-        # supply over unassigned items that class j can still take
-        self.supply = [row.count(0) for row in self.blocked]
-        self.vsupply = [[0] * (ground + 1) for _ in classes]
-        self.nfit = [0] * len(items)
-        for row, vs in zip(self.blocked, self.vsupply):
-            for i, b in enumerate(row):
-                if not b:
-                    self.nfit[i] += 1
-                    for v in items[i][0]:
-                        vs[v] += 1
-        self.orphans = self.nfit.count(0)
+                self.vmask[v] |= 1 << i
+            self.smask[shape] |= 1 << i
+        self.fit = []
+        for cls in classes:
+            fit = self.free if cls.size_budget else 0
+            for v, b in enumerate(cls.vbudget):
+                if b == 0:
+                    fit &= ~self.vmask[v]
+            for t, b in enumerate(cls.shape_budget or ()):
+                if b == 0:
+                    fit &= ~self.smask[t]
+            self.fit.append(fit)
+        self.saved_fit: list[int] = []  # fit[j] before each live _apply
 
     def _class_alive(self, cls: _ClassState) -> bool:
         if cls.size_budget == 0:
@@ -134,123 +135,67 @@ class _CoverSearch:
         return True
 
     def _supply_ok(self) -> bool:
-        """Every unassigned block still fits somewhere, and every incomplete
-        class keeps enough compatible unassigned blocks, in total and per
-        vertex."""
-        active = [j for j, cls in enumerate(self.classes) if cls.size_budget > 0]
-        if not active:
-            return True
-        if self.orphans:
-            return False
-        for j in active:
-            cls = self.classes[j]
-            if self.supply[j] < cls.size_budget \
-                    or any(map(gt, cls.vbudget, self.vsupply[j])):
-                return False
-        return True
-
-    def _block(self, j: int, idxs) -> None:
-        """A budget of class j hit 0: every item in idxs needs it."""
-        row, vs, nfit = self.blocked[j], self.vsupply[j], self.nfit
-        items, assigned = self.items, self.assigned
-        lost = orphaned = 0
-        for i in idxs:
-            row[i] += 1
-            if row[i] == 1:
-                nfit[i] -= 1
-                if not assigned[i]:
-                    lost += 1
-                    a, b, c, d = items[i][0]
-                    vs[a] -= 1
-                    vs[b] -= 1
-                    vs[c] -= 1
-                    vs[d] -= 1
-                    if not nfit[i]:
-                        orphaned += 1
-        self.supply[j] -= lost
-        self.orphans += orphaned
-
-    def _unblock(self, j: int, idxs) -> None:
-        """A budget of class j left 0: the inverse of _block."""
-        row, vs, nfit = self.blocked[j], self.vsupply[j], self.nfit
-        items, assigned = self.items, self.assigned
-        gained = rescued = 0
-        for i in idxs:
-            row[i] -= 1
-            if not row[i]:
-                nfit[i] += 1
-                if not assigned[i]:
-                    gained += 1
-                    a, b, c, d = items[i][0]
-                    vs[a] += 1
-                    vs[b] += 1
-                    vs[c] += 1
-                    vs[d] += 1
-                    if nfit[i] == 1:
-                        rescued += 1
-        self.supply[j] += gained
-        self.orphans -= rescued
-
-    def _take(self, i: int, sign: int) -> None:
-        """Item i leaves (sign -1) or rejoins (+1) the unassigned pool; it
-        fits the class it is assigned to, so it is never an orphan here."""
-        a, b, c, d = self.items[i][0]
-        supply, vsupply = self.supply, self.vsupply
-        for j, row in enumerate(self.blocked):
-            if not row[i]:
-                supply[j] += sign
-                vs = vsupply[j]
-                vs[a] += sign
-                vs[b] += sign
-                vs[c] += sign
-                vs[d] += sign
+        """Every incomplete class keeps, at every vertex, at least as many
+        compatible unassigned blocks as its budget there, and every
+        unassigned block still fits some incomplete class.  (The total
+        count per class follows from the vertex counts; see the module
+        docstring.)"""
+        free, vmask = self.free, self.vmask
+        union = 0
+        for cls, fit in zip(self.classes, self.fit):
+            if cls.size_budget == 0:
+                continue
+            avail = fit & free
+            union |= avail
+            for b, mask in zip(cls.vbudget, vmask):
+                if b and b > (avail & mask).bit_count():
+                    return False
+        return not (free & ~union)
 
     def _apply(self, i: int, j: int) -> None:
         block, shape = self.items[i]
         cls = self.classes[j]
-        self._take(i, -1)
-        self.assigned[i] = True
+        fit = self.fit[j]
+        self.saved_fit.append(fit)
+        self.free &= ~(1 << i)
         for v in block:
             cls.vbudget[v] -= 1
             if cls.vbudget[v] == 0:
-                self._block(j, self.by_vertex[v])
+                fit &= ~self.vmask[v]
         if cls.shape_budget is not None:
             cls.shape_budget[shape] -= 1
             if cls.shape_budget[shape] == 0:
-                self._block(j, self.by_shape[shape])
+                fit &= ~self.smask[shape]
         cls.size_budget -= 1
-        if cls.size_budget == 0:
-            self._block(j, range(len(self.items)))
+        self.fit[j] = fit if cls.size_budget else 0
         self.choice[i] = j
 
     def _undo(self, i: int, j: int) -> None:
+        """Take back the latest live ``_apply``, which was ``_apply(i, j)``."""
         block, shape = self.items[i]
         cls = self.classes[j]
-        if cls.size_budget == 0:
-            self._unblock(j, range(len(self.items)))
         cls.size_budget += 1
         if cls.shape_budget is not None:
-            if cls.shape_budget[shape] == 0:
-                self._unblock(j, self.by_shape[shape])
             cls.shape_budget[shape] += 1
         for v in block:
-            if cls.vbudget[v] == 0:
-                self._unblock(j, self.by_vertex[v])
             cls.vbudget[v] += 1
-        self.assigned[i] = False
-        self._take(i, +1)
+        self.fit[j] = self.saved_fit.pop()
+        self.free |= 1 << i
         self.choice[i] = -1
 
     def run(self, exhausted: str) -> None:
         """Assign every item.  Raises SearchExhausted, carrying ``nodes``, on
         a node-budget hit or, with message ``exhausted``, when the whole
         space has been searched without a full assignment."""
-        items, classes, assigned = self.items, self.classes, self.assigned
+        items, classes, fits = self.items, self.classes, self.fit
         n_items = len(items)
         sys.setrecursionlimit(max(sys.getrecursionlimit(), n_items + 100))
         # tightest class first; stable, so group members stay consecutive
         order = sorted(range(len(classes)),
                        key=lambda j: (classes[j].size_budget, j))
+        # items whose predecessor is a copy of the same block
+        dup = sum(1 << i for i in range(1, n_items)
+                  if items[i - 1][0] == items[i][0])
 
         def start_cursor(pos: int) -> int:
             """Canonical start for the class at fill position pos: past the
@@ -280,19 +225,19 @@ class _CoverSearch:
                     nodes=self.nodes)
             empty = cls.first_item < 0
             forced = empty and single_group_left(pos)
-            blocked = self.blocked[j]
-            for i in range(cursor, n_items):
-                if assigned[i]:
-                    continue
-                if i > 0 and items[i - 1][0] == items[i][0] \
-                        and not assigned[i - 1]:
-                    continue  # copies are consumed in index order
-                if blocked[i]:
-                    if forced:
-                        # interchangeable classes: the lowest unassigned block
-                        # must open the next bundle, or nothing does
-                        return False
-                    continue
+            # unassigned items from the cursor on; copies are consumed in
+            # index order
+            free = self.free
+            cand = free & ~(dup & (free << 1)) & -(1 << cursor)
+            if forced:
+                # interchangeable classes: the lowest unassigned block must
+                # open the next bundle, or nothing does
+                cand &= -cand
+            cand &= fits[j]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
                 self._apply(i, j)
                 if empty:
                     cls.first_item = i
@@ -302,8 +247,6 @@ class _CoverSearch:
                 self._undo(i, j)
                 if empty:
                     cls.first_item = -1
-                if forced:
-                    return False
             return False
 
         if not fill(0, start_cursor(0), 0):

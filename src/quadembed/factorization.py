@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 
+from .combinat import binomial
 from .errors import FormatError, InputError
 
 Block = tuple[int, int, int, int]
@@ -69,16 +69,25 @@ class Factorization:
 
 
 def factorization_issues(fact: Factorization) -> list[str]:
-    """Completeness and regularity defects, as human-readable strings."""
+    """Completeness and regularity defects, as human-readable strings.
+
+    The cover is judged from the blocks present, never by listing all
+    C(n, 4) subsets: each 4-subset of 1..n supplies min(count, lam) of the
+    lam * C(n, 4) wanted copies and max(count - lam, 0) surplus ones, and a
+    key that is not a sorted 4-subset of 1..n is surplus in full.
+    """
     issues = []
-    want = Counter()
-    for block in combinations(range(1, fact.ground_size + 1), 4):
-        want[block] = fact.lam
-    got = fact.block_counter()
-    if got != want:
-        missing = sum((want - got).values())
-        extra = sum((got - want).values())
-        issues.append(f"not a {fact.lam}-fold cover of all 4-subsets"
+    n, lam = fact.ground_size, fact.lam
+    covered = extra = 0
+    for block, count in fact.block_counter().items():
+        if len(block) == 4 and 1 <= block[0] < block[1] < block[2] < block[3] <= n:
+            covered += min(count, lam)
+            extra += max(count - lam, 0)
+        else:
+            extra += count
+    missing = lam * binomial(n, 4) - covered
+    if missing or extra:
+        issues.append(f"not a {lam}-fold cover of all 4-subsets"
                       f" ({missing} missing, {extra} unexpected)")
     for i in range(len(fact.classes)):
         degrees = fact.class_degrees(i)

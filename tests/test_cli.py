@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import time
+from math import comb
 
 import pytest
 
@@ -120,6 +122,26 @@ def test_verify_non_ascii_file(tmp_path, capsys):
 
 def test_verify_directory(tmp_path, capsys):
     assert main(["verify", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_verify_large_header_without_blocks(tmp_path, capsys):
+    # C(400, 4) is about 1.05e9: the cover check must not list the subsets
+    f = tmp_path / "empty.txt"
+    f.write_text("400 1 1 0\n")
+    t0 = time.perf_counter()
+    assert main(["verify", str(f)]) == 1
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr().err == (
+        f"not a 1-fold cover of all 4-subsets ({comb(400, 4)} missing,"
+        " 0 unexpected)\n")
+
+
+def test_out_under_regular_file_is_input_error(tmp_path, capsys):
+    f = tmp_path / "plain.txt"
+    f.write_text("")
+    assert main(["check", "6", "8", "2", "5", "1",
+                 "--out", str(f / "x.txt")]) == 3
     assert capsys.readouterr().err.startswith("input error: ")
 
 

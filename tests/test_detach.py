@@ -165,7 +165,8 @@ def _rescan_supply_ok(search) -> bool:
     """Reference for _CoverSearch._supply_ok: the full rescan of every
     unassigned item against every incomplete class that the counters
     replace."""
-    items, classes, assigned = search.items, search.classes, search.assigned
+    items, classes = search.items, search.classes
+    assigned = [j >= 0 for j in search.choice]
 
     def fits(cls, block, shape):
         if cls.size_budget == 0:
@@ -258,22 +259,15 @@ def _captured_search(monkeypatch, build):
     return seen[0]
 
 
-def _recount(search):
-    """The supply counters recomputed from the budgets and assignment."""
-    items, assigned = search.items, search.assigned
-    blocked = [
-        [(cls.size_budget == 0)
-         + (cls.shape_budget is not None and cls.shape_budget[shape] == 0)
-         + sum(cls.vbudget[v] == 0 for v in block)
-         for block, shape in items]
+def _fit_masks(search):
+    """fit[j] recomputed from class j's budgets: the items whose size
+    budget, shape budget and vertex budgets in class j are all positive."""
+    return [
+        sum(1 << i for i, (block, shape) in enumerate(search.items)
+            if cls.size_budget > 0
+            and (cls.shape_budget is None or cls.shape_budget[shape] > 0)
+            and all(cls.vbudget[v] > 0 for v in block))
         for cls in search.classes]
-    free = [i for i in range(len(items)) if not assigned[i]]
-    supply = [sum(not row[i] for i in free) for row in blocked]
-    vsupply = [[sum(not row[i] for i in free if v in items[i][0])
-                for v in range(search.ground + 1)] for row in blocked]
-    nfit = [sum(not row[i] for row in blocked) for i in range(len(items))]
-    orphans = sum(not nfit[i] for i in free)
-    return blocked, supply, vsupply, nfit, orphans
 
 
 @pytest.mark.parametrize("instance", ["base", "detach"])
@@ -284,12 +278,13 @@ def test_supply_counters_survive_apply_undo(instance, monkeypatch):
     else:
         base, plan = generate_base(6, 2, 1), build_plan(p)
         search = _captured_search(monkeypatch, lambda: detach(p, base, plan))
+    n = len(search.items)
     rng = random.Random(0)
     stack = []
     completed = reopened = 0
     for _ in range(400):
-        moves = [(i, j) for j, row in enumerate(search.blocked)
-                 for i, b in enumerate(row) if not b and not search.assigned[i]]
+        moves = [(i, j) for j, fit in enumerate(search.fit)
+                 for i in range(n) if (fit & search.free) >> i & 1]
         if moves and (not stack or rng.random() < 0.6):
             i, j = rng.choice(moves)
             search._apply(i, j)
@@ -299,21 +294,25 @@ def test_supply_counters_survive_apply_undo(instance, monkeypatch):
             i, j = stack.pop()
             reopened += search.classes[j].size_budget == 0
             search._undo(i, j)
-        state = (search.blocked, search.supply, search.vsupply,
-                 search.nfit, search.orphans)
-        assert state == _recount(search)
+        assert search.fit == _fit_masks(search)
+        assert search.free == sum(1 << i for i, j in enumerate(search.choice)
+                                  if j == -1)
     assert completed and reopened
     while stack:
         search._undo(*stack.pop())
-    assert search.choice == [-1] * len(search.items)
+    assert search.choice == [-1] * n
+    assert search.free == (1 << n) - 1 and not search.saved_fit
 
 
 # seed-0 search nodes (generate_base, detach) and the certificate's SHA-256
-# prefix; the supply counters must not change the search order
+# prefix; the supply bookkeeping must not change the search order
 PINNED_SEARCHES = {
     (6, 8, 2, 5, 1): ([15, 60], "99c9fd3a42e1ec0d"),
     (5, 8, 8, 10, 2): ([10, 6570], "bd17f9a4db2e8c1a"),
     (6, 9, 2, 4, 1): ([15, 3713], "3ea5b8bf6de7dba2"),
+    (6, 8, 2, 7, 1): ([15, 12848], "0ee22da4939afeff"),
+    (4, 8, 2, 14, 2): ([2, 14833], "77e6340bb3b1ae57"),
+    (9, 10, 4, 6, 1): ([4679, 260], "588c5f980110f2ec"),
 }
 
 

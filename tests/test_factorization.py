@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -56,6 +57,48 @@ def test_factorization_issues_reports_defects():
     issues = factorization_issues(fact)
     assert issues  # arbitrary grouping is not 2-regular
     assert any("degree" in msg for msg in issues)
+
+
+
+def _enumerated_cover_issues(fact):
+    """Reference for the cover check of factorization_issues: compare the
+    block counts with a counter over every 4-subset of 1..n."""
+    want = Counter()
+    for block in combinations(range(1, fact.ground_size + 1), 4):
+        want[block] = fact.lam
+    got = fact.block_counter()
+    if got == want:
+        return []
+    missing = sum((want - got).values())
+    extra = sum((got - want).values())
+    return [f"not a {fact.lam}-fold cover of all 4-subsets"
+            f" ({missing} missing, {extra} unexpected)"]
+
+
+def test_cover_check_agrees_with_enumeration():
+    rng = random.Random(0)
+    # keys a tampered class can hold that are not sorted 4-subsets of 1..n
+    strays = [(0, 1, 2, 3), (2, 1, 3, 4), (1, 1, 2, 3), (1, 2, 3)]
+    verdicts = Counter()
+    for n in range(4, 9):
+        for lam in (1, 2, 3):
+            full = [b for b in combinations(range(1, n + 1), 4)
+                    for _ in range(lam)]
+            for trial in range(12):
+                blocks = list(full)
+                if trial:
+                    rng.shuffle(blocks)
+                    del blocks[:rng.randrange(3)]  # missing copies
+                    blocks += rng.choices(full, k=rng.randrange(3))  # surplus
+                fact = Factorization(n, lam, 1, [blocks[0::2], blocks[1::2]])
+                if trial % 3 == 2:
+                    fact.classes[trial % 2] += rng.sample(strays, 2)
+                want = _enumerated_cover_issues(fact)
+                got = [msg for msg in factorization_issues(fact)
+                       if "cover" in msg]
+                assert got == want, (n, lam, trial)
+                verdicts[bool(want)] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 15
 
 
 def test_round_trip_fixture_files():
