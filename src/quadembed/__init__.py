@@ -15,8 +15,8 @@ from .bounds import (
     per_color_bounds,
 )
 from .combinat import binomial, frc, identity_a, identity_b, identity_c
-from .detach import DEFAULT_NODE_BUDGET, detach, generate_base
-from .errors import FormatError, InputError, PlanInfeasible, SearchExhausted
+from .detach import detach, generate_base
+from .errors import FormatError, InputError, PlanInfeasible
 from .factorization import (
     EmbeddingCertificate,
     Factorization,

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: check, bounds, plan, embed, verify, sweep.
-Exit codes: 0 success, 1 condition or verification failure, 2 search
-exhausted, 3 input error.
+Exit codes: 0 success, 1 condition or verification failure, 2 no plan
+exists, 3 input error.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from math import floor
 from multiprocessing import Pool
 
 from .bounds import case_classify, floors, global_bounds
-from .detach import DEFAULT_NODE_BUDGET, detach, generate_base
-from .errors import FormatError, InputError, PlanInfeasible, SearchExhausted
+from .detach import detach, generate_base
+from .errors import FormatError, InputError, PlanInfeasible
 from .factorization import (
     EmbeddingCertificate,
     certificate_issues,
@@ -38,7 +38,7 @@ from .planner import build_plan, plan_to_json, render_plan
 
 EXIT_OK = 0
 EXIT_FAIL = 1
-EXIT_EXHAUSTED = 2
+EXIT_NO_PLAN = 2
 EXIT_INPUT = 3
 
 
@@ -151,12 +151,11 @@ def cmd_embed(args) -> int:
     if args.base:
         base = read_factorization(args.base)
     else:
-        base = generate_base(p.m, p.r, p.lam, seed=args.seed,
-                             node_budget=args.node_budget)
-    # out-of-scope tuples get a best-effort attempt: the interval systems are
-    # exact in every regime, only the success guarantee is lost
+        base = generate_base(p.m, p.r, p.lam, seed=args.seed)
+    # out-of-scope tuples are planned too: the exact e-solve decides whether
+    # a plan exists, and detachment succeeds for every plan
     plan = build_plan(p, report, force_out_of_scope=True)
-    cert = detach(p, base, plan, seed=args.seed, node_budget=args.node_budget)
+    cert = detach(p, base, plan, seed=args.seed)
     text = render_factorization(cert.outer)
     if args.out:
         _emit(text, args.out)
@@ -210,7 +209,7 @@ def _sweep_row(tup) -> dict:
             row["plan_found"] = 1
             row["case"] = plan.case.code
             row["subcase"] = plan.subcase or ""
-        except (PlanInfeasible, SearchExhausted):
+        except PlanInfeasible:
             row["plan_found"] = 0
         row["plan_ms"] = int((time.perf_counter() - t0) * 1000)
     return row
@@ -296,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_args(p_embed)
     p_embed.add_argument("--out")
     p_embed.add_argument("--base", help="base factorization file (else generated)")
-    p_embed.add_argument("--seed", type=int, default=0)
-    p_embed.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p_embed.add_argument("--seed", type=int, default=0,
+                         help="permutes the order in which vertices are"
+                              " detached (0: natural order)")
     p_embed.set_defaults(func=cmd_embed)
 
     p_verify = sp.add_parser("verify", help="verify a certificate file")
@@ -328,11 +328,9 @@ def main(argv=None) -> int:
     except (InputError, FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PlanInfeasible, SearchExhausted) as exc:
-        nodes = getattr(exc, "nodes", None)
-        after = f" after {nodes} nodes" if nodes is not None else ""
-        print(f"search exhausted{after}: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
+    except PlanInfeasible as exc:
+        print(f"no plan exists: {exc}", file=sys.stderr)
+        return EXIT_NO_PLAN
 
 
 if __name__ == "__main__":

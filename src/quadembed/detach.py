@@ -1,66 +1,76 @@
-"""Explicit construction: base factorizations and detachment of a plan.
+"""Explicit construction by successive detachment with integral flows.
 
-Both constructions are depth-first exact-cover searches that assign blocks
-(4-subsets, lam copies each) to color classes under per-class budgets:
+Both constructions start from an amalgam, in which whole vertex sets are
+merged into single vertices of multiplicity, and split one vertex off at a
+time.  An edge type (D, b, t) is a 4-multiset made of the set D of vertices
+already detached plus b copies of the old amalgam beta and t copies of the
+new amalgam alpha, |D| + b + t = 4 (D is a bitmask over vertex labels).
+The state gives every class j a count x_j(type) of its edges of each type:
 
-  * every vertex has a remaining-degree budget per class,
-  * for detachment, every class additionally has per-shape budgets
-    (e_j, f_j, g_j, h_j by the number of old vertices in the block).
+  * ``generate_base`` starts every class at (r*m/4) x (empty, 4, 0): all of
+    lam*K_m^4 amalgamated into one vertex of multiplicity m (Baranyai's
+    argument, 1975);
+  * ``detach`` starts class j at e_j x (empty, 3, 1), f_j x (empty, 2, 2),
+    g_j x (empty, 1, 3) and h_j x (empty, 0, 4): the plan read as a coloring
+    of the two-vertex amalgam.  Base blocks never enter the state; they are
+    copied into classes 1..q unchanged.
 
-The search fills classes one at a time, tightest class first, choosing each
-class's blocks in ascending item order (each bundle is enumerated exactly
-once).  Class-level conflicts therefore surface while the class is being
-built, not dozens of assignments later.  Symmetry breaking and pruning:
+The old vertices 1..m are detached from beta first, then the new vertices
+m+1..n from alpha.  Detaching v from an amalgam of multiplicity a chooses,
+per class j and type with c copies of that amalgam (c = b or t), a number
+y_j(type) in [0, x_j(type)] of edges that receive v; those become
+(D + v, b - 1, t) or (D + v, b, t - 1), the rest keep their type.  Two sums
+are fixed:
 
-  * classes with identical initial budgets are interchangeable: a later
-    member of such a group must start with a higher first block than the
-    previous one, and when only one group remains, the next class is forced
-    to start at the lowest unassigned block;
-  * copies of one block are consumed in index order;
-  * a class whose maximum remaining vertex budget exceeds its remaining
-    block count (or with fewer than 4 usable vertices) is dead;
-  * after every assignment, each incomplete class must retain enough
-    compatible unassigned blocks at every vertex, and every unassigned
-    block must still fit some class.
+  * per type, sum_j y_j = sum_j x_j * c / a, the 4-sets of that type that
+    contain v;
+  * per class, sum_type y_j = deg_j(v): r in the base, s - r for an old
+    vertex in an old-tier class (the base supplies the other r), s
+    otherwise.
 
-Sets of items are Python ints used as bitsets over item indices.  Static
-masks give the items containing vertex v (``vmask[v]``) and the items of
-shape t (``smask[t]``); ``free`` holds the unassigned items, and
-``fit[j]`` the items whose size budget, shape budget and vertex budgets in
-class j are all positive.  Assigning an item to class j clears its bit in
-``free``; a budget of j crossing 0 removes ``vmask[v]`` or ``smask[t]`` from
-``fit[j]``, and the size budget reaching 0 empties it.  ``_apply`` pushes
-the old ``fit[j]`` and ``_undo`` pops it, so undoing needs no inverse
-bookkeeping: only class j's budgets changed, and the saved mask is the one
-they determine.
+Why every step succeeds.  Two invariants hold by induction at an amalgam of
+multiplicity a (and a' for the other amalgam):
 
-The per-node check computes ``fit[j] & free`` for every incomplete class
-and compares each vertex budget with the popcount of that set at the
-vertex; an unassigned item outside the union of these sets is an orphan.
-A total-supply test (at least ``size_budget`` compatible items) would be
-redundant: every class keeps sum_v vbudget[v] == 4 * size_budget (true of
-the initial budgets, which are the degree laws of the base or the plan, and
-kept by each assignment, which takes 4 vertex degrees and 1 block), and
-every item has 4 vertices, so passing the per-vertex test means
-4 * supply >= sum_v vbudget[v] = 4 * size_budget.  A node thus costs
-O(classes × ground) big-int operations on masks of one bit per item,
-and the search visits the same nodes in the same order as a full rescan of
-the items would.
+  (I1) type (D, b, t) occurs lam * C(a, b) * C(a', t) times over all
+       classes, for every D;
+  (I2) class j has sum_type x_j * c = a * deg_j, c counting the copies of
+       that amalgam: each of its a merged vertices has degree deg_j in j.
 
-A node budget (at least 1) converts pathological instances into an
-explicit SearchExhausted, which carries the number of nodes visited,
-instead of nontermination; exhaustion is never interpreted as nonexistence.
+They hold at the start (the base's class size, or the plan's totals and
+degree laws, which ``verify_plan`` checks).  By (I1) the per-type sum is
+lam * C(a - 1, b - 1) * C(a', t) (or the same with the roles swapped), an
+integer; by (I2) the fair point y = x * c / a has class sums exactly
+deg_j, an integer; and 0 <= x * c / a <= x because c <= a wherever x > 0.
+So the fair point lies in the transportation polytope given by the caps and
+both sums.  Its constraint matrix is the incidence matrix of a bipartite
+graph (classes against types), which is totally unimodular, so with
+integral sums the polytope restricted to the box [floor, ceil] of the fair
+point has an integral vertex.  The step finds one: every cell starts at
+floor(x * c / a), a greedy pass then closes the row and column deficits
+over the cells whose fair value is fractional (capacity 1 each), and BFS
+augmenting paths finish the flow.  After the step, type (D, b, t) keeps
+lam * C(a, b) * (1 - b/a) * C(a', t) = lam * C(a - 1, b) * C(a', t)
+edges, the receivers number lam * C(a - 1, b - 1) * C(a', t), and each
+class loses exactly deg_j of its incidence: (I1) and (I2) hold at a - 1.
+
+When both amalgams are used up, every type is (D, 0, 0) with |D| = 4, so by
+(I1) every 4-set occurs lam times, and every vertex received exactly its
+degree in every class.  There is no search and no exhaustion: any valid
+plan with any valid base yields a certificate in time polynomial in the
+number of blocks.  The result is still checked by the verifier.
+
+``seed`` permutes the order in which the old vertices, and then the new
+vertices, are detached; seed 0 keeps the natural order.  Classes and types
+are visited in a fixed order, so the output is a function of the inputs.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from dataclasses import dataclass
-from itertools import combinations
+from collections import defaultdict
 
 from .combinat import binomial
-from .errors import InputError, SearchExhausted
+from .errors import InputError
 from .factorization import (
     Block,
     EmbeddingCertificate,
@@ -71,210 +81,150 @@ from .factorization import (
 from .params import EmbeddingParams, color_counts, is_admissible
 from .planner import AmalgamPlan, verify_plan
 
-DEFAULT_NODE_BUDGET = 10_000_000
+EdgeType = tuple[int, int, int]  # (detached-vertex bitmask, b, t)
 
 
-@dataclass
-class _ClassState:
-    vbudget: list[int]  # 1-based; remaining degree per vertex
-    shape_budget: list[int] | None  # indexed by old-vertex count 0..4
-    size_budget: int
-    group: int
-    first_item: int = -1
+def _match(cells: list[list[tuple[EdgeType, int]]], a: int,
+           row_need: list[int],
+           col_need: dict[EdgeType, int]) -> list[set[EdgeType]]:
+    """Cells (j, type) taken at most once, row_need[j] in row j and
+    col_need[type] in each column; ``cells[j]`` lists row j's fractional
+    cells as (type, x * c mod a).  ``row_need`` and ``col_need`` are used up.
+
+    A greedy pass takes a cell when the running sum of fractional parts in
+    its column crosses a multiple of a (systematic rounding of the fair
+    point, column by column), a second one takes any cell still allowed,
+    and BFS augmenting paths close what is left.
+    """
+    chosen: list[set[EdgeType]] = [set() for _ in cells]
+    holders: dict[EdgeType, set[int]] = defaultdict(set)
+    running: dict[EdgeType, int] = defaultdict(int)
+    for j, row in enumerate(cells):
+        for key, rem in row:
+            if row_need[j] <= 0:
+                break
+            before = running[key]
+            running[key] = before + rem
+            if col_need[key] > 0 and (before + rem) // a > before // a:
+                col_need[key] -= 1
+                row_need[j] -= 1
+                chosen[j].add(key)
+                holders[key].add(j)
+    for j, row in enumerate(cells):
+        for key, _ in row:
+            if row_need[j] <= 0:
+                break
+            if col_need[key] > 0 and key not in chosen[j]:
+                col_need[key] -= 1
+                row_need[j] -= 1
+                chosen[j].add(key)
+                holders[key].add(j)
+    for start in range(len(cells)):
+        while row_need[start] > 0:
+            # alternate free cells (row -> column) and taken cells (column ->
+            # row) until a column with spare need is reached
+            via_row: dict[EdgeType, int] = {}
+            via_col: dict[int, EdgeType | None] = {start: None}
+            queue, end = [start], None
+            for u in queue:
+                for key, _ in cells[u]:
+                    if key in via_row or key in chosen[u]:
+                        continue
+                    via_row[key] = u
+                    if col_need[key] > 0:
+                        end = key
+                        break
+                    for w in holders[key]:
+                        if w not in via_col:
+                            via_col[w] = key
+                            queue.append(w)
+                if end is not None:
+                    break
+            if end is None:
+                raise RuntimeError("detachment step has no integral solution")
+            col_need[end] -= 1
+            row_need[start] -= 1
+            key = end
+            while key is not None:
+                u = via_row[key]
+                chosen[u].add(key)
+                holders[key].add(u)
+                key = via_col[u]
+                if key is not None:
+                    chosen[u].discard(key)
+                    holders[key].discard(u)
+    if any(row_need) or any(col_need.values()):
+        raise RuntimeError("detachment step has no integral solution")
+    return chosen
 
 
-class _CoverSearch:
-    def __init__(self, ground: int, items: list[tuple[Block, int]],
-                 classes: list[_ClassState], node_budget: int, m_old: int = 0):
-        if node_budget < 1:
-            raise InputError(f"node budget must be at least 1, got {node_budget}")
-        self.ground = ground
-        self.items = items
-        self.classes = classes
-        self.budget = node_budget
-        self.nodes = 0
-        self.m_old = m_old
-        self.choice = [-1] * len(items)
-        self.free = (1 << len(items)) - 1
-        self.vmask = [0] * (ground + 1)
-        self.smask = [0] * 5
-        for i, (block, shape) in enumerate(items):
-            for v in block:
-                self.vmask[v] |= 1 << i
-            self.smask[shape] |= 1 << i
-        self.fit = []
-        for cls in classes:
-            fit = self.free if cls.size_budget else 0
-            for v, b in enumerate(cls.vbudget):
-                if b == 0:
-                    fit &= ~self.vmask[v]
-            for t, b in enumerate(cls.shape_budget or ()):
-                if b == 0:
-                    fit &= ~self.smask[t]
-            self.fit.append(fit)
-        self.saved_fit: list[int] = []  # fit[j] before each live _apply
-
-    def _class_alive(self, cls: _ClassState) -> bool:
-        if cls.size_budget == 0:
-            return True
-        positive = 0
-        maxb = 0
-        for b in cls.vbudget[1:]:
-            if b > 0:
-                positive += 1
-                if b > maxb:
-                    maxb = b
-        if positive < 4 or maxb > cls.size_budget:
-            return False
-        if cls.shape_budget is not None:
-            # blocks with >= 1 old vertex are the only ones consuming old degrees
-            with_old = cls.size_budget - cls.shape_budget[0]
-            old_max = max(cls.vbudget[1:self.m_old + 1], default=0)
-            if old_max > with_old:
-                return False
-        return True
-
-    def _supply_ok(self) -> bool:
-        """Every incomplete class keeps, at every vertex, at least as many
-        compatible unassigned blocks as its budget there, and every
-        unassigned block still fits some incomplete class.  (The total
-        count per class follows from the vertex counts; see the module
-        docstring.)"""
-        free, vmask = self.free, self.vmask
-        union = 0
-        for cls, fit in zip(self.classes, self.fit):
-            if cls.size_budget == 0:
-                continue
-            avail = fit & free
-            union |= avail
-            for b, mask in zip(cls.vbudget, vmask):
-                if b and b > (avail & mask).bit_count():
-                    return False
-        return not (free & ~union)
-
-    def _apply(self, i: int, j: int) -> None:
-        block, shape = self.items[i]
-        cls = self.classes[j]
-        fit = self.fit[j]
-        self.saved_fit.append(fit)
-        self.free &= ~(1 << i)
-        for v in block:
-            cls.vbudget[v] -= 1
-            if cls.vbudget[v] == 0:
-                fit &= ~self.vmask[v]
-        if cls.shape_budget is not None:
-            cls.shape_budget[shape] -= 1
-            if cls.shape_budget[shape] == 0:
-                fit &= ~self.smask[shape]
-        cls.size_budget -= 1
-        self.fit[j] = fit if cls.size_budget else 0
-        self.choice[i] = j
-
-    def _undo(self, i: int, j: int) -> None:
-        """Take back the latest live ``_apply``, which was ``_apply(i, j)``."""
-        block, shape = self.items[i]
-        cls = self.classes[j]
-        cls.size_budget += 1
-        if cls.shape_budget is not None:
-            cls.shape_budget[shape] += 1
-        for v in block:
-            cls.vbudget[v] += 1
-        self.fit[j] = self.saved_fit.pop()
-        self.free |= 1 << i
-        self.choice[i] = -1
-
-    def run(self, exhausted: str) -> None:
-        """Assign every item.  Raises SearchExhausted, carrying ``nodes``, on
-        a node-budget hit or, with message ``exhausted``, when the whole
-        space has been searched without a full assignment."""
-        items, classes, fits = self.items, self.classes, self.fit
-        n_items = len(items)
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), n_items + 100))
-        # tightest class first; stable, so group members stay consecutive
-        order = sorted(range(len(classes)),
-                       key=lambda j: (classes[j].size_budget, j))
-        # items whose predecessor is a copy of the same block
-        dup = sum(1 << i for i in range(1, n_items)
-                  if items[i - 1][0] == items[i][0])
-
-        def start_cursor(pos: int) -> int:
-            """Canonical start for the class at fill position pos: past the
-            first block of the previous same-group class."""
-            j = order[pos]
-            if pos > 0:
-                prev = classes[order[pos - 1]]
-                if prev.group == classes[j].group and prev.first_item >= 0:
-                    return prev.first_item + 1
-            return 0
-
-        def single_group_left(pos: int) -> bool:
-            groups = {classes[order[p]].group for p in range(pos, len(order))}
-            return len(groups) <= 1
-
-        def fill(pos: int, cursor: int, depth: int) -> bool:
-            if depth == n_items:
-                return True
-            j = order[pos]
-            cls = classes[j]
-            if cls.size_budget == 0:
-                return fill(pos + 1, start_cursor(pos + 1), depth)
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise SearchExhausted(
-                    f"node budget {self.budget} exhausted", complete=False,
-                    nodes=self.nodes)
-            empty = cls.first_item < 0
-            forced = empty and single_group_left(pos)
-            # unassigned items from the cursor on; copies are consumed in
-            # index order
-            free = self.free
-            cand = free & ~(dup & (free << 1)) & -(1 << cursor)
-            if forced:
-                # interchangeable classes: the lowest unassigned block must
-                # open the next bundle, or nothing does
-                cand &= -cand
-            cand &= fits[j]
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                i = low.bit_length() - 1
-                self._apply(i, j)
-                if empty:
-                    cls.first_item = i
-                ok = self._class_alive(cls) and self._supply_ok()
-                if ok and fill(pos, i + 1, depth + 1):
-                    return True
-                self._undo(i, j)
-                if empty:
-                    cls.first_item = -1
-            return False
-
-        if not fill(0, start_cursor(0), 0):
-            raise SearchExhausted(exhausted, complete=True, nodes=self.nodes)
+def _detach_vertex(classes: list[dict[EdgeType, int]], v: int, a: int,
+                   from_beta: bool, degree: list[int]) -> None:
+    """Split vertex v off the amalgam of multiplicity a (beta or alpha);
+    class j receives v on exactly degree[j] of its edges."""
+    slot = 1 if from_beta else 2
+    want: dict[EdgeType, int] = defaultdict(int)
+    floors, cells, row_need = [], [], []
+    for cls, deg in zip(classes, degree):
+        start, frac = {}, []
+        for key, x in cls.items():
+            c = key[slot]
+            if c:
+                y, rem = divmod(x * c, a)
+                want[key] += x * c
+                if y:
+                    start[key] = y
+                    deg -= y
+                if rem:
+                    frac.append((key, rem))
+        floors.append(start)
+        cells.append(frac)
+        row_need.append(deg)
+    col_need = {}
+    for key, total in want.items():
+        share, rem = divmod(total, a)
+        if rem:
+            raise RuntimeError(f"edge type {key} has a non-integral share at vertex {v}")
+        col_need[key] = share
+    for start in floors:
+        for key, y in start.items():
+            col_need[key] -= y
+    chosen = _match(cells, a, row_need, col_need)
+    bit = 1 << v
+    for cls, start, extra in zip(classes, floors, chosen):
+        for key in extra:
+            start[key] = start.get(key, 0) + 1
+        for key, y in start.items():
+            left = cls[key] - y
+            if left:
+                cls[key] = left
+            else:
+                del cls[key]
+            d, b, t = key
+            to = (d | bit, b - 1, t) if from_beta else (d | bit, b, t - 1)
+            cls[to] = cls.get(to, 0) + y
 
 
-def _seeded_items(blocks: list[Block], lam: int, seed: int,
-                  shape_of=None) -> list[tuple[Block, int]]:
-    """Block-copy items in search order: scarcest shape first (those carry the
-    tightest per-class budgets), lexicographic within a shape; a nonzero seed
-    shuffles instead."""
-    shape = {b: (shape_of(b) if shape_of else 4) for b in blocks}
-    if seed:
-        order = sorted(blocks)
-        random.Random(seed).shuffle(order)
-    else:
-        census = {t: sum(1 for b in blocks if shape[b] == t)
-                  for t in set(shape.values())}
-        order = sorted(blocks, key=lambda b: (census[shape[b]], b))
-    items = []
-    for block in order:
-        items.extend([(block, shape[block])] * lam)
-    return items
+def _blocks(cls: dict[EdgeType, int], n: int) -> list[Block]:
+    """The 4-sets of a fully detached class, with multiplicity."""
+    out = []
+    for (d, b, t), x in cls.items():
+        if b or t:
+            raise RuntimeError("detachment left an amalgamated edge")
+        block = tuple(v for v in range(1, n + 1) if d >> v & 1)
+        out.extend([block] * x)
+    return out
 
 
-def generate_base(m: int, r: int, lam: int, seed: int = 0,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> Factorization:
-    """An r-factorization of lam*K_m^4 found by backtracking exact cover."""
+def _vertex_order(vertices: range, rng: random.Random | None) -> list[int]:
+    order = list(vertices)
+    if rng:
+        rng.shuffle(order)
+    return order
+
+
+def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
+    """An r-factorization of lam*K_m^4 by detaching m vertices from one amalgam."""
     if m < 4:
         raise InputError(f"m must be at least 4, got {m}")
     if m == 4 and (r < 2 or lam < 2):
@@ -282,31 +232,21 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0,
     if not is_admissible(m, r, lam):
         raise InputError(f"triple ({m}, {r}, {lam}) is not admissible")
     q = lam * binomial(m - 1, 3) // r
-    size = r * m // 4
-    classes = [
-        _ClassState(vbudget=[0] + [r] * m, shape_budget=None,
-                    size_budget=size, group=0)
-        for _ in range(q)
-    ]
-    items = _seeded_items(list(combinations(range(1, m + 1), 4)), lam, seed)
-    search = _CoverSearch(m, items, classes, node_budget)
-    search.run(f"no {r}-factorization of {lam}*K_{m}^4 found"
-               " (search space exhausted)")
-    assigned: list[list[Block]] = [[] for _ in range(q)]
-    for i, j in enumerate(search.choice):
-        assigned[j].append(items[i][0])
-    fact = Factorization(m, lam, r, assigned)
+    classes = [{(0, 4, 0): r * m // 4} for _ in range(q)]
+    rng = random.Random(seed) if seed else None
+    for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):
+        _detach_vertex(classes, v, m - i, True, [r] * q)
+    fact = Factorization(m, lam, r, [_blocks(cls, m) for cls in classes])
     if not is_valid_factorization(fact):
         raise RuntimeError("generated base fails verification")
     return fact
 
 
 def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
-           seed: int = 0,
-           node_budget: int = DEFAULT_NODE_BUDGET) -> EmbeddingCertificate:
+           seed: int = 0) -> EmbeddingCertificate:
     """Expand a verified plan into an explicit certificate extending ``base``."""
     if not verify_plan(p, plan):
-        raise InputError("plan fails verification; refusing to search")
+        raise InputError("plan fails verification; refusing to detach")
     q, k = color_counts(p)
     if (base.ground_size != p.m or base.lam != p.lam or base.regularity != p.r
             or len(base.classes) != q):
@@ -317,29 +257,19 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
     m, n, r, s = p.m, p.n, p.r, p.s
     classes = []
     for j in range(k):
-        old_budget = s - r if j < q else s
-        vbudget = [0] + [old_budget] * m + [s] * (n - m)
-        shapes = [plan.h[j], plan.g[j], plan.f[j], plan.e[j], 0]
-        classes.append(_ClassState(
-            vbudget=vbudget, shape_budget=shapes,
-            size_budget=sum(shapes), group=0))
-    signatures: dict[tuple, int] = {}
-    for j, cls in enumerate(classes):
-        sig = (tuple(cls.vbudget), tuple(cls.shape_budget))
-        cls.group = signatures.setdefault(sig, j)
+        counts = {(0, 3, 1): plan.e[j], (0, 2, 2): plan.f[j],
+                  (0, 1, 3): plan.g[j], (0, 0, 4): plan.h[j]}
+        classes.append({key: x for key, x in counts.items() if x})
+    rng = random.Random(seed) if seed else None
+    old_degree = [s - r] * q + [s] * (k - q)
+    for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):
+        _detach_vertex(classes, v, m - i, True, old_degree)
+    for i, v in enumerate(_vertex_order(range(m + 1, n + 1), rng)):
+        _detach_vertex(classes, v, n - m - i, False, [s] * k)
 
-    blocks = [b for b in combinations(range(1, n + 1), 4) if b[3] > m]
-    items = _seeded_items(blocks, p.lam, seed,
-                          shape_of=lambda b: sum(1 for v in b if v <= m))
-    search = _CoverSearch(n, items, classes, node_budget, m_old=m)
-    search.run("no detachment found at this scale (search space exhausted);"
-               " this does not certify nonexistence")
-
-    outer_classes: list[list[Block]] = [list(base.classes[j]) for j in range(q)]
-    outer_classes += [[] for _ in range(k - q)]
-    for i, j in enumerate(search.choice):
-        outer_classes[j].append(items[i][0])
-    outer = Factorization(n, p.lam, s, outer_classes)
+    outer = Factorization(n, p.lam, s, [
+        (base.classes[j] if j < q else []) + _blocks(cls, n)
+        for j, cls in enumerate(classes)])
     cert = EmbeddingCertificate(inner=base, outer=outer)
     if not verify_certificate(cert):
         raise RuntimeError("detachment output fails verification")

@@ -20,16 +20,6 @@ class PlanInfeasible(RuntimeError):
 
 
 class SearchExhausted(RuntimeError):
-    """Backtracking search gave up: node budget hit, or space exhausted with no solution.
-
-    ``complete`` is True when the whole space was searched (a genuine
-    non-existence certificate at this scale), False when the node budget ran
-    out first (inconclusive).  ``nodes`` is how many search nodes were
-    visited.
-    """
-
-    def __init__(self, message: str, complete: bool = False,
-                 nodes: int | None = None):
-        self.complete = complete
-        self.nodes = nodes
-        super().__init__(message)
+    """Raised by nothing: the construction is a sequence of flow steps that
+    cannot be exhausted.  Kept only because the benchmark harness imports
+    it, until the benchmark is updated for the flow construction."""

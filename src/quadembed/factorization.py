@@ -74,23 +74,35 @@ def factorization_issues(fact: Factorization) -> list[str]:
     The cover is judged from the blocks present, never by listing all
     C(n, 4) subsets: each 4-subset of 1..n supplies min(count, lam) of the
     lam * C(n, 4) wanted copies and max(count - lam, 0) surplus ones, and a
-    key that is not a sorted 4-subset of 1..n is surplus in full.
+    key that is not a sorted 4-subset of 1..n is surplus in full.  A key
+    with a vertex outside 1..n (possible only when ``classes`` is changed
+    after construction) is reported, and degrees are then counted over
+    1..n alone.
     """
     issues = []
     n, lam = fact.ground_size, fact.lam
     covered = extra = 0
+    outside = []
     for block, count in fact.block_counter().items():
         if len(block) == 4 and 1 <= block[0] < block[1] < block[2] < block[3] <= n:
             covered += min(count, lam)
             extra += max(count - lam, 0)
         else:
             extra += count
+            if not all(1 <= v <= n for v in block):
+                outside.append(block)
     missing = lam * binomial(n, 4) - covered
     if missing or extra:
         issues.append(f"not a {lam}-fold cover of all 4-subsets"
                       f" ({missing} missing, {extra} unexpected)")
-    for i in range(len(fact.classes)):
-        degrees = fact.class_degrees(i)
+    if outside:
+        issues.append(f"blocks {sorted(outside)} have vertices outside 1..{n}")
+    for i, cls in enumerate(fact.classes):
+        if outside:
+            counts = Counter(v for block in cls for v in block)
+            degrees = [counts[v] for v in range(1, n + 1)]
+        else:
+            degrees = fact.class_degrees(i)
         bad = [v + 1 for v, d in enumerate(degrees) if d != fact.regularity]
         if bad:
             issues.append(f"class {i + 1}: vertices {bad} do not have degree"

@@ -251,8 +251,11 @@ def solve_e(tiers: list[tuple[int, int, int]], e_total: int, f_total: int):
     tier sum, balanced values plus the fewest splits give the least lower sum
     for each odd count, so scanning the old-tier sum upwards and spending the
     cheaper splits first is exact.  Each tier's values come out ascending.
+    A negative new-tier count (k < q: no plan exists) raises InputError.
     """
     (n1, c1, d1), (n2, c2, d2) = tiers
+    if n2 < 0:
+        raise InputError(f"new-tier color count k - q = {n2} is negative")
     odd_cap = n1 * d1 + n2 * d2 - 3 * e_total - 2 * f_total  # K - 2f
     for s1 in range(max(n1 * max(2 * c1 - d1, 0), e_total - n2 * (d2 // 3)),
                     min(n1 * (d1 // 3), e_total - n2 * max(2 * c2 - d2, 0)) + 1):

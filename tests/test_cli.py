@@ -6,7 +6,9 @@ from math import comb
 
 import pytest
 
+from quadembed import cli
 from quadembed.cli import main
+from quadembed.errors import PlanInfeasible
 from quadembed.factorization import read_factorization, verify_certificate, EmbeddingCertificate
 from quadembed.planner import parse_plan, verify_plan
 from quadembed.params import EmbeddingParams
@@ -73,17 +75,31 @@ def test_embed_with_base_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
-@pytest.mark.parametrize("base", [[], ["--base", str(FIXTURES / "intro_6.txt")]])
-def test_embed_node_budget_below_one_is_input_error(budget, base, capsys):
-    rc = main(["embed", "6", "8", "2", "5", "1", *base, "--node-budget", budget])
-    assert rc == 3
-    assert "input error: node budget" in capsys.readouterr().err
+def test_embed_has_no_node_budget(capsys):
+    with pytest.raises(SystemExit):
+        main(["embed", "6", "8", "2", "5", "1", "--node-budget", "3"])
+    assert "unrecognized arguments: --node-budget" in capsys.readouterr().err
 
 
-def test_embed_exhausted_reports_nodes(capsys):
-    assert main(["embed", "6", "8", "2", "5", "1", "--node-budget", "3"]) == 2
-    assert "search exhausted after 4 nodes" in capsys.readouterr().err
+def test_embed_no_plan_exits_2(monkeypatch, capsys):
+    def infeasible(*args, **kwargs):
+        raise PlanInfeasible("no e-multiset fits")
+
+    monkeypatch.setattr(cli, "build_plan", infeasible)
+    assert main(["embed", "6", "8", "2", "5", "1"]) == 2
+    assert "no plan exists: no e-multiset fits" in capsys.readouterr().err
+
+
+def test_embed_seed_changes_certificate(tmp_path, capsys):
+    texts = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"cert_{seed}.txt"
+        assert main(["embed", "6", "9", "2", "4", "1", "--seed", seed,
+                     "--out", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] != texts[1]
+    capsys.readouterr()
 
 
 def test_verify_fixture(capsys):

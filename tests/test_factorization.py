@@ -101,6 +101,21 @@ def test_cover_check_agrees_with_enumeration():
     assert verdicts[True] >= 100 and verdicts[False] >= 15
 
 
+@pytest.mark.parametrize("stray", [(-1, 2, 3, 4), (1, 2, 3, 7)])
+def test_issues_name_blocks_outside_the_ground_set(stray):
+    # reachable only by changing classes after construction; vertex 7 used
+    # to raise IndexError and vertex -1 to be counted at vertex 6
+    fact = _intro(6)
+    fact.classes[0].append(stray)
+    issues = factorization_issues(fact)
+    assert issues == [
+        "not a 1-fold cover of all 4-subsets (0 missing, 1 unexpected)",
+        f"blocks [{stray}] have vertices outside 1..6",
+        f"class 1: vertices {[v for v in stray if 1 <= v <= 6]} do not have"
+        " degree 2",
+    ]
+
+
 def test_round_trip_fixture_files():
     for level in (6, 8, 9):
         fact = _intro(level)

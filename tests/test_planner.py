@@ -377,3 +377,20 @@ def test_threshold_subcase_iii_pins_iota_to_units():
             else:
                 assert iota in (-1, 1), (p, tier, e_j)
     assert all(found.values()), found
+
+
+def test_exact_e_solve_rejects_fewer_outer_than_inner_colors():
+    # k < q leaves a negative new tier; no plan can exist (N2 fails)
+    from conftest import sweep_params
+    rejected = 0
+    for p in sweep_params(30, 12, 12, 2):
+        q, k = color_counts(p)
+        if k >= q:
+            continue
+        assert not check_conditions(p).verdicts["N2"].holds, p
+        with pytest.raises(InputError, match="negative"):
+            plan_e_exact(p)
+        rejected += 1
+    assert rejected == 627
+    with pytest.raises(InputError, match="negative"):
+        solve_e([(35, 3, 8), (-14, 0, 0)], 0, 0)
