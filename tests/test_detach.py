@@ -300,9 +300,9 @@ def test_former_search_walls_embed_quickly(tup):
     assert verify_certificate(cert)
 
 
-# SHA-256 prefix of the seed-0 certificate: the construction visits classes,
-# types and vertices in a fixed order, so its output is the same in every
-# process and on every platform
+# seed-0 detachment order and the SHA-256 prefix of the certificate: the
+# construction visits classes, types and vertices in a fixed order, so its
+# output is the same in every process and on every platform
 PINNED_CERTIFICATES = {
     (6, 8, 2, 5, 1): "bc2b7cc4b5625e93",
     (5, 8, 8, 10, 2): "4cbd535c3f8ab9cd",
@@ -314,6 +314,18 @@ PINNED_CERTIFICATES = {
 
 
 @pytest.mark.parametrize("tup", sorted(PINNED_CERTIFICATES))
-def test_certificate_pinned(tup):
+def test_search_order_pinned(tup, monkeypatch):
+    order = []
+    step = detach_module._detach_vertex
+
+    def recorded(classes, v, a, from_beta, degree):
+        order.append((v, a, from_beta))
+        return step(classes, v, a, from_beta, degree)
+
+    monkeypatch.setattr(detach_module, "_detach_vertex", recorded)
+    p = EmbeddingParams(*tup)
     text = render_factorization(_certificate(tup).outer)
+    base_order = [(v, p.m - i, True) for i, v in enumerate(range(1, p.m + 1))]
+    assert order == base_order + base_order + [
+        (v, p.n - v + 1, False) for v in range(p.m + 1, p.n + 1)]
     assert sha256(text.encode()).hexdigest()[:16] == PINNED_CERTIFICATES[tup]
