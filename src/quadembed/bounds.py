@@ -6,19 +6,24 @@ class may carry (all with the abbreviations sm = s*m, sn = s*n, rm = r*m):
     iota1 = sm - sn/2 - rm/2        rho1 = (sm - rm)/3      rhop1 = sm/2 - sn/8 - 3rm/8
     iota2 = sm - sn/2               rho2 = sm/3             rhop2 = sm/2 - sn/8
 
-The tier-2 values exist only when there are new colors (k > q).  iota1 and
-iota2 are integers whenever both triples are admissible.  Once a color j is
-assigned its count e_j of {3 old, 1 new} subsets, the surviving freedom for
-its {2 old, 2 new} count is the interval [iota_ij, rho_ij]:
+The tier-2 values exist only when there are new colors (k > q).  Once a
+color j is assigned its count e_j of {3 old, 1 new} subsets, the surviving
+freedom for its {2 old, 2 new} count is the interval [iota_ij, rho_ij]:
 
     tier 1:  iota_1j = sm - sn/4 - 2 e_j - 3rm/4     rho_1j = sm/2 - (3/2) e_j - rm/2
     tier 2:  iota_2j = sm - sn/4 - 2 e_j             rho_2j = sm/2 - (3/2) e_j
 
+Both are affine in e_j: iota_ij = c_i - 2 e_j and 2 rho_ij = d_i - 3 e_j
+with c_1 = sm - sn/4 - 3rm/4, d_1 = sm - rm, c_2 = sm - sn/4, d_2 = sm
+(``tier_bounds``).  Admissibility of both triples gives 4 | rm and 4 | sn,
+so c_i, d_i, iota1 and iota2 are integers; only rho_ij, rho_i and rhop_i
+can be fractional, and every bound here is computed from (c_i, d_i).
+
 Sign equivalences tying the two levels together (i = 1, 2):
 
-    rho_ij >= 0        <=>  e_j <= rho_i
-    iota_ij >= 0       <=>  e_j <= rhop_i
-    rho_ij >= iota_ij  <=>  e_j >= iota_i
+    rho_ij >= 0        <=>  e_j <= rho_i  = d_i / 3
+    iota_ij >= 0       <=>  e_j <= rhop_i = c_i / 2
+    rho_ij >= iota_ij  <=>  e_j >= iota_i = 2 c_i - d_i
 
 The signs of (iota1, iota2, rhop1, rhop2) split the admissible space into
 six regimes (case codes "5.1".."5.6"); the planner dispatches on the tag.
@@ -89,45 +94,33 @@ class AmalgamCase(enum.Enum):
         return self.value
 
 
+def tier_bounds(p: EmbeddingParams) -> list[tuple[int, int, int]]:
+    """(count, c, d) for the old and the new tier; raises on inadmissible input.
+
+    A color of the tier at e_j has iota_ij = c - 2 e_j and 2 rho_ij = d - 3 e_j.
+    """
+    q, k = color_counts(p)  # the admissibility check: 4 | rm and 4 | sn
+    sm, sn4, rm = p.s * p.m, p.s * p.n // 4, p.r * p.m
+    return [(q, sm - sn4 - 3 * rm // 4, sm - rm), (k - q, sm - sn4, sm)]
+
+
 def global_bounds(p: EmbeddingParams) -> BoundSet:
     """Exact global bounds; requires both triples admissible and s >= r."""
-    q, k = color_counts(p)  # raises on inadmissible input
+    (_, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
     if p.s < p.r:
         raise InputError(f"bounds need s >= r, got r={p.r}, s={p.s}")
-    m, n, r, s = p.m, p.n, p.r, p.s
-    sm, sn, rm = s * m, s * n, r * m
-
-    iota1 = Fraction(sm) - Fraction(sn, 2) - Fraction(rm, 2)
-    if iota1.denominator != 1:
-        raise InputError("iota1 not integral; input not admissible")
-    rho1 = Fraction(sm - rm, 3)
-    rhop1 = Fraction(sm, 2) - Fraction(sn, 8) - Fraction(3 * rm, 8)
-
-    if k == q:
-        return BoundSet(int(iota1), rho1, rhop1, None, None, None)
-
-    iota2 = Fraction(sm) - Fraction(sn, 2)
-    if iota2.denominator != 1:
-        raise InputError("iota2 not integral; input not admissible")
-    return BoundSet(int(iota1), rho1, rhop1, int(iota2),
-                    Fraction(sm, 3), Fraction(sm, 2) - Fraction(sn, 8))
+    old = (2 * c1 - d1, Fraction(d1, 3), Fraction(c1, 2))
+    if new_colors == 0:
+        return BoundSet(*old, None, None, None)
+    return BoundSet(*old, 2 * c2 - d2, Fraction(d2, 3), Fraction(c2, 2))
 
 
 def per_color_bounds(p: EmbeddingParams, tier: Tier, e_j: int) -> PerColorBounds:
     """Bounds on the {2 old, 2 new} count of one color given its e_j."""
     if e_j < 0:
         raise InputError(f"e_j must be nonnegative, got {e_j}")
-    m, n, r, s = p.m, p.n, p.r, p.s
-    sm, sn, rm = s * m, s * n, r * m
-    if tier is Tier.OLD:
-        iota = Fraction(sm) - Fraction(sn, 4) - 2 * e_j - Fraction(3 * rm, 4)
-        rho = Fraction(sm, 2) - Fraction(3 * e_j, 2) - Fraction(rm, 2)
-    else:
-        iota = Fraction(sm) - Fraction(sn, 4) - 2 * e_j
-        rho = Fraction(sm, 2) - Fraction(3 * e_j, 2)
-    if iota.denominator != 1:
-        raise InputError("per-color lower bound not integral; input not admissible")
-    return PerColorBounds(int(iota), rho, tier)
+    _, c, d = tier_bounds(p)[0 if tier is Tier.OLD else 1]
+    return PerColorBounds(c - 2 * e_j, Fraction(d - 3 * e_j, 2), tier)
 
 
 def case_classify(p: EmbeddingParams, bounds: BoundSet | None = None) -> AmalgamCase:

@@ -2,7 +2,7 @@
 
 Subcommands: check, bounds, plan, embed, verify, sweep.
 Exit codes: 0 success, 1 condition or verification failure, 2 no plan
-exists, 3 input error.
+exists, 3 input error (including a command-line usage error).
 """
 
 from __future__ import annotations
@@ -132,10 +132,7 @@ def cmd_plan(args) -> int:
         print("necessary conditions fail:", ", ".join(report.failing()),
               file=sys.stderr)
         return EXIT_FAIL
-    if report.theorem_case is TheoremCase.OUT_OF_SCOPE:
-        print("parameters out of scope; refusing to plan", file=sys.stderr)
-        return EXIT_INPUT
-    plan = build_plan(p, report)
+    plan = build_plan(p, report)  # refuses out-of-scope tuples: InputError
     _emit(plan_to_json(plan) if args.format == "json" else render_plan(plan),
           args.out)
     return EXIT_OK
@@ -322,7 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "no plan exists"
+        if exc.code == 2:
+            return EXIT_INPUT
+        raise
     try:
         return args.func(args)
     except (InputError, FormatError, OSError, UnicodeDecodeError) as exc:

@@ -147,16 +147,19 @@ def certificate_issues(cert: EmbeddingCertificate) -> list[str]:
         issues.append("color injection is not an injection into outer classes")
         return issues
 
+    # blocks inside 1..m, per outer class: a sorted key's last vertex decides
+    old = {}
+    for t, cls in enumerate(outer.classes):
+        try:
+            old[t] = [b for b in cls if b[3] <= m]
+        except IndexError:
+            issues.append(f"outer class {t + 1} has a key with fewer than 4 vertices")
     for i, t in inj.items():
-        restricted = Counter(b for b in outer.classes[t] if b[3] <= m)
-        if restricted != Counter(inner.classes[i]):
+        if t in old and Counter(old[t]) != Counter(inner.classes[i]):
             issues.append(f"outer class {t + 1} does not restrict to inner class {i + 1}")
     mapped = set(targets)
-    for t in range(len(outer.classes)):
-        if t in mapped:
-            continue
-        stray = [b for b in outer.classes[t] if b[3] <= m]
-        if stray:
+    for t, stray in old.items():
+        if t not in mapped and stray:
             issues.append(f"unmapped outer class {t + 1} contains {len(stray)}"
                           f" inner 4-subsets")
     return issues

@@ -10,14 +10,15 @@ elsewhere, then raise entries toward floor(b_i) in ascending index order
 until the sum reaches c.  Ascending order is an arbitrary deterministic
 choice; it makes planner output reproducible.
 
-Upper bounds are kept as exact rationals and floored only at decision time
-(the bounds fed in downstream have denominators 2 and 3).
+Upper bounds may be given as exact rationals (the e-system's have
+denominators 2 and 3); an integer x_i satisfies x_i <= b_i exactly when
+x_i <= floor(b_i), so each b_i is floored once, at construction, and the
+system is integer from then on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import floor
 
 from .errors import InputError
@@ -28,17 +29,16 @@ class IntervalSystem:
     """Target c plus entries (a_i, b_i); requires c >= 0, b_i >= 0, a_i <= b_i."""
 
     target: int
-    entries: tuple[tuple[int, Fraction], ...]
+    entries: tuple[tuple[int, int], ...]  # (a_i, floor(b_i))
 
     def __init__(self, target: int, entries):
         norm = []
         for i, (a, b) in enumerate(entries):
-            b = Fraction(b)
             if b < 0:
                 raise InputError(f"entry {i}: upper bound {b} is negative")
             if a > b:
                 raise InputError(f"entry {i}: lower bound {a} exceeds upper bound {b}")
-            norm.append((int(a), b))
+            norm.append((int(a), floor(b)))
         if target < 0:
             raise InputError(f"target must be nonnegative, got {target}")
         object.__setattr__(self, "target", int(target))
@@ -48,7 +48,7 @@ class IntervalSystem:
         return sum(a for a, _ in self.entries if a >= 0)
 
     def upper_bound(self) -> int:
-        return sum(floor(b) for _, b in self.entries)
+        return sum(b for _, b in self.entries)
 
     def feasible(self) -> bool:
         return self.lower_bound() <= self.target <= self.upper_bound()
@@ -62,7 +62,7 @@ class IntervalSystem:
         for i, (_, b) in enumerate(self.entries):
             if deficit == 0:
                 break
-            room = floor(b) - xs[i]
+            room = b - xs[i]
             take = min(room, deficit)
             xs[i] += take
             deficit -= take

@@ -51,11 +51,16 @@ class TheoremCase(enum.Enum):
     OUT_OF_SCOPE = "out-of-scope"
 
 
+def _divisibility(m: int, r: int, lam: int) -> tuple[bool, bool]:
+    """The two admissibility checks of (m, r, lam): 4 | rm, r | lam*C(m-1,3)."""
+    return (r * m) % 4 == 0, (lam * binomial(m - 1, 3)) % r == 0
+
+
 def is_admissible(m: int, r: int, lam: int) -> bool:
     """4 | rm and r | lam*C(m-1,3)."""
     if m < 4 or r < 1 or lam < 1:
         raise InputError(f"need m >= 4, r >= 1, lam >= 1, got ({m}, {r}, {lam})")
-    return (r * m) % 4 == 0 and (lam * binomial(m - 1, 3)) % r == 0
+    return all(_divisibility(m, r, lam))
 
 
 @dataclass(frozen=True)
@@ -101,14 +106,14 @@ class EmbeddingParams:
 
 
 def color_counts(p: EmbeddingParams) -> tuple[int, int]:
-    """Exact (q, k); raises if either is non-integral (inadmissible input)."""
-    num_q = p.lam * binomial(p.m - 1, 3)
-    num_k = p.lam * binomial(p.n - 1, 3)
-    if num_q % p.r != 0 or (p.r * p.m) % 4 != 0:
+    """Exact (q, k); raises InputError unless both triples are admissible
+    (the check that makes every bound in ``bounds`` integral where needed)."""
+    if not p.inner_admissible:
         raise InputError(f"inner triple ({p.m}, {p.r}, {p.lam}) not admissible")
-    if num_k % p.s != 0 or (p.s * p.n) % 4 != 0:
+    if not p.outer_admissible:
         raise InputError(f"outer triple ({p.n}, {p.s}, {p.lam}) not admissible")
-    return num_q // p.r, num_k // p.s
+    return (p.lam * binomial(p.m - 1, 3) // p.r,
+            p.lam * binomial(p.n - 1, 3) // p.s)
 
 
 @dataclass(frozen=True)
@@ -193,12 +198,7 @@ def check_conditions(p: EmbeddingParams) -> ConditionReport:
     cm3 = binomial(m, 3)
     v: dict[str, Verdict] = {}
 
-    div_checks = (
-        (r * m) % 4 == 0,
-        (lam * bm) % r == 0,
-        (s * n) % 4 == 0,
-        (lam * bn) % s == 0,
-    )
+    div_checks = _divisibility(m, r, lam) + _divisibility(n, s, lam)
     v["N1"] = Verdict(all(div_checks), Fraction(sum(div_checks)), Fraction(4))
 
     ratio_ok = r <= s and s * bm <= r * bn

@@ -34,17 +34,15 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil, floor
 
 from .bounds import (
     AmalgamCase,
     BoundSet,
-    Tier,
     case_classify,
     global_bounds,
-    per_color_bounds,
     sign_case,
+    tier_bounds,
 )
 from .combinat import binomial
 from .errors import FormatError, InputError, PlanInfeasible
@@ -87,13 +85,19 @@ def totals(p: EmbeddingParams) -> tuple[int, int, int, int]:
     )
 
 
-def color_tiers(q: int, k: int) -> list[Tier]:
-    return [Tier.OLD] * q + [Tier.NEW] * (k - q)
+def _color_bounds(p: EmbeddingParams, e_list: list[int]) -> list[tuple[int, int]]:
+    """(iota_ij, 2 rho_ij) for every color, from its tier's (c, d) and e_j."""
+    (q, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
+    if len(e_list) != q + new_colors:
+        raise InputError(f"expected {q + new_colors} e-values, got {len(e_list)}")
+    if any(e_j < 0 for e_j in e_list):
+        raise InputError(f"e_j must be nonnegative, got {min(e_list)}")
+    return ([(c1 - 2 * e_j, d1 - 3 * e_j) for e_j in e_list[:q]]
+            + [(c2 - 2 * e_j, d2 - 3 * e_j) for e_j in e_list[q:]])
 
 
 def _e_intervals(p, b: BoundSet, case: AmalgamCase, e_total: int, q: int, k: int):
     """Per-tier (lo, hi) for the e-system plus the subcase that fired."""
-    zero = Fraction(0)
     if case is AmalgamCase.FREE_RANGE:
         return (0, b.rho1), (0, b.rho2) if b.two_tier else None, None
     if case is AmalgamCase.BOTH_FLOORS:
@@ -101,7 +105,7 @@ def _e_intervals(p, b: BoundSet, case: AmalgamCase, e_total: int, q: int, k: int
     if case is AmalgamCase.NEW_FLOOR:
         return (0, b.rhop1), (b.iota2, b.rhop2) if b.two_tier else None, None
     if case is AmalgamCase.OLD_PINNED_NEW_FLOOR:
-        return (0, zero), (b.iota2, b.rhop2), None
+        return (0, 0), (b.iota2, b.rhop2), None
     if case is AmalgamCase.THRESHOLD_SPLIT:
         t_lo = q * floor(b.rhop1) + (k - q) * floor(b.rhop2)
         t_hi = q * ceil(b.rhop1) + (k - q) * ceil(b.rhop2)
@@ -109,16 +113,15 @@ def _e_intervals(p, b: BoundSet, case: AmalgamCase, e_total: int, q: int, k: int
             return (0, b.rhop1), (0, b.rhop2), "i"
         if e_total >= t_hi:
             return (ceil(b.rhop1), b.rho1), (ceil(b.rhop2), b.rho2), "ii"
-        return (floor(b.rhop1), Fraction(ceil(b.rhop1))), \
-               (floor(b.rhop2), Fraction(ceil(b.rhop2))), "iii"
+        return (floor(b.rhop1), ceil(b.rhop1)), (floor(b.rhop2), ceil(b.rhop2)), "iii"
     if case is AmalgamCase.OLD_PINNED_THRESHOLD:
         t_lo = (k - q) * floor(b.rhop2)
         t_hi = (k - q) * ceil(b.rhop2)
         if e_total <= t_lo:
-            return (0, zero), (0, b.rhop2), "i"
+            return (0, 0), (0, b.rhop2), "i"
         if e_total >= t_hi:
             return (0, b.rho1), (ceil(b.rhop2), b.rho2), "ii"
-        return (0, zero), (floor(b.rhop2), Fraction(ceil(b.rhop2))), "iii"
+        return (0, 0), (floor(b.rhop2), ceil(b.rhop2)), "iii"
     raise AssertionError(f"unhandled case {case}")
 
 
@@ -129,6 +132,8 @@ def plan_e(p: EmbeddingParams, b: BoundSet | None = None) -> tuple[list[int], st
     case = sign_case(b)
     e_total = totals(p)[0]
     iv1, iv2, subcase = _e_intervals(p, b, case, e_total, q, k)
+    # an integer e_j <= hi exactly when e_j <= floor(hi): floor once per tier
+    iv1, iv2 = [iv and (iv[0], floor(iv[1])) for iv in (iv1, iv2)]
     entries = [iv1] * q + ([iv2] * (k - q) if iv2 is not None else [])
     try:
         system = IntervalSystem(e_total, entries)
@@ -145,14 +150,8 @@ def plan_e(p: EmbeddingParams, b: BoundSet | None = None) -> tuple[list[int], st
 
 def plan_f(p: EmbeddingParams, b: BoundSet | None, e_list: list[int]) -> list[int]:
     """Choose per-color f_j inside [iota_ij, rho_ij]; raises PlanInfeasible."""
-    q, k = color_counts(p)
-    if len(e_list) != k:
-        raise InputError(f"expected {k} e-values, got {len(e_list)}")
     f_total = totals(p)[1]
-    entries = []
-    for e_j, tier in zip(e_list, color_tiers(q, k)):
-        pc = per_color_bounds(p, tier, e_j)
-        entries.append((pc.iota, pc.rho))
+    entries = [(iota, two_rho // 2) for iota, two_rho in _color_bounds(p, e_list)]
     try:
         system = IntervalSystem(f_total, entries)
     except InputError as exc:
@@ -175,17 +174,12 @@ def extend_plan(
     via: str = "general",
 ) -> AmalgamPlan:
     """Force g_j and h_j from (e_j, f_j) and check every plan invariant."""
-    q, k = color_counts(p)
     if case is None:
         case = sign_case(global_bounds(p))
     g_list, h_list = [], []
-    for e_j, f_j, tier in zip(e_list, f_list, color_tiers(q, k)):
-        pc = per_color_bounds(p, tier, e_j)
-        two_rho = 2 * pc.rho
-        if two_rho.denominator != 1:
-            raise InputError(f"2 rho_ij = {two_rho} not integral for e_j={e_j}")
-        g_j = int(two_rho) - 2 * f_j
-        h_j = f_j - pc.iota
+    for e_j, f_j, (iota, two_rho) in zip(e_list, f_list, _color_bounds(p, e_list)):
+        g_j = two_rho - 2 * f_j
+        h_j = f_j - iota
         if g_j < 0:
             raise InputError(f"f_j={f_j} above rho for e_j={e_j}")
         if h_j < 0:
@@ -274,12 +268,7 @@ def solve_e(tiers: list[tuple[int, int, int]], e_total: int, f_total: int):
 
 def plan_e_exact(p: EmbeddingParams) -> list[int]:
     """``solve_e`` over the master range of p; PlanInfeasible proves no plan exists."""
-    q, k = color_counts(p)
-    tiers = []
-    for tier, count in ((Tier.OLD, q), (Tier.NEW, k - q)):
-        pc = per_color_bounds(p, tier, 0)
-        tiers.append((count, pc.iota, int(2 * pc.rho)))
-    e_list = solve_e(tiers, *totals(p)[:2])
+    e_list = solve_e(tier_bounds(p), *totals(p)[:2])
     if e_list is None:
         raise PlanInfeasible("no e-multiset in the master range admits a feasible f-system")
     return e_list

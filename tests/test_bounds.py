@@ -10,6 +10,7 @@ from quadembed.bounds import (
     global_bounds,
     per_color_bounds,
     sign_case,
+    tier_bounds,
 )
 from quadembed.errors import InputError
 from quadembed.params import EmbeddingParams, TheoremCase, check_conditions, color_counts
@@ -43,6 +44,11 @@ def test_global_bounds_rejects_bad_input():
         global_bounds(EmbeddingParams(6, 8, 5, 2, 1))  # s < r
     with pytest.raises(InputError):
         global_bounds(EmbeddingParams(5, 8, 2, 5, 1))  # inadmissible inner
+    # per-color bounds raise on inadmissible input too, even where 4 | rm
+    # would make iota integral: (8, 10, 2, 4, 1) has 2 not dividing C(9, 3)
+    for p in (EmbeddingParams(5, 8, 2, 5, 1), EmbeddingParams(8, 10, 2, 4, 1)):
+        with pytest.raises(InputError, match="not admissible"):
+            per_color_bounds(p, Tier.OLD, 0)
 
 
 def test_per_color_bounds_examples():
@@ -144,13 +150,51 @@ def test_six_sign_patterns_partition_the_sweep():
     assert AmalgamCase.BOTH_FLOORS in seen and AmalgamCase.NEW_FLOOR in seen
 
 
+def _fraction_global_bounds(p):
+    """The global bounds as Fraction formulas, written out independently."""
+    sm, sn, rm = p.s * p.m, p.s * p.n, p.r * p.m
+    old = (Fraction(sm) - Fraction(sn, 2) - Fraction(rm, 2), Fraction(sm - rm, 3),
+           Fraction(sm, 2) - Fraction(sn, 8) - Fraction(3 * rm, 8))
+    new = (Fraction(sm) - Fraction(sn, 2), Fraction(sm, 3),
+           Fraction(sm, 2) - Fraction(sn, 8))
+    return old, new
+
+
+def _fraction_per_color(p, tier, e_j):
+    """(iota_ij, rho_ij) as Fraction formulas, written out independently."""
+    sm, sn, rm = p.s * p.m, p.s * p.n, p.r * p.m
+    if tier is Tier.OLD:
+        return (Fraction(sm) - Fraction(sn, 4) - 2 * e_j - Fraction(3 * rm, 4),
+                Fraction(sm, 2) - Fraction(3 * e_j, 2) - Fraction(rm, 2))
+    return (Fraction(sm) - Fraction(sn, 4) - 2 * e_j,
+            Fraction(sm, 2) - Fraction(3 * e_j, 2))
+
+
 def test_iota_integrality_over_sweep():
-    for p in _passing_in_scope(n_hi=20, r_hi=8, s_hi=8, lam_hi=1):
+    checked = 0
+    for p in _passing_in_scope(n_hi=20, r_hi=8, s_hi=8, lam_hi=2):
         b = global_bounds(p)
         assert isinstance(b.iota1, int)
         if b.two_tier:
             assert isinstance(b.iota2, int)
+        old, new = _fraction_global_bounds(p)
+        assert (b.iota1, b.rho1, b.rhop1) == old
+        assert (b.iota2, b.rho2, b.rhop2) == (new if b.two_tier else (None,) * 3)
         q, k = color_counts(p)
         for tier, count in ((Tier.OLD, q), (Tier.NEW, k - q)):
             if count:
                 assert isinstance(per_color_bounds(p, tier, 1).iota, int)
+        # the integer tier form (c, d) against the Fraction formula over the
+        # whole master range [max(iota_i, 0), floor(rho_i)]
+        tiers = tier_bounds(p)
+        assert [count for count, _, _ in tiers] == [q, k - q]
+        for tier, (_, c, d), (iota_i, rho_i, _) in zip((Tier.OLD, Tier.NEW), tiers,
+                                                       (old, new)):
+            for e_j in range(max(int(iota_i), 0), floor(rho_i) + 1):
+                iota, rho = _fraction_per_color(p, tier, e_j)
+                assert (c - 2 * e_j, d - 3 * e_j) == (iota, 2 * rho)
+                pc = per_color_bounds(p, tier, e_j)
+                assert isinstance(pc.iota, int)
+                assert (pc.iota, pc.rho) == (iota, rho)
+                checked += 1
+    assert checked > 5_000

@@ -145,6 +145,17 @@ def test_certificate_negative_restriction():
     assert any("restrict" in msg for msg in issues)
 
 
+def test_certificate_reports_a_short_key():
+    # reachable only by changing classes after construction; b[3] used to
+    # raise IndexError in the restriction check
+    f6, f8 = _intro(6), _intro(8)
+    f8.classes[0].append((1, 2, 3))
+    issues = certificate_issues(EmbeddingCertificate(inner=f6, outer=f8))
+    assert "outer class 1 has a key with fewer than 4 vertices" in issues
+    assert any(msg.startswith("outer: not a 1-fold cover") for msg in issues)
+    assert not any("restrict" in msg for msg in issues)  # other classes still match
+
+
 def test_certificate_swap_between_classes_fails():
     f6, f8 = _intro(6), _intro(8)
     classes = [list(c) for c in f8.classes]

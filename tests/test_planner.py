@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadembed import planner, sporadic
-from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds
+from quadembed.bounds import AmalgamCase, Tier, global_bounds, per_color_bounds
 from quadembed.errors import FormatError, InputError, PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions, color_counts
 from quadembed.planner import (
     build_plan,
-    color_tiers,
     extend_plan,
     parse_plan,
     plan_e,
@@ -24,6 +23,11 @@ from quadembed.planner import (
     totals,
     verify_plan,
 )
+
+
+def color_tiers(q, k):
+    """The tier of each color: the q inner colors first, then the new ones."""
+    return [Tier.OLD] * q + [Tier.NEW] * (k - q)
 
 
 def test_totals_examples():
@@ -349,9 +353,8 @@ def test_case_code_with_subcase():
 
 
 def test_threshold_subcase_iii_pins_iota_to_units():
-    from quadembed.bounds import Tier, per_color_bounds, sign_case
+    from quadembed.bounds import sign_case
     from quadembed.params import TheoremCase
-    from quadembed.planner import color_tiers
     from conftest import sweep_params
 
     found = {AmalgamCase.THRESHOLD_SPLIT: 0, AmalgamCase.OLD_PINNED_THRESHOLD: 0}
