@@ -3,12 +3,15 @@
 
 For each registered tuple: color counts, the six global bounds (floored),
 the crossing-subset totals, the case tag, and a check that the registered
-e_j multiset feeds a feasible follow-up system.
+e_j multiset feeds a feasible follow-up system.  Exits 1 when a tuple fails
+the necessary conditions or a row reads NO.
 """
 
+import sys
 from math import floor
 
 from quadembed.bounds import global_bounds, sign_case
+from quadembed.errors import PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions
 from quadembed.planner import plan_e, plan_f, totals
 from quadembed.sporadic import REGISTRY, lookup
@@ -22,10 +25,15 @@ def main() -> int:
     header = ["m", "n", "r", "s", "q", "k", "k-q", "i1", "rp1", "r1",
               "i2", "rp2", "r2", "e", "f", "g", "case", "ej ok"]
     print(" ".join(f"{h:>5}" for h in header))
+    failed = False
     for (m, n, r, s), _ in sorted(REGISTRY.items()):
         p = EmbeddingParams(m, n, r, s, 1)
         rep = check_conditions(p)
-        assert rep.all_hold(), (m, n, r, s)
+        if not rep.all_hold():
+            print(f"{(m, n, r, s)}: necessary conditions fail: "
+                  + ", ".join(rep.failing()), file=sys.stderr)
+            failed = True
+            continue
         b = global_bounds(p)
         e, f, g, _h = totals(p)
         case = sign_case(b)
@@ -36,8 +44,9 @@ def main() -> int:
         if feasible:
             try:
                 plan_f(p, b, old_vals + new_vals)
-            except Exception:
+            except PlanInfeasible:
                 feasible = False
+        failed = failed or not feasible
         row = [m, n, r, s, rep.q, rep.k, rep.k - rep.q,
                b.iota1, floor(b.rhop1), floor(b.rho1),
                fmt(b.iota2),
@@ -45,7 +54,7 @@ def main() -> int:
                fmt(floor(b.rho2) if b.two_tier else None),
                e, f, g, code, "yes" if feasible else "NO"]
         print(" ".join(f"{str(x):>5}" for x in row))
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

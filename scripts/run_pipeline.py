@@ -34,7 +34,7 @@ def main() -> int:
           f" rhop2={b.rhop2} rho2={b.rho2}\n")
 
     t0 = time.perf_counter()
-    plan = build_plan(p, report, force_out_of_scope=True)
+    plan = build_plan(p, report)
     print(f"plan via {plan.via} in {time.perf_counter() - t0:.3f}s:")
     print(render_plan(plan))
 

@@ -10,7 +10,6 @@ from .bounds import (
     BoundSet,
     PerColorBounds,
     Tier,
-    case_classify,
     global_bounds,
     per_color_bounds,
 )

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import InputError
-from .params import EmbeddingParams, TheoremCase, color_counts, theorem_case
+from .params import EmbeddingParams, color_counts
 
 
 class Tier(enum.Enum):
@@ -123,16 +123,8 @@ def per_color_bounds(p: EmbeddingParams, tier: Tier, e_j: int) -> PerColorBounds
     return PerColorBounds(c - 2 * e_j, Fraction(d - 3 * e_j, 2), tier)
 
 
-def case_classify(p: EmbeddingParams, bounds: BoundSet | None = None) -> AmalgamCase:
-    """The unique sign regime of p; refuses out-of-scope parameters."""
-    if theorem_case(p) is TheoremCase.OUT_OF_SCOPE:
-        raise InputError("parameters out of scope: no case applies")
-    b = bounds if bounds is not None else global_bounds(p)
-    return sign_case(b)
-
-
 def sign_case(b: BoundSet) -> AmalgamCase:
-    """Sign classification alone, with no scope gate (see case_classify)."""
+    """The unique sign regime of the global bounds b."""
     if not b.two_tier:
         if b.iota1 >= 0:
             return AmalgamCase.BOTH_FLOORS

@@ -11,13 +11,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
-from math import floor
 from multiprocessing import Pool
 
-from .bounds import case_classify, floors, global_bounds
+from .bounds import floors, global_bounds, sign_case
 from .detach import detach, generate_base
 from .errors import FormatError, InputError, PlanInfeasible
 from .factorization import (
@@ -26,14 +26,8 @@ from .factorization import (
     factorization_issues,
     read_factorization,
     render_factorization,
-    write_factorization,
 )
-from .params import (
-    CONDITION_IDS,
-    EmbeddingParams,
-    TheoremCase,
-    check_conditions,
-)
+from .params import CONDITION_IDS, EmbeddingParams, TheoremCase, check_conditions
 from .planner import build_plan, plan_to_json, render_plan
 
 EXIT_OK = 0
@@ -60,6 +54,8 @@ class SweepSpec:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise InputError(f"empty range for {name}: {lo}..{hi}")
+        if self.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, got {self.jobs}")
 
 
 def _parse_range(text: str, default_lo: int) -> tuple[int, int]:
@@ -99,9 +95,7 @@ def cmd_bounds(args) -> int:
     p = _params_from_args(args)
     b = global_bounds(p)
     fl = floors(b)
-    case = None
-    if check_conditions(p).theorem_case is not TheoremCase.OUT_OF_SCOPE:
-        case = case_classify(p, b).code
+    case = sign_case(b).code
     if args.format == "json":
         doc = {
             "iota1": b.iota1, "rho1": str(b.rho1), "rhop1": str(b.rhop1),
@@ -119,7 +113,7 @@ def cmd_bounds(args) -> int:
             if b.two_tier else "iota2=NA rhop2=NA rho2=NA",
             "floors: " + " ".join(f"{k}={v if v is not None else 'NA'}"
                                   for k, v in fl.items()),
-            f"case={case or '-'}",
+            f"case={case}",
         ]
         _emit("\n".join(lines), args.out)
     return EXIT_OK
@@ -132,7 +126,7 @@ def cmd_plan(args) -> int:
         print("necessary conditions fail:", ", ".join(report.failing()),
               file=sys.stderr)
         return EXIT_FAIL
-    plan = build_plan(p, report)  # refuses out-of-scope tuples: InputError
+    plan = build_plan(p, report)
     _emit(plan_to_json(plan) if args.format == "json" else render_plan(plan),
           args.out)
     return EXIT_OK
@@ -149,9 +143,7 @@ def cmd_embed(args) -> int:
         base = read_factorization(args.base)
     else:
         base = generate_base(p.m, p.r, p.lam, seed=args.seed)
-    # out-of-scope tuples are planned too: the exact e-solve decides whether
-    # a plan exists, and detachment succeeds for every plan
-    plan = build_plan(p, report, force_out_of_scope=True)
+    plan = build_plan(p, report)
     cert = detach(p, base, plan, seed=args.seed)
     text = render_factorization(cert.outer)
     if args.out:
@@ -164,14 +156,11 @@ def cmd_embed(args) -> int:
 
 def cmd_verify(args) -> int:
     outer = read_factorization(args.file)
-    issues = factorization_issues(outer)
     if args.base:
         inner = read_factorization(args.base)
-        if len(inner.classes) > len(outer.classes):
-            issues.append("inner system has more classes than outer")
-        else:
-            cert = EmbeddingCertificate(inner=inner, outer=outer)
-            issues = certificate_issues(cert)
+        issues = certificate_issues(EmbeddingCertificate(inner=inner, outer=outer))
+    else:
+        issues = factorization_issues(outer)
     if issues:
         for msg in issues:
             print(msg, file=sys.stderr)
@@ -199,7 +188,7 @@ def _sweep_row(tup) -> dict:
     row["k"] = report.k if report.k is not None else ""
     row["theorem_case"] = report.theorem_case.value
     row["all_hold"] = int(report.all_hold())
-    if report.all_hold() and report.theorem_case is not TheoremCase.OUT_OF_SCOPE:
+    if report.all_hold():
         t0 = time.perf_counter()
         try:
             plan = build_plan(p, report)
@@ -226,8 +215,9 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
         for s in range(spec.s[0], spec.s[1] + 1)
         for lam in range(spec.lam[0], spec.lam[1] + 1)
     ]
-    if spec.jobs > 1:
-        with Pool(spec.jobs) as pool:
+    workers = min(spec.jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = list(pool.imap(_sweep_row, tuples, chunksize=64))
     else:
         rows = [_sweep_row(t) for t in tuples]

@@ -15,16 +15,16 @@ Blocks are sorted quadruples; within a class blocks are stored sorted, so
 parse(render(x)) == x.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
-one on {1..n} plus an injection of inner classes into outer classes.  It is
-valid when both factorizations are valid and restricting each mapped outer
-class to 4-subsets of {1..m} reproduces the matching inner class exactly,
-while unmapped outer classes avoid {1..m} entirely.
+one on {1..n}.  It is valid when both factorizations are valid and
+restricting outer class i to 4-subsets of {1..m} reproduces inner class i
+exactly, while the outer classes beyond the inner ones avoid {1..m}
+entirely.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .combinat import binomial
 from .errors import FormatError, InputError
@@ -118,11 +118,6 @@ def is_valid_factorization(fact: Factorization) -> bool:
 class EmbeddingCertificate:
     inner: Factorization
     outer: Factorization
-    color_injection: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.color_injection:
-            self.color_injection = {i: i for i in range(len(self.inner.classes))}
 
 
 def certificate_issues(cert: EmbeddingCertificate) -> list[str]:
@@ -136,15 +131,9 @@ def certificate_issues(cert: EmbeddingCertificate) -> list[str]:
     issues += [f"inner: {msg}" for msg in factorization_issues(inner)]
     issues += [f"outer: {msg}" for msg in factorization_issues(outer)]
 
-    inj = cert.color_injection
-    if sorted(inj) != list(range(len(inner.classes))):
-        issues.append("color injection does not cover every inner class")
-        return issues
-    targets = list(inj.values())
-    if len(set(targets)) != len(targets) or any(
-        not 0 <= t < len(outer.classes) for t in targets
-    ):
-        issues.append("color injection is not an injection into outer classes")
+    q = len(inner.classes)
+    if q > len(outer.classes):
+        issues.append("inner system has more classes than outer")
         return issues
 
     # blocks inside 1..m, per outer class: a sorted key's last vertex decides
@@ -154,13 +143,12 @@ def certificate_issues(cert: EmbeddingCertificate) -> list[str]:
             old[t] = [b for b in cls if b[3] <= m]
         except IndexError:
             issues.append(f"outer class {t + 1} has a key with fewer than 4 vertices")
-    for i, t in inj.items():
-        if t in old and Counter(old[t]) != Counter(inner.classes[i]):
-            issues.append(f"outer class {t + 1} does not restrict to inner class {i + 1}")
-    mapped = set(targets)
+    for i, cls in enumerate(inner.classes):
+        if i in old and Counter(old[i]) != Counter(cls):
+            issues.append(f"outer class {i + 1} does not restrict to inner class {i + 1}")
     for t, stray in old.items():
-        if t not in mapped and stray:
-            issues.append(f"unmapped outer class {t + 1} contains {len(stray)}"
+        if t >= q and stray:
+            issues.append(f"new outer class {t + 1} contains {len(stray)}"
                           f" inner 4-subsets")
     return issues
 

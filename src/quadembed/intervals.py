@@ -10,10 +10,9 @@ elsewhere, then raise entries toward floor(b_i) in ascending index order
 until the sum reaches c.  Ascending order is an arbitrary deterministic
 choice; it makes planner output reproducible.
 
-Upper bounds may be given as exact rationals (the e-system's have
-denominators 2 and 3); an integer x_i satisfies x_i <= b_i exactly when
-x_i <= floor(b_i), so each b_i is floored once, at construction, and the
-system is integer from then on.
+Upper bounds may be given as exact rationals; an integer x_i satisfies
+x_i <= b_i exactly when x_i <= floor(b_i), so each b_i is floored once, at
+construction, and the system is integer from then on.
 """
 
 from __future__ import annotations

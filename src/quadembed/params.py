@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinat import binomial
@@ -38,12 +38,17 @@ COMPOSITE_IDS = ("eq2", "eq3", "eq4", "eq5")
 
 
 class TheoremCase(enum.Enum):
-    """Which sufficiency regime a tuple falls into.
+    """Which sufficiency regime of the source paper a tuple falls into.
 
     STRICT_RATIO:  r*C(n-1,3) > s*C(m-1,3)  (k > q when admissible)
     EQUAL_RATIO:   r*C(n-1,3) = s*C(m-1,3)  and n >= 4m/3
-    OUT_OF_SCOPE:  ratio reversed, or s > r with n < 4m/3 (left open;
-                   downstream planning refuses these rather than guessing)
+    OUT_OF_SCOPE:  ratio reversed, or s > r with n < 4m/3 (the region the
+                   paper leaves open)
+
+    A report field only (``check``, the ``sweep`` column and its
+    ``--theorem-case`` filter); it gates nothing.  Planning runs on every
+    tuple that passes N1-N8, and the exact e-solve decides whether a plan
+    exists.
     """
 
     STRICT_RATIO = "strict-ratio"

@@ -36,24 +36,11 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import ceil, floor
 
-from .bounds import (
-    AmalgamCase,
-    BoundSet,
-    case_classify,
-    global_bounds,
-    sign_case,
-    tier_bounds,
-)
+from .bounds import AmalgamCase, BoundSet, global_bounds, sign_case, tier_bounds
 from .combinat import binomial
 from .errors import FormatError, InputError, PlanInfeasible
 from .intervals import IntervalSystem
-from .params import (
-    ConditionReport,
-    EmbeddingParams,
-    TheoremCase,
-    check_conditions,
-    color_counts,
-)
+from .params import ConditionReport, EmbeddingParams, check_conditions, color_counts
 
 
 @dataclass(frozen=True)
@@ -278,17 +265,18 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
                force_out_of_scope: bool = False) -> AmalgamPlan:
     """Full planning pipeline: general machinery, then the exact e-solve.
 
-    Out-of-scope parameters are refused by default (no feasibility guarantee
-    exists there).  With ``force_out_of_scope`` the pipeline still runs.
-    Every plan has its e_j in the master range, so a ``PlanInfeasible`` from
-    the exact stage proves that no plan exists, in any regime.  Failing
-    necessary conditions are never bypassed.
+    Every tuple that passes N1-N8 is planned, in or out of scope; the scope
+    (``params.theorem_case``) is only reported.  Every plan has its e_j in
+    the master range, so a ``PlanInfeasible`` from the exact stage proves
+    that no plan exists.  Failing necessary conditions raise InputError.
+
+    ``force_out_of_scope`` is ignored.  It stays only because the benchmark
+    harness still passes it; the benchmark change of ROADMAP item 1 removes
+    it.
     """
     report = report if report is not None else check_conditions(p)
     if not report.all_hold():
         raise InputError("necessary conditions fail: " + ", ".join(report.failing()))
-    if report.theorem_case is TheoremCase.OUT_OF_SCOPE and not force_out_of_scope:
-        raise InputError("parameters out of scope; refusing to plan")
     b = global_bounds(p)
     case = sign_case(b)
 

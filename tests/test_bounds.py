@@ -6,7 +6,6 @@ import pytest
 from quadembed.bounds import (
     AmalgamCase,
     Tier,
-    case_classify,
     global_bounds,
     per_color_bounds,
     sign_case,
@@ -65,17 +64,14 @@ def test_per_color_bounds_rejects_negative_count():
         per_color_bounds(EmbeddingParams(6, 8, 2, 5, 1), Tier.OLD, -1)
 
 
-def test_case_classify_examples():
-    assert case_classify(EmbeddingParams(6, 8, 2, 5, 1)) is AmalgamCase.BOTH_FLOORS
-    assert case_classify(EmbeddingParams(5, 8, 4, 5, 1)) is AmalgamCase.NEW_FLOOR
-    assert case_classify(EmbeddingParams(8, 16, 1, 1, 1)) \
-        is AmalgamCase.OLD_PINNED_THRESHOLD
-    assert case_classify(EmbeddingParams(6, 8, 2, 5, 1)).code == "5.2"
+def test_sign_case_examples():
+    def case(*tup):
+        return sign_case(global_bounds(EmbeddingParams(*tup)))
 
-
-def test_case_classify_refuses_out_of_scope():
-    with pytest.raises(InputError):
-        case_classify(EmbeddingParams(8, 9, 5, 8, 1))
+    assert case(6, 8, 2, 5, 1) is AmalgamCase.BOTH_FLOORS
+    assert case(5, 8, 4, 5, 1) is AmalgamCase.NEW_FLOOR
+    assert case(8, 16, 1, 1, 1) is AmalgamCase.OLD_PINNED_THRESHOLD
+    assert case(6, 8, 2, 5, 1).code == "5.2"
 
 
 def _passing_in_scope(n_hi=25, r_hi=8, s_hi=8, lam_hi=2):

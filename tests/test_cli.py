@@ -39,6 +39,8 @@ def test_bounds_output(capsys):
     assert main(["bounds", "6", "8", "2", "5", "1"]) == 0
     out = capsys.readouterr().out
     assert "iota1=4" in out and "case=5.2" in out
+    assert main(["bounds", "8", "9", "5", "8", "1"]) == 0  # out of scope
+    assert "case=5.2" in capsys.readouterr().out
 
 
 def test_plan_to_file(tmp_path):
@@ -50,8 +52,10 @@ def test_plan_to_file(tmp_path):
 
 def test_plan_exit_codes(capsys):
     assert main(["plan", "7", "10", "4", "6", "1"]) == 1  # N6 fails
-    assert main(["plan", "8", "9", "5", "8", "1"]) == 3   # out of scope
     capsys.readouterr()
+    assert main(["plan", "8", "9", "5", "8", "1"]) == 0   # out of scope
+    plan = parse_plan(capsys.readouterr().out)
+    assert verify_plan(EmbeddingParams(8, 9, 5, 8, 1), plan)
 
 
 def test_embed_then_verify(tmp_path, capsys):
@@ -178,6 +182,11 @@ def test_sweep_csv(capsys):
     table_row = by_key[("6", "9", "2", "4")]
     assert table_row["plan_found"] == "1" and table_row["q"] == "5" \
         and table_row["k"] == "14"
+    assert main(["sweep", "--m", "8", "--n", "9", "--r", "5", "--s", "8",
+                 "--lam", "1"]) == 0
+    (scope_row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert scope_row["theorem_case"] == "out-of-scope"
+    assert scope_row["plan_found"] == "1" and scope_row["case"] == "5.2"
 
 
 def test_sweep_excluded_status(capsys):
@@ -199,3 +208,36 @@ def test_sweep_parallel_matches_serial(capsys):
 def test_sweep_bad_range(capsys):
     assert main(["sweep", "--m", "xx"]) == 3
     capsys.readouterr()
+
+
+def test_sweep_jobs(monkeypatch, capsys):
+    # a recording fake pool: no worker process is ever started
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items, chunksize=1):
+            return map(func, items)
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    for jobs in ("0", "-2"):
+        assert main(["sweep", "--m", "6", "--n", "8", "--jobs", jobs]) == 3
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert started == []
+    serial = _sweep_rows(capsys)
+    for jobs, want in (("1", []), ("3", [3]), ("100000", [3, 4])):
+        rows = _sweep_rows(capsys, extra=("--jobs", jobs))
+        assert started == want
+        assert [r["all_hold"] for r in rows] == [r["all_hold"] for r in serial]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: serial
+    _sweep_rows(capsys, extra=("--jobs", "8"))
+    assert started == [3, 4]

@@ -158,7 +158,7 @@ def test_detach_raises_when_verification_fails(monkeypatch):
 def _certificate(tup, seed=0):
     p = EmbeddingParams(*tup)
     base = generate_base(p.m, p.r, p.lam, seed=seed)
-    return detach(p, base, build_plan(p, force_out_of_scope=True), seed=seed)
+    return detach(p, base, build_plan(p), seed=seed)
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +285,7 @@ def test_every_small_tuple_embeds():
         count += 1
         out_of_scope += report.theorem_case is TheoremCase.OUT_OF_SCOPE
         base = generate_base(p.m, p.r, p.lam)
-        cert = detach(p, base, build_plan(p, report, force_out_of_scope=True))
+        cert = detach(p, base, build_plan(p, report))
         assert verify_certificate(cert), p
     assert (count, out_of_scope) == (196, 41)
 

@@ -138,11 +138,15 @@ def test_format_errors_carry_line_numbers():
 
 def test_certificate_negative_restriction():
     f6, f8 = _intro(6), _intro(8)
-    # map inner class 1 to the wrong outer class: restriction must fail
-    cert = EmbeddingCertificate(inner=f6, outer=f8,
-                                color_injection={0: 1, 1: 0, 2: 2, 3: 3, 4: 4})
-    issues = certificate_issues(cert)
-    assert any("restrict" in msg for msg in issues)
+    # swap outer classes 1 and 2: each still covers and is regular, but
+    # outer class i no longer restricts to inner class i
+    f8.classes[0], f8.classes[1] = f8.classes[1], f8.classes[0]
+    issues = certificate_issues(EmbeddingCertificate(inner=f6, outer=f8))
+    assert issues == ["outer class 1 does not restrict to inner class 1",
+                      "outer class 2 does not restrict to inner class 2"]
+    # roles reversed: seven inner classes cannot sit in five outer ones
+    issues = certificate_issues(EmbeddingCertificate(inner=_intro(8), outer=f6))
+    assert issues[-1] == "inner system has more classes than outer"
 
 
 def test_certificate_reports_a_short_key():

@@ -110,9 +110,7 @@ def test_verify_plan_rejects_negative_entries():
 def test_build_plan_gates():
     with pytest.raises(InputError):
         build_plan(EmbeddingParams(7, 10, 4, 6, 1))  # N6 fails
-    with pytest.raises(InputError):
-        build_plan(EmbeddingParams(8, 9, 5, 8, 1))  # out of scope
-    plan = build_plan(EmbeddingParams(8, 9, 5, 8, 1), force_out_of_scope=True)
+    plan = build_plan(EmbeddingParams(8, 9, 5, 8, 1))  # out of scope
     assert plan.e == (8,) * 7 and plan.f == (0,) * 7
     assert verify_plan(EmbeddingParams(8, 9, 5, 8, 1), plan)
 
