@@ -43,7 +43,7 @@ def main() -> int:
         feasible = sum(old_vals + new_vals) == e
         if feasible:
             try:
-                plan_f(p, b, old_vals + new_vals)
+                plan_f(p, old_vals + new_vals)
             except PlanInfeasible:
                 feasible = False
         failed = failed or not feasible

@@ -15,7 +15,7 @@ from .bounds import (
 )
 from .combinat import binomial, frc, identity_a, identity_b, identity_c
 from .detach import detach, generate_base
-from .errors import FormatError, InputError, PlanInfeasible
+from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (
     EmbeddingCertificate,
     Factorization,

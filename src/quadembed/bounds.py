@@ -105,10 +105,12 @@ def tier_bounds(p: EmbeddingParams) -> list[tuple[int, int, int]]:
 
 
 def global_bounds(p: EmbeddingParams) -> BoundSet:
-    """Exact global bounds; requires both triples admissible and s >= r."""
+    """Exact global bounds; requires both triples admissible, s >= r and k >= q."""
     (_, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
     if p.s < p.r:
         raise InputError(f"bounds need s >= r, got r={p.r}, s={p.s}")
+    if new_colors < 0:
+        raise InputError(f"new-tier color count k - q = {new_colors} is negative")
     old = (2 * c1 - d1, Fraction(d1, 3), Fraction(c1, 2))
     if new_colors == 0:
         return BoundSet(*old, None, None, None)

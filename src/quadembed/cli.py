@@ -11,15 +11,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .bounds import floors, global_bounds, sign_case
 from .detach import detach, generate_base
-from .errors import FormatError, InputError, PlanInfeasible
+from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (
     EmbeddingCertificate,
     certificate_issues,
@@ -27,7 +24,7 @@ from .factorization import (
     read_factorization,
     render_factorization,
 )
-from .params import CONDITION_IDS, EmbeddingParams, TheoremCase, check_conditions
+from .params import CONDITION_IDS, EmbeddingParams, check_conditions
 from .planner import build_plan, plan_to_json, render_plan
 
 EXIT_OK = 0
@@ -36,29 +33,7 @@ EXIT_NO_PLAN = 2
 EXIT_INPUT = 3
 
 
-@dataclass
-class SweepSpec:
-    """Finite parameter ranges plus filters for a sweep run."""
-
-    m: tuple[int, int]
-    n: tuple[int, int]
-    r: tuple[int, int]
-    s: tuple[int, int]
-    lam: tuple[int, int]
-    admissible_only: bool = False
-    theorem_case: str | None = None
-    jobs: int = 1
-
-    def __post_init__(self):
-        for name in ("m", "n", "r", "s", "lam"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise InputError(f"empty range for {name}: {lo}..{hi}")
-        if self.jobs < 1:
-            raise InputError(f"--jobs must be at least 1, got {self.jobs}")
-
-
-def _parse_range(text: str, default_lo: int) -> tuple[int, int]:
+def _parse_range(name: str, text: str, default_lo: int) -> range:
     text = text.strip()
     try:
         if ".." in text:
@@ -69,7 +44,9 @@ def _parse_range(text: str, default_lo: int) -> tuple[int, int]:
             lo = hi = int(text)
     except ValueError as exc:
         raise InputError(f"bad range {text!r} (want A..B, ..B or N)") from exc
-    return lo, hi
+    if lo > hi:
+        raise InputError(f"empty range for {name}: {lo}..{hi}")
+    return range(lo, hi + 1)
 
 
 def _params_from_args(args) -> EmbeddingParams:
@@ -120,13 +97,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    p = _params_from_args(args)
-    report = check_conditions(p)
-    if not report.all_hold():
-        print("necessary conditions fail:", ", ".join(report.failing()),
-              file=sys.stderr)
-        return EXIT_FAIL
-    plan = build_plan(p, report)
+    plan = build_plan(_params_from_args(args))
     _emit(plan_to_json(plan) if args.format == "json" else render_plan(plan),
           args.out)
     return EXIT_OK
@@ -134,16 +105,11 @@ def cmd_plan(args) -> int:
 
 def cmd_embed(args) -> int:
     p = _params_from_args(args)
-    report = check_conditions(p)
-    if not report.all_hold():
-        print("necessary conditions fail:", ", ".join(report.failing()),
-              file=sys.stderr)
-        return EXIT_FAIL
+    plan = build_plan(p)
     if args.base:
         base = read_factorization(args.base)
     else:
         base = generate_base(p.m, p.r, p.lam, seed=args.seed)
-    plan = build_plan(p, report)
     cert = detach(p, base, plan, seed=args.seed)
     text = render_factorization(cert.outer)
     if args.out:
@@ -206,40 +172,18 @@ SWEEP_COLUMNS = ["m", "n", "r", "s", "lambda", "status", "q", "k",
                  "subcase", "plan_found", "plan_ms"]
 
 
-def run_sweep(spec: SweepSpec) -> list[dict]:
-    tuples = [
-        (m, n, r, s, lam)
-        for m in range(spec.m[0], spec.m[1] + 1)
-        for n in range(max(spec.n[0], m + 1), spec.n[1] + 1)
-        for r in range(spec.r[0], spec.r[1] + 1)
-        for s in range(spec.s[0], spec.s[1] + 1)
-        for lam in range(spec.lam[0], spec.lam[1] + 1)
-    ]
-    workers = min(spec.jobs, os.cpu_count() or 1)
-    if workers > 1:
-        with Pool(workers) as pool:
-            rows = list(pool.imap(_sweep_row, tuples, chunksize=64))
-    else:
-        rows = [_sweep_row(t) for t in tuples]
-    if spec.admissible_only:
-        rows = [r for r in rows if r["status"] == "ok" and r["N1"] == 1]
-    if spec.theorem_case:
-        rows = [r for r in rows if r["theorem_case"] == spec.theorem_case]
-    return rows
+def run_sweep(ms: range, ns: range, rs: range, ss: range, lams: range) -> list[dict]:
+    """One CSV row per tuple of the box, n running from max(n_lo, m + 1)."""
+    return [_sweep_row((m, n, r, s, lam))
+            for m in ms
+            for n in range(max(ns.start, m + 1), ns.stop)
+            for r in rs for s in ss for lam in lams]
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        m=_parse_range(args.m, 4),
-        n=_parse_range(args.n, 5),
-        r=_parse_range(args.r, 1),
-        s=_parse_range(args.s, 1),
-        lam=_parse_range(args.lam, 1),
-        admissible_only=args.admissible_only,
-        theorem_case=args.theorem_case,
-        jobs=args.jobs,
-    )
-    rows = run_sweep(spec)
+    rows = run_sweep(_parse_range("m", args.m, 4), _parse_range("n", args.n, 5),
+                     _parse_range("r", args.r, 1), _parse_range("s", args.s, 1),
+                     _parse_range("lam", args.lam, 1))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SWEEP_COLUMNS)
     writer.writeheader()
@@ -299,10 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--r", default="1..8")
     p_sweep.add_argument("--s", default="1..8")
     p_sweep.add_argument("--lam", default="1")
-    p_sweep.add_argument("--admissible-only", action="store_true")
-    p_sweep.add_argument("--theorem-case",
-                         choices=[tc.value for tc in TheoremCase])
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=cmd_sweep)
     return ap
@@ -318,6 +258,9 @@ def main(argv=None) -> int:
         raise
     try:
         return args.func(args)
+    except ConditionsFailed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_FAIL
     except (InputError, FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

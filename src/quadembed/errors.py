@@ -5,6 +5,10 @@ class InputError(ValueError):
     """Parameters outside the supported domain (bad ranges, excluded tuples)."""
 
 
+class ConditionsFailed(InputError):
+    """A tuple fails one of the necessary conditions N1-N8, so no embedding exists."""
+
+
 class FormatError(ValueError):
     """Malformed plan/factorization file; carries a 1-based line number."""
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .combinat import binomial
 from .errors import FormatError, InputError
@@ -57,13 +58,6 @@ class Factorization:
             for i, cls in enumerate(self.classes)
         ]
 
-    def class_degrees(self, index: int) -> list[int]:
-        degrees = [0] * (self.ground_size + 1)
-        for block in self.classes[index]:
-            for v in block:
-                degrees[v] += 1
-        return degrees[1:]
-
     def block_counter(self) -> Counter:
         return Counter(b for cls in self.classes for b in cls)
 
@@ -76,8 +70,7 @@ def factorization_issues(fact: Factorization) -> list[str]:
     lam * C(n, 4) wanted copies and max(count - lam, 0) surplus ones, and a
     key that is not a sorted 4-subset of 1..n is surplus in full.  A key
     with a vertex outside 1..n (possible only when ``classes`` is changed
-    after construction) is reported, and degrees are then counted over
-    1..n alone.
+    after construction) is reported; degrees are read at 1..n alone.
     """
     issues = []
     n, lam = fact.ground_size, fact.lam
@@ -98,12 +91,8 @@ def factorization_issues(fact: Factorization) -> list[str]:
     if outside:
         issues.append(f"blocks {sorted(outside)} have vertices outside 1..{n}")
     for i, cls in enumerate(fact.classes):
-        if outside:
-            counts = Counter(v for block in cls for v in block)
-            degrees = [counts[v] for v in range(1, n + 1)]
-        else:
-            degrees = fact.class_degrees(i)
-        bad = [v + 1 for v, d in enumerate(degrees) if d != fact.regularity]
+        degrees = Counter(chain.from_iterable(cls))
+        bad = [v for v in range(1, n + 1) if degrees[v] != fact.regularity]
         if bad:
             issues.append(f"class {i + 1}: vertices {bad} do not have degree"
                           f" {fact.regularity}")

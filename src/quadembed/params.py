@@ -45,8 +45,8 @@ class TheoremCase(enum.Enum):
     OUT_OF_SCOPE:  ratio reversed, or s > r with n < 4m/3 (the region the
                    paper leaves open)
 
-    A report field only (``check``, the ``sweep`` column and its
-    ``--theorem-case`` filter); it gates nothing.  Planning runs on every
+    A report field only (``check`` and the ``sweep`` column); it gates
+    nothing.  Planning runs on every
     tuple that passes N1-N8, and the exact e-solve decides whether a plan
     exists.
     """
@@ -96,14 +96,6 @@ class EmbeddingParams:
     @property
     def outer_admissible(self) -> bool:
         return is_admissible(self.n, self.s, self.lam)
-
-    @property
-    def q(self) -> int:
-        return color_counts(self)[0]
-
-    @property
-    def k(self) -> int:
-        return color_counts(self)[1]
 
     def ratio_equal(self) -> bool:
         """s / r == C(n-1,3) / C(m-1,3), i.e. k == q for admissible tuples."""

@@ -38,7 +38,7 @@ from math import ceil, floor
 
 from .bounds import AmalgamCase, BoundSet, global_bounds, sign_case, tier_bounds
 from .combinat import binomial
-from .errors import FormatError, InputError, PlanInfeasible
+from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .intervals import IntervalSystem
 from .params import ConditionReport, EmbeddingParams, check_conditions, color_counts
 
@@ -83,7 +83,7 @@ def _color_bounds(p: EmbeddingParams, e_list: list[int]) -> list[tuple[int, int]
             + [(c2 - 2 * e_j, d2 - 3 * e_j) for e_j in e_list[q:]])
 
 
-def _e_intervals(p, b: BoundSet, case: AmalgamCase, e_total: int, q: int, k: int):
+def _e_intervals(b: BoundSet, case: AmalgamCase, e_total: int, q: int, k: int):
     """Per-tier (lo, hi) for the e-system plus the subcase that fired."""
     if case is AmalgamCase.FREE_RANGE:
         return (0, b.rho1), (0, b.rho2) if b.two_tier else None, None
@@ -118,7 +118,7 @@ def plan_e(p: EmbeddingParams, b: BoundSet | None = None) -> tuple[list[int], st
     q, k = color_counts(p)
     case = sign_case(b)
     e_total = totals(p)[0]
-    iv1, iv2, subcase = _e_intervals(p, b, case, e_total, q, k)
+    iv1, iv2, subcase = _e_intervals(b, case, e_total, q, k)
     # an integer e_j <= hi exactly when e_j <= floor(hi): floor once per tier
     iv1, iv2 = [iv and (iv[0], floor(iv[1])) for iv in (iv1, iv2)]
     entries = [iv1] * q + ([iv2] * (k - q) if iv2 is not None else [])
@@ -135,7 +135,7 @@ def plan_e(p: EmbeddingParams, b: BoundSet | None = None) -> tuple[list[int], st
     return xs, subcase
 
 
-def plan_f(p: EmbeddingParams, b: BoundSet | None, e_list: list[int]) -> list[int]:
+def plan_f(p: EmbeddingParams, e_list: list[int]) -> list[int]:
     """Choose per-color f_j inside [iota_ij, rho_ij]; raises PlanInfeasible."""
     f_total = totals(p)[1]
     entries = [(iota, two_rho // 2) for iota, two_rho in _color_bounds(p, e_list)]
@@ -268,7 +268,7 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
     Every tuple that passes N1-N8 is planned, in or out of scope; the scope
     (``params.theorem_case``) is only reported.  Every plan has its e_j in
     the master range, so a ``PlanInfeasible`` from the exact stage proves
-    that no plan exists.  Failing necessary conditions raise InputError.
+    that no plan exists.  A tuple that fails N1-N8 raises ConditionsFailed.
 
     ``force_out_of_scope`` is ignored.  It stays only because the benchmark
     harness still passes it; the benchmark change of ROADMAP item 1 removes
@@ -276,17 +276,17 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
     """
     report = report if report is not None else check_conditions(p)
     if not report.all_hold():
-        raise InputError("necessary conditions fail: " + ", ".join(report.failing()))
+        raise ConditionsFailed("necessary conditions fail: " + ", ".join(report.failing()))
     b = global_bounds(p)
     case = sign_case(b)
 
     try:
         e_list, subcase = plan_e(p, b)
-        f_list = plan_f(p, b, e_list)
+        f_list = plan_f(p, e_list)
         return extend_plan(p, e_list, f_list, case, subcase)
     except PlanInfeasible:
         e_list = plan_e_exact(p)
-    return extend_plan(p, e_list, plan_f(p, b, e_list), case, None, via="fallback")
+    return extend_plan(p, e_list, plan_f(p, e_list), case, None, via="fallback")
 
 
 def render_plan(plan: AmalgamPlan) -> str:
@@ -318,7 +318,10 @@ def parse_plan(text: str) -> AmalgamPlan:
         raise FormatError(f"unknown case code {head[7]!r}", 1) from exc
     subcase = None if head[8] == "-" else head[8]
     via = head[9]
-    p = EmbeddingParams(m, n, r, s, lam)
+    try:
+        p = EmbeddingParams(m, n, r, s, lam)
+    except InputError as exc:
+        raise FormatError(f"bad parameters: {exc}", 1) from exc
     rows = [(i, ln) for i, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(rows) != k:
         raise FormatError(f"expected {k} color rows, got {len(rows)}", len(lines))

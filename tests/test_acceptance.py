@@ -141,11 +141,11 @@ def test_criterion_3_sporadic_table_reproduction():
         assert len(old_vals) == q and len(new_vals) == k - q, row
         e_list = old_vals + new_vals
         assert sum(e_list) == e, row
-        iv1, iv2, _ = _e_intervals(p, b, case, e, q, k)
+        iv1, iv2, _ = _e_intervals(b, case, e, q, k)
         assert all(iv1[0] <= v and Fraction(v) <= iv1[1] for v in old_vals), row
         if new_vals:
             assert all(iv2[0] <= v and Fraction(v) <= iv2[1] for v in new_vals), row
-        f_list = plan_f(p, b, e_list)  # raises if the follow-up system fails
+        f_list = plan_f(p, e_list)  # raises if the follow-up system fails
         assert sum(f_list) == f, row
     _report("3 sporadic-table", time.perf_counter() - t0, 5.0,
             f"{len(SPORADIC_TABLE)} rows")

@@ -41,6 +41,8 @@ def test_global_bounds_single_tier_when_counts_match():
 def test_global_bounds_rejects_bad_input():
     with pytest.raises(InputError):
         global_bounds(EmbeddingParams(6, 8, 5, 2, 1))  # s < r
+    with pytest.raises(InputError, match="k - q = -21 is negative"):
+        global_bounds(EmbeddingParams(8, 9, 1, 4, 1))  # k < q
     with pytest.raises(InputError):
         global_bounds(EmbeddingParams(5, 8, 2, 5, 1))  # inadmissible inner
     # per-color bounds raise on inadmissible input too, even where 4 | rm

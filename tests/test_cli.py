@@ -41,6 +41,8 @@ def test_bounds_output(capsys):
     assert "iota1=4" in out and "case=5.2" in out
     assert main(["bounds", "8", "9", "5", "8", "1"]) == 0  # out of scope
     assert "case=5.2" in capsys.readouterr().out
+    assert main(["bounds", "8", "9", "1", "4", "1"]) == 3  # k < q
+    assert "k - q = -21 is negative" in capsys.readouterr().err
 
 
 def test_plan_to_file(tmp_path):
@@ -51,8 +53,9 @@ def test_plan_to_file(tmp_path):
 
 
 def test_plan_exit_codes(capsys):
-    assert main(["plan", "7", "10", "4", "6", "1"]) == 1  # N6 fails
-    capsys.readouterr()
+    for cmd in ("plan", "embed"):
+        assert main([cmd, "7", "10", "4", "6", "1"]) == 1  # N6 fails
+        assert capsys.readouterr().err == "necessary conditions fail: N6\n"
     assert main(["plan", "8", "9", "5", "8", "1"]) == 0   # out of scope
     plan = parse_plan(capsys.readouterr().out)
     assert verify_plan(EmbeddingParams(8, 9, 5, 8, 1), plan)
@@ -165,14 +168,10 @@ def test_out_under_regular_file_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
-def _sweep_rows(capsys, extra=()):
-    assert main(["sweep", "--m", "6..6", "--n", "8..9", "--r", "2..2",
-                 "--s", "4..8", "--lam", "1", *extra]) == 0
-    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-
-
 def test_sweep_csv(capsys):
-    rows = _sweep_rows(capsys)
+    assert main(["sweep", "--m", "6..6", "--n", "8..9", "--r", "2..2",
+                 "--s", "4..8", "--lam", "1"]) == 0
+    rows = csv.DictReader(io.StringIO(capsys.readouterr().out))
     by_key = {(r["m"], r["n"], r["r"], r["s"]): r for r in rows}
     hit = by_key[("6", "8", "2", "5")]
     assert hit["all_hold"] == "1" and hit["plan_found"] == "1"
@@ -196,48 +195,12 @@ def test_sweep_excluded_status(capsys):
     assert rows[0]["status"] == "excluded"
 
 
-def test_sweep_parallel_matches_serial(capsys):
-    def strip_timing(rows):
-        return [{k: v for k, v in row.items() if k != "plan_ms"} for row in rows]
-
-    serial = _sweep_rows(capsys)
-    parallel = _sweep_rows(capsys, extra=("--jobs", "2"))
-    assert strip_timing(serial) == strip_timing(parallel)
-
-
 def test_sweep_bad_range(capsys):
     assert main(["sweep", "--m", "xx"]) == 3
     capsys.readouterr()
+    # sweep has no worker pool and no row filters
+    for extra in (("--jobs", "2"), ("--admissible-only",),
+                  ("--theorem-case", "strict-ratio")):
+        assert main(["sweep", "--m", "6", "--n", "8", *extra]) == 3
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-
-def test_sweep_jobs(monkeypatch, capsys):
-    # a recording fake pool: no worker process is ever started
-    started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, items, chunksize=1):
-            return map(func, items)
-
-    monkeypatch.setattr(cli, "Pool", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    for jobs in ("0", "-2"):
-        assert main(["sweep", "--m", "6", "--n", "8", "--jobs", jobs]) == 3
-        assert "--jobs must be at least 1" in capsys.readouterr().err
-    assert started == []
-    serial = _sweep_rows(capsys)
-    for jobs, want in (("1", []), ("3", [3]), ("100000", [3, 4])):
-        rows = _sweep_rows(capsys, extra=("--jobs", jobs))
-        assert started == want
-        assert [r["all_hold"] for r in rows] == [r["all_hold"] for r in serial]
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: serial
-    _sweep_rows(capsys, extra=("--jobs", "8"))
-    assert started == [3, 4]

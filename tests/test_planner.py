@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quadembed import planner, sporadic
 from quadembed.bounds import AmalgamCase, Tier, global_bounds, per_color_bounds
-from quadembed.errors import FormatError, InputError, PlanInfeasible
+from quadembed.errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions, color_counts
 from quadembed.planner import (
     build_plan,
@@ -57,7 +57,7 @@ def test_plan_e_examples():
 
 def test_plan_f_forced_example():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    f_list = plan_f(p, None, [4] * 5 + [10] * 2)
+    f_list = plan_f(p, [4] * 5 + [10] * 2)
     assert f_list == [3] * 5 + [0] * 2
 
 
@@ -65,7 +65,7 @@ def test_plan_f_rejects_bad_e_choice():
     # valid e-system solution whose f-system is infeasible (lower bound 48 > 45)
     p = EmbeddingParams(6, 9, 2, 4, 1)
     with pytest.raises(PlanInfeasible):
-        plan_f(p, None, [4, 0, 0, 0, 0, 8, 6, 6, 6, 6, 6, 6, 6, 6])
+        plan_f(p, [4, 0, 0, 0, 0, 8, 6, 6, 6, 6, 6, 6, 6, 6])
 
 
 def test_equal_regularity_forces_zero_f_on_old_colors():
@@ -108,8 +108,8 @@ def test_verify_plan_rejects_negative_entries():
 
 
 def test_build_plan_gates():
-    with pytest.raises(InputError):
-        build_plan(EmbeddingParams(7, 10, 4, 6, 1))  # N6 fails
+    with pytest.raises(ConditionsFailed, match="necessary conditions fail: N6"):
+        build_plan(EmbeddingParams(7, 10, 4, 6, 1))
     plan = build_plan(EmbeddingParams(8, 9, 5, 8, 1))  # out of scope
     assert plan.e == (8,) * 7 and plan.f == (0,) * 7
     assert verify_plan(EmbeddingParams(8, 9, 5, 8, 1), plan)
@@ -227,7 +227,7 @@ def test_exact_e_solve_agrees_with_enumerator():
                 plan_e_exact(p)
             continue
         e_list = plan_e_exact(p)
-        assert verify_plan(p, extend_plan(p, e_list, plan_f(p, b, e_list)))
+        assert verify_plan(p, extend_plan(p, e_list, plan_f(p, e_list)))
     assert (resolved, unresolved) == (151, 19)
 
 
@@ -299,7 +299,7 @@ def test_sporadic_registry_rows_are_consistent():
         e_list = old_vals + new_vals
         assert sum(e_list) == totals(p)[0]
         # every registered multiset admits a feasible follow-up system
-        f_list = plan_f(p, None, e_list)
+        f_list = plan_f(p, e_list)
         plan = extend_plan(p, e_list, f_list, via="sporadic")
         assert verify_plan(p, plan)
 
@@ -325,6 +325,7 @@ def test_plan_round_trip_text():
     ("1 old 4 3 0 0", "1 old x 3 0 0", 2),       # non-integer e_j
     ("3 old 4 3 0 0", "3 old 4 3 0 0.5", 4),     # non-integer h_j
     ("7 new 10 0 0 0", "seven new 10 0 0 0", 8),  # non-integer color index
+    ("6 8 2 5 1 5 7", "3 8 2 5 1 5 7", 1),       # excluded parameters (m < 4)
 ])
 def test_parse_plan_bad_fields_raise_format_error(old, new, line):
     text = render_plan(build_plan(EmbeddingParams(6, 8, 2, 5, 1)))
