@@ -8,9 +8,8 @@ the necessary conditions or a row reads NO.
 """
 
 import sys
-from math import floor
 
-from quadembed.bounds import global_bounds, sign_case
+from quadembed.bounds import floors, global_bounds, sign_case
 from quadembed.errors import PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions
 from quadembed.planner import plan_e, plan_f, totals
@@ -48,10 +47,7 @@ def main() -> int:
                 feasible = False
         failed = failed or not feasible
         row = [m, n, r, s, rep.q, rep.k, rep.k - rep.q,
-               b.iota1, floor(b.rhop1), floor(b.rho1),
-               fmt(b.iota2),
-               fmt(floor(b.rhop2) if b.two_tier else None),
-               fmt(floor(b.rho2) if b.two_tier else None),
+               *map(fmt, floors(b).values()),
                e, f, g, code, "yes" if feasible else "NO"]
         print(" ".join(f"{str(x):>5}" for x in row))
     return 1 if failed else 0

@@ -13,7 +13,7 @@ from .bounds import (
     global_bounds,
     per_color_bounds,
 )
-from .combinat import binomial, frc, identity_a, identity_b, identity_c
+from .combinat import binomial, identity_a, identity_b, identity_c
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (

@@ -163,7 +163,7 @@ def _sweep_row(tup) -> dict:
             row["subcase"] = plan.subcase or ""
         except PlanInfeasible:
             row["plan_found"] = 0
-        row["plan_ms"] = int((time.perf_counter() - t0) * 1000)
+        row["plan_ms"] = f"{(time.perf_counter() - t0) * 1000:.3f}"
     return row
 
 

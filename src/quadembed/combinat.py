@@ -1,4 +1,4 @@
-"""Exact combinatorial kernel: binomials, rational helpers, counting identities.
+"""Exact combinatorial kernel: binomials and counting identities.
 
 All arithmetic in this package is exact (arbitrary-precision integers and
 ``fractions.Fraction``).  The inequalities decided downstream are sharp at
@@ -12,8 +12,7 @@ for every 1 <= m < n.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, floor
+from math import comb
 
 from .errors import InputError
 
@@ -23,12 +22,6 @@ def binomial(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return comb(a, b)
-
-
-def frc(x) -> Fraction:
-    """Fractional part x - floor(x), exact."""
-    x = Fraction(x)
-    return x - floor(x)
 
 
 def _require_pair(m: int, n: int) -> None:

@@ -205,7 +205,7 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], v: int, a: int,
             cls[to] = cls.get(to, 0) + y
 
 
-def _blocks(cls: dict[EdgeType, int], n: int) -> list[Block]:
+def _blocks(cls: dict[EdgeType, int], n: int) -> tuple[Block, ...]:
     """The 4-sets of a fully detached class, with multiplicity."""
     out = []
     for (d, b, t), x in cls.items():
@@ -213,7 +213,7 @@ def _blocks(cls: dict[EdgeType, int], n: int) -> list[Block]:
             raise RuntimeError("detachment left an amalgamated edge")
         block = tuple(v for v in range(1, n + 1) if d >> v & 1)
         out.extend([block] * x)
-    return out
+    return tuple(out)
 
 
 def _vertex_order(vertices: range, rng: random.Random | None) -> list[int]:
@@ -267,9 +267,9 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
     for i, v in enumerate(_vertex_order(range(m + 1, n + 1), rng)):
         _detach_vertex(classes, v, n - m - i, False, [s] * k)
 
+    old_blocks = base.classes + ((),) * (k - q)
     outer = Factorization(n, p.lam, s, [
-        (base.classes[j] if j < q else []) + _blocks(cls, n)
-        for j, cls in enumerate(classes)])
+        old + _blocks(cls, n) for old, cls in zip(old_blocks, classes)])
     cert = EmbeddingCertificate(inner=base, outer=outer)
     if not verify_certificate(cert):
         raise RuntimeError("detachment output fails verification")

@@ -11,8 +11,11 @@ File format (line oriented, bit-exact round trip on the canonical form):
     1: 1 2 3 5, 1 2 4 6, 3 4 5 6
     2: ...
 
-Blocks are sorted quadruples; within a class blocks are stored sorted, so
-parse(render(x)) == x.
+A Factorization is immutable and checked once, on construction: every
+block becomes a sorted 4-subset of 1..ground_size and every class a sorted
+tuple of blocks, so parse(render(x)) == x and the issue finders below never
+meet a malformed block.  A bad block in a file is reported with the line of
+its class.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
 one on {1..n}.  It is valid when both factorizations are valid and
@@ -33,33 +36,44 @@ from .errors import FormatError, InputError
 Block = tuple[int, int, int, int]
 
 
-def _canonical_block(block, ground_size: int, where: str = "") -> Block:
-    b = tuple(sorted(int(x) for x in block))
+class BlockError(InputError):
+    """A block that is not 4 distinct integers in 1..n; ``index`` is the
+    0-based position of its class, which a parser maps back to a line."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(f"class {index + 1}: {message}")
+
+
+def _canonical_block(block, ground_size: int, index: int) -> Block:
+    try:
+        b = tuple(sorted(map(int, block)))
+    except (TypeError, ValueError):
+        raise BlockError(index, f"non-integer vertex in block {block}") from None
+    if len(b) == 4 and 1 <= b[0] < b[1] < b[2] < b[3] <= ground_size:
+        return b
     if len(b) != 4 or len(set(b)) != 4:
-        raise InputError(f"{where}block {block} is not a 4-subset")
-    if b[0] < 1 or b[3] > ground_size:
-        raise InputError(f"{where}block {block} out of range 1..{ground_size}")
-    return b
+        raise BlockError(index, f"block {b} is not a 4-subset")
+    raise BlockError(index, f"block {b} out of range 1..{ground_size}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Factorization:
+    """Immutable: ``classes`` is a tuple of classes, each a sorted tuple of
+    sorted blocks, so every block is a 4-subset of 1..ground_size."""
+
     ground_size: int
     lam: int
     regularity: int
-    classes: list[list[Block]]
+    classes: tuple[tuple[Block, ...], ...]
 
     def __post_init__(self):
-        if self.ground_size < 4 or self.lam < 1 or self.regularity < 1:
+        n = self.ground_size
+        if n < 4 or self.lam < 1 or self.regularity < 1:
             raise InputError("ground_size >= 4, lam >= 1, regularity >= 1 required")
-        self.classes = [
-            sorted(_canonical_block(b, self.ground_size, f"class {i + 1}: ")
-                   for b in cls)
-            for i, cls in enumerate(self.classes)
-        ]
-
-    def block_counter(self) -> Counter:
-        return Counter(b for cls in self.classes for b in cls)
+        object.__setattr__(self, "classes", tuple(
+            tuple(sorted(_canonical_block(b, n, i) for b in cls))
+            for i, cls in enumerate(self.classes)))
 
 
 def factorization_issues(fact: Factorization) -> list[str]:
@@ -67,35 +81,27 @@ def factorization_issues(fact: Factorization) -> list[str]:
 
     The cover is judged from the blocks present, never by listing all
     C(n, 4) subsets: each 4-subset of 1..n supplies min(count, lam) of the
-    lam * C(n, 4) wanted copies and max(count - lam, 0) surplus ones, and a
-    key that is not a sorted 4-subset of 1..n is surplus in full.  A key
-    with a vertex outside 1..n (possible only when ``classes`` is changed
-    after construction) is reported; degrees are read at 1..n alone.
+    lam * C(n, 4) wanted copies, and every other block is surplus.
     """
     issues = []
-    n, lam = fact.ground_size, fact.lam
-    covered = extra = 0
-    outside = []
-    for block, count in fact.block_counter().items():
-        if len(block) == 4 and 1 <= block[0] < block[1] < block[2] < block[3] <= n:
-            covered += min(count, lam)
-            extra += max(count - lam, 0)
-        else:
-            extra += count
-            if not all(1 <= v <= n for v in block):
-                outside.append(block)
+    n, lam, reg = fact.ground_size, fact.lam, fact.regularity
+    counts = Counter(chain.from_iterable(fact.classes))
+    covered = sum(min(count, lam) for count in counts.values())
     missing = lam * binomial(n, 4) - covered
+    extra = sum(len(cls) for cls in fact.classes) - covered
     if missing or extra:
         issues.append(f"not a {lam}-fold cover of all 4-subsets"
                       f" ({missing} missing, {extra} unexpected)")
-    if outside:
-        issues.append(f"blocks {sorted(outside)} have vertices outside 1..{n}")
     for i, cls in enumerate(fact.classes):
-        degrees = Counter(chain.from_iterable(cls))
-        bad = [v for v in range(1, n + 1) if degrees[v] != fact.regularity]
+        degrees = [0] * (n + 1)
+        for a, b, c, d in cls:
+            degrees[a] += 1
+            degrees[b] += 1
+            degrees[c] += 1
+            degrees[d] += 1
+        bad = [v for v in range(1, n + 1) if degrees[v] != reg]
         if bad:
-            issues.append(f"class {i + 1}: vertices {bad} do not have degree"
-                          f" {fact.regularity}")
+            issues.append(f"class {i + 1}: vertices {bad} do not have degree {reg}")
     return issues
 
 
@@ -103,7 +109,7 @@ def is_valid_factorization(fact: Factorization) -> bool:
     return not factorization_issues(fact)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingCertificate:
     inner: Factorization
     outer: Factorization
@@ -125,19 +131,16 @@ def certificate_issues(cert: EmbeddingCertificate) -> list[str]:
         issues.append("inner system has more classes than outer")
         return issues
 
-    # blocks inside 1..m, per outer class: a sorted key's last vertex decides
-    old = {}
-    for t, cls in enumerate(outer.classes):
-        try:
-            old[t] = [b for b in cls if b[3] <= m]
-        except IndexError:
-            issues.append(f"outer class {t + 1} has a key with fewer than 4 vertices")
-    for i, cls in enumerate(inner.classes):
-        if i in old and Counter(old[i]) != Counter(cls):
-            issues.append(f"outer class {i + 1} does not restrict to inner class {i + 1}")
-    for t, stray in old.items():
-        if t >= q and stray:
-            issues.append(f"new outer class {t + 1} contains {len(stray)}"
+    # both sides are sorted and a sorted block lies in 1..m when its last
+    # vertex does, so the restriction of outer class i is a filter of it
+    for i, cls in enumerate(outer.classes):
+        old = tuple(b for b in cls if b[3] <= m)
+        if i < q:
+            if old != inner.classes[i]:
+                issues.append(f"outer class {i + 1} does not restrict to"
+                              f" inner class {i + 1}")
+        elif old:
+            issues.append(f"new outer class {i + 1} contains {len(old)}"
                           f" inner 4-subsets")
     return issues
 
@@ -179,24 +182,16 @@ def parse_factorization(text: str) -> Factorization:
             raise FormatError(f"bad class index {prefix!r}", lineno) from exc
         if idx != expected:
             raise FormatError(f"class index {idx}, expected {expected}", lineno)
-        blocks = []
-        for chunk in body.split(",") if body.strip() else []:
-            parts = chunk.split()
-            if not parts:
-                raise FormatError("empty block entry", lineno)
-            if len(parts) != 4:
-                raise FormatError(f"block {' '.join(parts)!r} is not 4 vertices",
-                                  lineno)
-            try:
-                block = tuple(int(x) for x in parts)
-            except ValueError as exc:
-                raise FormatError(f"non-integer vertex in {chunk!r}", lineno) from exc
-            blocks.append(block)
-        classes.append(blocks)
+        # split lazily: Factorization converts each block as it is read,
+        # and rejects an empty entry as a block that is not a 4-subset
+        classes.append((chunk.split() for chunk in body.split(","))
+                       if body.strip() else ())
     try:
         return Factorization(ground, lam, reg, classes)
+    except BlockError as exc:
+        raise FormatError(str(exc), rows[exc.index][0]) from exc
     except InputError as exc:
-        raise FormatError(str(exc)) from exc
+        raise FormatError(str(exc), 1) from exc
 
 
 def write_factorization(fact: Factorization, path) -> None:

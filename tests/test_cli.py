@@ -175,6 +175,7 @@ def test_sweep_csv(capsys):
     by_key = {(r["m"], r["n"], r["r"], r["s"]): r for r in rows}
     hit = by_key[("6", "8", "2", "5")]
     assert hit["all_hold"] == "1" and hit["plan_found"] == "1"
+    assert float(hit["plan_ms"]) > 0  # microsecond resolution, not whole ms
     assert hit["case"] == "5.2" and hit["theorem_case"] == "strict-ratio"
     miss = by_key[("6", "8", "2", "4")]
     assert miss["N1"] == "0" and miss["all_hold"] == "0"

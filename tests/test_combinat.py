@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
-from fractions import Fraction
 
-from quadembed.combinat import binomial, frc, identity_a, identity_b, identity_c
+from quadembed.combinat import binomial, identity_a, identity_b, identity_c
 from quadembed.errors import InputError
 
 
@@ -66,14 +65,3 @@ def test_identity_rejects_bad_pair():
     with pytest.raises(InputError):
         identity_b(0, 3)
 
-
-def test_frc():
-    assert frc(Fraction(7, 2)) == Fraction(1, 2)
-    assert frc(Fraction(-7, 3)) == Fraction(2, 3)
-    assert frc(5) == 0
-
-
-@given(st.fractions(max_denominator=50))
-def test_frc_in_unit_interval(x):
-    assert 0 <= frc(x) < 1
-    assert (x - frc(x)).denominator == 1

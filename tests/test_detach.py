@@ -52,7 +52,7 @@ def test_generate_base_single_class():
 def test_generate_base_multiplicity_copies():
     base = generate_base(4, 2, 2)
     assert len(base.classes) == 1
-    assert base.classes[0] == [(1, 2, 3, 4), (1, 2, 3, 4)]
+    assert base.classes[0] == ((1, 2, 3, 4), (1, 2, 3, 4))
     assert is_valid_factorization(base)
 
 
