@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import index as index_of
 
 from .combinat import binomial
 from .errors import FormatError, InputError
@@ -68,8 +69,11 @@ class Factorization:
     classes: tuple[tuple[Block, ...], ...]
 
     def __post_init__(self):
-        n = self.ground_size
-        if n < 4 or self.lam < 1 or self.regularity < 1:
+        try:
+            n, lam, reg = map(index_of, (self.ground_size, self.lam, self.regularity))
+        except TypeError:
+            raise InputError("ground_size, lam and regularity must be integers") from None
+        if n < 4 or lam < 1 or reg < 1:
             raise InputError("ground_size >= 4, lam >= 1, regularity >= 1 required")
         object.__setattr__(self, "classes", tuple(
             tuple(sorted(_canonical_block(b, n, i) for b in cls))

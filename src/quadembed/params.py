@@ -8,9 +8,13 @@ makes the color counts
     q = lam*C(m-1,3)/r        (inner colors, kappa1 = {1..q})
     k = lam*C(n-1,3)/s        (all colors, kappa2 = {q+1..k})
 
-integers.  ``check_conditions`` evaluates eight necessary conditions exactly
-(integer cross-multiplication; the report carries exact rationals) plus the
-four composite condition ids eq2..eq5 used by the theorem statements:
+integers.  ``check_conditions`` writes each of the eight necessary
+conditions once, as one integer inequality a >= b (a <= b for N2 and N8;
+N2 also needs r <= s) over a positive denominator den.  Its witnesses
+a/den and b/den are exact rationals, built only when a report is read.
+The scope and the sign of k - q both come from the one integer
+gap = r*C(n-1,3) - s*C(m-1,3).  The four composite condition ids eq2..eq5
+used by the theorem statements are read off the N-verdicts:
 
     eq2 <-> N1 and N2      (divisibility + ratio window)
     eq3 <-> N3 and N5      (lower bound on n)
@@ -89,25 +93,13 @@ class EmbeddingParams:
         if m == 4 and (lam < 2 or r < 2):
             raise InputError("m = 4 requires lam >= 2 and r >= 2")
 
-    @property
-    def inner_admissible(self) -> bool:
-        return is_admissible(self.m, self.r, self.lam)
-
-    @property
-    def outer_admissible(self) -> bool:
-        return is_admissible(self.n, self.s, self.lam)
-
-    def ratio_equal(self) -> bool:
-        """s / r == C(n-1,3) / C(m-1,3), i.e. k == q for admissible tuples."""
-        return self.s * binomial(self.m - 1, 3) == self.r * binomial(self.n - 1, 3)
-
 
 def color_counts(p: EmbeddingParams) -> tuple[int, int]:
     """Exact (q, k); raises InputError unless both triples are admissible
     (the check that makes every bound in ``bounds`` integral where needed)."""
-    if not p.inner_admissible:
+    if not is_admissible(p.m, p.r, p.lam):
         raise InputError(f"inner triple ({p.m}, {p.r}, {p.lam}) not admissible")
-    if not p.outer_admissible:
+    if not is_admissible(p.n, p.s, p.lam):
         raise InputError(f"outer triple ({p.n}, {p.s}, {p.lam}) not admissible")
     return (p.lam * binomial(p.m - 1, 3) // p.r,
             p.lam * binomial(p.n - 1, 3) // p.s)
@@ -115,10 +107,29 @@ def color_counts(p: EmbeddingParams) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Verdict:
+    """One condition as integers: ``holds`` decides a >= b (a <= b for N2,
+    which also needs r <= s, and N8) over the positive denominator ``den``.
+    The witnesses ``lhs`` = a/den and ``rhs`` = b/den are exact rationals,
+    built only when read.  A vacuous verdict holds whatever a and b are."""
+
     holds: bool
-    lhs: Fraction
-    rhs: Fraction
+    a: int
+    b: int
+    den: int = 1
     vacuous: bool = False
+
+    @property
+    def lhs(self) -> Fraction:
+        return Fraction(self.a, self.den)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.b, self.den)
+
+
+def _at_least(a: int, b: int, den: int = 1, active: bool = True) -> Verdict:
+    """The verdict a/den >= b/den, vacuously true when not ``active``."""
+    return Verdict(not active or a >= b, a, b, den, not active)
 
 
 @dataclass
@@ -177,84 +188,52 @@ class ConditionReport:
         return json.dumps(doc, indent=2)
 
 
-def theorem_case(p: EmbeddingParams) -> TheoremCase:
-    lhs = p.r * binomial(p.n - 1, 3)
-    rhs = p.s * binomial(p.m - 1, 3)
-    if lhs < rhs:
-        return TheoremCase.OUT_OF_SCOPE
-    if p.s > p.r and 3 * p.n < 4 * p.m:
-        return TheoremCase.OUT_OF_SCOPE
-    return TheoremCase.STRICT_RATIO if lhs > rhs else TheoremCase.EQUAL_RATIO
-
-
 def check_conditions(p: EmbeddingParams) -> ConditionReport:
-    """Evaluate N1-N8 and eq2-eq5 exactly; pure and deterministic."""
+    """Evaluate N1-N8 and eq2-eq5 in integers; pure and deterministic."""
     m, n, r, s, lam = p.m, p.n, p.r, p.s, p.lam
     bm = binomial(m - 1, 3)
     bn = binomial(n - 1, 3)
     cm3 = binomial(m, 3)
+    # r*C(n-1,3) - s*C(m-1,3): the sign of k - q, and the scope
+    gap = r * bn - s * bm
     v: dict[str, Verdict] = {}
 
-    div_checks = _divisibility(m, r, lam) + _divisibility(n, s, lam)
-    v["N1"] = Verdict(all(div_checks), Fraction(sum(div_checks)), Fraction(4))
-
-    ratio_ok = r <= s and s * bm <= r * bn
-    v["N2"] = Verdict(ratio_ok, Fraction(s, r), Fraction(bn, bm))
-
-    n3_active = s == r
-    v["N3"] = Verdict(not n3_active or n >= 2 * m, Fraction(n), Fraction(2 * m),
-                      vacuous=not n3_active)
-
-    v["N4"] = Verdict(3 * n * s >= m * (4 * s - r), Fraction(n),
-                      Fraction(m * (4 * s - r), 3 * s))
-
-    n5_active = r < s and s * bm < r * bn
-    v["N5"] = Verdict(not n5_active or 3 * n >= 4 * m, Fraction(n), Fraction(4 * m, 3),
-                      vacuous=not n5_active)
-
-    # gap = r*C(n-1,3) - s*C(m-1,3); both sides scaled by the positive factor r
-    gap = r * bn - s * bm
-    v["N6"] = Verdict(2 * r * (n - m) * cm3 >= (2 * m - n) * gap,
-                      Fraction((n - m) * cm3), Fraction((2 * m - n) * gap, 2 * r))
-
-    n7_lhs = 2 * (n - m) * cm3 + binomial(m, 2) * binomial(n - m, 2)
-    v["N7"] = Verdict(4 * r * n7_lhs >= (4 * m - n) * gap,
-                      Fraction(n7_lhs), Fraction((4 * m - n) * gap, 4 * r))
-
-    n8_residue = (m * (s - r)) % 3
-    n8_active = gap == 0 and n8_residue != 0
-    if not n8_active:
-        v["N8"] = Verdict(True, Fraction(bn, s), Fraction(0), vacuous=True)
+    div = _divisibility(m, r, lam) + _divisibility(n, s, lam)
+    v["N1"] = _at_least(sum(div), 4)
+    # r <= s and s/r <= C(n-1,3)/C(m-1,3), over the denominator r*C(m-1,3)
+    v["N2"] = Verdict(r <= s and gap >= 0, s * bm, r * bn, r * bm)
+    v["N3"] = _at_least(n, 2 * m, active=s == r)
+    v["N4"] = _at_least(3 * s * n, m * (4 * s - r), 3 * s)
+    v["N5"] = _at_least(3 * n, 4 * m, 3, active=r < s and gap > 0)
+    v["N6"] = _at_least(2 * r * (n - m) * cm3, (2 * m - n) * gap, 2 * r)
+    n7 = 2 * (n - m) * cm3 + binomial(m, 2) * binomial(n - m, 2)
+    v["N7"] = _at_least(4 * r * n7, (4 * m - n) * gap, 4 * r)
+    # k = q with t = m(s-r) mod 3 nonzero: C(n-1,3)/s <= f + g/t, where
+    # f = C(m,2)C(n-m,2) and g = m*C(n-m,3)
+    t = (m * (s - r)) % 3
+    if gap == 0 and t:
+        a = t * bn
+        b = s * (t * binomial(m, 2) * binomial(n - m, 2) + m * binomial(n - m, 3))
+        v["N8"] = Verdict(a <= b, a, b, t * s)
     else:
-        fn = binomial(m, 2) * binomial(n - m, 2)
-        gn = m * binomial(n - m, 3)
-        if n8_residue == 1:
-            holds = bn <= s * (fn + gn)
-            rhs = Fraction(fn + gn)
-        else:
-            holds = 2 * bn <= s * (2 * fn + gn)
-            rhs = Fraction(2 * fn + gn, 2)
-        v["N8"] = Verdict(holds, Fraction(bn, s), rhs)
+        v["N8"] = Verdict(True, bn, 0, s, vacuous=True)
 
-    sub = div_checks + (ratio_ok,)
-    v["eq2"] = Verdict(v["N1"].holds and v["N2"].holds,
-                       Fraction(sum(sub)), Fraction(5))
-    # lower bound on n: 2m when s = r, 4m/3 when s > r inside the strict-ratio
-    # window; vacuous at the ratio boundary (so eq3 <-> N3 and N5 everywhere)
-    if s == r:
-        v["eq3"] = Verdict(n >= 2 * m, Fraction(n), Fraction(2 * m))
-    elif s > r and gap > 0:
-        v["eq3"] = Verdict(3 * n >= 4 * m, Fraction(n), Fraction(4 * m, 3))
-    else:
-        v["eq3"] = Verdict(True, Fraction(n), Fraction(0), vacuous=True)
+    v["eq2"] = _at_least(v["N1"].a + v["N2"].holds, 5)
+    # the lower bound on n in force: N3 when s = r, N5 inside the strict
+    # window, none at the ratio boundary (so eq3 <-> N3 and N5 everywhere)
+    v["eq3"] = (v["N3"] if s == r else v["N5"] if not v["N5"].vacuous
+                else Verdict(True, n, 0, vacuous=True))
     v["eq4"] = v["N6"]
     v["eq5"] = v["N7"]
 
+    if gap < 0 or (s > r and 3 * n < 4 * m):
+        case = TheoremCase.OUT_OF_SCOPE
+    else:
+        case = TheoremCase.STRICT_RATIO if gap else TheoremCase.EQUAL_RATIO
     q = k = None
     if v["N1"].holds:
-        q, k = color_counts(p)
-    return ConditionReport(params=p, verdicts=v, theorem_case=theorem_case(p),
-                           q=q, k=k)
+        q, k = lam * bm // r, lam * bn // s
+    return ConditionReport(params=p, verdicts=v, theorem_case=case, q=q, k=k)
 
 
 def check_structural_facts(p: EmbeddingParams) -> bool:
@@ -264,7 +243,8 @@ def check_structural_facts(p: EmbeddingParams) -> bool:
     s >= r+2.  Vacuously true for k > q or inadmissible tuples.  A False
     return would indicate an implementation (or transcription) bug.
     """
-    if not (p.inner_admissible and p.outer_admissible) or not p.ratio_equal():
+    report = check_conditions(p)
+    if report.q is None or report.q != report.k:
         return True
     ok = True
     if (p.m * (p.s - p.r)) % 3 != 0:

@@ -266,7 +266,7 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
     """Full planning pipeline: general machinery, then the exact e-solve.
 
     Every tuple that passes N1-N8 is planned, in or out of scope; the scope
-    (``params.theorem_case``) is only reported.  Every plan has its e_j in
+    (the report's ``theorem_case``) is only reported.  Every plan has its e_j in
     the master range, so a ``PlanInfeasible`` from the exact stage proves
     that no plan exists.  A tuple that fails N1-N8 raises ConditionsFailed.
 
@@ -320,8 +320,12 @@ def parse_plan(text: str) -> AmalgamPlan:
     via = head[9]
     try:
         p = EmbeddingParams(m, n, r, s, lam)
+        want = (*color_counts(p), sign_case(global_bounds(p)))
     except InputError as exc:
         raise FormatError(f"bad parameters: {exc}", 1) from exc
+    if (q, k, case) != want:
+        raise FormatError(f"header q k case {q} {k} {case.code} disagree with the"
+                          f" parameters ({want[0]} {want[1]} {want[2].code})", 1)
     rows = [(i, ln) for i, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(rows) != k:
         raise FormatError(f"expected {k} color rows, got {len(rows)}", len(lines))

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -61,6 +62,13 @@ def test_rejects_degenerate_blocks():
         Factorization(6, 1, 1, [[(1, 2, 3, 3)]])
     with pytest.raises(InputError):
         Factorization(6, 1, 1, [[(1, 2, 3, 7)]])
+
+
+def test_rejects_non_integer_header_fields():
+    for header in ((6.5, 1, 1), (6, 1.0, 1), (6, 1, Fraction(1)), ("6", 1, 1)):
+        with pytest.raises(InputError) as err:
+            Factorization(*header, [[(1, 2, 3, 4)]])
+        assert str(err.value) == "ground_size, lam and regularity must be integers"
 
 
 def test_factorization_issues_reports_defects():
@@ -128,7 +136,12 @@ def test_format_errors_carry_line_numbers():
     assert "line 2" in str(err.value)
     with pytest.raises(FormatError) as err:
         parse_factorization("6 1 2 1\n1: 1 2 x 4\n")
-    assert "line 2" in str(err.value)
+    assert str(err.value) == ("line 2: class 1: non-integer vertex in block"
+                              " ['1', '2', 'x', '4']")
+    with pytest.raises(FormatError) as err:
+        parse_factorization("6 1 2 2\n1: 1 2 3 4\n\n2: 1 2 3.5 4\n")
+    assert str(err.value) == ("line 4: class 2: non-integer vertex in block"
+                              " ['1', '2', '3.5', '4']")
     # a block Factorization rejects is reported at its class's line,
     # blank lines counted
     with pytest.raises(FormatError) as err:

@@ -1,10 +1,14 @@
+import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
+from quadembed.cli import _sweep_row
 from quadembed.errors import InputError
 from quadembed.params import (
+    CONDITION_IDS,
     EmbeddingParams,
     TheoremCase,
     check_conditions,
@@ -100,13 +104,78 @@ def test_n8_vacuous_when_ratio_strict():
     assert rep.verdicts["N8"].vacuous
 
 
+def _grid():
+    """Every tuple with 4 <= m < n <= 14, r, s <= 8, lam <= 2, admissible
+    or not, excluded ones included."""
+    return [(m, n, r, s, lam) for m in range(4, 14) for n in range(m + 1, 15)
+            for r in range(1, 9) for s in range(1, 9) for lam in (1, 2)]
+
+
+def _grid_params():
+    for tup in _grid():
+        try:
+            yield EmbeddingParams(*tup)
+        except InputError:
+            pass
+
+
 def test_composite_labels_match_over_small_sweep():
-    for p in sweep_params(n_hi=20, r_hi=8, s_hi=8, lam_hi=2):
-        v = check_conditions(p).verdicts
+    for p in chain(sweep_params(n_hi=20, r_hi=8, s_hi=8, lam_hi=2), _grid_params()):
+        rep = check_conditions(p)
+        v = rep.verdicts
         assert v["eq2"].holds == (v["N1"].holds and v["N2"].holds)
         assert v["eq3"].holds == (v["N3"].holds and v["N5"].holds)
         assert v["eq4"].holds == v["N6"].holds
         assert v["eq5"].holds == v["N7"].holds
+        # each verdict is its witnesses' inequality, unless vacuous
+        for cid in CONDITION_IDS:
+            w = v[cid]
+            assert w.den > 0
+            if w.vacuous:
+                assert w.holds
+            elif cid == "N2":
+                assert w.holds == (p.r <= p.s and w.lhs <= w.rhs)
+            elif cid == "N8":
+                assert w.holds == (w.lhs <= w.rhs)
+            else:
+                assert w.holds == (w.lhs >= w.rhs)
+        admissible = is_admissible(p.m, p.r, p.lam) and is_admissible(p.n, p.s, p.lam)
+        assert v["N1"].holds == admissible
+        if admissible:
+            assert (rep.q, rep.k) == color_counts(p)
+        else:
+            assert rep.q is None and rep.k is None
+
+
+def test_reports_pinned_over_small_grid():
+    # SHA-256 of every check report's text and JSON, inadmissible tuples
+    # included; the value was computed when the witnesses were Fractions
+    digest = hashlib.sha256()
+    for p in _grid_params():
+        rep = check_conditions(p)
+        digest.update((rep.to_text() + rep.to_json()).encode())
+    assert digest.hexdigest() == (
+        "0ab8ef8ee6caf562071af242a8438f450fb7f22650900dfd709c9d56fc39476f")
+
+
+def test_conditions_build_no_fraction(monkeypatch):
+    rows = [_sweep_row(tup) for tup in _grid()]
+
+    def no_fraction(*args):
+        raise RuntimeError("a Fraction was built")
+
+    monkeypatch.setattr("quadembed.params.Fraction", no_fraction)
+    for p in _grid_params():
+        rep = check_conditions(p)
+        assert rep.all_hold() == (rep.failing() == [])
+        assert isinstance(rep.theorem_case, TheoremCase)
+    again = [_sweep_row(tup) for tup in _grid()]
+    for row in rows + again:
+        row.pop("plan_ms")
+    assert again == rows
+    assert sum(row["plan_found"] == 1 for row in rows) > 0
+    with pytest.raises(RuntimeError):
+        rep.verdicts["N4"].lhs  # the witnesses come from the stub
 
 
 def test_check_conditions_deterministic():

@@ -326,6 +326,11 @@ def test_plan_round_trip_text():
     ("3 old 4 3 0 0", "3 old 4 3 0 0.5", 4),     # non-integer h_j
     ("7 new 10 0 0 0", "seven new 10 0 0 0", 8),  # non-integer color index
     ("6 8 2 5 1 5 7", "3 8 2 5 1 5 7", 1),       # excluded parameters (m < 4)
+    ("5.2 - general", "5.5 - general", 1),       # case disagrees with the bounds
+    ("6 8 2 5 1 5 7", "6 8 2 5 1 4 7", 1),       # q disagrees with the parameters
+    ("6 8 2 5 1 5 7", "6 8 2 5 1 5 8", 1),       # k disagrees with the parameters
+    ("6 8 2 5 1 5 7", "6 8 2 4 1 5 7", 1),       # outer triple not admissible
+    ("6 8 2 5 1 5 7", "6 8 2 1 1 5 7", 1),       # s < r: no bounds exist
 ])
 def test_parse_plan_bad_fields_raise_format_error(old, new, line):
     text = render_plan(build_plan(EmbeddingParams(6, 8, 2, 5, 1)))
@@ -333,6 +338,16 @@ def test_parse_plan_bad_fields_raise_format_error(old, new, line):
     with pytest.raises(FormatError) as err:
         parse_plan(text.replace(old, new))
     assert err.value.line == line
+
+
+def test_parse_plan_rejects_relabelled_tiers():
+    # q = 4 with row 5 relabelled new is self-consistent and passes
+    # verify_plan's totals, so only the header check catches it
+    text = render_plan(build_plan(EmbeddingParams(6, 8, 2, 5, 1)))
+    text = text.replace("5 1 5 7", "5 1 4 7").replace("5 old", "5 new")
+    with pytest.raises(FormatError) as err:
+        parse_plan(text)
+    assert err.value.line == 1
 
 
 def test_plan_json_shape():
