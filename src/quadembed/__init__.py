@@ -5,14 +5,7 @@ vertices, decide whether it extends to an s-factorization on n vertices,
 plan the extension color by color, and construct an explicit certificate.
 """
 
-from .bounds import (
-    AmalgamCase,
-    BoundSet,
-    PerColorBounds,
-    Tier,
-    global_bounds,
-    per_color_bounds,
-)
+from .bounds import AmalgamCase, BoundSet, global_bounds, per_color_bounds
 from .combinat import binomial, identity_a, identity_b, identity_c
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible

@@ -15,9 +15,10 @@ freedom for its {2 old, 2 new} count is the interval [iota_ij, rho_ij]:
 
 Both are affine in e_j: iota_ij = c_i - 2 e_j and 2 rho_ij = d_i - 3 e_j
 with c_1 = sm - sn/4 - 3rm/4, d_1 = sm - rm, c_2 = sm - sn/4, d_2 = sm
-(``tier_bounds``).  Admissibility of both triples gives 4 | rm and 4 | sn,
-so c_i, d_i, iota1 and iota2 are integers; only rho_ij, rho_i and rhop_i
-can be fractional, and every bound here is computed from (c_i, d_i).
+(``tier_bounds``; ``per_color_bounds`` evaluates them on an e-list).
+Admissibility of both triples gives 4 | rm and 4 | sn, so c_i, d_i, iota1
+and iota2 are integers; only rho_ij, rho_i and rhop_i can be fractional,
+and every bound here is computed from (c_i, d_i).
 
 Sign equivalences tying the two levels together (i = 1, 2):
 
@@ -40,11 +41,6 @@ from .errors import InputError
 from .params import EmbeddingParams, color_counts
 
 
-class Tier(enum.Enum):
-    OLD = "old"  # kappa1: colors carrying the inner factorization
-    NEW = "new"  # kappa2: colors used only on crossing/new subsets
-
-
 @dataclass(frozen=True)
 class BoundSet:
     """Global bounds; tier-2 fields are None when there are no new colors."""
@@ -59,13 +55,6 @@ class BoundSet:
     @property
     def two_tier(self) -> bool:
         return self.iota2 is not None
-
-
-@dataclass(frozen=True)
-class PerColorBounds:
-    iota: int
-    rho: Fraction
-    tier: Tier
 
 
 class AmalgamCase(enum.Enum):
@@ -117,12 +106,15 @@ def global_bounds(p: EmbeddingParams) -> BoundSet:
     return BoundSet(*old, 2 * c2 - d2, Fraction(d2, 3), Fraction(c2, 2))
 
 
-def per_color_bounds(p: EmbeddingParams, tier: Tier, e_j: int) -> PerColorBounds:
-    """Bounds on the {2 old, 2 new} count of one color given its e_j."""
-    if e_j < 0:
-        raise InputError(f"e_j must be nonnegative, got {e_j}")
-    _, c, d = tier_bounds(p)[0 if tier is Tier.OLD else 1]
-    return PerColorBounds(c - 2 * e_j, Fraction(d - 3 * e_j, 2), tier)
+def per_color_bounds(p: EmbeddingParams, e_list: list[int]) -> list[tuple[int, int]]:
+    """(iota_ij, 2 rho_ij) for each e_j of ``e_list`` (q old colors, then k - q new)."""
+    (q, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
+    if len(e_list) != q + new_colors:
+        raise InputError(f"expected {q + new_colors} e-values, got {len(e_list)}")
+    if any(e_j < 0 for e_j in e_list):
+        raise InputError(f"e_j must be nonnegative, got {min(e_list)}")
+    return ([(c1 - 2 * e_j, d1 - 3 * e_j) for e_j in e_list[:q]]
+            + [(c2 - 2 * e_j, d2 - 3 * e_j) for e_j in e_list[q:]])
 
 
 def sign_case(b: BoundSet) -> AmalgamCase:

@@ -163,7 +163,8 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], v: int, a: int,
     """Split vertex v off the amalgam of multiplicity a (beta or alpha);
     class j receives v on exactly degree[j] of its edges."""
     slot = 1 if from_beta else 2
-    want: dict[EdgeType, int] = defaultdict(int)
+    # a column needs sum_j (x_j c mod a) / a cells beyond the floors
+    rems: dict[EdgeType, int] = defaultdict(int)
     floors, cells, row_need = [], [], []
     for cls, deg in zip(classes, degree):
         start, frac = {}, []
@@ -171,24 +172,21 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], v: int, a: int,
             c = key[slot]
             if c:
                 y, rem = divmod(x * c, a)
-                want[key] += x * c
                 if y:
                     start[key] = y
                     deg -= y
                 if rem:
+                    rems[key] += rem
                     frac.append((key, rem))
         floors.append(start)
         cells.append(frac)
         row_need.append(deg)
     col_need = {}
-    for key, total in want.items():
+    for key, total in rems.items():
         share, rem = divmod(total, a)
         if rem:
             raise RuntimeError(f"edge type {key} has a non-integral share at vertex {v}")
         col_need[key] = share
-    for start in floors:
-        for key, y in start.items():
-            col_need[key] -= y
     chosen = _match(cells, a, row_need, col_need)
     bit = 1 << v
     for cls, start, extra in zip(classes, floors, chosen):

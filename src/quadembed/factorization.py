@@ -97,6 +97,12 @@ def factorization_issues(fact: Factorization) -> list[str]:
         issues.append(f"not a {lam}-fold cover of all 4-subsets"
                       f" ({missing} missing, {extra} unexpected)")
     for i, cls in enumerate(fact.classes):
+        # degree reg at all n vertices needs 4 |cls| = reg n; a class of
+        # another size has a vertex of the wrong degree, so skip its scan
+        if 4 * len(cls) != reg * n:
+            issues.append(f"class {i + 1}: {len(cls)} blocks cannot give all {n}"
+                          f" vertices degree {reg} (needs 4 * blocks = {reg * n})")
+            continue
         degrees = [0] * (n + 1)
         for a, b, c, d in cls:
             degrees[a] += 1

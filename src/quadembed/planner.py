@@ -36,7 +36,8 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import ceil, floor
 
-from .bounds import AmalgamCase, BoundSet, global_bounds, sign_case, tier_bounds
+from .bounds import (AmalgamCase, BoundSet, global_bounds, per_color_bounds, sign_case,
+                     tier_bounds)
 from .combinat import binomial
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .intervals import IntervalSystem
@@ -72,17 +73,6 @@ def totals(p: EmbeddingParams) -> tuple[int, int, int, int]:
     )
 
 
-def _color_bounds(p: EmbeddingParams, e_list: list[int]) -> list[tuple[int, int]]:
-    """(iota_ij, 2 rho_ij) for every color, from its tier's (c, d) and e_j."""
-    (q, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
-    if len(e_list) != q + new_colors:
-        raise InputError(f"expected {q + new_colors} e-values, got {len(e_list)}")
-    if any(e_j < 0 for e_j in e_list):
-        raise InputError(f"e_j must be nonnegative, got {min(e_list)}")
-    return ([(c1 - 2 * e_j, d1 - 3 * e_j) for e_j in e_list[:q]]
-            + [(c2 - 2 * e_j, d2 - 3 * e_j) for e_j in e_list[q:]])
-
-
 def _e_intervals(b: BoundSet, case: AmalgamCase, e_total: int, q: int, k: int):
     """Per-tier (lo, hi) for the e-system plus the subcase that fired."""
     if case is AmalgamCase.FREE_RANGE:
@@ -112,6 +102,21 @@ def _e_intervals(b: BoundSet, case: AmalgamCase, e_total: int, q: int, k: int):
     raise AssertionError(f"unhandled case {case}")
 
 
+def _solve(target: int, entries, name: str, where: str = "") -> list[int]:
+    """Solve one interval system; a malformed or infeasible one is PlanInfeasible."""
+    try:
+        system = IntervalSystem(target, entries)
+    except InputError as exc:
+        raise PlanInfeasible(f"{name} malformed{where}: {exc}") from exc
+    xs = system.solve()
+    if xs is None:
+        raise PlanInfeasible(
+            f"{name} infeasible{where} (target {target} outside"
+            f" [{system.lower_bound()}, {system.upper_bound()}])"
+        )
+    return xs
+
+
 def plan_e(p: EmbeddingParams, b: BoundSet | None = None) -> tuple[list[int], str | None]:
     """Choose per-color e_j by the case discipline; (values, subcase)."""
     b = b if b is not None else global_bounds(p)
@@ -122,34 +127,13 @@ def plan_e(p: EmbeddingParams, b: BoundSet | None = None) -> tuple[list[int], st
     # an integer e_j <= hi exactly when e_j <= floor(hi): floor once per tier
     iv1, iv2 = [iv and (iv[0], floor(iv[1])) for iv in (iv1, iv2)]
     entries = [iv1] * q + ([iv2] * (k - q) if iv2 is not None else [])
-    try:
-        system = IntervalSystem(e_total, entries)
-    except InputError as exc:
-        raise PlanInfeasible(f"e-system malformed for case {case.code}: {exc}") from exc
-    xs = system.solve()
-    if xs is None:
-        raise PlanInfeasible(
-            f"e-system infeasible for case {case.code}"
-            f" (target {e_total} outside [{system.lower_bound()}, {system.upper_bound()}])"
-        )
-    return xs, subcase
+    return _solve(e_total, entries, "e-system", f" for case {case.code}"), subcase
 
 
 def plan_f(p: EmbeddingParams, e_list: list[int]) -> list[int]:
     """Choose per-color f_j inside [iota_ij, rho_ij]; raises PlanInfeasible."""
-    f_total = totals(p)[1]
-    entries = [(iota, two_rho // 2) for iota, two_rho in _color_bounds(p, e_list)]
-    try:
-        system = IntervalSystem(f_total, entries)
-    except InputError as exc:
-        raise PlanInfeasible(f"f-system malformed: {exc}") from exc
-    xs = system.solve()
-    if xs is None:
-        raise PlanInfeasible(
-            f"f-system infeasible (target {f_total} outside"
-            f" [{system.lower_bound()}, {system.upper_bound()}])"
-        )
-    return xs
+    entries = [(iota, two_rho // 2) for iota, two_rho in per_color_bounds(p, e_list)]
+    return _solve(totals(p)[1], entries, "f-system")
 
 
 def extend_plan(
@@ -164,7 +148,7 @@ def extend_plan(
     if case is None:
         case = sign_case(global_bounds(p))
     g_list, h_list = [], []
-    for e_j, f_j, (iota, two_rho) in zip(e_list, f_list, _color_bounds(p, e_list)):
+    for e_j, f_j, (iota, two_rho) in zip(e_list, f_list, per_color_bounds(p, e_list)):
         g_j = two_rho - 2 * f_j
         h_j = f_j - iota
         if g_j < 0:
@@ -282,11 +266,11 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
 
     try:
         e_list, subcase = plan_e(p, b)
-        f_list = plan_f(p, e_list)
-        return extend_plan(p, e_list, f_list, case, subcase)
+        f_list, via = plan_f(p, e_list), "general"
     except PlanInfeasible:
-        e_list = plan_e_exact(p)
-    return extend_plan(p, e_list, plan_f(p, e_list), case, None, via="fallback")
+        e_list, subcase, via = plan_e_exact(p), None, "fallback"
+        f_list = plan_f(p, e_list)
+    return extend_plan(p, e_list, f_list, case, subcase, via)
 
 
 def render_plan(plan: AmalgamPlan) -> str:
@@ -316,16 +300,23 @@ def parse_plan(text: str) -> AmalgamPlan:
         case = AmalgamCase(head[7])
     except ValueError as exc:
         raise FormatError(f"unknown case code {head[7]!r}", 1) from exc
-    subcase = None if head[8] == "-" else head[8]
     via = head[9]
+    if via not in ("general", "fallback"):
+        raise FormatError(f"unknown planning path {via!r}", 1)
     try:
         p = EmbeddingParams(m, n, r, s, lam)
-        want = (*color_counts(p), sign_case(global_bounds(p)))
+        b = global_bounds(p)
+        want = (*color_counts(p), sign_case(b))
     except InputError as exc:
         raise FormatError(f"bad parameters: {exc}", 1) from exc
     if (q, k, case) != want:
         raise FormatError(f"header q k case {q} {k} {case.code} disagree with the"
                           f" parameters ({want[0]} {want[1]} {want[2].code})", 1)
+    # only the general path has a subcase, the one its e-intervals fire
+    subcase = _e_intervals(b, case, totals(p)[0], q, k)[2] if via == "general" else None
+    if head[8] != (subcase or "-"):
+        raise FormatError(f"subcase {head[8]} disagrees with the parameters"
+                          f" ({subcase or '-'} on the {via} path)", 1)
     rows = [(i, ln) for i, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(rows) != k:
         raise FormatError(f"expected {k} color rows, got {len(rows)}", len(lines))

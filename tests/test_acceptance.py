@@ -306,7 +306,8 @@ def test_criterion_6_planner_completeness_desk_scale():
 
 
 def test_criterion_7_end_to_end_embeddings(tmp_path):
-    for tup in ((6, 8, 2, 5, 1), (8, 9, 5, 8, 1), (5, 8, 4, 5, 1)):
+    # (12, 16, 1, 2, 2) plans by the exact e-solve (via fallback)
+    for tup in ((6, 8, 2, 5, 1), (8, 9, 5, 8, 1), (5, 8, 4, 5, 1), (12, 16, 1, 2, 2)):
         t0 = time.perf_counter()
         cert_path = tmp_path / ("cert_%d_%d_%d_%d_%d.txt" % tup)
         args = [str(x) for x in tup]

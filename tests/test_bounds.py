@@ -3,14 +3,7 @@ from math import ceil, floor
 
 import pytest
 
-from quadembed.bounds import (
-    AmalgamCase,
-    Tier,
-    global_bounds,
-    per_color_bounds,
-    sign_case,
-    tier_bounds,
-)
+from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds, sign_case, tier_bounds
 from quadembed.errors import InputError
 from quadembed.params import EmbeddingParams, TheoremCase, check_conditions, color_counts
 
@@ -49,21 +42,24 @@ def test_global_bounds_rejects_bad_input():
     # would make iota integral: (8, 10, 2, 4, 1) has 2 not dividing C(9, 3)
     for p in (EmbeddingParams(5, 8, 2, 5, 1), EmbeddingParams(8, 10, 2, 4, 1)):
         with pytest.raises(InputError, match="not admissible"):
-            per_color_bounds(p, Tier.OLD, 0)
+            per_color_bounds(p, [0])
 
 
 def test_per_color_bounds_examples():
-    pc = per_color_bounds(EmbeddingParams(6, 8, 2, 5, 1), Tier.OLD, 4)
-    assert (pc.iota, pc.rho) == (3, Fraction(3))
-    pc = per_color_bounds(EmbeddingParams(6, 9, 2, 4, 1), Tier.OLD, 4)
-    assert (pc.iota, pc.rho) == (-2, Fraction(0))
-    pc = per_color_bounds(EmbeddingParams(6, 9, 2, 4, 1), Tier.NEW, 6)
-    assert (pc.iota, pc.rho) == (3, Fraction(3))
+    # (iota_ij, 2 rho_ij) per color: the old tier first, then the new one
+    bounds = per_color_bounds(EmbeddingParams(6, 8, 2, 5, 1), [4] * 5 + [10] * 2)
+    assert bounds[0] == (3, 2 * Fraction(3))
+    bounds = per_color_bounds(EmbeddingParams(6, 9, 2, 4, 1), [4] * 5 + [6] * 9)
+    assert bounds[0] == (-2, 2 * Fraction(0))
+    assert bounds[5] == (3, 2 * Fraction(3))
 
 
 def test_per_color_bounds_rejects_negative_count():
-    with pytest.raises(InputError):
-        per_color_bounds(EmbeddingParams(6, 8, 2, 5, 1), Tier.OLD, -1)
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    with pytest.raises(InputError, match="nonnegative"):
+        per_color_bounds(p, [4] * 5 + [-1, 10])
+    with pytest.raises(InputError, match="expected 7 e-values, got 6"):
+        per_color_bounds(p, [4] * 6)
 
 
 def test_sign_case_examples():
@@ -104,25 +100,28 @@ def test_bound_chain_invariants_over_sweep():
         if r == s:
             seen_rs = True
             assert b.rho1 == 0 and b.rhop1 < 0
+            _, c, d = tier_bounds(p)[0]  # an old color: iota = c - 2e, 2 rho = d - 3e
             for e_j in range(0, 4):
-                pc = per_color_bounds(p, Tier.OLD, e_j)
-                assert pc.iota < 0
-                assert pc.rho <= 0 and (pc.rho == 0) == (e_j == 0)
+                iota, two_rho = c - 2 * e_j, d - 3 * e_j
+                assert iota < 0
+                assert two_rho <= 0 and (two_rho == 0) == (e_j == 0)
     assert seen_rs, "sweep never exercised the r = s regime"
 
 
 def test_per_color_equivalences_over_sweep():
     for p in _passing_in_scope(n_hi=20, r_hi=6, s_hi=6, lam_hi=1):
         b = global_bounds(p)
-        tiers = [(Tier.OLD, b.iota1, b.rho1, b.rhop1)]
+        q, k = color_counts(p)
+        # index of the first color of each tier in an e-list
+        tiers = [(0, b.iota1, b.rho1, b.rhop1)]
         if b.two_tier:
-            tiers.append((Tier.NEW, b.iota2, b.rho2, b.rhop2))
-        for tier, iota_i, rho_i, rhop_i in tiers:
+            tiers.append((q, b.iota2, b.rho2, b.rhop2))
+        for j, iota_i, rho_i, rhop_i in tiers:
             for e_j in range(0, floor(rho_i) + 3):
-                pc = per_color_bounds(p, tier, e_j)
-                assert (pc.rho >= 0) == (e_j <= rho_i)
-                assert (pc.iota >= 0) == (e_j <= rhop_i)
-                assert (pc.rho >= pc.iota) == (e_j >= iota_i)
+                iota, two_rho = per_color_bounds(p, [e_j] * k)[j]
+                assert (two_rho >= 0) == (e_j <= rho_i)
+                assert (iota >= 0) == (e_j <= rhop_i)
+                assert (two_rho >= 2 * iota) == (e_j >= iota_i)
 
 
 def test_six_sign_patterns_partition_the_sweep():
@@ -158,10 +157,10 @@ def _fraction_global_bounds(p):
     return old, new
 
 
-def _fraction_per_color(p, tier, e_j):
+def _fraction_per_color(p, old, e_j):
     """(iota_ij, rho_ij) as Fraction formulas, written out independently."""
     sm, sn, rm = p.s * p.m, p.s * p.n, p.r * p.m
-    if tier is Tier.OLD:
+    if old:
         return (Fraction(sm) - Fraction(sn, 4) - 2 * e_j - Fraction(3 * rm, 4),
                 Fraction(sm, 2) - Fraction(3 * e_j, 2) - Fraction(rm, 2))
     return (Fraction(sm) - Fraction(sn, 4) - 2 * e_j,
@@ -179,20 +178,19 @@ def test_iota_integrality_over_sweep():
         assert (b.iota1, b.rho1, b.rhop1) == old
         assert (b.iota2, b.rho2, b.rhop2) == (new if b.two_tier else (None,) * 3)
         q, k = color_counts(p)
-        for tier, count in ((Tier.OLD, q), (Tier.NEW, k - q)):
-            if count:
-                assert isinstance(per_color_bounds(p, tier, 1).iota, int)
-        # the integer tier form (c, d) against the Fraction formula over the
-        # whole master range [max(iota_i, 0), floor(rho_i)]
+        assert all(isinstance(x, int) for pair in per_color_bounds(p, [1] * k)
+                   for x in pair)
+        # the integer tier form (c, d) and per_color_bounds against the
+        # Fraction formula over the whole master range [max(iota_i, 0), floor(rho_i)]
         tiers = tier_bounds(p)
         assert [count for count, _, _ in tiers] == [q, k - q]
-        for tier, (_, c, d), (iota_i, rho_i, _) in zip((Tier.OLD, Tier.NEW), tiers,
-                                                       (old, new)):
+        for j, (count, c, d), (iota_i, rho_i, _) in zip((0, q), tiers, (old, new)):
             for e_j in range(max(int(iota_i), 0), floor(rho_i) + 1):
-                iota, rho = _fraction_per_color(p, tier, e_j)
+                iota, rho = _fraction_per_color(p, j == 0, e_j)
                 assert (c - 2 * e_j, d - 3 * e_j) == (iota, 2 * rho)
-                pc = per_color_bounds(p, tier, e_j)
-                assert isinstance(pc.iota, int)
-                assert (pc.iota, pc.rho) == (iota, rho)
+                if count:  # color j is the tier's first
+                    pair = per_color_bounds(p, [e_j] * k)[j]
+                    assert all(isinstance(x, int) for x in pair)
+                    assert pair == (iota, 2 * rho)
                 checked += 1
     assert checked > 5_000

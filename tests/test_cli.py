@@ -160,6 +160,21 @@ def test_verify_large_header_without_blocks(tmp_path, capsys):
         " 0 unexpected)\n")
 
 
+def test_verify_huge_header_with_small_classes(tmp_path, capsys):
+    # a class of the wrong size is reported by its size, without a scan
+    # over the 2,000,000 vertices the header names
+    f = tmp_path / "small.txt"
+    f.write_text("2000000 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n")
+    t0 = time.perf_counter()
+    assert main(["verify", str(f)]) == 1
+    assert time.perf_counter() - t0 < 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("not a 1-fold cover of all 4-subsets")
+    assert lines[1:] == [
+        f"class {i}: 1 blocks cannot give all 2000000 vertices degree 1"
+        " (needs 4 * blocks = 2000000)" for i in (1, 2, 3)]
+
+
 def test_out_under_regular_file_is_input_error(tmp_path, capsys):
     f = tmp_path / "plain.txt"
     f.write_text("")

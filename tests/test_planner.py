@@ -6,8 +6,8 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadembed import planner, sporadic
-from quadembed.bounds import AmalgamCase, Tier, global_bounds, per_color_bounds
+from quadembed import detach, generate_base, planner, sporadic, verify_certificate
+from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds, tier_bounds
 from quadembed.errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions, color_counts
 from quadembed.planner import (
@@ -26,8 +26,8 @@ from quadembed.planner import (
 
 
 def color_tiers(q, k):
-    """The tier of each color: the q inner colors first, then the new ones."""
-    return [Tier.OLD] * q + [Tier.NEW] * (k - q)
+    """The tier index of each color: the q old colors (0) first, then the new ones (1)."""
+    return [0] * q + [1] * (k - q)
 
 
 def test_totals_examples():
@@ -122,6 +122,7 @@ def test_build_plan_fallback_repairs_parity():
     plan = build_plan(p)
     assert plan.via == "fallback"
     assert verify_plan(p, plan)
+    assert _embeds(p, plan)
 
 
 def test_build_plan_fallback_at_higher_multiplicity():
@@ -129,6 +130,12 @@ def test_build_plan_fallback_at_higher_multiplicity():
     plan = build_plan(p)
     assert plan.via == "fallback"
     assert verify_plan(p, plan)
+    assert _embeds(p, plan)
+
+
+def _embeds(p, plan) -> bool:
+    """Detach the plan onto a generated base and verify the certificate."""
+    return verify_certificate(detach(p, generate_base(p.m, p.r, p.lam), plan))
 
 
 def _multiset_lists(values: list[int], slots: int, total: int):
@@ -182,8 +189,8 @@ def _fallback_candidates(p, b, q: int, k: int, e_total: int):
 
 @cache
 def _f_interval(p, tier, e_j) -> tuple[int, int]:
-    pc = per_color_bounds(p, tier, e_j)
-    return max(pc.iota, 0), floor(pc.rho)
+    _, c, d = tier_bounds(p)[tier]  # iota = c - 2 e_j, 2 rho = d - 3 e_j
+    return max(c - 2 * e_j, 0), (d - 3 * e_j) // 2
 
 
 def _f_system_feasible(p, e_list, q, k) -> bool:
@@ -312,7 +319,8 @@ def test_parse_multiset():
 
 
 def test_plan_round_trip_text():
-    for tup in [(6, 8, 2, 5, 1), (5, 8, 4, 5, 1), (6, 8, 2, 7, 1)]:
+    for tup in [(6, 8, 2, 5, 1), (5, 8, 4, 5, 1), (6, 8, 2, 7, 1), (8, 16, 1, 1, 1),
+                (12, 16, 1, 2, 2)]:  # subcase "i"; the fallback path
         p = EmbeddingParams(*tup)
         plan = build_plan(p)
         again = parse_plan(render_plan(plan))
@@ -331,6 +339,8 @@ def test_plan_round_trip_text():
     ("6 8 2 5 1 5 7", "6 8 2 5 1 5 8", 1),       # k disagrees with the parameters
     ("6 8 2 5 1 5 7", "6 8 2 4 1 5 7", 1),       # outer triple not admissible
     ("6 8 2 5 1 5 7", "6 8 2 1 1 5 7", 1),       # s < r: no bounds exist
+    ("5.2 - general", "5.2 i general", 1),       # subcase the general path never takes
+    ("5.2 - general", "5.2 - zz", 1),            # unknown planning path
 ])
 def test_parse_plan_bad_fields_raise_format_error(old, new, line):
     text = render_plan(build_plan(EmbeddingParams(6, 8, 2, 5, 1)))
@@ -384,15 +394,14 @@ def test_threshold_subcase_iii_pins_iota_to_units():
         if subcase != "iii":
             continue
         found[case] += 1
-        q, k = color_counts(p)
-        for e_j, tier in zip(e_list, color_tiers(q, k)):
-            if case is AmalgamCase.OLD_PINNED_THRESHOLD and tier is Tier.OLD:
-                continue  # pinned at 0, below its own threshold
-            iota = per_color_bounds(p, tier, e_j).iota
+        q, _ = color_counts(p)
+        for j, (e_j, (iota, _)) in enumerate(zip(e_list, per_color_bounds(p, e_list))):
+            if case is AmalgamCase.OLD_PINNED_THRESHOLD and j < q:
+                continue  # an old color, pinned at 0, below its own threshold
             if case is AmalgamCase.THRESHOLD_SPLIT:
-                assert iota in (-1, 0, 1), (p, tier, e_j)
+                assert iota in (-1, 0, 1), (p, j, e_j)
             else:
-                assert iota in (-1, 1), (p, tier, e_j)
+                assert iota in (-1, 1), (p, j, e_j)
     assert all(found.values()), found
 
 
