@@ -9,10 +9,10 @@ the necessary conditions or a row reads NO.
 
 import sys
 
-from quadembed.bounds import floors, global_bounds, sign_case
+from quadembed.bounds import floors, global_bounds
 from quadembed.errors import PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions
-from quadembed.planner import plan_e, plan_f, totals
+from quadembed.planner import build_plan, plan_f, totals
 from quadembed.sporadic import REGISTRY, lookup
 
 
@@ -35,9 +35,8 @@ def main() -> int:
             continue
         b = global_bounds(p)
         e, f, g, _h = totals(p)
-        case = sign_case(b)
-        _, subcase = plan_e(p, b)
-        code = f"{case.code}({subcase})" if subcase else case.code
+        plan = build_plan(p, rep)
+        code = f"{plan.case.code}({plan.subcase})" if plan.subcase else plan.case.code
         old_vals, new_vals = lookup(m, n, r, s)
         feasible = sum(old_vals + new_vals) == e
         if feasible:

@@ -13,7 +13,6 @@ from .factorization import (
     EmbeddingCertificate,
     Factorization,
     certificate_issues,
-    crossing_profile,
     factorization_issues,
     is_valid_factorization,
     parse_factorization,

@@ -158,12 +158,13 @@ def _sweep_row(tup) -> dict:
         t0 = time.perf_counter()
         try:
             plan = build_plan(p, report)
-            row["plan_found"] = 1
-            row["case"] = plan.case.code
-            row["subcase"] = plan.subcase or ""
         except PlanInfeasible:
-            row["plan_found"] = 0
+            plan = None
+        # planning time only: the case and subcase are derived afterwards
         row["plan_ms"] = f"{(time.perf_counter() - t0) * 1000:.3f}"
+        row["plan_found"] = int(plan is not None)
+        if plan is not None:
+            row["case"], row["subcase"] = plan.case.code, plan.subcase or ""
     return row
 
 

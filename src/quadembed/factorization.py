@@ -212,11 +212,3 @@ def write_factorization(fact: Factorization, path) -> None:
 def read_factorization(path) -> Factorization:
     with open(path, encoding="ascii") as fh:
         return parse_factorization(fh.read())
-
-
-def crossing_profile(blocks, m: int) -> tuple[int, int, int, int]:
-    """Counts of blocks with exactly 3, 2, 1, 0 vertices inside {1..m}."""
-    shape = [0, 0, 0, 0, 0]
-    for b in blocks:
-        shape[sum(1 for v in b if v <= m)] += 1
-    return shape[3], shape[2], shape[1], shape[0]

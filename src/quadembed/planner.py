@@ -36,30 +36,36 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import ceil, floor
 
-from .bounds import (AmalgamCase, BoundSet, global_bounds, per_color_bounds, sign_case,
-                     tier_bounds)
+from .bounds import AmalgamCase, global_bounds, per_color_bounds, sign_case, tier_bounds
 from .combinat import binomial
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .intervals import IntervalSystem
 from .params import ConditionReport, EmbeddingParams, check_conditions, color_counts
 
 
+# "general" for the case discipline, "fallback" for the exact master-range e-solve
+PLANNING_PATHS = ("general", "fallback")
+
+
 @dataclass(frozen=True)
 class AmalgamPlan:
+    """What planning chose; the case and subcase follow from the parameters."""
+
     params: EmbeddingParams
-    case: AmalgamCase
-    subcase: str | None  # "i" / "ii" / "iii" for the threshold cases
-    via: str  # "general", or "fallback" for the exact master-range e-solve
+    via: str  # one of PLANNING_PATHS
     e: tuple[int, ...]
     f: tuple[int, ...]
     g: tuple[int, ...]
     h: tuple[int, ...]
 
     @property
-    def case_code(self) -> str:
-        if self.subcase in ("i", "ii", "iii"):
-            return f"{self.case.code}({self.subcase})"
-        return self.case.code
+    def case(self) -> AmalgamCase:
+        return _e_intervals(self.params)[0]
+
+    @property
+    def subcase(self) -> str | None:
+        """The threshold subcase ("i", "ii" or "iii") on the general path, else None."""
+        return _header(self.params, self.via)["subcase"]
 
 
 def totals(p: EmbeddingParams) -> tuple[int, int, int, int]:
@@ -73,33 +79,47 @@ def totals(p: EmbeddingParams) -> tuple[int, int, int, int]:
     )
 
 
-def _e_intervals(b: BoundSet, case: AmalgamCase, e_total: int, q: int, k: int):
-    """Per-tier (lo, hi) for the e-system plus the subcase that fired."""
+def _e_intervals(p: EmbeddingParams):
+    """(case, subcase, per-color integer (lo, hi)) of the e-system for p.
+
+    The one place that knows the case discipline.  The threshold cases split
+    into subcases by comparing e with the floor/ceil threshold sums.  Raises
+    InputError when p has no bounds.
+    """
+    b = global_bounds(p)
+    q, k = color_counts(p)
+    case, subcase, e_total = sign_case(b), None, totals(p)[0]
     if case is AmalgamCase.FREE_RANGE:
-        return (0, b.rho1), (0, b.rho2) if b.two_tier else None, None
-    if case is AmalgamCase.BOTH_FLOORS:
-        return (b.iota1, b.rhop1), (b.iota2, b.rhop2) if b.two_tier else None, None
-    if case is AmalgamCase.NEW_FLOOR:
-        return (0, b.rhop1), (b.iota2, b.rhop2) if b.two_tier else None, None
-    if case is AmalgamCase.OLD_PINNED_NEW_FLOOR:
-        return (0, 0), (b.iota2, b.rhop2), None
-    if case is AmalgamCase.THRESHOLD_SPLIT:
+        tiers = (0, b.rho1), (0, b.rho2)
+    elif case is AmalgamCase.BOTH_FLOORS:
+        tiers = (b.iota1, b.rhop1), (b.iota2, b.rhop2)
+    elif case is AmalgamCase.NEW_FLOOR:
+        tiers = (0, b.rhop1), (b.iota2, b.rhop2)
+    elif case is AmalgamCase.OLD_PINNED_NEW_FLOOR:
+        tiers = (0, 0), (b.iota2, b.rhop2)
+    elif case is AmalgamCase.THRESHOLD_SPLIT:
         t_lo = q * floor(b.rhop1) + (k - q) * floor(b.rhop2)
         t_hi = q * ceil(b.rhop1) + (k - q) * ceil(b.rhop2)
         if e_total <= t_lo:
-            return (0, b.rhop1), (0, b.rhop2), "i"
-        if e_total >= t_hi:
-            return (ceil(b.rhop1), b.rho1), (ceil(b.rhop2), b.rho2), "ii"
-        return (floor(b.rhop1), ceil(b.rhop1)), (floor(b.rhop2), ceil(b.rhop2)), "iii"
-    if case is AmalgamCase.OLD_PINNED_THRESHOLD:
+            subcase, tiers = "i", ((0, b.rhop1), (0, b.rhop2))
+        elif e_total >= t_hi:
+            subcase, tiers = "ii", ((ceil(b.rhop1), b.rho1), (ceil(b.rhop2), b.rho2))
+        else:
+            subcase, tiers = "iii", ((floor(b.rhop1), ceil(b.rhop1)),
+                                     (floor(b.rhop2), ceil(b.rhop2)))
+    else:  # OLD_PINNED_THRESHOLD
         t_lo = (k - q) * floor(b.rhop2)
         t_hi = (k - q) * ceil(b.rhop2)
         if e_total <= t_lo:
-            return (0, 0), (0, b.rhop2), "i"
-        if e_total >= t_hi:
-            return (0, b.rho1), (ceil(b.rhop2), b.rho2), "ii"
-        return (0, 0), (floor(b.rhop2), ceil(b.rhop2)), "iii"
-    raise AssertionError(f"unhandled case {case}")
+            subcase, tiers = "i", ((0, 0), (0, b.rhop2))
+        elif e_total >= t_hi:
+            subcase, tiers = "ii", ((0, b.rho1), (ceil(b.rhop2), b.rho2))
+        else:
+            subcase, tiers = "iii", ((0, 0), (floor(b.rhop2), ceil(b.rhop2)))
+    # an integer e_j <= hi exactly when e_j <= floor(hi): floor once per tier;
+    # with no new colors the tier-2 bounds are None and no color uses them
+    old, new = [(lo, floor(hi)) if hi is not None else None for lo, hi in tiers]
+    return case, subcase, [old] * q + [new] * (k - q)
 
 
 def _solve(target: int, entries, name: str, where: str = "") -> list[int]:
@@ -117,17 +137,10 @@ def _solve(target: int, entries, name: str, where: str = "") -> list[int]:
     return xs
 
 
-def plan_e(p: EmbeddingParams, b: BoundSet | None = None) -> tuple[list[int], str | None]:
-    """Choose per-color e_j by the case discipline; (values, subcase)."""
-    b = b if b is not None else global_bounds(p)
-    q, k = color_counts(p)
-    case = sign_case(b)
-    e_total = totals(p)[0]
-    iv1, iv2, subcase = _e_intervals(b, case, e_total, q, k)
-    # an integer e_j <= hi exactly when e_j <= floor(hi): floor once per tier
-    iv1, iv2 = [iv and (iv[0], floor(iv[1])) for iv in (iv1, iv2)]
-    entries = [iv1] * q + ([iv2] * (k - q) if iv2 is not None else [])
-    return _solve(e_total, entries, "e-system", f" for case {case.code}"), subcase
+def plan_e(p: EmbeddingParams) -> list[int]:
+    """Choose per-color e_j inside the intervals of the case discipline."""
+    case, _, entries = _e_intervals(p)
+    return _solve(totals(p)[0], entries, "e-system", f" for case {case.code}")
 
 
 def plan_f(p: EmbeddingParams, e_list: list[int]) -> list[int]:
@@ -136,17 +149,11 @@ def plan_f(p: EmbeddingParams, e_list: list[int]) -> list[int]:
     return _solve(totals(p)[1], entries, "f-system")
 
 
-def extend_plan(
-    p: EmbeddingParams,
-    e_list: list[int],
-    f_list: list[int],
-    case: AmalgamCase | None = None,
-    subcase: str | None = None,
-    via: str = "general",
-) -> AmalgamPlan:
+def extend_plan(p: EmbeddingParams, e_list: list[int], f_list: list[int],
+                via: str = "general") -> AmalgamPlan:
     """Force g_j and h_j from (e_j, f_j) and check every plan invariant."""
-    if case is None:
-        case = sign_case(global_bounds(p))
+    if via not in PLANNING_PATHS:
+        raise InputError(f"unknown planning path {via!r}")
     g_list, h_list = [], []
     for e_j, f_j, (iota, two_rho) in zip(e_list, f_list, per_color_bounds(p, e_list)):
         g_j = two_rho - 2 * f_j
@@ -157,8 +164,7 @@ def extend_plan(
             raise InputError(f"f_j={f_j} below iota for e_j={e_j}")
         g_list.append(g_j)
         h_list.append(h_j)
-    plan = AmalgamPlan(p, case, subcase, via,
-                       tuple(e_list), tuple(f_list), tuple(g_list), tuple(h_list))
+    plan = AmalgamPlan(p, via, tuple(e_list), tuple(f_list), tuple(g_list), tuple(h_list))
     if not verify_plan(p, plan):
         raise InputError("constructed plan fails independent verification")
     return plan
@@ -261,24 +267,34 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
     report = report if report is not None else check_conditions(p)
     if not report.all_hold():
         raise ConditionsFailed("necessary conditions fail: " + ", ".join(report.failing()))
-    b = global_bounds(p)
-    case = sign_case(b)
-
     try:
-        e_list, subcase = plan_e(p, b)
-        f_list, via = plan_f(p, e_list), "general"
-    except PlanInfeasible:
-        e_list, subcase, via = plan_e_exact(p), None, "fallback"
+        e_list, via = plan_e(p), "general"
         f_list = plan_f(p, e_list)
-    return extend_plan(p, e_list, f_list, case, subcase, via)
+    except PlanInfeasible:
+        e_list, via = plan_e_exact(p), "fallback"
+        f_list = plan_f(p, e_list)
+    return extend_plan(p, e_list, f_list, via)
+
+
+def _header(p: EmbeddingParams, via: str) -> dict:
+    """The header fields of a plan for p made along ``via``; InputError if p has no bounds.
+
+    Only the general path has a subcase: the one its e-intervals fire.
+    """
+    q, k = color_counts(p)
+    case, subcase, _ = _e_intervals(p)
+    return {"m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam, "q": q, "k": k,
+            "case": case.code, "subcase": subcase if via == "general" else None,
+            "via": via}
+
+
+def _header_fields(p: EmbeddingParams, via: str) -> list[str]:
+    return ["-" if x is None else str(x) for x in _header(p, via).values()]
 
 
 def render_plan(plan: AmalgamPlan) -> str:
-    p = plan.params
-    q, _ = color_counts(p)
-    head = (f"{p.m} {p.n} {p.r} {p.s} {p.lam} {q} {len(plan.e)}"
-            f" {plan.case.code} {plan.subcase or '-'} {plan.via}")
-    lines = [head]
+    q, _ = color_counts(plan.params)
+    lines = [" ".join(_header_fields(plan.params, plan.via))]
     for j in range(len(plan.e)):
         tier = "old" if j < q else "new"
         lines.append(f"{j + 1} {tier} {plan.e[j]} {plan.f[j]} {plan.g[j]} {plan.h[j]}")
@@ -292,31 +308,20 @@ def parse_plan(text: str) -> AmalgamPlan:
     head = lines[0].split()
     if len(head) != 10:
         raise FormatError(f"expected 10 header fields, got {len(head)}", 1)
-    try:
-        m, n, r, s, lam, q, k = (int(x) for x in head[:7])
-    except ValueError as exc:
-        raise FormatError(f"bad header: {exc}", 1) from exc
-    try:
-        case = AmalgamCase(head[7])
-    except ValueError as exc:
-        raise FormatError(f"unknown case code {head[7]!r}", 1) from exc
     via = head[9]
-    if via not in ("general", "fallback"):
+    if via not in PLANNING_PATHS:
         raise FormatError(f"unknown planning path {via!r}", 1)
     try:
-        p = EmbeddingParams(m, n, r, s, lam)
-        b = global_bounds(p)
-        want = (*color_counts(p), sign_case(b))
+        p = EmbeddingParams(*(int(x) for x in head[:5]))
+        want = _header_fields(p, via)
     except InputError as exc:
         raise FormatError(f"bad parameters: {exc}", 1) from exc
-    if (q, k, case) != want:
-        raise FormatError(f"header q k case {q} {k} {case.code} disagree with the"
-                          f" parameters ({want[0]} {want[1]} {want[2].code})", 1)
-    # only the general path has a subcase, the one its e-intervals fire
-    subcase = _e_intervals(b, case, totals(p)[0], q, k)[2] if via == "general" else None
-    if head[8] != (subcase or "-"):
-        raise FormatError(f"subcase {head[8]} disagrees with the parameters"
-                          f" ({subcase or '-'} on the {via} path)", 1)
+    except ValueError as exc:
+        raise FormatError(f"bad header: {exc}", 1) from exc
+    if head != want:
+        raise FormatError(f"header {' '.join(head)} disagrees with the parameters"
+                          f" ({' '.join(want)})", 1)
+    q, k = int(head[5]), int(head[6])
     rows = [(i, ln) for i, ln in enumerate(lines[1:], 2) if ln.strip()]
     if len(rows) != k:
         raise FormatError(f"expected {k} color rows, got {len(rows)}", len(lines))
@@ -338,16 +343,13 @@ def parse_plan(text: str) -> AmalgamPlan:
         f.append(f_j)
         g.append(g_j)
         h.append(h_j)
-    return AmalgamPlan(p, case, subcase, via, tuple(e), tuple(f), tuple(g), tuple(h))
+    return AmalgamPlan(p, via, tuple(e), tuple(f), tuple(g), tuple(h))
 
 
 def plan_to_json(plan: AmalgamPlan) -> str:
-    p = plan.params
-    q, _ = color_counts(p)
+    q, _ = color_counts(plan.params)
     doc = {
-        "m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam,
-        "q": q, "k": len(plan.e),
-        "case": plan.case.code, "subcase": plan.subcase, "via": plan.via,
+        **_header(plan.params, plan.via),
         "colors": [
             {"j": j + 1, "tier": "old" if j < q else "new",
              "e": plan.e[j], "f": plan.f[j], "g": plan.g[j], "h": plan.h[j]}

@@ -6,7 +6,9 @@ the only numeric slack is the stated wall-clock budget per criterion.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
+from hashlib import sha256
 from math import ceil, floor
 
 from quadembed.bounds import AmalgamCase, global_bounds, sign_case
@@ -27,11 +29,10 @@ from quadembed.params import (
     check_structural_facts,
 )
 from quadembed.planner import (
-    AmalgamPlan,
     _e_intervals,
     build_plan,
-    plan_e,
     plan_f,
+    render_plan,
     totals,
     verify_plan,
 )
@@ -130,8 +131,7 @@ def test_criterion_3_sporadic_table_reproduction():
         te, tf, tg, _ = totals(p)
         assert (te, tf, tg) == (e, f, g), row
 
-        case = sign_case(b)
-        _, subcase = plan_e(p, b)
+        case, subcase, entries = _e_intervals(p)
         code = f"{case.code}({subcase})" if subcase in ("i", "ii", "iii") \
             else case.code
         assert code == case_code, (row, code)
@@ -141,10 +141,7 @@ def test_criterion_3_sporadic_table_reproduction():
         assert len(old_vals) == q and len(new_vals) == k - q, row
         e_list = old_vals + new_vals
         assert sum(e_list) == e, row
-        iv1, iv2, _ = _e_intervals(b, case, e, q, k)
-        assert all(iv1[0] <= v and Fraction(v) <= iv1[1] for v in old_vals), row
-        if new_vals:
-            assert all(iv2[0] <= v and Fraction(v) <= iv2[1] for v in new_vals), row
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(e_list, entries)), row
         f_list = plan_f(p, e_list)  # raises if the follow-up system fails
         assert sum(f_list) == f, row
     _report("3 sporadic-table", time.perf_counter() - t0, 5.0,
@@ -287,6 +284,7 @@ def test_criterion_6_planner_completeness_desk_scale():
     t0 = time.perf_counter()
     eligible = out_of_scope = 0
     failures = []
+    rendered = sha256()  # every plan's text, in sweep order
     for p in sweep_params(n_hi=30, r_hi=12, s_hi=12, lam_hi=2):
         rep = check_conditions(p)
         if not rep.all_hold():
@@ -297,10 +295,14 @@ def test_criterion_6_planner_completeness_desk_scale():
             plan = build_plan(p, rep)
             if not verify_plan(p, plan):
                 failures.append((p, "verify_plan false"))
+            rendered.update(render_plan(plan).encode())
         except Exception as exc:  # noqa: BLE001 - collecting, not masking
             failures.append((p, repr(exc)))
     assert not failures, failures[:10]
     assert (eligible, out_of_scope) == (1783, 30)
+    # the planner's output, byte for byte
+    assert rendered.hexdigest() == \
+        "8e49066f2d857a667cad92b39e2552554510a458a3ab0e0028ffd9e572a23643"
     _report("6 planner-completeness", time.perf_counter() - t0, 600.0,
             f"{eligible} tuples planned, {out_of_scope} out of scope")
 
@@ -327,8 +329,7 @@ def test_criterion_8_negative_controls():
         for delta in (1, -1):
             f = list(plan.f)
             f[j] += delta
-            tampered = AmalgamPlan(p, plan.case, plan.subcase, plan.via,
-                                   plan.e, tuple(f), plan.g, plan.h)
+            tampered = replace(plan, f=tuple(f))
             assert not verify_plan(p, tampered), (j, delta)
 
     inner = read_factorization(FIXTURES / "intro_6.txt")

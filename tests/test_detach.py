@@ -1,6 +1,7 @@
 import importlib
 import time
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from hashlib import sha256
 from unittest import mock
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from quadembed.detach import detach, generate_base
 from quadembed.errors import InputError
 from quadembed.factorization import (
-    crossing_profile,
     is_valid_factorization,
     render_factorization,
     verify_certificate,
@@ -73,10 +73,11 @@ def test_detach_small_instance():
     plan = build_plan(p)
     cert = detach(p, base, plan)
     assert verify_certificate(cert)
-    # per-class shapes match the plan exactly
+    # per-class shapes match the plan exactly: blocks with 3, 2, 1, 0 old vertices
     for j, cls in enumerate(cert.outer.classes):
         crossing = [b for b in cls if b[3] > 6]
-        assert crossing_profile(crossing, 6) == \
+        shapes = Counter(sum(v <= 6 for v in b) for b in crossing)
+        assert (shapes[3], shapes[2], shapes[1], shapes[0]) == \
             (plan.e[j], plan.f[j], plan.g[j], plan.h[j])
 
 
@@ -84,17 +85,15 @@ def test_detach_round_trip_amalgam_totals():
     p = EmbeddingParams(5, 8, 4, 5, 1)
     cert = detach(p, generate_base(5, 4, 1), build_plan(p))
     crossing = [b for cls in cert.outer.classes for b in cls if b[3] > 5]
-    e, f, g, h = totals(p)
-    assert crossing_profile(crossing, 5) == (e, f, g, h)
+    shapes = Counter(sum(v <= 5 for v in b) for b in crossing)
+    assert (shapes[3], shapes[2], shapes[1], shapes[0]) == totals(p)
 
 
 def test_detach_rejects_broken_plan():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     base = generate_base(6, 2, 1)
     plan = build_plan(p)
-    bad = plan.__class__(p, plan.case, plan.subcase, plan.via,
-                         plan.e, (plan.f[0] + 1,) + plan.f[1:],
-                         plan.g, plan.h)
+    bad = replace(plan, f=(plan.f[0] + 1,) + plan.f[1:])
     with pytest.raises(InputError):
         detach(p, base, bad)
 

@@ -11,7 +11,6 @@ from quadembed.factorization import (
     EmbeddingCertificate,
     Factorization,
     certificate_issues,
-    crossing_profile,
     factorization_issues,
     is_valid_factorization,
     parse_factorization,
@@ -179,12 +178,6 @@ def test_certificate_swap_between_classes_fails():
     classes[0][0], classes[5][0] = classes[5][0], classes[0][0]
     tampered = Factorization(8, 1, 5, classes)
     assert not verify_certificate(EmbeddingCertificate(inner=f6, outer=tampered))
-
-
-def test_crossing_profile():
-    blocks = [(1, 2, 3, 7), (1, 2, 7, 8), (1, 6, 7, 8), (5, 6, 7, 8), (1, 2, 3, 4)]
-    assert crossing_profile(blocks, 4) == (1, 1, 1, 1)
-    assert crossing_profile(blocks, 6) == (1, 3, 0, 0)
 
 
 @st.composite

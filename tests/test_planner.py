@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from functools import cache
 from itertools import combinations_with_replacement
 from math import floor
@@ -40,19 +41,18 @@ def test_totals_examples():
 
 def test_plan_e_examples():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    e_list, subcase = plan_e(p)
+    e_list = plan_e(p)
     assert Counter(e_list[:5]) == {4: 5} and Counter(e_list[5:]) == {10: 2}
-    assert subcase is None
+    assert build_plan(p).subcase is None
 
     p = EmbeddingParams(8, 16, 1, 1, 1)
-    e_list, subcase = plan_e(p)
+    e_list = plan_e(p)
     assert Counter(e_list[:35]) == {0: 35}
     assert Counter(e_list[35:]) == {0: 196, 2: 224}
-    assert subcase == "i"
+    assert build_plan(p).subcase == "i"
 
     p = EmbeddingParams(5, 8, 4, 5, 1)
-    e_list, _ = plan_e(p)
-    assert e_list == [0] + [5] * 6
+    assert plan_e(p) == [0] + [5] * 6
 
 
 def test_plan_f_forced_example():
@@ -93,17 +93,14 @@ def test_verify_plan_catches_perturbation():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     plan = build_plan(p)
     assert verify_plan(p, plan)
-    bumped = plan.__class__(p, plan.case, plan.subcase, plan.via,
-                            plan.e, (plan.f[0] + 1,) + plan.f[1:],
-                            plan.g, plan.h)
+    bumped = replace(plan, f=(plan.f[0] + 1,) + plan.f[1:])
     assert not verify_plan(p, bumped)
 
 
 def test_verify_plan_rejects_negative_entries():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     plan = build_plan(p)
-    bad = plan.__class__(p, plan.case, plan.subcase, plan.via,
-                         (-1,) + plan.e[1:], plan.f, plan.g, plan.h)
+    bad = replace(plan, e=(-1,) + plan.e[1:])
     assert not verify_plan(p, bad)
 
 
@@ -307,8 +304,16 @@ def test_sporadic_registry_rows_are_consistent():
         assert sum(e_list) == totals(p)[0]
         # every registered multiset admits a feasible follow-up system
         f_list = plan_f(p, e_list)
-        plan = extend_plan(p, e_list, f_list, via="sporadic")
-        assert verify_plan(p, plan)
+        assert verify_plan(p, extend_plan(p, e_list, f_list))
+
+
+def test_extend_plan_rejects_unknown_path():
+    # parse_plan reads only these paths, so no other may be rendered
+    p = EmbeddingParams(5, 8, 4, 5, 1)
+    old_vals, new_vals = sporadic.lookup(5, 8, 4, 5)
+    e_list = old_vals + new_vals
+    with pytest.raises(InputError, match="unknown planning path 'sporadic'"):
+        extend_plan(p, e_list, plan_f(p, e_list), via="sporadic")
 
 
 def test_parse_multiset():
@@ -318,11 +323,26 @@ def test_parse_multiset():
         sporadic.parse_multiset("")
 
 
+# one tuple for each (case, subcase, path) that plans in the desk box
+ROUND_TRIP = {
+    ("5.1", None, "general"): (5, 21, 4, 12, 1),
+    ("5.2", None, "general"): (6, 8, 2, 5, 1),
+    ("5.3", None, "general"): (5, 8, 4, 5, 1),
+    ("5.4", None, "general"): (7, 12, 4, 5, 1),
+    ("5.5", "i", "general"): (5, 11, 4, 12, 1),
+    ("5.5", "ii", "general"): (8, 30, 1, 12, 2),
+    ("5.5", "iii", "general"): (8, 29, 1, 12, 1),
+    ("5.6", "i", "general"): (8, 16, 1, 1, 1),
+    ("5.6", "ii", "general"): (5, 19, 4, 12, 1),
+    ("5.6", "iii", "general"): (6, 22, 2, 10, 1),
+    ("5.2", None, "fallback"): (12, 16, 1, 2, 2),
+}
+
+
 def test_plan_round_trip_text():
-    for tup in [(6, 8, 2, 5, 1), (5, 8, 4, 5, 1), (6, 8, 2, 7, 1), (8, 16, 1, 1, 1),
-                (12, 16, 1, 2, 2)]:  # subcase "i"; the fallback path
-        p = EmbeddingParams(*tup)
-        plan = build_plan(p)
+    for (case, subcase, via), tup in ROUND_TRIP.items():
+        plan = build_plan(EmbeddingParams(*tup))
+        assert (plan.case.code, plan.subcase, plan.via) == (case, subcase, via), tup
         again = parse_plan(render_plan(plan))
         assert again == plan
         assert render_plan(again) == render_plan(plan)
@@ -341,6 +361,7 @@ def test_plan_round_trip_text():
     ("6 8 2 5 1 5 7", "6 8 2 1 1 5 7", 1),       # s < r: no bounds exist
     ("5.2 - general", "5.2 i general", 1),       # subcase the general path never takes
     ("5.2 - general", "5.2 - zz", 1),            # unknown planning path
+    ("6 8 2 5 1 5 7", "6 8 2 5 1 05 7", 1),      # header differs from its rendering
 ])
 def test_parse_plan_bad_fields_raise_format_error(old, new, line):
     text = render_plan(build_plan(EmbeddingParams(6, 8, 2, 5, 1)))
@@ -373,11 +394,10 @@ def test_plan_json_shape():
 def test_case_code_with_subcase():
     plan = build_plan(EmbeddingParams(8, 16, 1, 1, 1))
     assert plan.case is AmalgamCase.OLD_PINNED_THRESHOLD
-    assert plan.case_code == "5.6(i)"
+    assert plan.subcase == "i"
 
 
 def test_threshold_subcase_iii_pins_iota_to_units():
-    from quadembed.bounds import sign_case
     from quadembed.params import TheoremCase
     from conftest import sweep_params
 
@@ -386,13 +406,10 @@ def test_threshold_subcase_iii_pins_iota_to_units():
         rep = check_conditions(p)
         if not rep.all_hold() or rep.theorem_case is TheoremCase.OUT_OF_SCOPE:
             continue
-        b = global_bounds(p)
-        case = sign_case(b)
-        if case not in found:
+        case, subcase, _ = planner._e_intervals(p)
+        if case not in found or subcase != "iii":
             continue
-        e_list, subcase = plan_e(p, b)
-        if subcase != "iii":
-            continue
+        e_list = plan_e(p)
         found[case] += 1
         q, _ = color_counts(p)
         for j, (e_j, (iota, _)) in enumerate(zip(e_list, per_color_bounds(p, e_list))):
