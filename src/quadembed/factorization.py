@@ -14,8 +14,26 @@ File format (line oriented, bit-exact round trip on the canonical form):
 A Factorization is immutable and checked once, on construction: every
 block becomes a sorted 4-subset of 1..ground_size and every class a sorted
 tuple of blocks, so parse(render(x)) == x and the issue finders below never
-meet a malformed block.  A bad block in a file is reported with the line of
-its class.
+meet a malformed block.  Vertices are integers in the sense of
+``operator.index``: a float, a Fraction or a string is rejected, even when
+its value is integral, and an ``int`` subclass such as ``bool`` is stored as
+a plain ``int``.
+
+The check runs one class at a time.  A class whose blocks are all tuples of
+four plain ``int`` vertices with 1 <= a < b < c < d <= ground_size, which is
+what the parser and the construction hand over, is only sorted; any other
+class goes block by block through ``_canonical_block``, which sorts each
+block, converts its vertices and words the error.
+
+The parser converts a class line chunk by chunk through one table from the
+labels "1".."N" to their integers.  N is at most ground_size and at most the
+largest v with 8 * C(v, 4) <= file length, since a cover of the 4-subsets of
+1..v takes that many characters; so the table is bounded by the file, and
+only by its fourth root, not by the header.  A line with any other token
+("05", "x", "3.5", a label above N) is converted again with ``int()`` per
+chunk, and a chunk that ``int()`` rejects is passed on as its list of
+tokens, which the class check rejects as a non-integer block.  Either way a
+bad block in a file is reported with the line of its class.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
 one on {1..n}.  It is valid when both factorizations are valid and
@@ -48,8 +66,8 @@ class BlockError(InputError):
 
 def _canonical_block(block, ground_size: int, index: int) -> Block:
     try:
-        b = tuple(sorted(map(int, block)))
-    except (TypeError, ValueError):
+        b = tuple(sorted(map(index_of, block)))
+    except TypeError:
         raise BlockError(index, f"non-integer vertex in block {block}") from None
     if len(b) == 4 and 1 <= b[0] < b[1] < b[2] < b[3] <= ground_size:
         return b
@@ -76,8 +94,17 @@ class Factorization:
         if n < 4 or lam < 1 or reg < 1:
             raise InputError("ground_size >= 4, lam >= 1, regularity >= 1 required")
         object.__setattr__(self, "classes", tuple(
-            tuple(sorted(_canonical_block(b, n, i) for b in cls))
-            for i, cls in enumerate(self.classes)))
+            _canonical_class(tuple(cls), n, i) for i, cls in enumerate(self.classes)))
+
+
+def _canonical_class(cls: tuple, ground_size: int, index: int) -> tuple[Block, ...]:
+    """Class ``index`` as a sorted tuple of sorted blocks; one pass shows
+    whether it is that already, up to the order of its blocks."""
+    if all(type(b) is tuple and len(b) == 4 and type(b[0]) is int
+           and type(b[1]) is int and type(b[2]) is int and type(b[3]) is int
+           and 1 <= b[0] < b[1] < b[2] < b[3] <= ground_size for b in cls):
+        return tuple(sorted(cls))
+    return tuple(sorted(_canonical_block(b, ground_size, index) for b in cls))
 
 
 def factorization_issues(fact: Factorization) -> list[str]:
@@ -90,9 +117,11 @@ def factorization_issues(fact: Factorization) -> list[str]:
     issues = []
     n, lam, reg = fact.ground_size, fact.lam, fact.regularity
     counts = Counter(chain.from_iterable(fact.classes))
-    covered = sum(min(count, lam) for count in counts.values())
+    # a block's multiplicity takes few values, so take min() once per value
+    covered = sum(min(count, lam) * blocks
+                  for count, blocks in Counter(counts.values()).items())
     missing = lam * binomial(n, 4) - covered
-    extra = sum(len(cls) for cls in fact.classes) - covered
+    extra = sum(map(len, fact.classes)) - covered
     if missing or extra:
         issues.append(f"not a {lam}-fold cover of all 4-subsets"
                       f" ({missing} missing, {extra} unexpected)")
@@ -109,8 +138,8 @@ def factorization_issues(fact: Factorization) -> list[str]:
             degrees[b] += 1
             degrees[c] += 1
             degrees[d] += 1
-        bad = [v for v in range(1, n + 1) if degrees[v] != reg]
-        if bad:
+        if degrees.count(reg) != n:  # degrees[0] stays 0 < reg
+            bad = [v for v in range(1, n + 1) if degrees[v] != reg]
             issues.append(f"class {i + 1}: vertices {bad} do not have degree {reg}")
     return issues
 
@@ -163,7 +192,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> bool:
 def render_factorization(fact: Factorization) -> str:
     lines = [f"{fact.ground_size} {fact.lam} {fact.regularity} {len(fact.classes)}"]
     for i, cls in enumerate(fact.classes):
-        body = ", ".join(" ".join(str(v) for v in block) for block in cls)
+        body = ", ".join(map("%d %d %d %d".__mod__, cls))
         lines.append(f"{i + 1}: {body}")
     return "\n".join(lines) + "\n"
 
@@ -183,6 +212,13 @@ def parse_factorization(text: str) -> Factorization:
     if len(rows) != count:
         raise FormatError(f"expected {count} class lines, found {len(rows)}",
                           len(lines))
+    # a file that covers the 4-subsets of 1..v names C(v, 4) blocks of at
+    # least 8 characters each, so a label above the last such v (or above
+    # the header's ground size) only appears in a file that is no cover
+    top = 0
+    while top < ground and 8 * binomial(top + 1, 4) <= len(text):
+        top += 1
+    label = {str(v): v for v in range(1, top + 1)}.__getitem__
     classes = []
     for expected, (lineno, ln) in enumerate(rows, start=1):
         prefix, _, body = ln.partition(":")
@@ -192,16 +228,28 @@ def parse_factorization(text: str) -> Factorization:
             raise FormatError(f"bad class index {prefix!r}", lineno) from exc
         if idx != expected:
             raise FormatError(f"class index {idx}, expected {expected}", lineno)
-        # split lazily: Factorization converts each block as it is read,
-        # and rejects an empty entry as a block that is not a 4-subset
-        classes.append((chunk.split() for chunk in body.split(","))
-                       if body.strip() else ())
+        # a blank body is an empty class; an empty entry in a body is the
+        # block (), which Factorization rejects as not a 4-subset
+        chunks = body.split(",") if body.strip() else ()
+        try:
+            classes.append([tuple(map(label, c.split())) for c in chunks])
+        except KeyError:
+            classes.append([_int_block(c.split()) for c in chunks])
     try:
         return Factorization(ground, lam, reg, classes)
     except BlockError as exc:
         raise FormatError(str(exc), rows[exc.index][0]) from exc
     except InputError as exc:
         raise FormatError(str(exc), 1) from exc
+
+
+def _int_block(tokens: list[str]):
+    """A chunk's vertices converted with ``int()``; a chunk it rejects stays
+    a list of strings, which Factorization reports as non-integer."""
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        return tokens
 
 
 def write_factorization(fact: Factorization, path) -> None:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -6,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from quadembed import factorization
 from quadembed.errors import FormatError, InputError
 from quadembed.factorization import (
     EmbeddingCertificate,
@@ -41,6 +43,10 @@ def test_intro_nesting_certificates():
 def test_blocks_are_canonicalized():
     fact = Factorization(6, 1, 1, [[(4, 3, 2, 1), (6, 5, 2, 1)]])
     assert fact.classes[0] == ((1, 2, 3, 4), (1, 2, 5, 6))
+    # an int subclass is stored as a plain int
+    fact = Factorization(6, 1, 1, [[(4, 3, 2, True)]])
+    assert fact.classes == (((1, 2, 3, 4),),)
+    assert {type(v) for v in fact.classes[0][0]} == {int}
 
 
 def test_factorization_is_immutable():
@@ -68,6 +74,52 @@ def test_rejects_non_integer_header_fields():
         with pytest.raises(InputError) as err:
             Factorization(*header, [[(1, 2, 3, 4)]])
         assert str(err.value) == "ground_size, lam and regularity must be integers"
+
+
+def test_rejects_non_integral_vertices():
+    # vertices go through operator.index, so an integral float, Fraction
+    # or string is rejected like a non-integral one
+    for vertex in (1.7, 2.0, Fraction(3), "3"):
+        block = (vertex, 4, 5, 6)
+        with pytest.raises(InputError) as err:
+            Factorization(6, 1, 1, [[(1, 2, 3, 4)], [block]])
+        assert str(err.value) == f"class 2: non-integer vertex in block {block}"
+
+
+def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
+    def per_block(*args):
+        raise AssertionError("_canonical_block called on a canonical class")
+
+    texts = [(FIXTURES / f"intro_{level}.txt").read_text() for level in (6, 8, 9)]
+    facts = [parse_factorization(text) for text in texts]
+    monkeypatch.setattr(factorization, "_canonical_block", per_block)
+    assert [parse_factorization(text) for text in texts] == facts
+    assert [Factorization(f.ground_size, f.lam, f.regularity, f.classes)
+             for f in facts] == facts
+    with pytest.raises(AssertionError):
+        parse_factorization("6 1 1 1\n1: 2 1 3 4\n")
+
+
+def _parse_peak(text):
+    tracemalloc.start()
+    try:
+        return parse_factorization(text), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_memory_is_bounded_by_the_file():
+    # the header names 2,000,000 vertices; the 47-byte file names six
+    text = "2000000 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n"
+    assert len(text) == 47
+    fact, peak = _parse_peak(text)
+    assert fact.classes == (((1, 2, 3, 4),), ((1, 2, 3, 5),), ((1, 2, 3, 6),))
+    assert peak < 1_000_000
+    # 200 kB that name no vertex: a label table as long as the file would
+    # take about 27 MB
+    fact, peak = _parse_peak("1000000000 1 1 1\n1:" + " " * 200_000 + "\n")
+    assert fact.classes == ((),)
+    assert peak < 1_000_000
 
 
 def test_factorization_issues_reports_defects():
@@ -195,4 +247,50 @@ def factorizations(draw):
 
 @given(factorizations())
 def test_round_trip_random_structures(fact):
+    assert parse_factorization(render_factorization(fact)) == fact
+
+
+@st.composite
+def respellings(draw):
+    """A random factorization and a text of the same meaning that the
+    renderer would not write: blanks and tabs around tokens, zero-padded
+    labels, vertices and blocks shuffled, blank lines between classes."""
+    fact = draw(factorizations())
+    space = st.text(" \t", max_size=2)
+    lines = [" ".join([draw(space) + field for field in (
+        str(fact.ground_size), str(fact.lam), str(fact.regularity),
+        str(len(fact.classes)))])]
+    for i, cls in enumerate(fact.classes):
+        chunks = []
+        for block in draw(st.permutations(cls)):
+            labels = [draw(st.sampled_from(["", "0", "00"])) + str(v)
+                      for v in draw(st.permutations(block))]
+            chunks.append(draw(space) + " ".join(labels) + draw(space))
+        lines += [draw(space)] * draw(st.integers(0, 2))
+        lines.append(f"{draw(space)}{i + 1}:{draw(space)}" + ",".join(chunks))
+    return fact, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@given(respellings())
+def test_parse_ignores_spelling(item):
+    fact, text = item
+    assert parse_factorization(text) == fact
+
+
+def _splice(fact, at, cut, insert):
+    text = render_factorization(fact)
+    return text[:at] + insert + text[at + cut:]
+
+
+NEAR_FORMAT = "0123456789 \t\n,:-x."
+
+
+@given(st.one_of(st.text(), st.text(NEAR_FORMAT, max_size=80),
+                 st.builds(_splice, factorizations(), st.integers(0, 200),
+                           st.integers(0, 3), st.text(NEAR_FORMAT, max_size=3))))
+def test_parse_raises_only_format_error(text):
+    try:
+        fact = parse_factorization(text)
+    except FormatError:
+        return
     assert parse_factorization(render_factorization(fact)) == fact
