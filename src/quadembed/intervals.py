@@ -3,45 +3,45 @@
 The feasibility criterion is an averaging argument: writing
 I = {i : a_i >= 0}, the system has a solution iff
 
-    sum_{i in I} a_i  <=  c  <=  sum_i floor(b_i).
+    sum_{i in I} a_i  <=  c  <=  sum_i b_i.
 
-``solve`` follows the constructive proof: start at x_i = a_i on I and 0
-elsewhere, then raise entries toward floor(b_i) in ascending index order
-until the sum reaches c.  Ascending order is an arbitrary deterministic
-choice; it makes planner output reproducible.
+Every bound is an ``int``; a caller with a rational upper bound floors it
+first (an integer x_i <= b_i exactly when x_i <= floor(b_i)).
 
-Upper bounds may be given as exact rationals; an integer x_i satisfies
-x_i <= b_i exactly when x_i <= floor(b_i), so each b_i is floored once, at
-construction, and the system is integer from then on.
+``solve`` follows the constructive proof, and its fill decides feasibility:
+start at x_i = max(a_i, 0), then raise entries toward b_i in ascending index
+order until the sum reaches c.  A start above c, or a shortfall left once
+every entry is at b_i, means no solution.  Ascending order is an arbitrary
+deterministic choice; it makes planner output reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
 
 from .errors import InputError
 
 
 @dataclass(frozen=True)
 class IntervalSystem:
-    """Target c plus entries (a_i, b_i); requires c >= 0, b_i >= 0, a_i <= b_i."""
+    """Integer target c plus integer entries (a_i, b_i); c >= 0, b_i >= 0, a_i <= b_i."""
 
     target: int
-    entries: tuple[tuple[int, int], ...]  # (a_i, floor(b_i))
+    entries: tuple[tuple[int, int], ...]
 
     def __init__(self, target: int, entries):
-        norm = []
+        entries = tuple(entries)
         for i, (a, b) in enumerate(entries):
+            if type(a) is not int or type(b) is not int:
+                raise InputError(f"entry {i}: bounds ({a!r}, {b!r}) are not both int")
             if b < 0:
                 raise InputError(f"entry {i}: upper bound {b} is negative")
             if a > b:
                 raise InputError(f"entry {i}: lower bound {a} exceeds upper bound {b}")
-            norm.append((int(a), floor(b)))
-        if target < 0:
-            raise InputError(f"target must be nonnegative, got {target}")
-        object.__setattr__(self, "target", int(target))
-        object.__setattr__(self, "entries", tuple(norm))
+        if type(target) is not int or target < 0:
+            raise InputError(f"target must be a nonnegative int, got {target!r}")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "entries", entries)
 
     def lower_bound(self) -> int:
         return sum(a for a, _ in self.entries if a >= 0)
@@ -54,20 +54,17 @@ class IntervalSystem:
 
     def solve(self) -> list[int] | None:
         """A solution vector, or None when infeasible."""
-        if not self.feasible():
-            return None
         xs = [max(a, 0) for a, _ in self.entries]
         deficit = self.target - sum(xs)
+        if deficit < 0:
+            return None
         for i, (_, b) in enumerate(self.entries):
             if deficit == 0:
                 break
-            room = b - xs[i]
-            take = min(room, deficit)
+            take = min(b - xs[i], deficit)
             xs[i] += take
             deficit -= take
-        if deficit:
-            raise RuntimeError(f"interval solve left a deficit of {deficit}")
-        return xs
+        return None if deficit else xs
 
     def satisfied_by(self, xs) -> bool:
         """Check a candidate vector against all three constraint families."""

@@ -80,11 +80,11 @@ def totals(p: EmbeddingParams) -> tuple[int, int, int, int]:
 
 
 def _e_intervals(p: EmbeddingParams):
-    """(case, subcase, per-color integer (lo, hi)) of the e-system for p.
+    """(case, subcase, old, new): the integer interval (lo, hi) of each tier's e_j.
 
     The one place that knows the case discipline.  The threshold cases split
-    into subcases by comparing e with the floor/ceil threshold sums.  Raises
-    InputError when p has no bounds.
+    into subcases by comparing e with the floor/ceil threshold sums.  With no
+    new colors ``new`` is None.  Raises InputError when p has no bounds.
     """
     b = global_bounds(p)
     q, k = color_counts(p)
@@ -119,7 +119,7 @@ def _e_intervals(p: EmbeddingParams):
     # an integer e_j <= hi exactly when e_j <= floor(hi): floor once per tier;
     # with no new colors the tier-2 bounds are None and no color uses them
     old, new = [(lo, floor(hi)) if hi is not None else None for lo, hi in tiers]
-    return case, subcase, [old] * q + [new] * (k - q)
+    return case, subcase, old, new
 
 
 def _solve(target: int, entries, name: str, where: str = "") -> list[int]:
@@ -139,7 +139,9 @@ def _solve(target: int, entries, name: str, where: str = "") -> list[int]:
 
 def plan_e(p: EmbeddingParams) -> list[int]:
     """Choose per-color e_j inside the intervals of the case discipline."""
-    case, _, entries = _e_intervals(p)
+    case, _, old, new = _e_intervals(p)
+    q, k = color_counts(p)
+    entries = [old] * q + [new] * (k - q)
     return _solve(totals(p)[0], entries, "e-system", f" for case {case.code}")
 
 
@@ -282,7 +284,7 @@ def _header(p: EmbeddingParams, via: str) -> dict:
     Only the general path has a subcase: the one its e-intervals fire.
     """
     q, k = color_counts(p)
-    case, subcase, _ = _e_intervals(p)
+    case, subcase, _, _ = _e_intervals(p)
     return {"m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam, "q": q, "k": k,
             "case": case.code, "subcase": subcase if via == "general" else None,
             "via": via}

@@ -131,7 +131,7 @@ def test_criterion_3_sporadic_table_reproduction():
         te, tf, tg, _ = totals(p)
         assert (te, tf, tg) == (e, f, g), row
 
-        case, subcase, entries = _e_intervals(p)
+        case, subcase, old, new = _e_intervals(p)
         code = f"{case.code}({subcase})" if subcase in ("i", "ii", "iii") \
             else case.code
         assert code == case_code, (row, code)
@@ -141,7 +141,9 @@ def test_criterion_3_sporadic_table_reproduction():
         assert len(old_vals) == q and len(new_vals) == k - q, row
         e_list = old_vals + new_vals
         assert sum(e_list) == e, row
-        assert all(lo <= v <= hi for v, (lo, hi) in zip(e_list, entries)), row
+        # each tier's e-values inside that tier's interval (new is None when k = q)
+        for vals, tier in ((old_vals, old), (new_vals, new)):
+            assert all(tier[0] <= v <= tier[1] for v in vals), row
         f_list = plan_f(p, e_list)  # raises if the follow-up system fails
         assert sum(f_list) == f, row
     _report("3 sporadic-table", time.perf_counter() - t0, 5.0,
@@ -253,13 +255,12 @@ def test_criterion_5_interval_oracle_equivalence():
             a = rng.randint(-10, 10)
             den = rng.choice((1, 2, 3))
             b_num = rng.randint(max(a, 0) * den, 10 * den)
-            entries.append((a, Fraction(b_num, den)))
+            entries.append((a, floor(Fraction(b_num, den))))
         system = IntervalSystem(rng.randint(0, 30), entries)
 
         sums = {0}
-        for a, bb in system.entries:
-            lo, hi = max(a, 0), floor(bb)
-            sums = {t + x for t in sums for x in range(lo, hi + 1)
+        for a, b in system.entries:
+            sums = {t + x for t in sums for x in range(max(a, 0), b + 1)
                     if t + x <= system.target}
             if not sums:
                 break

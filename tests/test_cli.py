@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quadembed import cli
 from quadembed.cli import main
@@ -173,6 +175,39 @@ def test_verify_huge_header_with_small_classes(tmp_path, capsys):
     assert lines[1:] == [
         f"class {i}: 1 blocks cannot give all 2000000 vertices degree 1"
         " (needs 4 * blocks = 2000000)" for i in (1, 2, 3)]
+
+
+FILE_BYTES = [bytes([c]) for c in b"0123456789 \t\n\r:,-x"] + [b"\xc3\xa9", b"\xff", b"\x00"]
+
+
+@st.composite
+def mutated(draw, name):
+    """A fixture's bytes with a few spans cut or replaced, non-ASCII bytes included."""
+    data = (FIXTURES / name).read_bytes()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        insert = b"".join(draw(st.lists(st.sampled_from(FILE_BYTES), max_size=4)))
+        data = data[:at] + insert + data[at + draw(st.integers(0, 4)):]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(mutated("intro_9.txt"), mutated("intro_8.txt"), mutated("intro_6.txt"))
+def test_file_input_fuzz_exits_with_a_documented_code(fuzz_dir, outer, inner, base):
+    paths = {}
+    for name, data in (("outer", outer), ("inner", inner), ("base", base)):
+        paths[name] = fuzz_dir / f"{name}.txt"
+        paths[name].write_bytes(data)
+    runs = (["verify", str(paths["outer"])],
+            ["verify", str(paths["outer"]), "--base", str(paths["inner"])],
+            ["embed", "6", "8", "2", "5", "1", "--base", str(paths["base"])])
+    for argv in runs:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 3), argv
 
 
 def test_out_under_regular_file_is_input_error(tmp_path, capsys):

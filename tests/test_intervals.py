@@ -26,17 +26,17 @@ def test_forced_system_infeasible():
 
 
 def test_zero_target_all_slack():
-    sys = IntervalSystem(0, [(-3, 5), (-1, 0), (0, Fraction(7, 2))])
+    sys = IntervalSystem(0, [(-3, 5), (-1, 0), (0, 3)])
     assert sys.feasible()
     assert sys.solve() == [0, 0, 0]
 
 
-def test_solve_raises_when_its_check_fails(monkeypatch):
-    # an infeasible system that claims feasibility must not return a vector
-    sys = IntervalSystem(10, [(0, 2), (0, 3)])
-    monkeypatch.setattr(IntervalSystem, "feasible", lambda self: True)
-    with pytest.raises(RuntimeError, match="deficit"):
-        sys.solve()
+def test_fill_decides_both_ways():
+    # lower sum above the target: the starting fill already overshoots
+    assert IntervalSystem(5, [(3, 4), (-2, 1), (3, 3)]).solve() is None
+    # upper sum short of the target: a deficit is left at the top
+    assert IntervalSystem(8, [(0, 2), (-1, 3), (1, 2)]).solve() is None
+    assert IntervalSystem(7, [(0, 2), (-1, 3), (1, 2)]).solve() == [2, 3, 2]
 
 
 def test_constructor_validation():
@@ -48,11 +48,18 @@ def test_constructor_validation():
         IntervalSystem(-1, [(0, 2)])
 
 
-def test_fractional_upper_bounds_floored():
-    sys = IntervalSystem(4, [(0, Fraction(3, 2)), (0, Fraction(5, 2)), (0, Fraction(2, 3))])
-    assert sys.upper_bound() == 3
-    assert not sys.feasible()
-    assert IntervalSystem(3, sys.entries).feasible()
+@pytest.mark.parametrize("target, entries", [
+    (3, [(0, Fraction(7, 2))]),   # a rational upper bound is floored by the caller
+    (3, [(0, Fraction(4))]),      # even an integral Fraction
+    (3, [(Fraction(1), 4)]),
+    (3, [(0, 4.0)]),
+    (3, [(0, True)]),
+    (Fraction(3), [(0, 4)]),
+    (3.0, [(0, 4)]),
+])
+def test_non_int_bounds_raise(target, entries):
+    with pytest.raises(InputError, match="int"):
+        IntervalSystem(target, entries)
 
 
 def _random_system(rng: random.Random) -> IntervalSystem:
@@ -63,7 +70,7 @@ def _random_system(rng: random.Random) -> IntervalSystem:
         den = rng.choice((1, 2, 3))
         lo_num = max(a, 0) * den
         b = Fraction(rng.randint(lo_num, 10 * den), den)
-        entries.append((a, b))
+        entries.append((a, floor(b)))
     return IntervalSystem(rng.randint(0, 30), entries)
 
 
@@ -71,8 +78,7 @@ def oracle_feasible(sys: IntervalSystem) -> bool:
     """Exhaustive enumeration of reachable sums, independent of the criterion."""
     sums = {0}
     for a, b in sys.entries:
-        lo, hi = max(a, 0), floor(b)
-        sums = {t + x for t in sums for x in range(lo, hi + 1) if t + x <= sys.target}
+        sums = {t + x for t in sums for x in range(max(a, 0), b + 1) if t + x <= sys.target}
         if not sums:
             return False
     return sys.target in sums
@@ -100,7 +106,7 @@ def systems(draw):
         a = draw(st.integers(-10, 10))
         den = draw(st.sampled_from((1, 2, 3)))
         b_num = draw(st.integers(max(a, 0) * den, 10 * den))
-        entries.append((a, Fraction(b_num, den)))
+        entries.append((a, floor(Fraction(b_num, den))))
     return IntervalSystem(draw(st.integers(0, 30)), entries)
 
 
@@ -108,6 +114,7 @@ def systems(draw):
 def test_solve_matches_oracle(sys):
     assert sys.feasible() == oracle_feasible(sys)
     xs = sys.solve()
+    assert (xs is not None) == sys.feasible()
     if xs is not None:
         assert sys.satisfied_by(xs)
 

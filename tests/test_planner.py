@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -381,6 +382,65 @@ def test_parse_plan_rejects_relabelled_tiers():
     assert err.value.line == 1
 
 
+def test_parse_plan_memory_is_bounded_by_the_file():
+    # the 31-byte header names k = 10,507,399 colors and claims 0
+    text = "8 400 1 1 1 0 0 5.1 - fallback\n"
+    assert len(text) == 31
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            parse_plan(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 1 and "10507399" in str(err.value)
+    assert peak < 1_000_000
+
+
+@cache
+def _rendered_plans() -> tuple[str, ...]:
+    tuples = [(6, 8, 2, 5, 1), (8, 16, 1, 1, 1), (12, 16, 1, 2, 2), (5, 8, 4, 5, 1)]
+    return tuple(render_plan(build_plan(EmbeddingParams(*tup))) for tup in tuples)
+
+
+def _mutated_plan(which, at, cut, insert):
+    text = _rendered_plans()[which % len(_rendered_plans())]
+    at %= len(text) + 1
+    return text[:at] + insert + text[at + cut:]
+
+
+PLAN_ALPHABET = "0123456789 \t\n-.oldnewgarfbck5i"
+big_ints = st.one_of(st.integers(-5, 40), st.integers(-10**60, 10**60))
+
+
+@st.composite
+def big_headers(draw):
+    """Headers of large integers; some agree with their (m, n, 1, 1, 1)."""
+    via = draw(st.sampled_from(planner.PLANNING_PATHS))
+    fields = [str(draw(big_ints)) for _ in range(7)]
+    fields += [draw(st.sampled_from([c.code for c in AmalgamCase])),
+               draw(st.sampled_from(["-", "i", "ii", "iii"])), via]
+    if draw(st.booleans()):  # 4 | m and 4 | n: always admissible
+        m = 4 * draw(st.integers(2, 10**30))
+        n = m + 4 * draw(st.integers(1, 10**30))
+        fields = planner._header_fields(EmbeddingParams(m, n, 1, 1, 1), via)
+    rows = draw(st.lists(st.sampled_from(["1 old 0 0 0 0", "2 new 1 1 1 1", ""]),
+                         max_size=3))
+    return "\n".join([" ".join(fields)] + rows) + "\n"
+
+
+@given(st.one_of(st.text(), st.text(PLAN_ALPHABET, max_size=80),
+                 st.builds(_mutated_plan, st.integers(0, 3), st.integers(0, 400),
+                           st.integers(0, 4), st.text(PLAN_ALPHABET, max_size=4)),
+                 big_headers()))
+def test_parse_plan_raises_only_format_error(text):
+    try:
+        plan = parse_plan(text)
+    except FormatError:
+        return
+    assert parse_plan(render_plan(plan)) == plan
+
+
 def test_plan_json_shape():
     import json
     p = EmbeddingParams(6, 8, 2, 5, 1)
@@ -406,7 +466,7 @@ def test_threshold_subcase_iii_pins_iota_to_units():
         rep = check_conditions(p)
         if not rep.all_hold() or rep.theorem_case is TheoremCase.OUT_OF_SCOPE:
             continue
-        case, subcase, _ = planner._e_intervals(p)
+        case, subcase, _, _ = planner._e_intervals(p)
         if case not in found or subcase != "iii":
             continue
         e_list = plan_e(p)
