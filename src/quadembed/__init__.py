@@ -6,7 +6,7 @@ plan the extension color by color, and construct an explicit certificate.
 """
 
 from .bounds import AmalgamCase, BoundSet, global_bounds, per_color_bounds
-from .combinat import binomial, identity_a, identity_b, identity_c
+from .combinat import binomial
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (
@@ -19,7 +19,6 @@ from .factorization import (
     read_factorization,
     render_factorization,
     verify_certificate,
-    write_factorization,
 )
 from .intervals import IntervalSystem
 from .params import (
@@ -28,7 +27,6 @@ from .params import (
     TheoremCase,
     Verdict,
     check_conditions,
-    check_structural_facts,
     color_counts,
     is_admissible,
 )

@@ -252,11 +252,6 @@ def _int_block(tokens: list[str]):
         return tokens
 
 
-def write_factorization(fact: Factorization, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(render_factorization(fact))
-
-
 def read_factorization(path) -> Factorization:
     with open(path, encoding="ascii") as fh:
         return parse_factorization(fh.read())

@@ -234,21 +234,3 @@ def check_conditions(p: EmbeddingParams) -> ConditionReport:
     if v["N1"].holds:
         q, k = lam * bm // r, lam * bn // s
     return ConditionReport(params=p, verdicts=v, theorem_case=case, q=q, k=k)
-
-
-def check_structural_facts(p: EmbeddingParams) -> bool:
-    """Two facts about the boundary regime k = q; True unless a counterexample.
-
-    When k = q: if m(s-r) != 0 mod 3 then n >= m+2, and if n = m+2 then
-    s >= r+2.  Vacuously true for k > q or inadmissible tuples.  A False
-    return would indicate an implementation (or transcription) bug.
-    """
-    report = check_conditions(p)
-    if report.q is None or report.q != report.k:
-        return True
-    ok = True
-    if (p.m * (p.s - p.r)) % 3 != 0:
-        ok = ok and p.n >= p.m + 2
-    if p.n == p.m + 2:
-        ok = ok and p.s >= p.r + 2
-    return ok

@@ -332,10 +332,16 @@ def parse_plan(text: str) -> AmalgamPlan:
         parts = ln.split()
         if len(parts) != 6:
             raise FormatError(f"expected 6 fields, got {len(parts)}", lineno)
+        fields = parts[:1] + parts[2:]
         try:
-            j, e_j, f_j, g_j, h_j = (int(x) for x in parts[:1] + parts[2:])
+            j, e_j, f_j, g_j, h_j = nums = [int(x) for x in fields]
         except ValueError as exc:
             raise FormatError(f"bad color row: {exc}", lineno) from exc
+        # held to render_plan's spelling, like the header: no sign, zero pad,
+        # underscore or non-ASCII digit
+        if list(map(str, nums)) != fields:
+            raise FormatError(f"color row {' '.join(fields)} differs from its"
+                              " rendering", lineno)
         if j != offset + 1:
             raise FormatError(f"color index {j} out of order", lineno)
         want_tier = "old" if offset < q else "new"

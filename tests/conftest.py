@@ -16,6 +16,53 @@ from quadembed.params import EmbeddingParams
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+# Three counting identities of the paper, used as oracles for binomial:
+# each splits subsets of an n-set by how many points they share with a
+# fixed m-subset, so each must hold for every 1 <= m < n.
+
+def _require_pair(m: int, n: int) -> None:
+    assert 1 <= m < n, f"need 1 <= m < n, got m={m}, n={n}"
+
+
+def identity_a(m: int, n: int) -> bool:
+    """C(n,4) counted by the number of points a 4-subset shares with [m]."""
+    _require_pair(m, n)
+    lhs = binomial(n, 4)
+    rhs = (
+        binomial(m, 4)
+        + (n - m) * binomial(m, 3)
+        + binomial(m, 2) * binomial(n - m, 2)
+        + m * binomial(n - m, 3)
+        + binomial(n - m, 4)
+    )
+    return lhs == rhs
+
+
+def identity_b(m: int, n: int) -> bool:
+    """C(n-1,3) counted by the number of points a 3-subset shares with [m-1]."""
+    _require_pair(m, n)
+    lhs = binomial(n - 1, 3)
+    rhs = (
+        binomial(m - 1, 3)
+        + (n - m) * binomial(m - 1, 2)
+        + (m - 1) * binomial(n - m, 2)
+        + binomial(n - m, 3)
+    )
+    return lhs == rhs
+
+
+def identity_c(m: int, n: int) -> bool:
+    """Total degree of [m] over crossing 4-subsets, counted two ways."""
+    _require_pair(m, n)
+    lhs = m * (binomial(n - 1, 3) - binomial(m - 1, 3))
+    rhs = (
+        3 * (n - m) * binomial(m, 3)
+        + 2 * binomial(m, 2) * binomial(n - m, 2)
+        + m * binomial(n - m, 3)
+    )
+    return lhs == rhs
+
+
 def admissible_regularities(v: int, lam: int, hi: int) -> list[int]:
     return [
         r for r in range(1, hi + 1)

@@ -4,7 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s`.  Every tolerance is exact;
 the only numeric slack is the stated wall-clock budget per criterion.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +16,7 @@ from math import ceil, floor
 
 from quadembed.bounds import AmalgamCase, global_bounds, sign_case
 from quadembed.cli import main
-from quadembed.combinat import binomial, identity_a, identity_b, identity_c
+from quadembed.combinat import binomial
 from quadembed.factorization import (
     EmbeddingCertificate,
     Factorization,
@@ -22,22 +25,18 @@ from quadembed.factorization import (
     verify_certificate,
 )
 from quadembed.intervals import IntervalSystem
-from quadembed.params import (
-    EmbeddingParams,
-    TheoremCase,
-    check_conditions,
-    check_structural_facts,
-)
+from quadembed.params import EmbeddingParams, TheoremCase, check_conditions
 from quadembed.planner import (
     _e_intervals,
     build_plan,
+    extend_plan,
     plan_f,
     render_plan,
     totals,
     verify_plan,
 )
 
-from conftest import FIXTURES, sweep_params
+from conftest import FIXTURES, identity_a, identity_b, identity_c, sweep_params
 
 
 def _report(name: str, elapsed: float, budget: float, detail: str = ""):
@@ -110,9 +109,16 @@ SPORADIC_TABLE = [
 ]
 
 
-def test_criterion_3_sporadic_table_reproduction():
-    from quadembed.sporadic import parse_multiset
+def expand(spec):
+    """Exponent notation to values: "0^2,2^3" -> [0, 0, 2, 2, 2]; None -> []."""
+    values = []
+    for part in spec.split(",") if spec else ():
+        value, count = part.split("^")
+        values += [int(value)] * int(count)
+    return values
 
+
+def test_criterion_3_sporadic_table_reproduction():
     t0 = time.perf_counter()
     assert len(SPORADIC_TABLE) == 21
     for row in SPORADIC_TABLE:
@@ -136,8 +142,7 @@ def test_criterion_3_sporadic_table_reproduction():
             else case.code
         assert code == case_code, (row, code)
 
-        old_vals = parse_multiset(ej_old)
-        new_vals = parse_multiset(ej_new) if ej_new else []
+        old_vals, new_vals = expand(ej_old), expand(ej_new)
         assert len(old_vals) == q and len(new_vals) == k - q, row
         e_list = old_vals + new_vals
         assert sum(e_list) == e, row
@@ -146,8 +151,20 @@ def test_criterion_3_sporadic_table_reproduction():
             assert all(tier[0] <= v <= tier[1] for v in vals), row
         f_list = plan_f(p, e_list)  # raises if the follow-up system fails
         assert sum(f_list) == f, row
+        assert verify_plan(p, extend_plan(p, e_list, f_list)), row
     _report("3 sporadic-table", time.perf_counter() - t0, 5.0,
             f"{len(SPORADIC_TABLE)} rows")
+
+
+def test_sporadic_table_script_output():
+    # the script keeps its own registry and expander; its table is pinned bytewise
+    root = FIXTURES.parent
+    run = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_sporadic_table.py")],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert run.returncode == 0, run.stderr
+    assert sha256(run.stdout).hexdigest() == (
+        "8b163ef175fd879942767473819d880e3630d10149ecf93f781fbf5911e314a4")
 
 
 def test_criterion_4_lemma_property_suites():
@@ -197,8 +214,6 @@ def test_criterion_4_lemma_property_suites():
             if (m * (s - r)) % 3 != 0 and n < m + 2:
                 bad["facts"].append(tup)
             if n == m + 2 and s < r + 2:
-                bad["facts"].append(tup)
-            if not check_structural_facts(p):
                 bad["facts"].append(tup)
 
         rep = check_conditions(p)

@@ -64,9 +64,11 @@ def test_plan_exit_codes(capsys):
 
 
 def test_embed_then_verify(tmp_path, capsys):
-    cert_path = tmp_path / "cert.txt"
-    assert main(["embed", "6", "8", "2", "5", "1", "--out", str(cert_path)]) == 0
-    assert main(["verify", str(cert_path)]) == 0
+    # 8 9 5 8 1 is out of scope (s > r with n < 4m/3)
+    for tup in ("6 8 2 5 1", "8 9 5 8 1"):
+        cert_path = tmp_path / f"{tup}.txt"
+        assert main(["embed", *tup.split(), "--out", str(cert_path)]) == 0, tup
+        assert main(["verify", str(cert_path)]) == 0, tup
     capsys.readouterr()
 
 

@@ -1,8 +1,8 @@
-import pytest
 from hypothesis import given, strategies as st
 
-from quadembed.combinat import binomial, identity_a, identity_b, identity_c
-from quadembed.errors import InputError
+from quadembed.combinat import binomial
+
+from conftest import identity_a, identity_b, identity_c
 
 
 def test_binomial_values():
@@ -57,11 +57,3 @@ def test_identities_exhaustive_to_100():
             assert identity_a(m, n)
             assert identity_b(m, n)
             assert identity_c(m, n)
-
-
-def test_identity_rejects_bad_pair():
-    with pytest.raises(InputError):
-        identity_a(5, 5)
-    with pytest.raises(InputError):
-        identity_b(0, 3)
-

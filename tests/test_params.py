@@ -12,7 +12,6 @@ from quadembed.params import (
     EmbeddingParams,
     TheoremCase,
     check_conditions,
-    check_structural_facts,
     color_counts,
     is_admissible,
 )
@@ -182,15 +181,6 @@ def test_check_conditions_deterministic():
     p = EmbeddingParams(9, 12, 4, 11, 1)
     r1, r2 = check_conditions(p), check_conditions(p)
     assert r1.verdicts == r2.verdicts and r1.theorem_case == r2.theorem_case
-
-
-def test_structural_facts():
-    # boundary tuple with k = q = 1, n = m + 2, s - r = 16
-    assert check_structural_facts(EmbeddingParams(5, 7, 4, 20, 1))
-    # k > q: vacuously true
-    assert check_structural_facts(EmbeddingParams(6, 8, 2, 5, 1))
-    for p in sweep_params(n_hi=30, r_hi=12, s_hi=12, lam_hi=1):
-        assert check_structural_facts(p)
 
 
 def test_report_text_and_json():

@@ -8,7 +8,7 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadembed import detach, generate_base, planner, sporadic, verify_certificate
+from quadembed import detach, generate_base, planner, verify_certificate
 from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds, tier_bounds
 from quadembed.errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions, color_counts
@@ -295,33 +295,12 @@ def test_extend_plan_raises_when_verification_fails(monkeypatch):
         extend_plan(EmbeddingParams(6, 8, 2, 5, 1), [4] * 5 + [10] * 2, [3] * 5 + [0] * 2)
 
 
-def test_sporadic_registry_rows_are_consistent():
-    for (m, n, r, s), _ in sporadic.REGISTRY.items():
-        p = EmbeddingParams(m, n, r, s, 1)
-        q, k = color_counts(p)
-        old_vals, new_vals = sporadic.lookup(m, n, r, s)
-        assert len(old_vals) == q and len(new_vals) == k - q
-        e_list = old_vals + new_vals
-        assert sum(e_list) == totals(p)[0]
-        # every registered multiset admits a feasible follow-up system
-        f_list = plan_f(p, e_list)
-        assert verify_plan(p, extend_plan(p, e_list, f_list))
-
-
 def test_extend_plan_rejects_unknown_path():
     # parse_plan reads only these paths, so no other may be rendered
     p = EmbeddingParams(5, 8, 4, 5, 1)
-    old_vals, new_vals = sporadic.lookup(5, 8, 4, 5)
-    e_list = old_vals + new_vals
+    e_list = [0] + [5] * 6
     with pytest.raises(InputError, match="unknown planning path 'sporadic'"):
         extend_plan(p, e_list, plan_f(p, e_list), via="sporadic")
-
-
-def test_parse_multiset():
-    assert sporadic.parse_multiset("0^2,2^3") == [0, 0, 2, 2, 2]
-    assert sporadic.parse_multiset("7") == [7]
-    with pytest.raises(InputError):
-        sporadic.parse_multiset("")
 
 
 # one tuple for each (case, subcase, path) that plans in the desk box
@@ -353,6 +332,10 @@ def test_plan_round_trip_text():
     ("5.2 - general", "9.9 - general", 1),       # unknown case code
     ("1 old 4 3 0 0", "1 old x 3 0 0", 2),       # non-integer e_j
     ("3 old 4 3 0 0", "3 old 4 3 0 0.5", 4),     # non-integer h_j
+    ("1 old 4 3 0 0", "+1 old 4 3 0 0", 2),      # color row differs from its rendering
+    ("1 old 4 3 0 0", "01 old 04 3 0 0", 2),
+    ("1 old 4 3 0 0", "1 old 0_4 3 0 0", 2),
+    ("1 old 4 3 0 0", "1 old 4 \u0663 0 0", 2),  # Arabic-Indic digit three
     ("7 new 10 0 0 0", "seven new 10 0 0 0", 8),  # non-integer color index
     ("6 8 2 5 1 5 7", "3 8 2 5 1 5 7", 1),       # excluded parameters (m < 4)
     ("5.2 - general", "5.5 - general", 1),       # case disagrees with the bounds
