@@ -3,10 +3,13 @@
 Given an r-factorization of the lam-fold complete 4-uniform system on m
 vertices, decide whether it extends to an s-factorization on n vertices,
 plan the extension color by color, and construct an explicit certificate.
+
+All arithmetic is exact (integers, ``math.comb``, ``fractions.Fraction``):
+the inequalities decided here are sharp at many boundary tuples, so
+floating point is banned everywhere.
 """
 
 from .bounds import AmalgamCase, BoundSet, global_bounds, per_color_bounds
-from .combinat import binomial
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (
@@ -34,7 +37,6 @@ from .planner import (
     AmalgamPlan,
     build_plan,
     extend_plan,
-    parse_plan,
     plan_e,
     plan_f,
     plan_to_json,

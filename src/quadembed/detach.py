@@ -68,8 +68,8 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from math import comb
 
-from .combinat import binomial
 from .errors import InputError
 from .factorization import (
     Block,
@@ -78,7 +78,7 @@ from .factorization import (
     is_valid_factorization,
     verify_certificate,
 )
-from .params import EmbeddingParams, color_counts, is_admissible
+from .params import EmbeddingParams, color_counts, integers, is_admissible
 from .planner import AmalgamPlan, verify_plan
 
 EdgeType = tuple[int, int, int]  # (detached-vertex bitmask, b, t)
@@ -223,13 +223,10 @@ def _vertex_order(vertices: range, rng: random.Random | None) -> list[int]:
 
 def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
     """An r-factorization of lam*K_m^4 by detaching m vertices from one amalgam."""
-    if m < 4:
-        raise InputError(f"m must be at least 4, got {m}")
-    if m == 4 and (r < 2 or lam < 2):
-        raise InputError("m = 4 requires lam >= 2 and r >= 2")
+    m, r, lam = integers((m, r, lam))
     if not is_admissible(m, r, lam):
         raise InputError(f"triple ({m}, {r}, {lam}) is not admissible")
-    q = lam * binomial(m - 1, 3) // r
+    q = lam * comb(m - 1, 3) // r
     classes = [{(0, 4, 0): r * m // 4} for _ in range(q)]
     rng = random.Random(seed) if seed else None
     for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):

@@ -2,7 +2,7 @@
 
 
 class InputError(ValueError):
-    """Parameters outside the supported domain (bad ranges, excluded tuples)."""
+    """Parameters outside the supported domain (non-integers, bad ranges, excluded tuples)."""
 
 
 class ConditionsFailed(InputError):
@@ -10,7 +10,7 @@ class ConditionsFailed(InputError):
 
 
 class FormatError(ValueError):
-    """Malformed plan/factorization file; carries a 1-based line number."""
+    """Malformed factorization file; carries a 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

@@ -17,7 +17,8 @@ tuple of blocks, so parse(render(x)) == x and the issue finders below never
 meet a malformed block.  Vertices are integers in the sense of
 ``operator.index``: a float, a Fraction or a string is rejected, even when
 its value is integral, and an ``int`` subclass such as ``bool`` is stored as
-a plain ``int``.
+a plain ``int``.  The three header fields are converted and stored the same
+way.
 
 The check runs one class at a time.  A class whose blocks are all tuples of
 four plain ``int`` vertices with 1 <= a < b < c < d <= ground_size, which is
@@ -47,9 +48,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 from operator import index as index_of
 
-from .combinat import binomial
 from .errors import FormatError, InputError
 
 Block = tuple[int, int, int, int]
@@ -93,8 +94,9 @@ class Factorization:
             raise InputError("ground_size, lam and regularity must be integers") from None
         if n < 4 or lam < 1 or reg < 1:
             raise InputError("ground_size >= 4, lam >= 1, regularity >= 1 required")
-        object.__setattr__(self, "classes", tuple(
-            _canonical_class(tuple(cls), n, i) for i, cls in enumerate(self.classes)))
+        classes = tuple(_canonical_class(tuple(c), n, i) for i, c in enumerate(self.classes))
+        for name, x in zip(self.__dataclass_fields__, (n, lam, reg, classes)):
+            object.__setattr__(self, name, x)
 
 
 def _canonical_class(cls: tuple, ground_size: int, index: int) -> tuple[Block, ...]:
@@ -120,7 +122,7 @@ def factorization_issues(fact: Factorization) -> list[str]:
     # a block's multiplicity takes few values, so take min() once per value
     covered = sum(min(count, lam) * blocks
                   for count, blocks in Counter(counts.values()).items())
-    missing = lam * binomial(n, 4) - covered
+    missing = lam * comb(n, 4) - covered
     extra = sum(map(len, fact.classes)) - covered
     if missing or extra:
         issues.append(f"not a {lam}-fold cover of all 4-subsets"
@@ -216,7 +218,7 @@ def parse_factorization(text: str) -> Factorization:
     # least 8 characters each, so a label above the last such v (or above
     # the header's ground size) only appears in a file that is no cover
     top = 0
-    while top < ground and 8 * binomial(top + 1, 4) <= len(text):
+    while top < ground and 8 * comb(top + 1, 4) <= len(text):
         top += 1
     label = {str(v): v for v in range(1, top + 1)}.__getitem__
     classes = []

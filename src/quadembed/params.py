@@ -23,8 +23,8 @@ used by the theorem statements are read off the N-verdicts:
 N8 is evaluated only in the boundary regime k = q with m(s-r) != 0 mod 3;
 elsewhere it is recorded as vacuously true.
 
-Inputs excluded up front (rejected, never attempted): m < 4, n <= m, and
-m = 4 with lam < 2 or r < 2.
+Inputs excluded up front (rejected, never attempted): a parameter that is
+not an integer, m < 4, n <= m, and m = 4 with lam < 2 or r < 2.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import index
 
-from .combinat import binomial
 from .errors import InputError
 
 CONDITION_IDS = ("N1", "N2", "N3", "N4", "N5", "N6", "N7", "N8")
@@ -62,7 +63,7 @@ class TheoremCase(enum.Enum):
 
 def _divisibility(m: int, r: int, lam: int) -> tuple[bool, bool]:
     """The two admissibility checks of (m, r, lam): 4 | rm, r | lam*C(m-1,3)."""
-    return (r * m) % 4 == 0, (lam * binomial(m - 1, 3)) % r == 0
+    return (r * m) % 4 == 0, (lam * comb(m - 1, 3)) % r == 0
 
 
 def is_admissible(m: int, r: int, lam: int) -> bool:
@@ -70,6 +71,20 @@ def is_admissible(m: int, r: int, lam: int) -> bool:
     if m < 4 or r < 1 or lam < 1:
         raise InputError(f"need m >= 4, r >= 1, lam >= 1, got ({m}, {r}, {lam})")
     return all(_divisibility(m, r, lam))
+
+
+def integers(values: tuple) -> tuple[int, ...]:
+    """``values`` as plain ints by ``operator.index``: a bool becomes 0 or 1,
+    and a float, Fraction or string raises InputError, even an integral one."""
+    for x in values:
+        if type(x) is not int:
+            break
+    else:
+        return values
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise InputError(f"parameters must be integers, got {values}") from None
 
 
 @dataclass(frozen=True)
@@ -83,7 +98,11 @@ class EmbeddingParams:
     lam: int
 
     def __post_init__(self):
-        m, n, r, s, lam = self.m, self.n, self.r, self.s, self.lam
+        given = (self.m, self.n, self.r, self.s, self.lam)
+        m, n, r, s, lam = values = integers(given)
+        if values is not given:  # store an int subclass such as bool as an int
+            for name, x in zip(self.__dataclass_fields__, values):
+                object.__setattr__(self, name, x)
         if m < 4:
             raise InputError(f"m must be at least 4, got {m}")
         if n <= m:
@@ -101,8 +120,8 @@ def color_counts(p: EmbeddingParams) -> tuple[int, int]:
         raise InputError(f"inner triple ({p.m}, {p.r}, {p.lam}) not admissible")
     if not is_admissible(p.n, p.s, p.lam):
         raise InputError(f"outer triple ({p.n}, {p.s}, {p.lam}) not admissible")
-    return (p.lam * binomial(p.m - 1, 3) // p.r,
-            p.lam * binomial(p.n - 1, 3) // p.s)
+    return (p.lam * comb(p.m - 1, 3) // p.r,
+            p.lam * comb(p.n - 1, 3) // p.s)
 
 
 @dataclass(frozen=True)
@@ -191,9 +210,9 @@ class ConditionReport:
 def check_conditions(p: EmbeddingParams) -> ConditionReport:
     """Evaluate N1-N8 and eq2-eq5 in integers; pure and deterministic."""
     m, n, r, s, lam = p.m, p.n, p.r, p.s, p.lam
-    bm = binomial(m - 1, 3)
-    bn = binomial(n - 1, 3)
-    cm3 = binomial(m, 3)
+    bm = comb(m - 1, 3)
+    bn = comb(n - 1, 3)
+    cm3 = comb(m, 3)
     # r*C(n-1,3) - s*C(m-1,3): the sign of k - q, and the scope
     gap = r * bn - s * bm
     v: dict[str, Verdict] = {}
@@ -206,14 +225,14 @@ def check_conditions(p: EmbeddingParams) -> ConditionReport:
     v["N4"] = _at_least(3 * s * n, m * (4 * s - r), 3 * s)
     v["N5"] = _at_least(3 * n, 4 * m, 3, active=r < s and gap > 0)
     v["N6"] = _at_least(2 * r * (n - m) * cm3, (2 * m - n) * gap, 2 * r)
-    n7 = 2 * (n - m) * cm3 + binomial(m, 2) * binomial(n - m, 2)
+    n7 = 2 * (n - m) * cm3 + comb(m, 2) * comb(n - m, 2)
     v["N7"] = _at_least(4 * r * n7, (4 * m - n) * gap, 4 * r)
     # k = q with t = m(s-r) mod 3 nonzero: C(n-1,3)/s <= f + g/t, where
     # f = C(m,2)C(n-m,2) and g = m*C(n-m,3)
     t = (m * (s - r)) % 3
     if gap == 0 and t:
         a = t * bn
-        b = s * (t * binomial(m, 2) * binomial(n - m, 2) + m * binomial(n - m, 3))
+        b = s * (t * comb(m, 2) * comb(n - m, 2) + m * comb(n - m, 3))
         v["N8"] = Verdict(a <= b, a, b, t * s)
     else:
         v["N8"] = Verdict(True, bn, 0, s, vacuous=True)

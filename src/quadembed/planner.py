@@ -34,11 +34,10 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from math import ceil, floor
+from math import ceil, comb, floor
 
 from .bounds import AmalgamCase, global_bounds, per_color_bounds, sign_case, tier_bounds
-from .combinat import binomial
-from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
+from .errors import ConditionsFailed, InputError, PlanInfeasible
 from .intervals import IntervalSystem
 from .params import ConditionReport, EmbeddingParams, check_conditions, color_counts
 
@@ -72,10 +71,10 @@ def totals(p: EmbeddingParams) -> tuple[int, int, int, int]:
     """Crossing-subset totals (e, f, g, h) by shape."""
     m, n, lam = p.m, p.n, p.lam
     return (
-        lam * (n - m) * binomial(m, 3),
-        lam * binomial(m, 2) * binomial(n - m, 2),
-        lam * m * binomial(n - m, 3),
-        lam * binomial(n - m, 4),
+        lam * (n - m) * comb(m, 3),
+        lam * comb(m, 2) * comb(n - m, 2),
+        lam * m * comb(n - m, 3),
+        lam * comb(n - m, 4),
     )
 
 
@@ -290,68 +289,14 @@ def _header(p: EmbeddingParams, via: str) -> dict:
             "via": via}
 
 
-def _header_fields(p: EmbeddingParams, via: str) -> list[str]:
-    return ["-" if x is None else str(x) for x in _header(p, via).values()]
-
-
 def render_plan(plan: AmalgamPlan) -> str:
     q, _ = color_counts(plan.params)
-    lines = [" ".join(_header_fields(plan.params, plan.via))]
+    header = _header(plan.params, plan.via).values()
+    lines = [" ".join("-" if x is None else str(x) for x in header)]
     for j in range(len(plan.e)):
         tier = "old" if j < q else "new"
         lines.append(f"{j + 1} {tier} {plan.e[j]} {plan.f[j]} {plan.g[j]} {plan.h[j]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_plan(text: str) -> AmalgamPlan:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty plan file", 1)
-    head = lines[0].split()
-    if len(head) != 10:
-        raise FormatError(f"expected 10 header fields, got {len(head)}", 1)
-    via = head[9]
-    if via not in PLANNING_PATHS:
-        raise FormatError(f"unknown planning path {via!r}", 1)
-    try:
-        p = EmbeddingParams(*(int(x) for x in head[:5]))
-        want = _header_fields(p, via)
-    except InputError as exc:
-        raise FormatError(f"bad parameters: {exc}", 1) from exc
-    except ValueError as exc:
-        raise FormatError(f"bad header: {exc}", 1) from exc
-    if head != want:
-        raise FormatError(f"header {' '.join(head)} disagrees with the parameters"
-                          f" ({' '.join(want)})", 1)
-    q, k = int(head[5]), int(head[6])
-    rows = [(i, ln) for i, ln in enumerate(lines[1:], 2) if ln.strip()]
-    if len(rows) != k:
-        raise FormatError(f"expected {k} color rows, got {len(rows)}", len(lines))
-    e, f, g, h = [], [], [], []
-    for offset, (lineno, ln) in enumerate(rows):
-        parts = ln.split()
-        if len(parts) != 6:
-            raise FormatError(f"expected 6 fields, got {len(parts)}", lineno)
-        fields = parts[:1] + parts[2:]
-        try:
-            j, e_j, f_j, g_j, h_j = nums = [int(x) for x in fields]
-        except ValueError as exc:
-            raise FormatError(f"bad color row: {exc}", lineno) from exc
-        # held to render_plan's spelling, like the header: no sign, zero pad,
-        # underscore or non-ASCII digit
-        if list(map(str, nums)) != fields:
-            raise FormatError(f"color row {' '.join(fields)} differs from its"
-                              " rendering", lineno)
-        if j != offset + 1:
-            raise FormatError(f"color index {j} out of order", lineno)
-        want_tier = "old" if offset < q else "new"
-        if parts[1] != want_tier:
-            raise FormatError(f"color {j} should be tier {want_tier}", lineno)
-        e.append(e_j)
-        f.append(f_j)
-        g.append(g_j)
-        h.append(h_j)
-    return AmalgamPlan(p, via, tuple(e), tuple(f), tuple(g), tuple(h))
 
 
 def plan_to_json(plan: AmalgamPlan) -> str:

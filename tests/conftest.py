@@ -1,3 +1,4 @@
+from math import comb
 from pathlib import Path
 
 from hypothesis import HealthCheck, settings
@@ -10,13 +11,12 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-from quadembed.combinat import binomial
 from quadembed.params import EmbeddingParams
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-# Three counting identities of the paper, used as oracles for binomial:
+# Three counting identities of the paper, used as oracles for math.comb:
 # each splits subsets of an n-set by how many points they share with a
 # fixed m-subset, so each must hold for every 1 <= m < n.
 
@@ -27,13 +27,13 @@ def _require_pair(m: int, n: int) -> None:
 def identity_a(m: int, n: int) -> bool:
     """C(n,4) counted by the number of points a 4-subset shares with [m]."""
     _require_pair(m, n)
-    lhs = binomial(n, 4)
+    lhs = comb(n, 4)
     rhs = (
-        binomial(m, 4)
-        + (n - m) * binomial(m, 3)
-        + binomial(m, 2) * binomial(n - m, 2)
-        + m * binomial(n - m, 3)
-        + binomial(n - m, 4)
+        comb(m, 4)
+        + (n - m) * comb(m, 3)
+        + comb(m, 2) * comb(n - m, 2)
+        + m * comb(n - m, 3)
+        + comb(n - m, 4)
     )
     return lhs == rhs
 
@@ -41,12 +41,12 @@ def identity_a(m: int, n: int) -> bool:
 def identity_b(m: int, n: int) -> bool:
     """C(n-1,3) counted by the number of points a 3-subset shares with [m-1]."""
     _require_pair(m, n)
-    lhs = binomial(n - 1, 3)
+    lhs = comb(n - 1, 3)
     rhs = (
-        binomial(m - 1, 3)
-        + (n - m) * binomial(m - 1, 2)
-        + (m - 1) * binomial(n - m, 2)
-        + binomial(n - m, 3)
+        comb(m - 1, 3)
+        + (n - m) * comb(m - 1, 2)
+        + (m - 1) * comb(n - m, 2)
+        + comb(n - m, 3)
     )
     return lhs == rhs
 
@@ -54,11 +54,11 @@ def identity_b(m: int, n: int) -> bool:
 def identity_c(m: int, n: int) -> bool:
     """Total degree of [m] over crossing 4-subsets, counted two ways."""
     _require_pair(m, n)
-    lhs = m * (binomial(n - 1, 3) - binomial(m - 1, 3))
+    lhs = m * (comb(n - 1, 3) - comb(m - 1, 3))
     rhs = (
-        3 * (n - m) * binomial(m, 3)
-        + 2 * binomial(m, 2) * binomial(n - m, 2)
-        + m * binomial(n - m, 3)
+        3 * (n - m) * comb(m, 3)
+        + 2 * comb(m, 2) * comb(n - m, 2)
+        + m * comb(n - m, 3)
     )
     return lhs == rhs
 
@@ -66,7 +66,7 @@ def identity_c(m: int, n: int) -> bool:
 def admissible_regularities(v: int, lam: int, hi: int) -> list[int]:
     return [
         r for r in range(1, hi + 1)
-        if (r * v) % 4 == 0 and (lam * binomial(v - 1, 3)) % r == 0
+        if (r * v) % 4 == 0 and (lam * comb(v - 1, 3)) % r == 0
     ]
 
 

@@ -12,11 +12,10 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 from hashlib import sha256
-from math import ceil, floor
+from math import ceil, comb, floor
 
-from quadembed.bounds import AmalgamCase, global_bounds, sign_case
+from quadembed.bounds import AmalgamCase, global_bounds, sign_case, tier_bounds
 from quadembed.cli import main
-from quadembed.combinat import binomial
 from quadembed.factorization import (
     EmbeddingCertificate,
     Factorization,
@@ -32,6 +31,7 @@ from quadembed.planner import (
     extend_plan,
     plan_f,
     render_plan,
+    solve_e,
     totals,
     verify_plan,
 )
@@ -180,15 +180,15 @@ def test_criterion_4_lemma_property_suites():
 
     # ratio-equality redundancy needs no admissibility at all
     for m in range(4, 60):
-        bm = binomial(m - 1, 3)
+        bm = comb(m - 1, 3)
         for n in range(m + 1, 61):
-            bn = binomial(n - 1, 3)
+            bn = comb(n - 1, 3)
             for r in range(1, 21):
                 for s in range(r + 1, 21):
                     if s * bm != r * bn:
                         continue
-                    fn = binomial(m, 2) * binomial(n - m, 2)
-                    gn = m * binomial(n - m, 3)
+                    fn = comb(m, 2) * comb(n - m, 2)
+                    gn = m * comb(n - m, 3)
                     residue = (m * (s - r)) % 3
                     if residue == 1 and not bn <= s * (fn + gn):
                         bad["N8-redundant"].append((m, n, r, s))
@@ -199,7 +199,7 @@ def test_criterion_4_lemma_property_suites():
     for p in sweep_params(n_hi=60, r_hi=20, s_hi=20, lam_hi=3):
         count += 1
         m, n, r, s = p.m, p.n, p.r, p.s
-        bm, bn = binomial(m - 1, 3), binomial(n - 1, 3)
+        bm, bn = comb(m - 1, 3), comb(n - 1, 3)
         tup = (m, n, r, s, p.lam)
 
         # N5 implies N4, in the k >= q regime the dichotomy argument lives in
@@ -334,6 +334,43 @@ def test_criterion_7_end_to_end_embeddings(tmp_path):
         outer = read_factorization(cert_path)
         assert is_valid_factorization(outer)
         _report(f"7 end-to-end {tup}", time.perf_counter() - t0, 600.0)
+
+
+def test_equal_regularity_matches_the_literature(tmp_path, capsys):
+    """lam = 1 and r = s: a plan exists exactly when n >= 2m.
+
+    At r = s the battery collapses.  N5 (active only for r < s) and N8
+    (active only when r*C(n-1,3) = s*C(m-1,3)) are vacuous; N2 and N4
+    (3sn >= m(4s - r), that is n >= m) hold; N3 reads n >= 2m; N6 holds
+    once n >= 2m, since its right side (2m - n)*gap is then <= 0.  N7 is
+    not reduced here: the scan shows it holds throughout n >= 2m.
+
+    As recalled, and not checked against the text (the repository holds
+    only the source paper's abstract): Bahmanian and Newman, Combinatorica
+    38 (2018) 1309-1335, prove that for lam = 1, under a gcd hypothesis on
+    m, n and 4, an r-factorization of K_m^4 extends to an r-factorization of
+    K_n^4 exactly when both triples are admissible and n >= 2m.  The scan
+    below covers every admissible tuple with m <= 40, n <= 120 and
+    r = s <= 12, inside that hypothesis or not, and three tuples at n = 2m
+    are embedded end to end.  A disagreement is a finding, not noise.
+    """
+    tuples = disagree = 0
+    for p in sweep_params(n_hi=120, r_hi=12, s_hi=12, lam_hi=1):
+        if p.m > 40 or p.r != p.s:
+            continue
+        tuples += 1
+        holds = check_conditions(p).all_hold()
+        found = solve_e(tier_bounds(p), *totals(p)[:2]) is not None
+        if holds != (p.n >= 2 * p.m) or found != (p.n >= 2 * p.m):
+            disagree += 1
+    assert (tuples, disagree) == (2458, 0)
+    # (m, r, n = 2m, the largest admissible n below 2m)
+    for m, r, n, below in ((5, 4, 10, 9), (8, 1, 16, 12), (9, 4, 18, 17)):
+        cert_path = tmp_path / f"cert_{m}_{n}_{r}.txt"
+        assert main(["embed", *map(str, (m, n, r, r, 1)), "--out", str(cert_path)]) == 0
+        assert main(["verify", str(cert_path)]) == 0
+        assert main(["embed", *map(str, (m, below, r, r, 1))]) == 1
+        assert capsys.readouterr().err.startswith("necessary conditions fail: N3")
 
 
 def test_criterion_8_negative_controls():

@@ -12,7 +12,7 @@ from quadembed import cli
 from quadembed.cli import main
 from quadembed.errors import PlanInfeasible
 from quadembed.factorization import read_factorization, verify_certificate, EmbeddingCertificate
-from quadembed.planner import parse_plan, verify_plan
+from quadembed.planner import build_plan, render_plan
 from quadembed.params import EmbeddingParams
 
 from conftest import FIXTURES
@@ -50,8 +50,7 @@ def test_bounds_output(capsys):
 def test_plan_to_file(tmp_path):
     out = tmp_path / "plan.txt"
     assert main(["plan", "6", "8", "2", "5", "1", "--out", str(out)]) == 0
-    plan = parse_plan(out.read_text())
-    assert verify_plan(EmbeddingParams(6, 8, 2, 5, 1), plan)
+    assert out.read_text() == render_plan(build_plan(EmbeddingParams(6, 8, 2, 5, 1)))
 
 
 def test_plan_exit_codes(capsys):
@@ -59,8 +58,7 @@ def test_plan_exit_codes(capsys):
         assert main([cmd, "7", "10", "4", "6", "1"]) == 1  # N6 fails
         assert capsys.readouterr().err == "necessary conditions fail: N6\n"
     assert main(["plan", "8", "9", "5", "8", "1"]) == 0   # out of scope
-    plan = parse_plan(capsys.readouterr().out)
-    assert verify_plan(EmbeddingParams(8, 9, 5, 8, 1), plan)
+    assert capsys.readouterr().out == render_plan(build_plan(EmbeddingParams(8, 9, 5, 8, 1)))
 
 
 def test_embed_then_verify(tmp_path, capsys):

@@ -58,7 +58,9 @@ def test_generate_base_multiplicity_copies():
 
 def test_generate_base_rejects_excluded_inputs():
     with pytest.raises(InputError):
-        generate_base(4, 4, 1)  # m = 4 with lam = 1 is excluded
+        generate_base(3, 1, 1)  # fewer than 4 points
+    with pytest.raises(InputError):
+        generate_base(4, 4, 1)  # 4 does not divide lam * C(3, 3) = 1
     with pytest.raises(InputError):
         generate_base(5, 2, 1)  # inadmissible
 

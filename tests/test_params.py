@@ -6,7 +6,9 @@ from itertools import chain
 import pytest
 
 from quadembed.cli import _sweep_row
+from quadembed.detach import generate_base
 from quadembed.errors import InputError
+from quadembed.factorization import Factorization, parse_factorization, render_factorization
 from quadembed.params import (
     CONDITION_IDS,
     EmbeddingParams,
@@ -51,6 +53,28 @@ def test_excluded_inputs_rejected():
         EmbeddingParams(6, 6, 2, 2, 1)
     with pytest.raises(InputError):
         EmbeddingParams(6, 8, 0, 2, 1)
+
+
+@pytest.mark.parametrize("spell", [float, lambda x: x + 0.5, Fraction, str],
+                         ids=["integral-float", "float", "Fraction", "str"])
+def test_non_integer_parameters_raise_input_error(spell):
+    tup = (6, 8, 2, 5, 1)
+    for i in range(5):
+        with pytest.raises(InputError, match="must be integers"):
+            EmbeddingParams(*tup[:i], spell(tup[i]), *tup[i + 1:])
+    with pytest.raises(InputError, match="must be integers"):
+        generate_base(6, 2, spell(1))
+
+
+def test_bool_parameters_are_stored_as_int():
+    p = EmbeddingParams(6, 8, 2, 5, True)
+    assert p == EmbeddingParams(6, 8, 2, 5, 1) and type(p.lam) is int
+    facts = [generate_base(6, 2, True), Factorization(4, True, True, [[(1, 2, 3, 4)]])]
+    for fact, header in zip(facts, ("6 1 2 5", "4 1 1 1")):
+        assert (type(fact.ground_size), type(fact.lam), type(fact.regularity)) == (int,) * 3
+        text = render_factorization(fact)
+        assert text.split("\n", 1)[0] == header
+        assert parse_factorization(text) == fact
 
 
 def test_remark_counterexample_n6():
