@@ -50,13 +50,13 @@ REGISTRY = {
 }
 
 
-def expand(spec):
-    """Exponent notation to values: "0^2,2^3" -> [0, 0, 2, 2, 2]; None -> []."""
-    values = []
+def spec_runs(spec):
+    """Exponent notation to runs (count, value): "0^2,2^3" -> [(2, 0), (3, 2)]; None -> []."""
+    runs = []
     for part in spec.split(",") if spec else ():
         value, count = part.split("^")
-        values += [int(value)] * int(count)
-    return values
+        runs.append((int(count), int(value)))
+    return runs
 
 
 def fmt(x):
@@ -80,11 +80,11 @@ def main() -> int:
         e, f, g, _h = totals(p)
         plan = build_plan(p, rep)
         code = f"{plan.case.code}({plan.subcase})" if plan.subcase else plan.case.code
-        old_vals, new_vals = expand(old_spec), expand(new_spec)
-        feasible = sum(old_vals + new_vals) == e
+        e_runs = spec_runs(old_spec) + spec_runs(new_spec)
+        feasible = sum(count * value for count, value in e_runs) == e
         if feasible:
             try:
-                plan_f(p, old_vals + new_vals)
+                plan_f(p, e_runs)
             except PlanInfeasible:
                 feasible = False
         failed = failed or not feasible

@@ -15,7 +15,8 @@ freedom for its {2 old, 2 new} count is the interval [iota_ij, rho_ij]:
 
 Both are affine in e_j: iota_ij = c_i - 2 e_j and 2 rho_ij = d_i - 3 e_j
 with c_1 = sm - sn/4 - 3rm/4, d_1 = sm - rm, c_2 = sm - sn/4, d_2 = sm
-(``tier_bounds``; ``per_color_bounds`` evaluates them on an e-list).
+(``tier_bounds``).  ``per_color_bounds`` evaluates them on runs (count, e_j)
+of equal e_j, once per run and tier, never once per color.
 Admissibility of both triples gives 4 | rm and 4 | sn, so c_i, d_i, iota1
 and iota2 are integers; only rho_ij, rho_i and rhop_i can be fractional,
 and every bound here is computed from (c_i, d_i).
@@ -106,15 +107,26 @@ def global_bounds(p: EmbeddingParams) -> BoundSet:
     return BoundSet(*old, 2 * c2 - d2, Fraction(d2, 3), Fraction(c2, 2))
 
 
-def per_color_bounds(p: EmbeddingParams, e_list: list[int]) -> list[tuple[int, int]]:
-    """(iota_ij, 2 rho_ij) for each e_j of ``e_list`` (q old colors, then k - q new)."""
+def per_color_bounds(p: EmbeddingParams, e_runs) -> list[tuple[int, int, int]]:
+    """(count, iota_ij, 2 rho_ij) for each run (count, e_j) of ``e_runs``.
+
+    The runs cover the q old colors, then the k - q new ones; a run that
+    crosses the tier boundary q comes out as two, and a run of count 0 as none.
+    """
     (q, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
-    if len(e_list) != q + new_colors:
-        raise InputError(f"expected {q + new_colors} e-values, got {len(e_list)}")
-    if any(e_j < 0 for e_j in e_list):
-        raise InputError(f"e_j must be nonnegative, got {min(e_list)}")
-    return ([(c1 - 2 * e_j, d1 - 3 * e_j) for e_j in e_list[:q]]
-            + [(c2 - 2 * e_j, d2 - 3 * e_j) for e_j in e_list[q:]])
+    out, start = [], 0
+    for count, e_j in e_runs:
+        if count < 0 or e_j < 0:
+            raise InputError(f"run ({count}, {e_j}): count and e_j must be nonnegative")
+        old = min(max(q - start, 0), count)
+        if old:
+            out.append((old, c1 - 2 * e_j, d1 - 3 * e_j))
+        if count > old:
+            out.append((count - old, c2 - 2 * e_j, d2 - 3 * e_j))
+        start += count
+    if start != q + new_colors:
+        raise InputError(f"expected {q + new_colors} e-values, got {start}")
+    return out
 
 
 def sign_case(b: BoundSet) -> AmalgamCase:

@@ -1,5 +1,10 @@
 """Integer interval-sum systems: nonnegative x_i with a_i <= x_i <= b_i, sum c.
 
+A system is held as runs (count, a, b): ``count`` consecutive entries that
+share the interval [a, b].  The planner's intervals take a few values per
+tier, so a system over k colors has a handful of runs, and every method
+here works per run; no method expands the runs to k entries.
+
 The feasibility criterion is an averaging argument: writing
 I = {i : a_i >= 0}, the system has a solution iff
 
@@ -12,7 +17,10 @@ first (an integer x_i <= b_i exactly when x_i <= floor(b_i)).
 start at x_i = max(a_i, 0), then raise entries toward b_i in ascending index
 order until the sum reaches c.  A start above c, or a shortfall left once
 every entry is at b_i, means no solution.  Ascending order is an arbitrary
-deterministic choice; it makes planner output reproducible.
+deterministic choice; it makes planner output reproducible.  Within a run
+of c entries the fill raises the first ones to b, at most one to a partial
+value, and leaves the rest at max(a, 0), so the solution is runs
+(count, x) too: each run of the system becomes at most three.
 """
 
 from __future__ import annotations
@@ -24,54 +32,51 @@ from .errors import InputError
 
 @dataclass(frozen=True)
 class IntervalSystem:
-    """Integer target c plus integer entries (a_i, b_i); c >= 0, b_i >= 0, a_i <= b_i."""
+    """Integer target c plus runs (count, a_i, b_i); c >= 0, count >= 0, b_i >= 0, a_i <= b_i."""
 
     target: int
-    entries: tuple[tuple[int, int], ...]
+    runs: tuple[tuple[int, int, int], ...]
 
-    def __init__(self, target: int, entries):
-        entries = tuple(entries)
-        for i, (a, b) in enumerate(entries):
-            if type(a) is not int or type(b) is not int:
-                raise InputError(f"entry {i}: bounds ({a!r}, {b!r}) are not both int")
+    def __init__(self, target: int, runs):
+        runs = tuple(runs)
+        for i, (count, a, b) in enumerate(runs):
+            if type(count) is not int or type(a) is not int or type(b) is not int:
+                raise InputError(f"run {i}: ({count!r}, {a!r}, {b!r}) are not all int")
+            if count < 0:
+                raise InputError(f"run {i}: count {count} is negative")
             if b < 0:
-                raise InputError(f"entry {i}: upper bound {b} is negative")
+                raise InputError(f"run {i}: upper bound {b} is negative")
             if a > b:
-                raise InputError(f"entry {i}: lower bound {a} exceeds upper bound {b}")
+                raise InputError(f"run {i}: lower bound {a} exceeds upper bound {b}")
         if type(target) is not int or target < 0:
             raise InputError(f"target must be a nonnegative int, got {target!r}")
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "runs", runs)
 
     def lower_bound(self) -> int:
-        return sum(a for a, _ in self.entries if a >= 0)
+        return sum(count * a for count, a, _ in self.runs if a >= 0)
 
     def upper_bound(self) -> int:
-        return sum(b for _, b in self.entries)
+        return sum(count * b for count, _, b in self.runs)
 
-    def feasible(self) -> bool:
-        return self.lower_bound() <= self.target <= self.upper_bound()
-
-    def solve(self) -> list[int] | None:
-        """A solution vector, or None when infeasible."""
-        xs = [max(a, 0) for a, _ in self.entries]
-        deficit = self.target - sum(xs)
+    def solve(self) -> list[tuple[int, int]] | None:
+        """A solution as runs (count, x) in entry order, or None when infeasible."""
+        deficit = self.target - self.lower_bound()
         if deficit < 0:
             return None
-        for i, (_, b) in enumerate(self.entries):
-            if deficit == 0:
-                break
-            take = min(b - xs[i], deficit)
-            xs[i] += take
-            deficit -= take
-        return None if deficit else xs
-
-    def satisfied_by(self, xs) -> bool:
-        """Check a candidate vector against all three constraint families."""
-        if len(xs) != len(self.entries):
-            return False
-        if any(x < 0 or x != int(x) for x in xs):
-            return False
-        if any(not (a <= x <= b) for x, (a, b) in zip(xs, self.entries)):
-            return False
-        return sum(xs) == self.target
+        xs = []
+        for count, a, b in self.runs:
+            a = max(a, 0)
+            room = b - a
+            if not deficit or not room:
+                xs.append((count, a))
+                continue
+            full, rem = divmod(deficit, room)
+            if full >= count:
+                xs.append((count, b))
+                deficit -= count * room
+            else:
+                part = 1 if rem else 0  # the entry left at a partial value, if any
+                xs += [(full, b), (part, a + rem), (count - full - part, a)]
+                deficit = 0
+        return None if deficit else [(count, x) for count, x in xs if count]

@@ -27,6 +27,14 @@ over the master range [max(iota_i, 0), floor(rho_i)], which holds the e_j of
 every plan: the f-system is feasible exactly when sum_j max(iota_ij, 0) <= f
 and at most K - 2f colors have 2 rho_ij odd, where K = sum_j 2 rho_ij is
 fixed by e (see ``solve_e``).
+
+Planning works on runs (count, value): ``count`` consecutive colors that
+share a value.  Each tier's e_j come from one interval, so the e-system has
+one run per tier, and each solve or bound evaluation turns a few runs into
+a few more.  ``plan_e``, ``plan_e_exact`` and ``plan_f`` return runs,
+``extend_plan`` forces g_j and h_j once per run, and only the finished
+``AmalgamPlan`` holds one entry per color.  ``verify_plan`` re-checks those
+k-long tuples independently of the runs that built them.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import ceil, comb, floor
 
 from .bounds import AmalgamCase, global_bounds, per_color_bounds, sign_case, tier_bounds
@@ -121,10 +130,10 @@ def _e_intervals(p: EmbeddingParams):
     return case, subcase, old, new
 
 
-def _solve(target: int, entries, name: str, where: str = "") -> list[int]:
+def _solve(target: int, runs, name: str, where: str = "") -> list[tuple[int, int]]:
     """Solve one interval system; a malformed or infeasible one is PlanInfeasible."""
     try:
-        system = IntervalSystem(target, entries)
+        system = IntervalSystem(target, runs)
     except InputError as exc:
         raise PlanInfeasible(f"{name} malformed{where}: {exc}") from exc
     xs = system.solve()
@@ -136,43 +145,64 @@ def _solve(target: int, entries, name: str, where: str = "") -> list[int]:
     return xs
 
 
-def plan_e(p: EmbeddingParams) -> list[int]:
-    """Choose per-color e_j inside the intervals of the case discipline."""
+def plan_e(p: EmbeddingParams) -> list[tuple[int, int]]:
+    """Runs (count, e_j) inside the intervals of the case discipline."""
     case, _, old, new = _e_intervals(p)
     q, k = color_counts(p)
-    entries = [old] * q + [new] * (k - q)
-    return _solve(totals(p)[0], entries, "e-system", f" for case {case.code}")
+    runs = [(q, *old)] + ([(k - q, *new)] if k > q else [])
+    return _solve(totals(p)[0], runs, "e-system", f" for case {case.code}")
 
 
-def plan_f(p: EmbeddingParams, e_list: list[int]) -> list[int]:
-    """Choose per-color f_j inside [iota_ij, rho_ij]; raises PlanInfeasible."""
-    entries = [(iota, two_rho // 2) for iota, two_rho in per_color_bounds(p, e_list)]
-    return _solve(totals(p)[1], entries, "f-system")
+def plan_f(p: EmbeddingParams, e_runs) -> list[tuple[int, int]]:
+    """Runs (count, f_j) inside [iota_ij, rho_ij]; raises PlanInfeasible."""
+    runs = [(count, iota, two_rho // 2) for count, iota, two_rho in per_color_bounds(p, e_runs)]
+    return _solve(totals(p)[1], runs, "f-system")
 
 
-def extend_plan(p: EmbeddingParams, e_list: list[int], f_list: list[int],
-                via: str = "general") -> AmalgamPlan:
-    """Force g_j and h_j from (e_j, f_j) and check every plan invariant."""
+def _expand(runs) -> tuple[int, ...]:
+    """One entry per color from runs (count, x); a count of 0 or less gives none."""
+    return tuple(chain.from_iterable(repeat(x, count) for count, x in runs))
+
+
+def extend_plan(p: EmbeddingParams, e_runs, f_runs, via: str = "general") -> AmalgamPlan:
+    """Force g_j and h_j from runs of e_j and f_j and check every plan invariant.
+
+    The two run lists may split the colors at different places; g_j and h_j
+    are forced once per piece of their common refinement.
+    """
     if via not in PLANNING_PATHS:
         raise InputError(f"unknown planning path {via!r}")
-    g_list, h_list = [], []
-    for e_j, f_j, (iota, two_rho) in zip(e_list, f_list, per_color_bounds(p, e_list)):
-        g_j = two_rho - 2 * f_j
-        h_j = f_j - iota
-        if g_j < 0:
-            raise InputError(f"f_j={f_j} above rho for e_j={e_j}")
-        if h_j < 0:
-            raise InputError(f"f_j={f_j} below iota for e_j={e_j}")
-        g_list.append(g_j)
-        h_list.append(h_j)
-    plan = AmalgamPlan(p, via, tuple(e_list), tuple(f_list), tuple(g_list), tuple(h_list))
+    g_runs, h_runs = [], []
+    f_iter, f_left = iter(f_runs), 0
+    for count, iota, two_rho in per_color_bounds(p, e_runs):
+        while count > 0:
+            while f_left <= 0:
+                run = next(f_iter, None)
+                if run is None:
+                    raise InputError("the f-runs cover fewer colors than the e-runs")
+                f_left, f_j = run
+            g_j, h_j = two_rho - 2 * f_j, f_j - iota
+            if g_j < 0:
+                raise InputError(f"f_j={f_j} above rho_ij={two_rho}/2")
+            if h_j < 0:
+                raise InputError(f"f_j={f_j} below iota_ij={iota}")
+            step = min(count, f_left)
+            g_runs.append((step, g_j))
+            h_runs.append((step, h_j))
+            count -= step
+            f_left -= step
+    plan = AmalgamPlan(p, via, *map(_expand, (e_runs, f_runs, g_runs, h_runs)))
     if not verify_plan(p, plan):
         raise InputError("constructed plan fails independent verification")
     return plan
 
 
 def verify_plan(p: EmbeddingParams, plan: AmalgamPlan) -> bool:
-    """Recompute the four totals and both degree laws from scratch."""
+    """Recompute the four totals and both degree laws from scratch.
+
+    Signs and degree laws are checked once per distinct (tier, e, f, g, h)
+    row; every color's row is among them.
+    """
     try:
         q, k = color_counts(p)
     except InputError:
@@ -180,15 +210,15 @@ def verify_plan(p: EmbeddingParams, plan: AmalgamPlan) -> bool:
     cols = (plan.e, plan.f, plan.g, plan.h)
     if any(len(col) != k for col in cols):
         return False
-    if any(x < 0 for col in cols for x in col):
-        return False
     if tuple(sum(col) for col in cols) != totals(p):
         return False
     m, n, r, s = p.m, p.n, p.r, p.s
-    for j in range(k):
-        e_j, f_j, g_j, h_j = plan.e[j], plan.f[j], plan.g[j], plan.h[j]
+    tiers = chain(repeat(False, q), repeat(True, k - q))
+    for new, e_j, f_j, g_j, h_j in set(zip(tiers, *cols)):
+        if min(e_j, f_j, g_j, h_j) < 0:
+            return False
         old_degree = 3 * e_j + 2 * f_j + g_j
-        if old_degree != (m * (s - r) if j < q else s * m):
+        if old_degree != (s * m if new else m * (s - r)):
             return False
         if e_j + 2 * f_j + 3 * g_j + 4 * h_j != s * (n - m):
             return False
@@ -217,12 +247,13 @@ def _tier_fit(count: int, c: int, d: int, total: int) -> _TierFit:
 
 
 def solve_e(tiers: list[tuple[int, int, int]], e_total: int, f_total: int):
-    """First e-list in the master range with a feasible f-system, or None.
+    """First e-list in the master range with a feasible f-system, as runs (count, e_j), or None.
 
     ``tiers`` holds (count, c, d) for the old and the new tier.  At a fixed
     tier sum, balanced values plus the fewest splits give the least lower sum
     for each odd count, so scanning the old-tier sum upwards and spending the
-    cheaper splits first is exact.  Each tier's values come out ascending.
+    cheaper splits first is exact.  Each tier's values come out ascending,
+    one run per distinct value.
     A negative new-tier count (k < q: no plan exists) raises InputError.
     """
     (n1, c1, d1), (n2, c2, d2) = tiers
@@ -240,16 +271,17 @@ def solve_e(tiers: list[tuple[int, int, int]], e_total: int, f_total: int):
             lower += take * fit.cost
             fit.values.update({fit.w: -2 * take, fit.w - 1: take, fit.w + 1: take})
         if need == 0 and lower <= f_total:
-            return [v for fit in fits for v in sorted(fit.values.elements())]
+            return [(count, v) for fit in fits
+                    for v, count in sorted(fit.values.items()) if count > 0]
     return None
 
 
-def plan_e_exact(p: EmbeddingParams) -> list[int]:
+def plan_e_exact(p: EmbeddingParams) -> list[tuple[int, int]]:
     """``solve_e`` over the master range of p; PlanInfeasible proves no plan exists."""
-    e_list = solve_e(tier_bounds(p), *totals(p)[:2])
-    if e_list is None:
+    e_runs = solve_e(tier_bounds(p), *totals(p)[:2])
+    if e_runs is None:
         raise PlanInfeasible("no e-multiset in the master range admits a feasible f-system")
-    return e_list
+    return e_runs
 
 
 def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
@@ -269,12 +301,12 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
     if not report.all_hold():
         raise ConditionsFailed("necessary conditions fail: " + ", ".join(report.failing()))
     try:
-        e_list, via = plan_e(p), "general"
-        f_list = plan_f(p, e_list)
+        e_runs, via = plan_e(p), "general"
+        f_runs = plan_f(p, e_runs)
     except PlanInfeasible:
-        e_list, via = plan_e_exact(p), "fallback"
-        f_list = plan_f(p, e_list)
-    return extend_plan(p, e_list, f_list, via)
+        e_runs, via = plan_e_exact(p), "fallback"
+        f_runs = plan_f(p, e_runs)
+    return extend_plan(p, e_runs, f_runs, via)
 
 
 def _header(p: EmbeddingParams, via: str) -> dict:

@@ -1,3 +1,4 @@
+from itertools import groupby
 from math import comb
 from pathlib import Path
 
@@ -84,3 +85,43 @@ def sweep_params(n_hi: int, r_hi: int, s_hi: int, lam_hi: int):
                         continue
                     for s in ss:
                         yield EmbeddingParams(m, n, r, s, lam)
+
+
+# Runs (count, *value): ``count`` consecutive entries sharing a value.  The
+# planner and IntervalSystem take and return runs; the tests write entries
+# out one by one and compare entry by entry.
+
+def runs(entries) -> list[tuple]:
+    """Entries to runs of equal consecutive entries; a tuple entry is spread."""
+    out = []
+    for value, group in groupby(entries):
+        count = sum(1 for _ in group)
+        out.append((count, *value) if isinstance(value, tuple) else (count, value))
+    return out
+
+
+def expand(runs) -> list:
+    """Runs to entries: a bare value for (count, x), a tuple for (count, a, b, ...)."""
+    out = []
+    for count, *value in runs:
+        out += [value[0] if len(value) == 1 else tuple(value)] * count
+    return out
+
+
+def feasible(system) -> bool:
+    """The averaging criterion over the expanded entries of an IntervalSystem."""
+    entries = expand(system.runs)
+    lower = sum(a for a, _ in entries if a >= 0)
+    return lower <= system.target <= sum(b for _, b in entries)
+
+
+def satisfied_by(system, x_runs) -> bool:
+    """Check a candidate solution, as runs, against all three constraint families."""
+    entries, xs = expand(system.runs), expand(x_runs)
+    if len(xs) != len(entries):
+        return False
+    if any(type(x) is not int or x < 0 for x in xs):
+        return False
+    if any(not (a <= x <= b) for x, (a, b) in zip(xs, entries)):
+        return False
+    return sum(xs) == system.target

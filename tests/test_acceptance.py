@@ -36,7 +36,17 @@ from quadembed.planner import (
     verify_plan,
 )
 
-from conftest import FIXTURES, identity_a, identity_b, identity_c, sweep_params
+from conftest import (
+    FIXTURES,
+    expand,
+    feasible,
+    identity_a,
+    identity_b,
+    identity_c,
+    runs,
+    satisfied_by,
+    sweep_params,
+)
 
 
 def _report(name: str, elapsed: float, budget: float, detail: str = ""):
@@ -109,13 +119,10 @@ SPORADIC_TABLE = [
 ]
 
 
-def expand(spec):
-    """Exponent notation to values: "0^2,2^3" -> [0, 0, 2, 2, 2]; None -> []."""
-    values = []
-    for part in spec.split(",") if spec else ():
-        value, count = part.split("^")
-        values += [int(value)] * int(count)
-    return values
+def spec_runs(spec):
+    """Exponent notation to runs (count, value): "0^2,2^3" -> [(2, 0), (3, 2)]; None -> []."""
+    return [(int(count), int(value))
+            for value, count in (part.split("^") for part in spec.split(","))] if spec else []
 
 
 def test_criterion_3_sporadic_table_reproduction():
@@ -142,22 +149,23 @@ def test_criterion_3_sporadic_table_reproduction():
             else case.code
         assert code == case_code, (row, code)
 
-        old_vals, new_vals = expand(ej_old), expand(ej_new)
+        old_runs, new_runs = spec_runs(ej_old), spec_runs(ej_new)
+        old_vals, new_vals = expand(old_runs), expand(new_runs)
         assert len(old_vals) == q and len(new_vals) == k - q, row
         e_list = old_vals + new_vals
         assert sum(e_list) == e, row
         # each tier's e-values inside that tier's interval (new is None when k = q)
         for vals, tier in ((old_vals, old), (new_vals, new)):
             assert all(tier[0] <= v <= tier[1] for v in vals), row
-        f_list = plan_f(p, e_list)  # raises if the follow-up system fails
-        assert sum(f_list) == f, row
-        assert verify_plan(p, extend_plan(p, e_list, f_list)), row
+        f_runs = plan_f(p, old_runs + new_runs)  # raises if the follow-up system fails
+        assert sum(expand(f_runs)) == f, row
+        assert verify_plan(p, extend_plan(p, old_runs + new_runs, f_runs)), row
     _report("3 sporadic-table", time.perf_counter() - t0, 5.0,
             f"{len(SPORADIC_TABLE)} rows")
 
 
 def test_sporadic_table_script_output():
-    # the script keeps its own registry and expander; its table is pinned bytewise
+    # the script keeps its own registry and spec parser; its table is pinned bytewise
     root = FIXTURES.parent
     run = subprocess.run(
         [sys.executable, str(root / "scripts" / "reproduce_sporadic_table.py")],
@@ -271,22 +279,22 @@ def test_criterion_5_interval_oracle_equivalence():
             den = rng.choice((1, 2, 3))
             b_num = rng.randint(max(a, 0) * den, 10 * den)
             entries.append((a, floor(Fraction(b_num, den))))
-        system = IntervalSystem(rng.randint(0, 30), entries)
+        system = IntervalSystem(rng.randint(0, 30), runs(entries))
 
         sums = {0}
-        for a, b in system.entries:
+        for a, b in entries:
             sums = {t + x for t in sums for x in range(max(a, 0), b + 1)
                     if t + x <= system.target}
             if not sums:
                 break
         oracle = system.target in sums
 
-        assert system.feasible() == oracle
+        assert feasible(system) == oracle
         xs = system.solve()
         assert (xs is not None) == oracle
         if xs is not None:
             feasible_seen += 1
-            assert system.satisfied_by(xs)
+            assert satisfied_by(system, xs)
         else:
             infeasible_seen += 1
     assert feasible_seen and infeasible_seen

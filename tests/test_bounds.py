@@ -7,7 +7,7 @@ from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds, sign_
 from quadembed.errors import InputError
 from quadembed.params import EmbeddingParams, TheoremCase, check_conditions, color_counts
 
-from conftest import sweep_params
+from conftest import expand, runs, sweep_params
 
 
 def _floors(p):
@@ -42,14 +42,14 @@ def test_global_bounds_rejects_bad_input():
     # would make iota integral: (8, 10, 2, 4, 1) has 2 not dividing C(9, 3)
     for p in (EmbeddingParams(5, 8, 2, 5, 1), EmbeddingParams(8, 10, 2, 4, 1)):
         with pytest.raises(InputError, match="not admissible"):
-            per_color_bounds(p, [0])
+            per_color_bounds(p, runs([0]))
 
 
 def test_per_color_bounds_examples():
     # (iota_ij, 2 rho_ij) per color: the old tier first, then the new one
-    bounds = per_color_bounds(EmbeddingParams(6, 8, 2, 5, 1), [4] * 5 + [10] * 2)
+    bounds = expand(per_color_bounds(EmbeddingParams(6, 8, 2, 5, 1), runs([4] * 5 + [10] * 2)))
     assert bounds[0] == (3, 2 * Fraction(3))
-    bounds = per_color_bounds(EmbeddingParams(6, 9, 2, 4, 1), [4] * 5 + [6] * 9)
+    bounds = expand(per_color_bounds(EmbeddingParams(6, 9, 2, 4, 1), runs([4] * 5 + [6] * 9)))
     assert bounds[0] == (-2, 2 * Fraction(0))
     assert bounds[5] == (3, 2 * Fraction(3))
 
@@ -57,9 +57,19 @@ def test_per_color_bounds_examples():
 def test_per_color_bounds_rejects_negative_count():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     with pytest.raises(InputError, match="nonnegative"):
-        per_color_bounds(p, [4] * 5 + [-1, 10])
+        per_color_bounds(p, runs([4] * 5 + [-1, 10]))
+    with pytest.raises(InputError, match="nonnegative"):
+        per_color_bounds(p, [(8, 4), (-1, 4)])
     with pytest.raises(InputError, match="expected 7 e-values, got 6"):
-        per_color_bounds(p, [4] * 6)
+        per_color_bounds(p, runs([4] * 6))
+
+
+def test_per_color_bounds_splits_a_run_at_the_tier_boundary():
+    # q = 5 old colors: one run of 7 becomes 5 old and 2 new, a count-0 run none
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    (_, c1, d1), (_, c2, d2) = tier_bounds(p)
+    assert per_color_bounds(p, [(3, 4), (0, 9), (4, 4)]) == [
+        (3, c1 - 8, d1 - 12), (2, c1 - 8, d1 - 12), (2, c2 - 8, d2 - 12)]
 
 
 def test_sign_case_examples():
@@ -118,7 +128,7 @@ def test_per_color_equivalences_over_sweep():
             tiers.append((q, b.iota2, b.rho2, b.rhop2))
         for j, iota_i, rho_i, rhop_i in tiers:
             for e_j in range(0, floor(rho_i) + 3):
-                iota, two_rho = per_color_bounds(p, [e_j] * k)[j]
+                iota, two_rho = expand(per_color_bounds(p, runs([e_j] * k)))[j]
                 assert (two_rho >= 0) == (e_j <= rho_i)
                 assert (iota >= 0) == (e_j <= rhop_i)
                 assert (two_rho >= 2 * iota) == (e_j >= iota_i)
@@ -178,8 +188,8 @@ def test_iota_integrality_over_sweep():
         assert (b.iota1, b.rho1, b.rhop1) == old
         assert (b.iota2, b.rho2, b.rhop2) == (new if b.two_tier else (None,) * 3)
         q, k = color_counts(p)
-        assert all(isinstance(x, int) for pair in per_color_bounds(p, [1] * k)
-                   for x in pair)
+        assert all(isinstance(x, int) for run in per_color_bounds(p, runs([1] * k))
+                   for x in run)
         # the integer tier form (c, d) and per_color_bounds against the
         # Fraction formula over the whole master range [max(iota_i, 0), floor(rho_i)]
         tiers = tier_bounds(p)
@@ -189,7 +199,7 @@ def test_iota_integrality_over_sweep():
                 iota, rho = _fraction_per_color(p, j == 0, e_j)
                 assert (c - 2 * e_j, d - 3 * e_j) == (iota, 2 * rho)
                 if count:  # color j is the tier's first
-                    pair = per_color_bounds(p, [e_j] * k)[j]
+                    pair = expand(per_color_bounds(p, runs([e_j] * k)))[j]
                     assert all(isinstance(x, int) for x in pair)
                     assert pair == (iota, 2 * rho)
                 checked += 1

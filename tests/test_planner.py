@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 from functools import cache
+from hashlib import sha256
 from itertools import combinations_with_replacement
 from math import floor
 
@@ -24,6 +25,8 @@ from quadembed.planner import (
     verify_plan,
 )
 
+from conftest import expand, runs
+
 
 def color_tiers(q, k):
     """The tier index of each color: the q old colors (0) first, then the new ones (1)."""
@@ -40,23 +43,23 @@ def test_totals_examples():
 
 def test_plan_e_examples():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    e_list = plan_e(p)
+    e_list = expand(plan_e(p))
     assert Counter(e_list[:5]) == {4: 5} and Counter(e_list[5:]) == {10: 2}
     assert build_plan(p).subcase is None
 
     p = EmbeddingParams(8, 16, 1, 1, 1)
-    e_list = plan_e(p)
+    e_list = expand(plan_e(p))
     assert Counter(e_list[:35]) == {0: 35}
     assert Counter(e_list[35:]) == {0: 196, 2: 224}
     assert build_plan(p).subcase == "i"
 
     p = EmbeddingParams(5, 8, 4, 5, 1)
-    assert plan_e(p) == [0] + [5] * 6
+    assert expand(plan_e(p)) == [0] + [5] * 6
 
 
 def test_plan_f_forced_example():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    f_list = plan_f(p, [4] * 5 + [10] * 2)
+    f_list = expand(plan_f(p, runs([4] * 5 + [10] * 2)))
     assert f_list == [3] * 5 + [0] * 2
 
 
@@ -64,7 +67,7 @@ def test_plan_f_rejects_bad_e_choice():
     # valid e-system solution whose f-system is infeasible (lower bound 48 > 45)
     p = EmbeddingParams(6, 9, 2, 4, 1)
     with pytest.raises(PlanInfeasible):
-        plan_f(p, [4, 0, 0, 0, 0, 8, 6, 6, 6, 6, 6, 6, 6, 6])
+        plan_f(p, runs([4, 0, 0, 0, 0, 8, 6, 6, 6, 6, 6, 6, 6, 6]))
 
 
 def test_equal_regularity_forces_zero_f_on_old_colors():
@@ -80,7 +83,7 @@ def test_equal_regularity_forces_zero_f_on_old_colors():
 
 def test_extend_plan_examples():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    plan = extend_plan(p, [4] * 5 + [10] * 2, [3] * 5 + [0] * 2)
+    plan = extend_plan(p, runs([4] * 5 + [10] * 2), runs([3] * 5 + [0] * 2))
     assert plan.g == (0,) * 7 and plan.h == (0,) * 7
 
     p = EmbeddingParams(6, 9, 2, 4, 1)
@@ -101,6 +104,11 @@ def test_verify_plan_rejects_negative_entries():
     plan = build_plan(p)
     bad = replace(plan, e=(-1,) + plan.e[1:])
     assert not verify_plan(p, bad)
+    # (f, g, h) += (1, -2, 1) on color 1 and -= on color 2 keeps the totals
+    # and both degree laws, so only the sign check rejects g_1 = -2
+    shift = lambda col, d: (col[0] + d, col[1] - d) + col[2:]
+    bad = replace(plan, f=shift(plan.f, 1), g=shift(plan.g, -2), h=shift(plan.h, 1))
+    assert min(bad.g) < 0 and not verify_plan(p, bad)
 
 
 def test_build_plan_gates():
@@ -229,8 +237,8 @@ def test_exact_e_solve_agrees_with_enumerator():
             with pytest.raises(PlanInfeasible):
                 plan_e_exact(p)
             continue
-        e_list = plan_e_exact(p)
-        assert verify_plan(p, extend_plan(p, e_list, plan_f(p, e_list)))
+        e_runs = plan_e_exact(p)
+        assert verify_plan(p, extend_plan(p, e_runs, plan_f(p, e_runs)))
     assert (resolved, unresolved) == (151, 19)
 
 
@@ -274,6 +282,7 @@ def test_solve_e_matches_brute_force(old, new, n1, n2, data):
     got = solve_e(tiers, e_total, f_total)
     assert (got is not None) == _brute_force_e(tiers, e_total, f_total)
     if got is not None:
+        got = expand(got)
         old_vals, new_vals = got[:n1], got[n1:]
         assert len(new_vals) == n2 and sum(got) == e_total
         for (_, c, d), values in zip(tiers, (old_vals, new_vals)):
@@ -284,21 +293,32 @@ def test_solve_e_matches_brute_force(old, new, n1, n2, data):
 def test_extend_plan_rejects_f_outside_its_interval():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     with pytest.raises(InputError, match="above rho"):
-        extend_plan(p, [4] * 5 + [10] * 2, [4] * 5 + [0] * 2)
+        extend_plan(p, runs([4] * 5 + [10] * 2), runs([4] * 5 + [0] * 2))
 
 
 def test_extend_plan_raises_when_verification_fails(monkeypatch):
     monkeypatch.setattr(planner, "verify_plan", lambda p, plan: False)
     with pytest.raises(InputError, match="independent verification"):
-        extend_plan(EmbeddingParams(6, 8, 2, 5, 1), [4] * 5 + [10] * 2, [3] * 5 + [0] * 2)
+        extend_plan(EmbeddingParams(6, 8, 2, 5, 1), runs([4] * 5 + [10] * 2),
+                    runs([3] * 5 + [0] * 2))
+
+
+def test_extend_plan_merges_runs_of_any_boundaries():
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    plan = extend_plan(p, [(2, 4), (3, 4), (2, 10)], [(1, 3)] * 5 + [(1, 0), (1, 0)])
+    assert plan == extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (2, 0)])
+    with pytest.raises(InputError, match="fewer colors"):
+        extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (1, 0)])
+    with pytest.raises(InputError, match="independent verification"):
+        extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (3, 0)])  # one color over
 
 
 def test_extend_plan_rejects_unknown_path():
     # the header and the JSON name the path, so only a known one may be rendered
     p = EmbeddingParams(5, 8, 4, 5, 1)
-    e_list = [0] + [5] * 6
+    e_runs = runs([0] + [5] * 6)
     with pytest.raises(InputError, match="unknown planning path 'sporadic'"):
-        extend_plan(p, e_list, plan_f(p, e_list), via="sporadic")
+        extend_plan(p, e_runs, plan_f(p, e_runs), via="sporadic")
 
 
 # one tuple for each (case, subcase, path) that plans in the desk box
@@ -315,6 +335,21 @@ PLANNED_CASES = {
     ("5.6", "iii", "general"): (6, 22, 2, 10, 1),
     ("5.2", None, "fallback"): (12, 16, 1, 2, 2),
 }
+
+
+# sha256(render_plan(build_plan(p)))[:16] beyond the desk box (k <= 7,308),
+# measured before planning worked on runs: the output is byte for byte the same
+LARGE_PLAN_DIGESTS = {
+    (8, 116, 1, 1, 1): "b774698552da8da2",  # k = 246,905
+    (6, 48, 2, 5, 1): "ca3bd7ec2d90942f",
+    (12, 28, 5, 9, 2): "9bae73ce532b59cd",
+}
+
+
+@pytest.mark.parametrize("tup, digest", LARGE_PLAN_DIGESTS.items())
+def test_large_plans_render_their_pinned_digest(tup, digest):
+    text = render_plan(build_plan(EmbeddingParams(*tup)))
+    assert sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def test_each_case_subcase_and_path_plans():
@@ -353,10 +388,11 @@ def test_threshold_subcase_iii_pins_iota_to_units():
         case, subcase, _, _ = planner._e_intervals(p)
         if case not in found or subcase != "iii":
             continue
-        e_list = plan_e(p)
+        e_runs = plan_e(p)
         found[case] += 1
         q, _ = color_counts(p)
-        for j, (e_j, (iota, _)) in enumerate(zip(e_list, per_color_bounds(p, e_list))):
+        bounds = expand(per_color_bounds(p, e_runs))
+        for j, (e_j, (iota, _)) in enumerate(zip(expand(e_runs), bounds)):
             if case is AmalgamCase.OLD_PINNED_THRESHOLD and j < q:
                 continue  # an old color, pinned at 0, below its own threshold
             if case is AmalgamCase.THRESHOLD_SPLIT:
