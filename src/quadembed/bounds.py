@@ -107,8 +107,8 @@ def global_bounds(p: EmbeddingParams) -> BoundSet:
     return BoundSet(*old, 2 * c2 - d2, Fraction(d2, 3), Fraction(c2, 2))
 
 
-def per_color_bounds(p: EmbeddingParams, e_runs) -> list[tuple[int, int, int]]:
-    """(count, iota_ij, 2 rho_ij) for each run (count, e_j) of ``e_runs``.
+def per_color_bounds(p: EmbeddingParams, e_runs) -> list[tuple[int, int, int, int]]:
+    """(count, e_j, iota_ij, 2 rho_ij) for each run (count, e_j) of ``e_runs``.
 
     The runs cover the q old colors, then the k - q new ones; a run that
     crosses the tier boundary q comes out as two, and a run of count 0 as none.
@@ -120,9 +120,9 @@ def per_color_bounds(p: EmbeddingParams, e_runs) -> list[tuple[int, int, int]]:
             raise InputError(f"run ({count}, {e_j}): count and e_j must be nonnegative")
         old = min(max(q - start, 0), count)
         if old:
-            out.append((old, c1 - 2 * e_j, d1 - 3 * e_j))
+            out.append((old, e_j, c1 - 2 * e_j, d1 - 3 * e_j))
         if count > old:
-            out.append((count - old, c2 - 2 * e_j, d2 - 3 * e_j))
+            out.append((count - old, e_j, c2 - 2 * e_j, d2 - 3 * e_j))
         start += count
     if start != q + new_colors:
         raise InputError(f"expected {q + new_colors} e-values, got {start}")

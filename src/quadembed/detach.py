@@ -251,10 +251,9 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
 
     m, n, r, s = p.m, p.n, p.r, p.s
     classes = []
-    for j in range(k):
-        counts = {(0, 3, 1): plan.e[j], (0, 2, 2): plan.f[j],
-                  (0, 1, 3): plan.g[j], (0, 0, 4): plan.h[j]}
-        classes.append({key: x for key, x in counts.items() if x})
+    for count, *quad in plan.rows:
+        cls = {key: x for key, x in zip(((0, 3, 1), (0, 2, 2), (0, 1, 3), (0, 0, 4)), quad) if x}
+        classes += (dict(cls) for _ in range(count))
     rng = random.Random(seed) if seed else None
     old_degree = [s - r] * q + [s] * (k - q)
     for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):

@@ -32,9 +32,10 @@ Planning works on runs (count, value): ``count`` consecutive colors that
 share a value.  Each tier's e_j come from one interval, so the e-system has
 one run per tier, and each solve or bound evaluation turns a few runs into
 a few more.  ``plan_e``, ``plan_e_exact`` and ``plan_f`` return runs,
-``extend_plan`` forces g_j and h_j once per run, and only the finished
-``AmalgamPlan`` holds one entry per color.  ``verify_plan`` re-checks those
-k-long tuples independently of the runs that built them.
+``extend_plan`` forces g_j and h_j once per run, and a plan is its rows
+(count, e_j, f_j, g_j, h_j), which ``verify_plan`` re-checks independently
+of the runs that built them.  Only ``render_plan``, ``plan_to_json`` and
+``detach`` write one entry per color.
 """
 
 from __future__ import annotations
@@ -57,14 +58,15 @@ PLANNING_PATHS = ("general", "fallback")
 
 @dataclass(frozen=True)
 class AmalgamPlan:
-    """What planning chose; the case and subcase follow from the parameters."""
+    """What planning chose: rows (count, e_j, f_j, g_j, h_j) in color order,
+    none crossing the tier boundary q.  Case and subcase follow from params."""
 
     params: EmbeddingParams
     via: str  # one of PLANNING_PATHS
-    e: tuple[int, ...]
-    f: tuple[int, ...]
-    g: tuple[int, ...]
-    h: tuple[int, ...]
+    rows: tuple[tuple[int, int, int, int, int], ...]
+    # read-only views with one entry per color
+    e, f, g, h = (property(lambda plan, i=i: tuple(chain.from_iterable(
+        repeat(row[i], row[0]) for row in plan.rows))) for i in range(1, 5))
 
     @property
     def case(self) -> AmalgamCase:
@@ -155,74 +157,70 @@ def plan_e(p: EmbeddingParams) -> list[tuple[int, int]]:
 
 def plan_f(p: EmbeddingParams, e_runs) -> list[tuple[int, int]]:
     """Runs (count, f_j) inside [iota_ij, rho_ij]; raises PlanInfeasible."""
-    runs = [(count, iota, two_rho // 2) for count, iota, two_rho in per_color_bounds(p, e_runs)]
+    runs = [(count, iota, two_rho // 2)
+            for count, _, iota, two_rho in per_color_bounds(p, e_runs)]
     return _solve(totals(p)[1], runs, "f-system")
-
-
-def _expand(runs) -> tuple[int, ...]:
-    """One entry per color from runs (count, x); a count of 0 or less gives none."""
-    return tuple(chain.from_iterable(repeat(x, count) for count, x in runs))
 
 
 def extend_plan(p: EmbeddingParams, e_runs, f_runs, via: str = "general") -> AmalgamPlan:
     """Force g_j and h_j from runs of e_j and f_j and check every plan invariant.
 
     The two run lists may split the colors at different places; g_j and h_j
-    are forced once per piece of their common refinement.
+    are forced once per piece of their common refinement, and equal
+    neighbouring pieces make one row (never across q: see ``verify_plan``).
     """
     if via not in PLANNING_PATHS:
         raise InputError(f"unknown planning path {via!r}")
-    g_runs, h_runs = [], []
-    f_iter, f_left = iter(f_runs), 0
-    for count, iota, two_rho in per_color_bounds(p, e_runs):
+    bounds = per_color_bounds(p, e_runs)  # raises unless the e-runs cover the k colors
+    k = sum(count for count, *_ in bounds)
+    f_colors = sum(count for count, _ in f_runs if count > 0)
+    if f_colors != k:
+        raise InputError(f"expected {k} f-values, got {f_colors}")
+    rows, f_iter, f_left = [], iter(f_runs), 0
+    for count, e_j, iota, two_rho in bounds:
         while count > 0:
             while f_left <= 0:
-                run = next(f_iter, None)
-                if run is None:
-                    raise InputError("the f-runs cover fewer colors than the e-runs")
-                f_left, f_j = run
+                f_left, f_j = next(f_iter)
             g_j, h_j = two_rho - 2 * f_j, f_j - iota
             if g_j < 0:
                 raise InputError(f"f_j={f_j} above rho_ij={two_rho}/2")
             if h_j < 0:
                 raise InputError(f"f_j={f_j} below iota_ij={iota}")
             step = min(count, f_left)
-            g_runs.append((step, g_j))
-            h_runs.append((step, h_j))
+            merged = rows.pop()[0] if rows and rows[-1][1:] == (e_j, f_j, g_j, h_j) else 0
+            rows.append((merged + step, e_j, f_j, g_j, h_j))
             count -= step
             f_left -= step
-    plan = AmalgamPlan(p, via, *map(_expand, (e_runs, f_runs, g_runs, h_runs)))
+    plan = AmalgamPlan(p, via, tuple(rows))
     if not verify_plan(p, plan):
         raise InputError("constructed plan fails independent verification")
     return plan
 
 
 def verify_plan(p: EmbeddingParams, plan: AmalgamPlan) -> bool:
-    """Recompute the four totals and both degree laws from scratch.
+    """Recompute the four totals and both degree laws from the rows, from scratch.
 
-    Signs and degree laws are checked once per distinct (tier, e, f, g, h)
-    row; every color's row is among them.
+    A row holds ``int`` entries, a count of at least 1, no negative entry and
+    colors of one tier: old and new colors never share a quadruple, as their
+    old-vertex degrees m(s - r) and sm differ.  The counts sum to k.
     """
     try:
         q, k = color_counts(p)
     except InputError:
         return False
-    cols = (plan.e, plan.f, plan.g, plan.h)
-    if any(len(col) != k for col in cols):
-        return False
-    if tuple(sum(col) for col in cols) != totals(p):
-        return False
     m, n, r, s = p.m, p.n, p.r, p.s
-    tiers = chain(repeat(False, q), repeat(True, k - q))
-    for new, e_j, f_j, g_j, h_j in set(zip(tiers, *cols)):
-        if min(e_j, f_j, g_j, h_j) < 0:
+    start, sums = 0, [0, 0, 0, 0]
+    for row in plan.rows:
+        if len(row) != 5 or any(type(x) is not int for x in row):
             return False
-        old_degree = 3 * e_j + 2 * f_j + g_j
-        if old_degree != (s * m if new else m * (s - r)):
+        count, e_j, f_j, g_j, h_j = row
+        if (count < 1 or min(e_j, f_j, g_j, h_j) < 0 or start < q < start + count
+                or 3 * e_j + 2 * f_j + g_j != (m * (s - r) if start < q else s * m)
+                or e_j + 2 * f_j + 3 * g_j + 4 * h_j != s * (n - m)):
             return False
-        if e_j + 2 * f_j + 3 * g_j + 4 * h_j != s * (n - m):
-            return False
-    return True
+        sums = [total + count * x for total, x in zip(sums, row[1:])]
+        start += count
+    return start == k and tuple(sums) == totals(p)
 
 
 _TierFit = namedtuple("_TierFit", "values w lower odd splits cost")
@@ -321,24 +319,26 @@ def _header(p: EmbeddingParams, via: str) -> dict:
             "via": via}
 
 
-def render_plan(plan: AmalgamPlan) -> str:
+def _numbered_rows(plan: AmalgamPlan):
+    """(first color, tier, count, e_j, f_j, g_j, h_j) per row; colors count from 1."""
     q, _ = color_counts(plan.params)
+    j = 1
+    for count, *quad in plan.rows:
+        yield (j, "old" if j <= q else "new", count, *quad)
+        j += count
+
+
+def render_plan(plan: AmalgamPlan) -> str:
     header = _header(plan.params, plan.via).values()
     lines = [" ".join("-" if x is None else str(x) for x in header)]
-    for j in range(len(plan.e)):
-        tier = "old" if j < q else "new"
-        lines.append(f"{j + 1} {tier} {plan.e[j]} {plan.f[j]} {plan.g[j]} {plan.h[j]}")
+    for j, tier, count, *quad in _numbered_rows(plan):
+        values = " ".join(map(str, quad))
+        lines += (f"{i} {tier} {values}" for i in range(j, j + count))
     return "\n".join(lines) + "\n"
 
 
 def plan_to_json(plan: AmalgamPlan) -> str:
-    q, _ = color_counts(plan.params)
-    doc = {
-        **_header(plan.params, plan.via),
-        "colors": [
-            {"j": j + 1, "tier": "old" if j < q else "new",
-             "e": plan.e[j], "f": plan.f[j], "g": plan.g[j], "h": plan.h[j]}
-            for j in range(len(plan.e))
-        ],
-    }
-    return json.dumps(doc, indent=2)
+    colors = [{"j": i, "tier": tier, "e": e_j, "f": f_j, "g": g_j, "h": h_j}
+              for j, tier, count, e_j, f_j, g_j, h_j in _numbered_rows(plan)
+              for i in range(j, j + count)]
+    return json.dumps({**_header(plan.params, plan.via), "colors": colors}, indent=2)

@@ -386,12 +386,18 @@ def test_criterion_8_negative_controls():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     plan = build_plan(p)
     assert verify_plan(p, plan)
-    for j in range(len(plan.f)):
-        for delta in (1, -1):
-            f = list(plan.f)
-            f[j] += delta
-            tampered = replace(plan, f=tuple(f))
-            assert not verify_plan(p, tampered), (j, delta)
+    # every entry of every column, one at a time, up and down
+    cols = (plan.e, plan.f, plan.g, plan.h)
+    perturbed = 0
+    for i in range(4):
+        for j in range(len(cols[i])):
+            for delta in (1, -1):
+                entries = [list(col) for col in cols]
+                entries[i][j] += delta
+                tampered = replace(plan, rows=tuple(runs(zip(*entries))))
+                assert not verify_plan(p, tampered), ("efgh"[i], j, delta)
+                perturbed += 1
+    assert perturbed == 56
 
     inner = read_factorization(FIXTURES / "intro_6.txt")
     outer = read_factorization(FIXTURES / "intro_8.txt")
@@ -410,4 +416,4 @@ def test_criterion_8_negative_controls():
                     swaps += 1
     assert swaps == 21 * 100
     _report("8 negative-controls", time.perf_counter() - t0, 30.0,
-            f"{2 * len(plan.f)} plan perturbations, {swaps} block swaps")
+            f"{perturbed} plan perturbations, {swaps} block swaps")

@@ -46,12 +46,12 @@ def test_global_bounds_rejects_bad_input():
 
 
 def test_per_color_bounds_examples():
-    # (iota_ij, 2 rho_ij) per color: the old tier first, then the new one
+    # (e_j, iota_ij, 2 rho_ij) per color: the old tier first, then the new one
     bounds = expand(per_color_bounds(EmbeddingParams(6, 8, 2, 5, 1), runs([4] * 5 + [10] * 2)))
-    assert bounds[0] == (3, 2 * Fraction(3))
+    assert bounds[0] == (4, 3, 2 * Fraction(3))
     bounds = expand(per_color_bounds(EmbeddingParams(6, 9, 2, 4, 1), runs([4] * 5 + [6] * 9)))
-    assert bounds[0] == (-2, 2 * Fraction(0))
-    assert bounds[5] == (3, 2 * Fraction(3))
+    assert bounds[0] == (4, -2, 2 * Fraction(0))
+    assert bounds[5] == (6, 3, 2 * Fraction(3))
 
 
 def test_per_color_bounds_rejects_negative_count():
@@ -69,7 +69,7 @@ def test_per_color_bounds_splits_a_run_at_the_tier_boundary():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     (_, c1, d1), (_, c2, d2) = tier_bounds(p)
     assert per_color_bounds(p, [(3, 4), (0, 9), (4, 4)]) == [
-        (3, c1 - 8, d1 - 12), (2, c1 - 8, d1 - 12), (2, c2 - 8, d2 - 12)]
+        (3, 4, c1 - 8, d1 - 12), (2, 4, c1 - 8, d1 - 12), (2, 4, c2 - 8, d2 - 12)]
 
 
 def test_sign_case_examples():
@@ -128,7 +128,7 @@ def test_per_color_equivalences_over_sweep():
             tiers.append((q, b.iota2, b.rho2, b.rhop2))
         for j, iota_i, rho_i, rhop_i in tiers:
             for e_j in range(0, floor(rho_i) + 3):
-                iota, two_rho = expand(per_color_bounds(p, runs([e_j] * k)))[j]
+                _, iota, two_rho = expand(per_color_bounds(p, runs([e_j] * k)))[j]
                 assert (two_rho >= 0) == (e_j <= rho_i)
                 assert (iota >= 0) == (e_j <= rhop_i)
                 assert (two_rho >= 2 * iota) == (e_j >= iota_i)
@@ -199,8 +199,8 @@ def test_iota_integrality_over_sweep():
                 iota, rho = _fraction_per_color(p, j == 0, e_j)
                 assert (c - 2 * e_j, d - 3 * e_j) == (iota, 2 * rho)
                 if count:  # color j is the tier's first
-                    pair = expand(per_color_bounds(p, runs([e_j] * k)))[j]
-                    assert all(isinstance(x, int) for x in pair)
-                    assert pair == (iota, 2 * rho)
+                    bounds = expand(per_color_bounds(p, runs([e_j] * k)))[j]
+                    assert all(isinstance(x, int) for x in bounds)
+                    assert bounds == (e_j, iota, 2 * rho)
                 checked += 1
     assert checked > 5_000

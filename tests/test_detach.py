@@ -95,9 +95,15 @@ def test_detach_rejects_broken_plan():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     base = generate_base(6, 2, 1)
     plan = build_plan(p)
-    bad = replace(plan, f=(plan.f[0] + 1,) + plan.f[1:])
+    (count, e_j, f_j, g_j, h_j), *rest = plan.rows
+    bad = replace(plan, rows=((1, e_j, f_j + 1, g_j, h_j), (count - 1, e_j, f_j, g_j, h_j), *rest))
     with pytest.raises(InputError):
         detach(p, base, bad)
+    # a float entry with the right value is no plan either: InputError, not a
+    # TypeError from the construction
+    floats = replace(plan, rows=tuple((row[0], float(row[1]), *row[2:]) for row in plan.rows))
+    with pytest.raises(InputError):
+        detach(p, base, floats)
 
 
 def test_detach_rejects_mismatched_base():

@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache
 from hashlib import sha256
 from itertools import combinations_with_replacement
@@ -26,6 +27,12 @@ from quadembed.planner import (
 )
 
 from conftest import expand, runs
+
+
+def tampered(plan, **cols):
+    """``plan`` with the named columns replaced, given one entry per color."""
+    e, f, g, h = (cols.get(name, getattr(plan, name)) for name in "efgh")
+    return replace(plan, rows=tuple(runs(zip(e, f, g, h))))
 
 
 def color_tiers(q, k):
@@ -95,20 +102,52 @@ def test_verify_plan_catches_perturbation():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     plan = build_plan(p)
     assert verify_plan(p, plan)
-    bumped = replace(plan, f=(plan.f[0] + 1,) + plan.f[1:])
+    bumped = tampered(plan, f=(plan.f[0] + 1,) + plan.f[1:])
     assert not verify_plan(p, bumped)
 
 
 def test_verify_plan_rejects_negative_entries():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     plan = build_plan(p)
-    bad = replace(plan, e=(-1,) + plan.e[1:])
+    bad = tampered(plan, e=(-1,) + plan.e[1:])
     assert not verify_plan(p, bad)
     # (f, g, h) += (1, -2, 1) on color 1 and -= on color 2 keeps the totals
     # and both degree laws, so only the sign check rejects g_1 = -2
     shift = lambda col, d: (col[0] + d, col[1] - d) + col[2:]
-    bad = replace(plan, f=shift(plan.f, 1), g=shift(plan.g, -2), h=shift(plan.h, 1))
+    bad = tampered(plan, f=shift(plan.f, 1), g=shift(plan.g, -2), h=shift(plan.h, 1))
     assert min(bad.g) < 0 and not verify_plan(p, bad)
+
+
+def test_verify_plan_rejects_non_int_entries():
+    # equal values of another type: a float or Fraction column, a bool entry
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    plan = build_plan(p)
+    assert plan.rows == ((5, 4, 3, 0, 0), (2, 10, 0, 0, 0))
+    for bad in (tampered(plan, e=tuple(map(float, plan.e))),
+                tampered(plan, f=tuple(map(Fraction, plan.f))),
+                tampered(plan, h=(False,) + plan.h[1:]),
+                replace(plan, rows=((5.0, 4, 3, 0, 0), (2, 10, 0, 0, 0)))):
+        assert not verify_plan(p, bad), bad.rows
+
+
+def test_verify_plan_rejects_malformed_rows():
+    p = EmbeddingParams(6, 8, 2, 5, 1)  # q = 5, k = 7
+    plan = build_plan(p)
+    old, new = (4, 3, 0, 0), (10, 0, 0, 0)
+    assert verify_plan(p, replace(plan, rows=((2, *old), (3, *old), (2, *new))))
+    # the first two break only the count rule: right totals, right laws
+    for rows in (
+        ((3, *old), (0, *old), (2, *old), (2, *new)),  # a count-0 row
+        ((4, *old), (-1, *old), (2, *old), (2, *new)),  # a negative count
+        ((5, *old), (1, *new)),  # counts sum to k - 1
+        ((5, *old), (3, *new)),  # counts sum to k + 1
+        ((4, *old), (2, *old), (1, *new)),  # a row crossing q
+    ):
+        assert not verify_plan(p, replace(plan, rows=rows)), rows
+    # an old and a new color never share a row: their old-vertex degrees
+    # m(s - r) and sm differ when r >= 1, so the crossing rule rejects
+    # nothing that a per-color check would accept (the totals reject the
+    # last three as well)
 
 
 def test_build_plan_gates():
@@ -307,9 +346,10 @@ def test_extend_plan_merges_runs_of_any_boundaries():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     plan = extend_plan(p, [(2, 4), (3, 4), (2, 10)], [(1, 3)] * 5 + [(1, 0), (1, 0)])
     assert plan == extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (2, 0)])
-    with pytest.raises(InputError, match="fewer colors"):
+    assert plan.rows == ((5, 4, 3, 0, 0), (2, 10, 0, 0, 0))
+    with pytest.raises(InputError, match="expected 7 f-values, got 6"):
         extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (1, 0)])
-    with pytest.raises(InputError, match="independent verification"):
+    with pytest.raises(InputError, match="expected 7 f-values, got 8"):
         extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (3, 0)])  # one color over
 
 
@@ -392,7 +432,7 @@ def test_threshold_subcase_iii_pins_iota_to_units():
         found[case] += 1
         q, _ = color_counts(p)
         bounds = expand(per_color_bounds(p, e_runs))
-        for j, (e_j, (iota, _)) in enumerate(zip(expand(e_runs), bounds)):
+        for j, (e_j, iota, _) in enumerate(bounds):
             if case is AmalgamCase.OLD_PINNED_THRESHOLD and j < q:
                 continue  # an old color, pinned at 0, below its own threshold
             if case is AmalgamCase.THRESHOLD_SPLIT:
