@@ -15,6 +15,12 @@ The state gives every class j a count x_j(type) of its edges of each type:
     of the two-vertex amalgam.  Base blocks never enter the state; they are
     copied into classes 1..q unchanged.
 
+A type is stored as one int, D << 6 | b << 3 | t: b and t take three bits
+each, and vertex v is bit v + 6.  So c (below) is a shift and a mask, the
+type that receives v is the key plus 2^(v + 6) minus 8 (v leaves beta) or
+minus 1 (v leaves alpha), and a finished type (D, 0, 0) decodes to its
+block, sorted, by four lowest-set-bit extractions.
+
 The old vertices 1..m are detached from beta first, then the new vertices
 m+1..n from alpha.  Detaching v from an amalgam of multiplicity a chooses,
 per class j and type with c copies of that amalgam (c = b or t), a number
@@ -45,10 +51,15 @@ So the fair point lies in the transportation polytope given by the caps and
 both sums.  Its constraint matrix is the incidence matrix of a bipartite
 graph (classes against types), which is totally unimodular, so with
 integral sums the polytope restricted to the box [floor, ceil] of the fair
-point has an integral vertex.  The step finds one: every cell starts at
-floor(x * c / a), a greedy pass then closes the row and column deficits
-over the cells whose fair value is fractional (capacity 1 each), and BFS
-augmenting paths finish the flow.  After the step, type (D, b, t) keeps
+point has an integral vertex.  The step finds one.  Every cell starts at
+floor(x * c / a), and the cells whose fair value is fractional may take
+one more (capacity 1 each).  In the same scan, systematic rounding per
+column takes such a cell where its column's running sum of fractional
+parts crosses a multiple of a, as far as its row's need allows.  A greedy
+pass then takes any cell still allowed in the rows left short, and
+Hopcroft-Karp phases finish the flow: one layered BFS from every short row,
+then disjoint shortest augmenting paths, each row and column keeping a
+current-arc pointer.  After the step, type (D, b, t) keeps
 lam * C(a, b) * (1 - b/a) * C(a', t) = lam * C(a - 1, b) * C(a', t)
 edges, the receivers number lam * C(a - 1, b - 1) * C(a', t), and each
 class loses exactly deg_j of its incidence: (I1) and (I2) hold at a - 1.
@@ -58,6 +69,14 @@ When both amalgams are used up, every type is (D, 0, 0) with |D| = 4, so by
 degree in every class.  There is no search and no exhaustion: any valid
 plan with any valid base yields a certificate in time polynomial in the
 number of blocks.  The result is still checked by the verifier.
+
+Cost.  A step scans the state once (its (class, type) entries) and
+updates the cells that receive v.  A phase costs at most one pass over the
+fractional cells, and the phases number at most the longest shortest
+augmenting path; most steps need none or one.  At (6,48,2,5,1), 3,243
+classes with up to 171k fractional cells in one step, the 54 steps leave
+16,707 units to 69 phases: 44 steps need at most one, and the last few,
+where a is small, up to 9 (a = 2).
 
 ``seed`` permutes the order in which the old vertices, and then the new
 vertices, are detached; seed 0 keeps the natural order.  Classes and types
@@ -81,114 +100,185 @@ from .factorization import (
 from .params import EmbeddingParams, color_counts, integers, is_admissible
 from .planner import AmalgamPlan, verify_plan
 
-EdgeType = tuple[int, int, int]  # (detached-vertex bitmask, b, t)
+EdgeType = int  # d << 6 | b << 3 | t: detached-vertex bitmask d, then b and t
+_BETA, _ALPHA = 3, 0  # the shift that reads an amalgam's copy count c off a type
+# the two amalgams at the start of ``detach``: (empty, 3, 1) ... (empty, 0, 4)
+_PLAN_TYPES = (3 << 3 | 1, 2 << 3 | 2, 1 << 3 | 3, 0 << 3 | 4)
 
 
-def _match(cells: list[list[tuple[EdgeType, int]]], a: int,
-           row_need: list[int],
-           col_need: dict[EdgeType, int]) -> list[set[EdgeType]]:
-    """Cells (j, type) taken at most once, row_need[j] in row j and
-    col_need[type] in each column; ``cells[j]`` lists row j's fractional
-    cells as (type, x * c mod a).  ``row_need`` and ``col_need`` are used up.
-
-    A greedy pass takes a cell when the running sum of fractional parts in
-    its column crosses a multiple of a (systematic rounding of the fair
-    point, column by column), a second one takes any cell still allowed,
-    and BFS augmenting paths close what is left.
-    """
-    chosen: list[set[EdgeType]] = [set() for _ in cells]
-    holders: dict[EdgeType, set[int]] = defaultdict(set)
-    running: dict[EdgeType, int] = defaultdict(int)
-    for j, row in enumerate(cells):
-        for key, rem in row:
-            if row_need[j] <= 0:
-                break
-            before = running[key]
-            running[key] = before + rem
-            if col_need[key] > 0 and (before + rem) // a > before // a:
-                col_need[key] -= 1
-                row_need[j] -= 1
-                chosen[j].add(key)
-                holders[key].add(j)
-    for j, row in enumerate(cells):
-        for key, _ in row:
-            if row_need[j] <= 0:
-                break
-            if col_need[key] > 0 and key not in chosen[j]:
-                col_need[key] -= 1
-                row_need[j] -= 1
-                chosen[j].add(key)
-                holders[key].add(j)
-    for start in range(len(cells)):
-        while row_need[start] > 0:
-            # alternate free cells (row -> column) and taken cells (column ->
-            # row) until a column with spare need is reached
-            via_row: dict[EdgeType, int] = {}
-            via_col: dict[int, EdgeType | None] = {start: None}
-            queue, end = [start], None
-            for u in queue:
-                for key, _ in cells[u]:
-                    if key in via_row or key in chosen[u]:
-                        continue
-                    via_row[key] = u
-                    if col_need[key] > 0:
-                        end = key
+def _match(cells: list[list[EdgeType]], chosen: list[set[EdgeType]],
+           row_need: list[int], col_need: dict[EdgeType, int]) -> None:
+    """Take row_need[j] more of row j's cells ``cells[j]`` and col_need[type]
+    more in each column, each cell at most once, into ``chosen``; the cells
+    already in ``chosen`` may move.  ``row_need`` and ``col_need`` are used
+    up.  A greedy pass first takes any cell still allowed: the paths of
+    length one, found without a phase's set-up.  Hopcroft-Karp phases of
+    augmenting paths close what is left."""
+    for j, need in enumerate(row_need):
+        if need > 0:
+            taken = chosen[j]
+            for key in cells[j]:
+                if col_need[key] > 0 and key not in taken:
+                    col_need[key] -= 1
+                    taken.add(key)
+                    need -= 1
+                    if not need:
                         break
-                    for w in holders[key]:
-                        if w not in via_col:
-                            via_col[w] = key
-                            queue.append(w)
-                if end is not None:
-                    break
-            if end is None:
-                raise RuntimeError("detachment step has no integral solution")
-            col_need[end] -= 1
-            row_need[start] -= 1
-            key = end
-            while key is not None:
-                u = via_row[key]
-                chosen[u].add(key)
-                holders[key].add(u)
-                key = via_col[u]
-                if key is not None:
-                    chosen[u].discard(key)
-                    holders[key].discard(u)
+            row_need[j] = need
+    short = [j for j, need in enumerate(row_need) if need > 0]
+    if short:
+        holders: dict[EdgeType, set[int]] = defaultdict(set)
+        for j, taken in enumerate(chosen):
+            for key in taken:
+                holders[key].add(j)
+    while short:
+        _phase(cells, short, chosen, holders, row_need, col_need)
+        short = [j for j in short if row_need[j] > 0]
     if any(row_need) or any(col_need.values()):
         raise RuntimeError("detachment step has no integral solution")
-    return chosen
+
+
+def _phase(cells: list[list[EdgeType]], short: list[int],
+           chosen: list[set[EdgeType]], holders: dict[EdgeType, set[int]],
+           row_need: list[int], col_need: dict[EdgeType, int]) -> None:
+    """One Hopcroft-Karp phase: a layered BFS from every short row, then
+    disjoint shortest augmenting paths through the layers.  A path
+    alternates a free cell (row -> column) and a taken cell (column -> row)
+    and ends at a column with spare need; taking it moves one unit.
+
+    The BFS stops at the first column with spare need, at depth ``last``:
+    the paths end in row layer ``last`` at any such column, so that layer's
+    columns need no levels.  Every cell has capacity 1, so a path saturates
+    its cells and no arc is used twice in a phase; ``arc`` keeps each row's
+    scan position and ``col_arc`` each column's, and a row or column found
+    dead leaves the layers."""
+    level = dict.fromkeys(short, 0)
+    col_level: dict[EdgeType, int] = {}
+    layer, depth, last = short, 0, -1
+    while layer and last < 0:
+        below = []
+        for u in layer:
+            taken = chosen[u]
+            for key in cells[u]:
+                if key in col_level or key in taken:
+                    continue
+                if col_need[key] > 0:
+                    last = depth
+                    break
+                col_level[key] = depth
+                for w in holders[key]:
+                    if w not in level:
+                        level[w] = depth + 1
+                        below.append(w)
+            if last >= 0:
+                break
+        layer, depth = below, depth + 1
+    if last < 0:
+        raise RuntimeError("detachment step has no integral solution")
+    arc = dict.fromkeys(level, 0)
+    col_arc: dict[EdgeType, list] = {}
+
+    def advance(u: int) -> tuple[EdgeType, int | None] | None:
+        """Row u's next live arc as (column, row below), the row None at a
+        column with spare need; None, and u is dead, when it has none."""
+        d, row, taken = level[u], cells[u], chosen[u]
+        for i in range(arc[u], len(row)):
+            key = row[i]
+            if key in taken:
+                continue
+            if d == last:
+                if col_need[key] > 0:
+                    arc[u] = i
+                    return key, None
+            elif col_level.get(key) == d:
+                ca = col_arc.get(key)
+                if ca is None:
+                    ca = col_arc[key] = [list(holders[key]), 0]
+                ws = ca[0]
+                for h in range(ca[1], len(ws)):
+                    w = ws[h]
+                    if level.get(w) == d + 1 and key in chosen[w]:
+                        arc[u], ca[1] = i, h
+                        return key, w
+                col_level[key] = -1  # dead column
+        level[u] = -1
+        return None
+
+    for start in short:
+        while row_need[start] > 0:
+            path, via = [start], []  # via[i] joins path[i] to path[i + 1]
+            while path:
+                step = advance(path[-1])
+                if step is None:
+                    path.pop()
+                    if via:
+                        via.pop()
+                    continue
+                key, w = step
+                via.append(key)
+                if w is None:
+                    break
+                path.append(w)
+            if not path:
+                break
+            for w, key, old in zip(path, via, [None] + via):
+                chosen[w].add(key)
+                holders[key].add(w)
+                if old is not None:
+                    chosen[w].discard(old)
+                    holders[old].discard(w)
+            row_need[start] -= 1
+            col_need[via[-1]] -= 1
 
 
 def _detach_vertex(classes: list[dict[EdgeType, int]], v: int, a: int,
                    from_beta: bool, degree: list[int]) -> None:
     """Split vertex v off the amalgam of multiplicity a (beta or alpha);
-    class j receives v on exactly degree[j] of its edges."""
-    slot = 1 if from_beta else 2
-    # a column needs sum_j (x_j c mod a) / a cells beyond the floors
-    rems: dict[EdgeType, int] = defaultdict(int)
-    floors, cells, row_need = [], [], []
+    class j receives v on exactly degree[j] of its edges.
+
+    Every cell starts at its floor.  A fractional cell is taken once more
+    when the running sum of fractional parts in its column crosses a
+    multiple of a (systematic rounding of the fair point, column by
+    column), as far as its row's need allows; ``_match`` closes the rest.
+    Each part is below a, so a column crosses exactly sum_j (x_j c mod a)
+    / a times, its share: it needs again only the crossings a row dropped.
+    """
+    shift = _BETA if from_beta else _ALPHA
+    running: dict[EdgeType, int] = defaultdict(int)  # mod a, per column
+    col_need: dict[EdgeType, int] = defaultdict(int)
+    floors, cells, chosen, row_need = [], [], [], []
     for cls, deg in zip(classes, degree):
-        start, frac = {}, []
+        start, frac, picks = {}, [], []
         for key, x in cls.items():
-            c = key[slot]
-            if c:
-                y, rem = divmod(x * c, a)
-                if y:
-                    start[key] = y
-                    deg -= y
-                if rem:
-                    rems[key] += rem
-                    frac.append((key, rem))
+            rem = x * (key >> shift & 7)
+            if rem >= a:
+                y = rem // a
+                start[key] = y
+                deg -= y
+                rem -= y * a
+            if rem:
+                frac.append(key)
+                rem += running[key]
+                if rem >= a:
+                    rem -= a
+                    picks.append(key)
+                running[key] = rem
+        if len(picks) > deg:
+            keep = max(deg, 0)
+            for key in picks[keep:]:
+                col_need[key] += 1
+            del picks[keep:]
         floors.append(start)
         cells.append(frac)
-        row_need.append(deg)
-    col_need = {}
-    for key, total in rems.items():
-        share, rem = divmod(total, a)
+        chosen.append(set(picks))
+        row_need.append(deg - len(picks))
+    for key, rem in running.items():
         if rem:
-            raise RuntimeError(f"edge type {key} has a non-integral share at vertex {v}")
-        col_need[key] = share
-    chosen = _match(cells, a, row_need, col_need)
-    bit = 1 << v
+            dbt = key >> 6, key >> 3 & 7, key & 7
+            raise RuntimeError(f"edge type {dbt} has a non-integral share at vertex {v}")
+    _match(cells, chosen, row_need, col_need)
+    # the receivers gain v in D and lose one copy of the amalgam
+    step = (1 << (v + 6)) - (1 << shift)
     for cls, start, extra in zip(classes, floors, chosen):
         for key in extra:
             start[key] = start.get(key, 0) + 1
@@ -198,19 +288,24 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], v: int, a: int,
                 cls[key] = left
             else:
                 del cls[key]
-            d, b, t = key
-            to = (d | bit, b - 1, t) if from_beta else (d | bit, b, t - 1)
-            cls[to] = cls.get(to, 0) + y
+            cls[key + step] = y  # a new key: no type of cls has v in D yet
 
 
-def _blocks(cls: dict[EdgeType, int], n: int) -> tuple[Block, ...]:
-    """The 4-sets of a fully detached class, with multiplicity."""
+def _blocks(cls: dict[EdgeType, int]) -> tuple[Block, ...]:
+    """The 4-sets of a fully detached class, with multiplicity: the four
+    set bits of D, lowest first."""
     out = []
-    for (d, b, t), x in cls.items():
-        if b or t:
+    for key, x in cls.items():
+        if key & 63:
             raise RuntimeError("detachment left an amalgamated edge")
-        block = tuple(v for v in range(1, n + 1) if d >> v & 1)
-        out.extend([block] * x)
+        d = key >> 6
+        v1 = d & -d
+        d ^= v1
+        v2 = d & -d
+        d ^= v2
+        v3 = d & -d
+        out.extend([(v1.bit_length() - 1, v2.bit_length() - 1,
+                     v3.bit_length() - 1, (d ^ v3).bit_length() - 1)] * x)
     return tuple(out)
 
 
@@ -227,11 +322,11 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
     if not is_admissible(m, r, lam):
         raise InputError(f"triple ({m}, {r}, {lam}) is not admissible")
     q = lam * comb(m - 1, 3) // r
-    classes = [{(0, 4, 0): r * m // 4} for _ in range(q)]
+    classes = [{4 << 3 | 0: r * m // 4} for _ in range(q)]  # (empty, 4, 0)
     rng = random.Random(seed) if seed else None
     for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):
         _detach_vertex(classes, v, m - i, True, [r] * q)
-    fact = Factorization(m, lam, r, [_blocks(cls, m) for cls in classes])
+    fact = Factorization(m, lam, r, [_blocks(cls) for cls in classes])
     if not is_valid_factorization(fact):
         raise RuntimeError("generated base fails verification")
     return fact
@@ -252,7 +347,7 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
     m, n, r, s = p.m, p.n, p.r, p.s
     classes = []
     for count, *quad in plan.rows:
-        cls = {key: x for key, x in zip(((0, 3, 1), (0, 2, 2), (0, 1, 3), (0, 0, 4)), quad) if x}
+        cls = {key: x for key, x in zip(_PLAN_TYPES, quad) if x}
         classes += (dict(cls) for _ in range(count))
     rng = random.Random(seed) if seed else None
     old_degree = [s - r] * q + [s] * (k - q)
@@ -263,7 +358,7 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
 
     old_blocks = base.classes + ((),) * (k - q)
     outer = Factorization(n, p.lam, s, [
-        old + _blocks(cls, n) for old, cls in zip(old_blocks, classes)])
+        old + _blocks(cls) for old, cls in zip(old_blocks, classes)])
     cert = EmbeddingCertificate(inner=base, outer=outer)
     if not verify_certificate(cert):
         raise RuntimeError("detachment output fails verification")

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import index
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -124,12 +125,12 @@ def color_counts(p: EmbeddingParams) -> tuple[int, int]:
             p.lam * comb(p.n - 1, 3) // p.s)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One condition as integers: ``holds`` decides a >= b (a <= b for N2,
     which also needs r <= s, and N8) over the positive denominator ``den``.
     The witnesses ``lhs`` = a/den and ``rhs`` = b/den are exact rationals,
-    built only when read.  A vacuous verdict holds whatever a and b are."""
+    built only when read.  A vacuous verdict holds whatever a and b are.
+    A tuple, not a dataclass: ``check_conditions`` builds ten per call."""
 
     holds: bool
     a: int

@@ -7,7 +7,7 @@ from hashlib import sha256
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, target
 from hypothesis import strategies as st
 
 from quadembed.detach import detach, generate_base
@@ -173,16 +173,21 @@ def _outer(tup, seed):
     return _certificate(tup, seed).outer
 
 
+def _pack(d, b, t):
+    """An edge type as the construction stores it: d << 6 | b << 3 | t."""
+    return d << 6 | b << 3 | t
+
+
 def _amalgamate(fact, beta, alpha):
     """The flow state of ``fact`` with the vertex sets beta and alpha merged:
-    per class, the count of each edge type (D, b, t)."""
+    per class, the count of each edge type (D, b, t), packed."""
     state = []
     for cls in fact.classes:
         counts = Counter()
         for block in cls:
             d = sum(1 << v for v in block if v not in beta and v not in alpha)
-            counts[d, sum(v in beta for v in block),
-                   sum(v in alpha for v in block)] += 1
+            counts[_pack(d, sum(v in beta for v in block),
+                         sum(v in alpha for v in block))] += 1
         state.append(dict(counts))
     return state
 
@@ -213,11 +218,15 @@ def _run_step(fact, beta, alpha, v, from_beta):
     matches = []
     real = detach_module._match
 
-    def spy(cells, a_, row_need, col_need):
-        problem = ([list(row) for row in cells], list(row_need), dict(col_need))
-        chosen = real(cells, a_, row_need, col_need)
+    def spy(cells, chosen, row_need, col_need):
+        # the whole rounding problem: the needs count the cells already taken
+        taken = Counter(key for keys in chosen for key in keys)
+        problem = ([list(row) for row in cells],
+                   [need + len(keys) for need, keys in zip(row_need, chosen)],
+                   {key: col_need.get(key, 0) + taken[key]
+                    for row in cells for key in row})
+        real(cells, chosen, row_need, col_need)
         matches.append((problem, chosen))
-        return chosen
 
     with mock.patch.object(detach_module, "_match", spy):
         detach_module._detach_vertex(after, v, a, from_beta,
@@ -229,19 +238,20 @@ def _run_step(fact, beta, alpha, v, from_beta):
 def test_detachment_step_meets_sums_caps_and_box(case):
     fact, beta, alpha, v, from_beta = case
     before, after, a, _ = _run_step(*case)
-    slot, bit = (1 if from_beta else 2), 1 << v
+    bit = 1 << v
     fair, got = Counter(), Counter()
     for old, new in zip(before, after):
         row = 0
-        for (d, b, t), x in old.items():
-            c = (d, b, t)[slot]
-            to = (d | bit, b - 1, t) if from_beta else (d | bit, b, t - 1)
+        for key, x in old.items():
+            d, b, t = key >> 6, key >> 3 & 7, key & 7
+            c = b if from_beta else t
+            to = _pack(d | bit, b - 1, t) if from_beta else _pack(d | bit, b, t - 1)
             y = new.get(to, 0) if c else 0
             assert 0 <= y <= x  # caps
             assert x * c // a <= y <= -(-x * c // a)  # [floor, ceil] box
-            assert new.get((d, b, t), 0) == x - y
-            fair[d, b, t] += x * c
-            got[d, b, t] += y
+            assert new.get(key, 0) == x - y
+            fair[key] += x * c
+            got[key] += y
             row += y
         assert row == fact.regularity  # row sum: v's degree in the class
         assert sum(new.values()) == sum(old.values())
@@ -259,7 +269,7 @@ def test_deficit_matching_agrees_with_max_flow(case):
     graph.add_nodes_from(["source", "sink"])
     for j, row in enumerate(cells):
         graph.add_edge("source", ("row", j), capacity=row_need[j])
-        for key, _ in row:
+        for key in row:
             graph.add_edge(("row", j), ("col", key), capacity=1)
     for key, need in col_need.items():
         graph.add_edge(("col", key), "sink", capacity=need)
@@ -268,17 +278,123 @@ def test_deficit_matching_agrees_with_max_flow(case):
     assert nx.maximum_flow_value(graph, "source", "sink") == need
     taken = Counter()
     for j, (row, keys) in enumerate(zip(cells, chosen)):
-        assert keys <= {key for key, _ in row}
+        assert keys <= set(row)
         assert len(keys) == row_need[j]
         taken.update(keys)
     assert all(taken[key] == want for key, want in col_need.items())
 
 
+@st.composite
+def b_matching_cases(draw):
+    """A b-matching instance for ``_match``: each row's cells (column keys,
+    in row order), per-row and per-column totals, and a partial choice
+    already taken within them.  The totals count a random set of cells, so
+    most instances are feasible; moving one unit of one column's total to
+    another column makes some infeasible."""
+    n_rows, n_cols = draw(st.integers(1, 40)), draw(st.integers(1, 24))
+    column = st.integers(0, n_cols - 1)
+    cells = [draw(st.lists(column, unique=True, min_size=1, max_size=4))
+             for _ in range(n_rows)]
+    wanted = [draw(st.sets(st.sampled_from(row), min_size=1)) for row in cells]
+    row_total = [len(keys) for keys in wanted]
+    col_total = Counter(dict.fromkeys(range(n_cols), 0))
+    col_total.update(key for keys in wanted for key in keys)
+    if draw(st.booleans()):
+        src, dst = draw(column), draw(column)
+        if col_total[src]:
+            col_total[src] -= 1
+            col_total[dst] += 1
+    # a maximal choice, rows in random order and cells last first: no cell
+    # can be added to it, so every unit left needs an augmenting path
+    room, taken = Counter(col_total), [set() for _ in cells]
+    for j in draw(st.permutations(range(n_rows))):
+        for key in reversed(cells[j]):
+            if len(taken[j]) < row_total[j] and room[key]:
+                taken[j].add(key)
+                room[key] -= 1
+    return cells, row_total, dict(col_total), taken
+
+
+def _max_flow(cells, row_total, col_total):
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(["source", "sink"])
+    for j, row in enumerate(cells):
+        graph.add_edge("source", ("row", j), capacity=row_total[j])
+        for key in row:
+            graph.add_edge(("row", j), ("col", key), capacity=1)
+    for key, need in col_total.items():
+        graph.add_edge(("col", key), "sink", capacity=need)
+    return nx.maximum_flow_value(graph, "source", "sink")
+
+
+def _run_match(cells, row_total, col_total, taken):
+    """``_match`` from the partial choice ``taken``; its final choice."""
+    chosen = [set(keys) for keys in taken]
+    row_need = [total - len(keys) for total, keys in zip(row_total, chosen)]
+    held = Counter(key for keys in chosen for key in keys)
+    col_need = {key: total - held[key] for key, total in col_total.items()}
+    detach_module._match(cells, chosen, row_need, col_need)
+    assert not any(row_need) and not any(col_need.values())
+    return chosen
+
+
+def _counting_phases():
+    return mock.patch.object(detach_module, "_phase", wraps=detach_module._phase)
+
+
+@given(b_matching_cases())
+def test_match_agrees_with_max_flow(case):
+    # _match called directly, with many deficit units: it closes them
+    # exactly when the maximum flow meets every row total, and raises
+    # otherwise, whatever the cells already taken
+    cells, row_total, col_total, taken = case
+    with _counting_phases() as phase:
+        if _max_flow(cells, row_total, col_total) < sum(row_total):
+            with pytest.raises(RuntimeError, match="no integral solution"):
+                _run_match(*case)
+            return
+        chosen = _run_match(*case)
+    target(float(phase.call_count), label="phases")
+    for row, keys, total in zip(cells, chosen, row_total):
+        assert keys <= set(row) and len(keys) == total
+    got = Counter(key for keys in chosen for key in keys)
+    assert all(got[key] == want for key, want in col_total.items())
+
+
+def _chains(lengths):
+    """Disjoint chains of rows and columns, each column wanted once.  In a
+    chain of length L, row 0 may take column 0 only, and row i (1 <= i <= L)
+    holds column i - 1 and may take column i; column L is spare, so the
+    one augmenting path runs from row 0 through the whole chain."""
+    cells, taken, want, col = [], [], [], 0
+    for length in lengths:
+        cells.append([col])
+        taken.append(set())
+        want.append({col})
+        for i in range(1, length + 1):
+            cells.append([col + i - 1, col + i])
+            taken.append({col + i - 1})
+            want.append({col + i})
+        col += length + 1
+    return cells, taken, want, col
+
+
+def test_match_runs_one_phase_per_path_length():
+    # a phase takes only the shortest augmenting paths, so chains of three
+    # lengths need three phases
+    cells, taken, want, n_cols = _chains((3, 1, 2))
+    with _counting_phases() as phase:
+        chosen = _run_match(cells, [1] * len(cells), dict.fromkeys(range(n_cols), 1), taken)
+    assert chosen == want
+    assert phase.call_count == 3
+
+
 def test_step_with_non_integral_share_raises():
     # 2 edges of type (0, 2, 0) at multiplicity 4 would give v 1 of them,
     # one edge gives v half a 4-set
-    with pytest.raises(RuntimeError, match="non-integral"):
-        detach_module._detach_vertex([{(0, 2, 0): 1}], 1, 4, True, [0])
+    with pytest.raises(RuntimeError, match=r"\(0, 2, 0\) has a non-integral"):
+        detach_module._detach_vertex([{_pack(0, 2, 0): 1}], 1, 4, True, [0])
 
 
 def test_every_small_tuple_embeds():
@@ -311,12 +427,12 @@ def test_former_search_walls_embed_quickly(tup):
 # construction visits classes, types and vertices in a fixed order, so its
 # output is the same in every process and on every platform
 PINNED_CERTIFICATES = {
-    (6, 8, 2, 5, 1): "bc2b7cc4b5625e93",
-    (5, 8, 8, 10, 2): "4cbd535c3f8ab9cd",
-    (6, 9, 2, 4, 1): "ceb9cd074173e974",
-    (6, 8, 2, 7, 1): "4c77951e10f8882b",
+    (6, 8, 2, 5, 1): "a6bf08d048f6cdcb",
+    (5, 8, 8, 10, 2): "2b590b0a05a19ad8",
+    (6, 9, 2, 4, 1): "408c361b171477c7",
+    (6, 8, 2, 7, 1): "5c948972dc91ac5c",
     (4, 8, 2, 14, 2): "91b7f87a9a7e0000",
-    (9, 10, 4, 6, 1): "4a6ae524106d69c7",
+    (9, 10, 4, 6, 1): "3bc3ed82cf2fa2f0",
 }
 
 

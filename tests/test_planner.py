@@ -26,7 +26,7 @@ from quadembed.planner import (
     verify_plan,
 )
 
-from conftest import expand, runs
+from conftest import expand, runs, sweep_params
 
 
 def tampered(plan, **cols):
@@ -408,6 +408,33 @@ def test_plan_json_shape():
     assert doc["colors"][0] == {"j": 1, "tier": "old", "e": 4, "f": 3,
                                 "g": 0, "h": 0}
     assert doc["colors"][-1]["tier"] == "new"
+
+
+def _json_by_dumps(plan):
+    """The document ``plan_to_json`` writes, built as a dict and written by
+    ``json.dumps(..., indent=2)``; the colors come from the per-color views."""
+    import json
+    p = plan.params
+    q, k = color_counts(p)
+    colors = [{"j": j, "tier": "old" if j <= q else "new", "e": e, "f": f, "g": g, "h": h}
+              for j, (e, f, g, h) in enumerate(zip(plan.e, plan.f, plan.g, plan.h), 1)]
+    return json.dumps({"m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam,
+                       "q": q, "k": k, "case": plan.case.code, "subcase": plan.subcase,
+                       "via": plan.via, "colors": colors}, indent=2)
+
+
+def test_plan_json_is_byte_identical_to_json_dumps():
+    # plan_to_json writes the indent=2 layout itself, row by row.  The pure
+    # Python encoder behind the oracle takes about 8 s over all 1,783 desk
+    # plans, so: every desk plan with k <= 100, one desk plan per (case,
+    # subcase, path), and one far beyond the desk box (k = 246,905)
+    small = [p for p in sweep_params(n_hi=30, r_hi=12, s_hi=12, lam_hi=2)
+             if check_conditions(p).all_hold() and color_counts(p)[1] <= 100]
+    assert len(small) == 311
+    for p in [*small, *(EmbeddingParams(*tup) for tup in PLANNED_CASES.values()),
+              EmbeddingParams(8, 116, 1, 1, 1)]:
+        plan = build_plan(p)
+        assert plan_to_json(plan) == _json_by_dumps(plan), p
 
 
 def test_case_code_with_subcase():
