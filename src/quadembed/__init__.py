@@ -4,9 +4,10 @@ Given an r-factorization of the lam-fold complete 4-uniform system on m
 vertices, decide whether it extends to an s-factorization on n vertices,
 plan the extension color by color, and construct an explicit certificate.
 
-All arithmetic is exact (integers, ``math.comb``, ``fractions.Fraction``):
-the inequalities decided here are sharp at many boundary tuples, so
-floating point is banned everywhere.
+All arithmetic is exact integer arithmetic (``math.comb``); a
+``fractions.Fraction`` appears only in reports (``check`` witnesses and
+``bounds``).  The inequalities decided here are sharp at many boundary
+tuples, so floating point is banned everywhere.
 """
 
 from .bounds import AmalgamCase, BoundSet, global_bounds, per_color_bounds

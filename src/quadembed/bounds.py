@@ -28,7 +28,7 @@ Sign equivalences tying the two levels together (i = 1, 2):
     rho_ij >= iota_ij  <=>  e_j >= iota_i = 2 c_i - d_i
 
 The signs of (iota1, iota2, rhop1, rhop2) split the admissible space into
-six regimes (case codes "5.1".."5.6"); the planner dispatches on the tag.
+six regimes (case codes "5.1".."5.6"); ``sign_case`` reads them off (c_i, d_i).
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def tier_bounds(p: EmbeddingParams) -> list[tuple[int, int, int]]:
 
 
 def global_bounds(p: EmbeddingParams) -> BoundSet:
-    """Exact global bounds; requires both triples admissible, s >= r and k >= q."""
+    """Exact global bounds, for reports only; needs admissible triples, s >= r, k >= q."""
     (_, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
     if p.s < p.r:
         raise InputError(f"bounds need s >= r, got r={p.r}, s={p.s}")
@@ -129,23 +129,27 @@ def per_color_bounds(p: EmbeddingParams, e_runs) -> list[tuple[int, int, int, in
     return out
 
 
-def sign_case(b: BoundSet) -> AmalgamCase:
-    """The unique sign regime of the global bounds b."""
-    if not b.two_tier:
-        if b.iota1 >= 0:
+def sign_case(tiers: list[tuple[int, int, int]]) -> AmalgamCase:
+    """The unique sign regime of the tier table: rhop_i and iota_i have the signs
+    of c_i and 2 c_i - d_i.  InputError when s < r (d_1 < 0) or k < q."""
+    (_, c1, d1), (new_colors, c2, d2) = tiers
+    if new_colors < 0 or d1 < 0:
+        raise InputError(f"no sign regime: s < r or k - q = {new_colors} is negative")
+    if not new_colors:
+        if 2 * c1 >= d1:
             return AmalgamCase.BOTH_FLOORS
-        if b.rhop1 >= 0:
+        if c1 >= 0:
             return AmalgamCase.NEW_FLOOR
         return AmalgamCase.FREE_RANGE
-    if b.rhop2 < 0:
+    if c2 < 0:
         return AmalgamCase.FREE_RANGE
-    if b.rhop1 >= 0:
-        if b.iota1 >= 0:
+    if c1 >= 0:
+        if 2 * c1 >= d1:
             return AmalgamCase.BOTH_FLOORS
-        if b.iota2 >= 0:
+        if 2 * c2 >= d2:
             return AmalgamCase.NEW_FLOOR
         return AmalgamCase.THRESHOLD_SPLIT
-    if b.iota2 > 0:
+    if 2 * c2 > d2:
         return AmalgamCase.OLD_PINNED_NEW_FLOOR
     return AmalgamCase.OLD_PINNED_THRESHOLD
 

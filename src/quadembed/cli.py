@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .bounds import floors, global_bounds, sign_case
+from .bounds import floors, global_bounds, sign_case, tier_bounds
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (
@@ -72,7 +72,7 @@ def cmd_bounds(args) -> int:
     p = _params_from_args(args)
     b = global_bounds(p)
     fl = floors(b)
-    case = sign_case(b).code
+    case = sign_case(tier_bounds(p)).code
     if args.format == "json":
         doc = {
             "iota1": b.iota1, "rho1": str(b.rho1), "rhop1": str(b.rhop1),

@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from math import comb
 
 from .errors import InputError
 from .factorization import (
@@ -97,7 +96,7 @@ from .factorization import (
     is_valid_factorization,
     verify_certificate,
 )
-from .params import EmbeddingParams, color_counts, integers, is_admissible
+from .params import EmbeddingParams, class_count, color_counts, integers
 from .planner import AmalgamPlan, verify_plan
 
 EdgeType = int  # d << 6 | b << 3 | t: detached-vertex bitmask d, then b and t
@@ -319,9 +318,7 @@ def _vertex_order(vertices: range, rng: random.Random | None) -> list[int]:
 def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
     """An r-factorization of lam*K_m^4 by detaching m vertices from one amalgam."""
     m, r, lam = integers((m, r, lam))
-    if not is_admissible(m, r, lam):
-        raise InputError(f"triple ({m}, {r}, {lam}) is not admissible")
-    q = lam * comb(m - 1, 3) // r
+    q = class_count(m, r, lam)  # raises unless (m, r, lam) is admissible
     classes = [{4 << 3 | 0: r * m // 4} for _ in range(q)]  # (empty, 4, 0)
     rng = random.Random(seed) if seed else None
     for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):

@@ -10,8 +10,8 @@ I = {i : a_i >= 0}, the system has a solution iff
 
     sum_{i in I} a_i  <=  c  <=  sum_i b_i.
 
-Every bound is an ``int``; a caller with a rational upper bound floors it
-first (an integer x_i <= b_i exactly when x_i <= floor(b_i)).
+Every bound is an ``int``: the planner derives its bounds in integers from
+the tier table (``bounds.tier_bounds``), and no caller holds a rational one.
 
 ``solve`` follows the constructive proof, and its fill decides feasibility:
 start at x_i = max(a_i, 0), then raise entries toward b_i in ascending index

@@ -114,15 +114,19 @@ class EmbeddingParams:
             raise InputError("m = 4 requires lam >= 2 and r >= 2")
 
 
+def class_count(m: int, r: int, lam: int, triple: str = "triple") -> int:
+    """lam*C(m-1,3)/r, the classes of an r-factorization of lam*K_m^4;
+    raises InputError unless (m, r, lam) is admissible."""
+    if not is_admissible(m, r, lam):
+        raise InputError(f"{triple} ({m}, {r}, {lam}) not admissible")
+    return lam * comb(m - 1, 3) // r
+
+
 def color_counts(p: EmbeddingParams) -> tuple[int, int]:
     """Exact (q, k); raises InputError unless both triples are admissible
     (the check that makes every bound in ``bounds`` integral where needed)."""
-    if not is_admissible(p.m, p.r, p.lam):
-        raise InputError(f"inner triple ({p.m}, {p.r}, {p.lam}) not admissible")
-    if not is_admissible(p.n, p.s, p.lam):
-        raise InputError(f"outer triple ({p.n}, {p.s}, {p.lam}) not admissible")
-    return (p.lam * comb(p.m - 1, 3) // p.r,
-            p.lam * comb(p.n - 1, 3) // p.s)
+    return (class_count(p.m, p.r, p.lam, "inner triple"),
+            class_count(p.n, p.s, p.lam, "outer triple"))
 
 
 class Verdict(NamedTuple):

@@ -8,8 +8,9 @@ The totals are forced by counting:
     g = lam m C(n-m,3)     h = lam C(n-m,4)
 
 Planning happens in two interval-sum solves.  First the e_j are chosen
-inside per-tier intervals dictated by the case tag (see bounds.AmalgamCase);
-the threshold cases split further into three subcases by comparing e against
+inside per-tier intervals that the sign regime of the integer tier table
+(``bounds.tier_bounds``, ``bounds.sign_case``) picks, with no Fraction; the
+threshold cases split further into three subcases by comparing e against
 the floor/ceil threshold sums.  Then the f_j are chosen inside the surviving
 per-color intervals [iota_ij, rho_ij].  The remaining counts are forced:
 
@@ -44,9 +45,9 @@ import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import chain, repeat
-from math import ceil, comb, floor
+from math import comb
 
-from .bounds import AmalgamCase, global_bounds, per_color_bounds, sign_case, tier_bounds
+from .bounds import AmalgamCase, per_color_bounds, sign_case, tier_bounds
 from .errors import ConditionsFailed, InputError, PlanInfeasible
 from .intervals import IntervalSystem
 from .params import ConditionReport, EmbeddingParams, check_conditions, color_counts
@@ -70,7 +71,7 @@ class AmalgamPlan:
 
     @property
     def case(self) -> AmalgamCase:
-        return _e_intervals(self.params)[0]
+        return sign_case(tier_bounds(self.params))
 
     @property
     def subcase(self) -> str | None:
@@ -89,47 +90,40 @@ def totals(p: EmbeddingParams) -> tuple[int, int, int, int]:
     )
 
 
-def _e_intervals(p: EmbeddingParams):
+def _e_intervals(tiers, e_total: int):
     """(case, subcase, old, new): the integer interval (lo, hi) of each tier's e_j.
 
-    The one place that knows the case discipline.  The threshold cases split
-    into subcases by comparing e with the floor/ceil threshold sums.  With no
-    new colors ``new`` is None.  Raises InputError when p has no bounds.
+    The one place that knows the case discipline, in integers from the tier
+    table (count, c, d): floor(rho_i) = d // 3, rhop_i = c/2, iota_i = 2c - d.
+    The threshold cases split into subcases by comparing e with the floor/ceil
+    threshold sums.  Raises InputError when there is no regime.
     """
-    b = global_bounds(p)
-    q, k = color_counts(p)
-    case, subcase, e_total = sign_case(b), None, totals(p)[0]
+    case, subcase = sign_case(tiers), None
+    (q, c1, d1), (new_colors, c2, d2) = tiers
+    fl1, ce1, fl2, ce2 = c1 // 2, -(-c1 // 2), c2 // 2, -(-c2 // 2)  # floor, ceil of rhop_i
     if case is AmalgamCase.FREE_RANGE:
-        tiers = (0, b.rho1), (0, b.rho2)
+        ranges = (0, d1 // 3), (0, d2 // 3)
     elif case is AmalgamCase.BOTH_FLOORS:
-        tiers = (b.iota1, b.rhop1), (b.iota2, b.rhop2)
+        ranges = (2 * c1 - d1, fl1), (2 * c2 - d2, fl2)
     elif case is AmalgamCase.NEW_FLOOR:
-        tiers = (0, b.rhop1), (b.iota2, b.rhop2)
+        ranges = (0, fl1), (2 * c2 - d2, fl2)
     elif case is AmalgamCase.OLD_PINNED_NEW_FLOOR:
-        tiers = (0, 0), (b.iota2, b.rhop2)
+        ranges = (0, 0), (2 * c2 - d2, fl2)
     elif case is AmalgamCase.THRESHOLD_SPLIT:
-        t_lo = q * floor(b.rhop1) + (k - q) * floor(b.rhop2)
-        t_hi = q * ceil(b.rhop1) + (k - q) * ceil(b.rhop2)
-        if e_total <= t_lo:
-            subcase, tiers = "i", ((0, b.rhop1), (0, b.rhop2))
-        elif e_total >= t_hi:
-            subcase, tiers = "ii", ((ceil(b.rhop1), b.rho1), (ceil(b.rhop2), b.rho2))
+        if e_total <= q * fl1 + new_colors * fl2:
+            subcase, ranges = "i", ((0, fl1), (0, fl2))
+        elif e_total >= q * ce1 + new_colors * ce2:
+            subcase, ranges = "ii", ((ce1, d1 // 3), (ce2, d2 // 3))
         else:
-            subcase, tiers = "iii", ((floor(b.rhop1), ceil(b.rhop1)),
-                                     (floor(b.rhop2), ceil(b.rhop2)))
+            subcase, ranges = "iii", ((fl1, ce1), (fl2, ce2))
     else:  # OLD_PINNED_THRESHOLD
-        t_lo = (k - q) * floor(b.rhop2)
-        t_hi = (k - q) * ceil(b.rhop2)
-        if e_total <= t_lo:
-            subcase, tiers = "i", ((0, 0), (0, b.rhop2))
-        elif e_total >= t_hi:
-            subcase, tiers = "ii", ((0, b.rho1), (ceil(b.rhop2), b.rho2))
+        if e_total <= new_colors * fl2:
+            subcase, ranges = "i", ((0, 0), (0, fl2))
+        elif e_total >= new_colors * ce2:
+            subcase, ranges = "ii", ((0, d1 // 3), (ce2, d2 // 3))
         else:
-            subcase, tiers = "iii", ((0, 0), (floor(b.rhop2), ceil(b.rhop2)))
-    # an integer e_j <= hi exactly when e_j <= floor(hi): floor once per tier;
-    # with no new colors the tier-2 bounds are None and no color uses them
-    old, new = [(lo, floor(hi)) if hi is not None else None for lo, hi in tiers]
-    return case, subcase, old, new
+            subcase, ranges = "iii", ((0, 0), (fl2, ce2))
+    return case, subcase, *ranges
 
 
 def _solve(target: int, runs, name: str, where: str = "") -> list[tuple[int, int]]:
@@ -149,10 +143,10 @@ def _solve(target: int, runs, name: str, where: str = "") -> list[tuple[int, int
 
 def plan_e(p: EmbeddingParams) -> list[tuple[int, int]]:
     """Runs (count, e_j) inside the intervals of the case discipline."""
-    case, _, old, new = _e_intervals(p)
-    q, k = color_counts(p)
-    runs = [(q, *old)] + ([(k - q, *new)] if k > q else [])
-    return _solve(totals(p)[0], runs, "e-system", f" for case {case.code}")
+    tiers, e_total = tier_bounds(p), totals(p)[0]
+    case, _, *intervals = _e_intervals(tiers, e_total)
+    runs = [(count, *interval) for (count, _, _), interval in zip(tiers, intervals) if count]
+    return _solve(e_total, runs, "e-system", f" for case {case.code}")
 
 
 def plan_f(p: EmbeddingParams, e_runs) -> list[tuple[int, int]]:
@@ -312,16 +306,15 @@ def _header(p: EmbeddingParams, via: str) -> dict:
 
     Only the general path has a subcase: the one its e-intervals fire.
     """
-    q, k = color_counts(p)
-    case, subcase, _, _ = _e_intervals(p)
-    return {"m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam, "q": q, "k": k,
-            "case": case.code, "subcase": subcase if via == "general" else None,
-            "via": via}
+    (q, _, _), (new_colors, _, _) = tiers = tier_bounds(p)
+    case, subcase, _, _ = _e_intervals(tiers, totals(p)[0])
+    return {"m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam, "q": q,
+            "k": q + new_colors, "case": case.code,
+            "subcase": subcase if via == "general" else None, "via": via}
 
 
-def _numbered_rows(plan: AmalgamPlan):
+def _numbered_rows(plan: AmalgamPlan, q: int):
     """(first color, tier, count, e_j, f_j, g_j, h_j) per row; colors count from 1."""
-    q, _ = color_counts(plan.params)
     j = 1
     for count, *quad in plan.rows:
         yield (j, "old" if j <= q else "new", count, *quad)
@@ -329,9 +322,9 @@ def _numbered_rows(plan: AmalgamPlan):
 
 
 def render_plan(plan: AmalgamPlan) -> str:
-    header = _header(plan.params, plan.via).values()
-    lines = [" ".join("-" if x is None else str(x) for x in header)]
-    for j, tier, count, *quad in _numbered_rows(plan):
+    header = _header(plan.params, plan.via)
+    lines = [" ".join("-" if x is None else str(x) for x in header.values())]
+    for j, tier, count, *quad in _numbered_rows(plan, header["q"]):
         values = " ".join(map(str, quad))
         lines += (f"{i} {tier} {values}" for i in range(j, j + count))
     return "\n".join(lines) + "\n"
@@ -343,9 +336,10 @@ def plan_to_json(plan: AmalgamPlan) -> str:
     Only the header goes through ``json.dumps``; each row formats its colors
     itself, because with an indent ``json.dumps`` falls back to its pure
     Python encoder, 16x slower at k = 246,905."""
-    head = json.dumps(_header(plan.params, plan.via), indent=2)  # ends "\n}"
+    header = _header(plan.params, plan.via)
+    head = json.dumps(header, indent=2)  # ends "\n}"
     colors = []
-    for j, tier, count, *quad in _numbered_rows(plan):
+    for j, tier, count, *quad in _numbered_rows(plan, header["q"]):
         body = "".join(f',\n      "{name}": {x}' for name, x in zip("efgh", quad))
         colors += (f'    {{\n      "j": {i},\n      "tier": "{tier}"{body}\n    }}'
                    for i in range(j, j + count))

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import groupby
 from math import comb
 from pathlib import Path
@@ -125,3 +126,23 @@ def satisfied_by(system, x_runs) -> bool:
     if any(not (a <= x <= b) for x, (a, b) in zip(xs, entries)):
         return False
     return sum(xs) == system.target
+
+
+def amalgamate(inner, outer) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The plan an embedding of ``inner`` in ``outer`` amalgamates to, as rows.
+
+    Per outer class, the crossing blocks are counted by their number of old
+    vertices: 3, 2, 1, 0 give e_j, f_j, g_j, h_j.  The old colors are the
+    classes that hold inner blocks; they come first, in class order, and the
+    rows (count, e_j, f_j, g_j, h_j) merge equal neighbours but never an old
+    color with a new one.  This is the necessity half of existence: every
+    embedding yields a plan.
+    """
+    m = inner.ground_size
+    colors = []
+    for cls in outer.classes:
+        shapes = Counter(sum(v <= m for v in block) for block in cls if block[3] > m)
+        new = all(block[3] > m for block in cls)
+        colors.append((new, shapes[3], shapes[2], shapes[1], shapes[0]))
+    colors.sort(key=lambda color: color[0])  # stable: old colors first
+    return tuple((count, *quad) for count, _, *quad in runs(colors))

@@ -144,7 +144,7 @@ def test_criterion_3_sporadic_table_reproduction():
         te, tf, tg, _ = totals(p)
         assert (te, tf, tg) == (e, f, g), row
 
-        case, subcase, old, new = _e_intervals(p)
+        case, subcase, old, new = _e_intervals(tier_bounds(p), te)
         code = f"{case.code}({subcase})" if subcase in ("i", "ii", "iii") \
             else case.code
         assert code == case_code, (row, code)
@@ -253,7 +253,7 @@ def test_criterion_4_lemma_property_suites():
         if f < (k - q) * smq - 2 * e:
             bad["L6.4"].append(tup)
 
-        case = sign_case(b)
+        case = sign_case(tier_bounds(p))
         if case is AmalgamCase.THRESHOLD_SPLIT:
             if not (ceil(b.rhop1) <= b.rho1 and ceil(b.rhop2) <= b.rho2):
                 bad["rounding"].append(tup)

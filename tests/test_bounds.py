@@ -74,7 +74,7 @@ def test_per_color_bounds_splits_a_run_at_the_tier_boundary():
 
 def test_sign_case_examples():
     def case(*tup):
-        return sign_case(global_bounds(EmbeddingParams(*tup)))
+        return sign_case(tier_bounds(EmbeddingParams(*tup)))
 
     assert case(6, 8, 2, 5, 1) is AmalgamCase.BOTH_FLOORS
     assert case(5, 8, 4, 5, 1) is AmalgamCase.NEW_FLOOR
@@ -152,7 +152,7 @@ def test_six_sign_patterns_partition_the_sweep():
         }
         matches = [case for case, hit in patterns.items() if hit]
         assert len(matches) == 1, (p, matches)
-        assert sign_case(b) is matches[0]
+        assert sign_case(tier_bounds(p)) is matches[0]
         seen.add(matches[0])
     assert AmalgamCase.BOTH_FLOORS in seen and AmalgamCase.NEW_FLOOR in seen
 

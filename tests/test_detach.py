@@ -25,7 +25,7 @@ from quadembed.params import (
 )
 from quadembed.planner import build_plan, totals
 
-from conftest import sweep_params
+from conftest import amalgamate, sweep_params
 
 
 def test_generate_base_small():
@@ -76,11 +76,7 @@ def test_detach_small_instance():
     cert = detach(p, base, plan)
     assert verify_certificate(cert)
     # per-class shapes match the plan exactly: blocks with 3, 2, 1, 0 old vertices
-    for j, cls in enumerate(cert.outer.classes):
-        crossing = [b for b in cls if b[3] > 6]
-        shapes = Counter(sum(v <= 6 for v in b) for b in crossing)
-        assert (shapes[3], shapes[2], shapes[1], shapes[0]) == \
-            (plan.e[j], plan.f[j], plan.g[j], plan.h[j])
+    assert amalgamate(base, cert.outer) == plan.rows
 
 
 def test_detach_round_trip_amalgam_totals():
@@ -408,8 +404,11 @@ def test_every_small_tuple_embeds():
         count += 1
         out_of_scope += report.theorem_case is TheoremCase.OUT_OF_SCOPE
         base = generate_base(p.m, p.r, p.lam)
-        cert = detach(p, base, build_plan(p, report))
+        plan = build_plan(p, report)
+        cert = detach(p, base, plan)
         assert verify_certificate(cert), p
+        # the necessity half: the certificate amalgamates back to its plan
+        assert amalgamate(base, cert.outer) == plan.rows, p
     assert (count, out_of_scope) == (196, 41)
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from quadembed import detach, generate_base, planner, verify_certificate
 from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds, tier_bounds
 from quadembed.errors import ConditionsFailed, InputError, PlanInfeasible
+from quadembed.factorization import read_factorization
 from quadembed.params import EmbeddingParams, check_conditions, color_counts
 from quadembed.planner import (
     build_plan,
@@ -26,7 +27,7 @@ from quadembed.planner import (
     verify_plan,
 )
 
-from conftest import expand, runs, sweep_params
+from conftest import FIXTURES, amalgamate, expand, runs, sweep_params
 
 
 def tampered(plan, **cols):
@@ -452,7 +453,7 @@ def test_threshold_subcase_iii_pins_iota_to_units():
         rep = check_conditions(p)
         if not rep.all_hold() or rep.theorem_case is TheoremCase.OUT_OF_SCOPE:
             continue
-        case, subcase, _, _ = planner._e_intervals(p)
+        case, subcase, _, _ = planner._e_intervals(tier_bounds(p), totals(p)[0])
         if case not in found or subcase != "iii":
             continue
         e_runs = plan_e(p)
@@ -467,6 +468,38 @@ def test_threshold_subcase_iii_pins_iota_to_units():
             else:
                 assert iota in (-1, 1), (p, j, e_j)
     assert all(found.values()), found
+
+
+def test_conditions_hold_exactly_when_an_e_list_exists():
+    # existence on the desk grid: over every admissible tuple, N1-N8 hold
+    # exactly when the exact e-solve finds an e-list, and each found e-list
+    # extends to a verified plan.  Where the conditions fail, solve_e itself
+    # returns None, so no plan exists there (every plan's e_j lie in the
+    # master range it scans).  k < q raises; see the next test.
+    tuples = found = fewer = 0
+    for p in sweep_params(30, 12, 12, 2):
+        tuples += 1
+        tiers = tier_bounds(p)
+        if tiers[1][0] < 0:  # k < q
+            fewer += 1
+            continue
+        e_runs = solve_e(tiers, *totals(p)[:2])
+        assert check_conditions(p).all_hold() == (e_runs is not None), p
+        if e_runs is not None:
+            found += 1
+            extend_plan(p, e_runs, plan_f(p, e_runs), "fallback")  # raises unless it verifies
+    assert (tuples, found, fewer) == (5416, 1783, 627)
+
+
+def test_fixture_chain_amalgamates_to_verified_plans():
+    # the necessity half on the fixture chain intro_6 < intro_8 < intro_9:
+    # amalgamating the new vertices of each embedding gives a plan
+    levels = {v: read_factorization(FIXTURES / f"intro_{v}.txt") for v in (6, 8, 9)}
+    for m, n in ((6, 8), (8, 9), (6, 9)):
+        inner, outer = levels[m], levels[n]
+        p = EmbeddingParams(m, n, inner.regularity, outer.regularity, 1)
+        plan = replace(build_plan(p), rows=amalgamate(inner, outer))
+        assert verify_plan(p, plan), (m, n, plan.rows)
 
 
 def test_exact_e_solve_rejects_fewer_outer_than_inner_colors():
