@@ -11,30 +11,42 @@ File format (line oriented, bit-exact round trip on the canonical form):
     1: 1 2 3 5, 1 2 4 6, 3 4 5 6
     2: ...
 
-A Factorization is immutable and checked once, on construction: every
-block becomes a sorted 4-subset of 1..ground_size and every class a sorted
-tuple of blocks, so parse(render(x)) == x and the issue finders below never
-meet a malformed block.  Vertices are integers in the sense of
-``operator.index``: a float, a Fraction or a string is rejected, even when
-its value is integral, and an ``int`` subclass such as ``bool`` is stored as
-a plain ``int``.  The three header fields are converted and stored the same
-way.
+A Factorization is immutable and checked once, on construction or by the
+parser (below): every block becomes a sorted 4-subset of 1..ground_size and
+every class a sorted tuple of blocks, so parse(render(x)) == x and the
+issue finders below never meet a malformed block.  Vertices are integers in
+the sense of ``operator.index``: a float, a Fraction or a string is
+rejected, even when its value is integral, and an ``int`` subclass such as
+``bool`` is stored as a plain ``int``.  The three header fields are
+converted and stored the same way.
 
-The check runs one class at a time.  A class whose blocks are all tuples of
-four plain ``int`` vertices with 1 <= a < b < c < d <= ground_size, which is
-what the parser and the construction hand over, is only sorted; any other
-class goes block by block through ``_canonical_block``, which sorts each
-block, converts its vertices and words the error.
+The constructor's check runs one class at a time.  A class whose blocks are
+all tuples of four plain ``int`` vertices with 1 <= a < b < c < d <=
+ground_size, which is what the construction hands over, is only sorted; any
+other class goes block by block through ``_canonical_block``, which sorts
+each block, converts its vertices and words the error.
 
-The parser converts a class line chunk by chunk through one table from the
-labels "1".."N" to their integers.  N is at most ground_size and at most the
-largest v with 8 * C(v, 4) <= file length, since a cover of the 4-subsets of
-1..v takes that many characters; so the table is bounded by the file, and
-only by its fourth root, not by the header.  A line with any other token
-("05", "x", "3.5", a label above N) is converted again with ``int()`` per
-chunk, and a chunk that ``int()`` rejects is passed on as its list of
-tokens, which the class check rejects as a non-integer block.  Either way a
-bad block in a file is reported with the line of its class.
+The parser reads labels through a table from "1".."N" to their integers.  N
+is at most ground_size and at most the largest v with 8 * C(v, 4) <= file
+length, since a cover of the 4-subsets of 1..v takes that many characters;
+so the table is bounded by the file, and only by its fourth root, not by the
+header.  A class line in the renderer's layout, "a b c d, a b c d, ..." with
+a < b < c < d in each block (any blanks, any block order), is read by
+columns: the body is cut into segments of whole blocks, each ending just
+after the first comma at or past ``_SEGMENT`` characters, and each segment is
+split once.  Its tokens 0, 4, 8, ... are the a column, and so on; the d
+column goes through a second table of the labels "1,".."N,", except the
+line's last token.  Three comparisons of columns then prove every block a
+4-subset of 1..ground_size, so this is the class's only check.  Segments
+are 64 KiB because the 385k tokens of a 1.1 MB line would take about 22 MB
+at once, while a segment's take about 1.3 MB, little beside the blocks that
+the parse keeps.
+
+Any other line (a missing comma, an empty entry, "05", "x", "3.5", a label
+above N, an unsorted block), and every line after it, is converted chunk by
+chunk: through the label table, or else with ``int()``, and a chunk that
+``int()`` rejects is passed on as its list of tokens.  The constructor then
+checks the whole file, and reports a bad block with the line of its class.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
 one on {1..n}.  It is valid when both factorizations are valid and
@@ -49,11 +61,18 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
-from operator import index as index_of
+from operator import index as index_of, lt
 
 from .errors import FormatError, InputError
 
 Block = tuple[int, int, int, int]
+
+_SEGMENT = 1 << 16  # characters per segment of a class line read by columns
+
+
+class _Checked(tuple):
+    """Classes that the parser has proved canonical; the constructor takes
+    them as they are."""
 
 
 class BlockError(InputError):
@@ -94,7 +113,11 @@ class Factorization:
             raise InputError("ground_size, lam and regularity must be integers") from None
         if n < 4 or lam < 1 or reg < 1:
             raise InputError("ground_size >= 4, lam >= 1, regularity >= 1 required")
-        classes = tuple(_canonical_class(tuple(c), n, i) for i, c in enumerate(self.classes))
+        if type(self.classes) is _Checked:
+            classes = tuple(self.classes)
+        else:
+            classes = tuple(_canonical_class(tuple(c), n, i)
+                            for i, c in enumerate(self.classes))
         for name, x in zip(self.__dataclass_fields__, (n, lam, reg, classes)):
             object.__setattr__(self, name, x)
 
@@ -221,7 +244,8 @@ def parse_factorization(text: str) -> Factorization:
     while top < ground and 8 * comb(top + 1, 4) <= len(text):
         top += 1
     label = {str(v): v for v in range(1, top + 1)}.__getitem__
-    classes = []
+    comma_label = {f"{v},": v for v in range(1, top + 1)}.__getitem__
+    classes, by_columns = [], True
     for expected, (lineno, ln) in enumerate(rows, start=1):
         prefix, _, body = ln.partition(":")
         try:
@@ -230,6 +254,12 @@ def parse_factorization(text: str) -> Factorization:
             raise FormatError(f"bad class index {prefix!r}", lineno) from exc
         if idx != expected:
             raise FormatError(f"class index {idx}, expected {expected}", lineno)
+        if by_columns:
+            cls = _columns(body, label, comma_label)
+            if cls is not None:
+                classes.append(cls)
+                continue
+            by_columns = False
         # a blank body is an empty class; an empty entry in a body is the
         # block (), which Factorization rejects as not a 4-subset
         chunks = body.split(",") if body.strip() else ()
@@ -237,12 +267,39 @@ def parse_factorization(text: str) -> Factorization:
             classes.append([tuple(map(label, c.split())) for c in chunks])
         except KeyError:
             classes.append([_int_block(c.split()) for c in chunks])
+    if by_columns:
+        classes = _Checked(classes)
     try:
         return Factorization(ground, lam, reg, classes)
     except BlockError as exc:
         raise FormatError(str(exc), rows[exc.index][0]) from exc
     except InputError as exc:
         raise FormatError(str(exc), 1) from exc
+
+
+def _columns(body: str, label, comma_label) -> tuple[Block, ...] | None:
+    """A class line's body in the renderer's layout as its sorted tuple of
+    blocks, or None when the body is in any other layout."""
+    if not body.strip():
+        return ()
+    blocks, start, end = [], 0, len(body)
+    while start < end:
+        cut = body.find(",", start + _SEGMENT) + 1 or end
+        t = body[start:cut].split()
+        start = cut
+        if not t or len(t) % 4:
+            return None
+        try:
+            a, b, c = (list(map(label, t[i::4])) for i in range(3))
+            d = list(map(comma_label, t[3:-1:4]))
+            d.append((comma_label if start < end else label)(t[-1]))
+        except KeyError:
+            return None
+        if not (all(map(lt, a, b)) and all(map(lt, b, c)) and all(map(lt, c, d))):
+            return None
+        blocks += zip(a, b, c, d)
+    blocks.sort()
+    return tuple(blocks)
 
 
 def _int_block(tokens: list[str]):

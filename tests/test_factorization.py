@@ -3,11 +3,13 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quadembed import factorization
+from quadembed.detach import detach, generate_base
 from quadembed.errors import FormatError, InputError
 from quadembed.factorization import (
     EmbeddingCertificate,
@@ -20,6 +22,8 @@ from quadembed.factorization import (
     render_factorization,
     verify_certificate,
 )
+from quadembed.params import EmbeddingParams
+from quadembed.planner import build_plan
 
 from conftest import FIXTURES
 
@@ -86,24 +90,60 @@ def test_rejects_non_integral_vertices():
         assert str(err.value) == f"class 2: non-integer vertex in block {block}"
 
 
+def _one_class_line(n):
+    """Every 4-subset of 1..n in one class: a valid 1-fold cover."""
+    blocks = list(combinations(range(1, n + 1), 4))
+    return render_factorization(Factorization(n, 1, comb(n - 1, 3), [blocks]))
+
+
 def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
-    def per_block(*args):
-        raise AssertionError("_canonical_block called on a canonical class")
+    calls = Counter()
 
+    def spy(name):
+        real = getattr(factorization, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(factorization, name, counted)
+
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    cert = detach(p, generate_base(6, 2, 1), build_plan(p))
     texts = [(FIXTURES / f"intro_{level}.txt").read_text() for level in (6, 8, 9)]
+    texts.append(render_factorization(cert.outer))
+    spy("_canonical_class")
+    spy("_canonical_block")
+    # the parser's column check is the only check of a canonical file
     facts = [parse_factorization(text) for text in texts]
-    monkeypatch.setattr(factorization, "_canonical_block", per_block)
-    assert [parse_factorization(text) for text in texts] == facts
+    assert facts[3] == cert.outer and not calls
+    for fact in facts:
+        assert type(fact.classes) is tuple
+        assert all(type(cls) is tuple for cls in fact.classes)
+        assert {type(b) for cls in fact.classes for b in cls} == {tuple}
+        assert {type(v) for cls in fact.classes for b in cls for v in b} == {int}
+    # the constructor checks each class once, and a canonical one is only
+    # sorted
     assert [Factorization(f.ground_size, f.lam, f.regularity, f.classes)
-             for f in facts] == facts
-    with pytest.raises(AssertionError):
-        parse_factorization("6 1 1 1\n1: 2 1 3 4\n")
+            for f in facts] == facts
+    assert calls == {"_canonical_class": sum(len(f.classes) for f in facts)}
+    # a respelled label or an unsorted block takes the chunk path, whose
+    # classes the constructor checks: a sorted block as a whole, an
+    # unsorted one block by block
+    calls.clear()
+    assert parse_factorization("6 1 1 1\n1: 1 2 3 04\n").classes == (((1, 2, 3, 4),),)
+    assert calls == {"_canonical_class": 1}
+    calls.clear()
+    assert parse_factorization("6 1 1 1\n1: 2 1 3 4\n").classes == (((1, 2, 3, 4),),)
+    assert calls == {"_canonical_class": 1, "_canonical_block": 1}
 
 
-def _parse_peak(text):
+def _parse_memory(text):
+    """The parse, its tracemalloc peak, and the memory still held after it."""
     tracemalloc.start()
     try:
-        return parse_factorization(text), tracemalloc.get_traced_memory()[1]
+        fact = parse_factorization(text)
+        retained, peak = tracemalloc.get_traced_memory()
+        return fact, peak, retained
     finally:
         tracemalloc.stop()
 
@@ -112,14 +152,21 @@ def test_parse_memory_is_bounded_by_the_file():
     # the header names 2,000,000 vertices; the 47-byte file names six
     text = "2000000 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n"
     assert len(text) == 47
-    fact, peak = _parse_peak(text)
+    fact, peak, _ = _parse_memory(text)
     assert fact.classes == (((1, 2, 3, 4),), ((1, 2, 3, 5),), ((1, 2, 3, 6),))
     assert peak < 1_000_000
     # 200 kB that name no vertex: a label table as long as the file would
     # take about 27 MB
-    fact, peak = _parse_peak("1000000000 1 1 1\n1:" + " " * 200_000 + "\n")
+    fact, peak, _ = _parse_memory("1000000000 1 1 1\n1:" + " " * 200_000 + "\n")
     assert fact.classes == ((),)
     assert peak < 1_000_000
+    # a 323 kB class line of 27,405 blocks is read in segments: its tokens
+    # all at once would add over 6 MB to the blocks the parse keeps
+    text = _one_class_line(30)
+    assert len(text) > 320_000
+    fact, peak, retained = _parse_memory(text)
+    assert len(fact.classes[0]) == comb(30, 4)
+    assert peak - retained < 4_000_000
 
 
 def test_factorization_issues_reports_defects():
@@ -294,3 +341,105 @@ def test_parse_raises_only_format_error(text):
     except FormatError:
         return
     assert parse_factorization(render_factorization(fact)) == fact
+
+
+def _outcome(text):
+    """The parse of ``text``, or its error's message and line."""
+    try:
+        return parse_factorization(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+
+
+def _chunk_path_outcome(text):
+    """_outcome with every class line converted chunk by chunk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "_columns", lambda *args: None)
+        return _outcome(text)
+
+
+def _segmented_outcome(text, segment):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "_SEGMENT", segment)
+        return _outcome(text)
+
+
+@st.composite
+def token_edits(draw):
+    """A rendered factorization with one token of a class line dropped or
+    doubled, its comma toggled, or its label swapped with the next one's:
+    every label stays one the parser's table knows."""
+    lines = render_factorization(draw(factorizations())).split("\n")
+    at = draw(st.integers(1, len(lines) - 2))
+    prefix, *tokens = lines[at].split(" ")
+    if tokens == [""]:
+        return "\n".join(lines)
+    labels = [t.rstrip(",") for t in tokens]
+    commas = [t[len(v):] for t, v in zip(tokens, labels)]
+    j = draw(st.integers(0, len(tokens) - 1))
+    edit = draw(st.sampled_from(["drop", "double", "comma", "swap"]))
+    if edit == "drop":
+        del labels[j], commas[j]
+    elif edit == "double":
+        labels.insert(j, labels[j])
+        commas.insert(j, "")
+    elif edit == "comma":
+        commas[j] = "" if commas[j] else ","
+    elif j + 1 < len(tokens):
+        labels[j], labels[j + 1] = labels[j + 1], labels[j]
+    lines[at] = " ".join([prefix] + [v + c for v, c in zip(labels, commas)])
+    return "\n".join(lines)
+
+
+@given(st.one_of(st.builds(_splice, factorizations(), st.integers(0, 200),
+                           st.integers(0, 3), st.text(NEAR_FORMAT, max_size=3)),
+                 token_edits(),
+                 respellings().map(lambda item: item[1])),
+       st.integers(1, 12), st.booleans())
+@example("6 1 1 1\n1: 1 2 3 5, 1 2 4 3\n", 4, True)
+@example("6 1 1 1\n1: 1 2 3 5, 1 3 2 4\n", 4, True)
+@example("6 1 1 1\n1: 1 2 3 5, 1 2 3 4,\n", 64, True)
+@example("6 1 1 1\n1: 1 2 3 4, 5\n", 4, True)
+@example("6 1 1 1\n1: 1 2 3 4, 3 5\n", 64, True)
+def test_columns_agree_with_the_chunk_path(text, segment, pad):
+    # the label table grows with the file, up to ground size 9 at 1,008
+    # characters, so a short file reads few labels by columns; trailing
+    # blank lines change no outcome but the table
+    if pad:
+        text += "\n" * 1008
+    assert _segmented_outcome(text, segment) == _chunk_path_outcome(text)
+
+
+def test_columns_agree_with_the_chunk_path_at_a_segment_cut():
+    text = _one_class_line(30)
+    assert len(text) > 4 * factorization._SEGMENT  # five segments
+    assert _outcome(text) == _chunk_path_outcome(text)
+    head, line, _ = text.split("\n")
+    # block k ends at the line's first cut; offsets count from the body,
+    # the part after "1:", as the parser's do
+    body = line[2:]
+    end = body.find(",", factorization._SEGMENT)
+    start = body.rfind(",", 0, end) + 2
+    block, rest = body[start:end], body[end + 2:]
+    before = "1:" + body[:start]
+    cases = [
+        # block k with three vertices
+        (head, before + block.rsplit(" ", 1)[0] + ", " + rest),
+        # block k's comma inside the token "d,e"
+        (head, before + block + "," + rest),
+        # the line ends in ", " after block k; the rest of it becomes class
+        # 2, so the file keeps its length and with it the label table
+        (head[:-1] + "2", before + block + ", \n2: " + rest),
+    ]
+    outcomes = []
+    for new_head, new_line in cases:
+        changed = f"{new_head}\n{new_line}\n"
+        # the segment size that cuts the line just after block k's comma
+        at = new_line.index(",", len(before)) - 2
+        assert new_line[2:].find(",", at) == at
+        outcomes.append(_segmented_outcome(changed, at))
+        assert outcomes[-1] == _chunk_path_outcome(changed)
+    a, b, c, _ = map(int, block.split())
+    assert outcomes[0] == (f"line 2: class 1: block {(a, b, c)} is not a 4-subset", 2)
+    assert outcomes[1] == _outcome(text)
+    assert outcomes[2] == ("line 2: class 1: block () is not a 4-subset", 2)
