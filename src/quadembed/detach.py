@@ -52,31 +52,49 @@ both sums.  Its constraint matrix is the incidence matrix of a bipartite
 graph (classes against types), which is totally unimodular, so with
 integral sums the polytope restricted to the box [floor, ceil] of the fair
 point has an integral vertex.  The step finds one.  Every cell starts at
-floor(x * c / a), and the cells whose fair value is fractional may take
-one more (capacity 1 each).  In the same scan, systematic rounding per
-column takes such a cell where its column's running sum of fractional
-parts crosses a multiple of a, as far as its row's need allows.  A greedy
-pass then takes any cell still allowed in the rows left short, and
-Hopcroft-Karp phases finish the flow: one layered BFS from every short row,
-then disjoint shortest augmenting paths, each row and column keeping a
-current-arc pointer.  After the step, type (D, b, t) keeps
+floor(x * c / a), and a cell whose fair value is fractional may take one
+more (capacity 1 each).  How those cells are chosen depends on a:
+
+  * a = 1: c <= 1, so the fair point is integral, and every cell with
+    c = 1 moves whole;
+  * a = 2: every fractional part is 1/2.  By the two sums, a row has
+    exactly twice its need of odd cells (x * c odd) and a column an even
+    number of them, so the bipartite graph of odd cells splits into closed
+    trails.  They are walked with one current-arc pointer per row and per
+    column, and the cells walked row -> column are taken: every row and
+    every column takes exactly half of its odd cells, in one linear pass;
+  * a >= 3: in the scan that sets the floors, systematic rounding per
+    column takes a fractional cell where its column's running sum of
+    fractional parts crosses a multiple of a, as far as its row's need
+    allows.  A greedy pass then takes any cell still allowed in the rows
+    left short, and Hopcroft-Karp phases finish the flow: one layered BFS
+    from every short row, then disjoint shortest augmenting paths, each
+    row and column keeping a current-arc pointer.
+
+After the step, type (D, b, t) keeps
 lam * C(a, b) * (1 - b/a) * C(a', t) = lam * C(a - 1, b) * C(a', t)
 edges, the receivers number lam * C(a - 1, b - 1) * C(a', t), and each
 class loses exactly deg_j of its incidence: (I1) and (I2) hold at a - 1.
 
-When both amalgams are used up, every type is (D, 0, 0) with |D| = 4, so by
-(I1) every 4-set occurs lam times, and every vertex received exactly its
-degree in every class.  There is no search and no exhaustion: any valid
-plan with any valid base yields a certificate in time polynomial in the
-number of blocks.  The result is still checked by the verifier.
+A type that finishes, (D, 0, 0) with |D| = 4, leaves the state in the
+step that finishes it, and its block joins its class's block list (after
+the base blocks in ``detach``), so the state holds only live types.  When
+both amalgams are used up the state is empty, so by (I1) every 4-set
+occurs lam times, and every vertex received exactly its degree in every
+class.  There is no search and no exhaustion: any valid plan with any
+valid base yields a certificate in time polynomial in the number of
+blocks.  The result is still checked: the base once, on entry, and on exit
+the outer system and its restriction to the base.
 
 Cost.  A step scans the state once (its (class, type) entries) and
-updates the cells that receive v.  A phase costs at most one pass over the
-fractional cells, and the phases number at most the longest shortest
-augmenting path; most steps need none or one.  At (6,48,2,5,1), 3,243
-classes with up to 171k fractional cells in one step, the 54 steps leave
-16,707 units to 69 phases: 44 steps need at most one, and the last few,
-where a is small, up to 9 (a = 2).
+updates the cells that receive v; at a <= 2 that is all.  At a >= 3 a
+phase costs at most one pass over the fractional cells, and the phases
+number at most the longest shortest augmenting path; most steps need none
+or one.  At (6,48,2,5,1), seed 0, 3,243 classes with up to 171k fractional
+cells in one step, the 54 steps leave 13,954 units to 59 phases (the units
+of a phase are its short rows' need when it starts): 44 steps need at most
+one, and the last few, where a is small, up to 6 (a = 3).  The three
+a = 2 steps split 8, 338 and 30,360 odd cells by trails.
 
 ``seed`` permutes the order in which the old vertices, and then the new
 vertices, are detached; seed 0 keeps the natural order.  Classes and types
@@ -93,8 +111,9 @@ from .factorization import (
     Block,
     EmbeddingCertificate,
     Factorization,
+    factorization_issues,
     is_valid_factorization,
-    verify_certificate,
+    restriction_issues,
 )
 from .params import EmbeddingParams, class_count, color_counts, integers
 from .planner import AmalgamPlan, verify_plan
@@ -230,22 +249,92 @@ def _phase(cells: list[list[EdgeType]], short: list[int],
             col_need[via[-1]] -= 1
 
 
-def _detach_vertex(classes: list[dict[EdgeType, int]], v: int, a: int,
-                   from_beta: bool, degree: list[int]) -> None:
-    """Split vertex v off the amalgam of multiplicity a (beta or alpha);
-    class j receives v on exactly degree[j] of its edges.
+def _share_error(key: EdgeType, v: int) -> RuntimeError:
+    dbt = key >> 6, key >> 3 & 7, key & 7
+    return RuntimeError(f"edge type {dbt} has a non-integral share at vertex {v}")
 
-    Every cell starts at its floor.  A fractional cell is taken once more
-    when the running sum of fractional parts in its column crosses a
-    multiple of a (systematic rounding of the fair point, column by
-    column), as far as its row's need allows; ``_match`` closes the rest.
-    Each part is below a, so a column crosses exactly sum_j (x_j c mod a)
-    / a times, its share: it needs again only the crossings a row dropped.
-    """
-    shift = _BETA if from_beta else _ALPHA
+
+def _whole(classes: list[dict[EdgeType, int]], shift: int,
+           degree: list[int]) -> list[dict[EdgeType, int]]:
+    """a = 1: c <= a, so the fair point is integral and every cell with
+    c = 1 moves whole; a class whose cells give another degree has no
+    solution."""
+    moves = []
+    for cls, deg in zip(classes, degree):
+        move = {key: x for key, x in cls.items() if key >> shift & 7}
+        if sum(move.values()) != deg:
+            raise RuntimeError("detachment step has no integral solution")
+        moves.append(move)
+    return moves
+
+
+def _halve(classes: list[dict[EdgeType, int]], v: int, shift: int,
+           degree: list[int]) -> list[dict[EdgeType, int]]:
+    """a = 2: every cell starts at its floor, and the cells where x * c is
+    odd form a bipartite graph of classes against types.  By (I2) a row has
+    exactly twice its need of odd cells, and by (I1) a column an even
+    number; both are checked first.  Closed trails are then walked, one
+    current-arc pointer per row and per column, and the cells walked
+    row -> column are taken: each visit enters and leaves, so every row and
+    every column takes exactly half of its odd cells."""
+    moves, need, ends = [], [], []
+    keys, rows = [], []  # the odd cells, row by row: their column and row
+    col_cells: dict[EdgeType, list[int]] = defaultdict(list)
+    for j, (cls, deg) in enumerate(zip(classes, degree)):
+        start = {}
+        for key, x in cls.items():
+            rem = x * (key >> shift & 7)
+            if rem > 1:
+                start[key] = rem >> 1
+                deg -= rem >> 1
+            if rem & 1:
+                col_cells[key].append(len(keys))
+                keys.append(key)
+                rows.append(j)
+        moves.append(start)
+        need.append(deg)
+        ends.append(len(keys))
+    for key, cells in col_cells.items():
+        if len(cells) & 1:
+            raise _share_error(key, v)
+    pos = [0] + ends[:-1]  # each row's current arc
+    if any(2 * deg != end - e for deg, e, end in zip(need, pos, ends)):
+        raise RuntimeError("detachment step has no integral solution")
+    used = bytearray(len(keys))
+    for first in range(len(moves)):
+        j = first
+        while True:  # a trail runs out of cells only back at its first row
+            e, end = pos[j], ends[j]
+            while e < end and used[e]:
+                e += 1
+            pos[j] = e
+            if e == end:
+                break
+            used[e] = 1
+            key = keys[e]
+            start = moves[j]
+            start[key] = start.get(key, 0) + 1
+            cells = col_cells[key]  # its arc: the end of the list
+            f = cells.pop()
+            while used[f]:
+                f = cells.pop()
+            used[f] = 1
+            j = rows[f]
+    return moves
+
+
+def _round(classes: list[dict[EdgeType, int]], v: int, a: int, shift: int,
+           degree: list[int]) -> list[dict[EdgeType, int]]:
+    """a >= 3: every cell starts at its floor.  A fractional cell is taken
+    once more when the running sum of fractional parts in its column
+    crosses a multiple of a (systematic rounding of the fair point, column
+    by column), as far as its row's need allows; ``_match`` closes the
+    rest.  Each part is below a, so a column crosses exactly
+    sum_j (x_j c mod a) / a times, its share: it needs again only the
+    crossings a row dropped."""
     running: dict[EdgeType, int] = defaultdict(int)  # mod a, per column
     col_need: dict[EdgeType, int] = defaultdict(int)
-    floors, cells, chosen, row_need = [], [], [], []
+    moves, cells, chosen, row_need = [], [], [], []
     for cls, deg in zip(classes, degree):
         start, frac, picks = {}, [], []
         for key, x in cls.items():
@@ -267,45 +356,54 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], v: int, a: int,
             for key in picks[keep:]:
                 col_need[key] += 1
             del picks[keep:]
-        floors.append(start)
+        moves.append(start)
         cells.append(frac)
         chosen.append(set(picks))
         row_need.append(deg - len(picks))
     for key, rem in running.items():
         if rem:
-            dbt = key >> 6, key >> 3 & 7, key & 7
-            raise RuntimeError(f"edge type {dbt} has a non-integral share at vertex {v}")
+            raise _share_error(key, v)
     _match(cells, chosen, row_need, col_need)
-    # the receivers gain v in D and lose one copy of the amalgam
-    step = (1 << (v + 6)) - (1 << shift)
-    for cls, start, extra in zip(classes, floors, chosen):
+    for start, extra in zip(moves, chosen):
         for key in extra:
             start[key] = start.get(key, 0) + 1
-        for key, y in start.items():
+    return moves
+
+
+def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[list[Block]],
+                   v: int, a: int, from_beta: bool, degree: list[int]) -> None:
+    """Split vertex v off the amalgam of multiplicity a (beta or alpha);
+    class j receives v on exactly degree[j] of its edges.  A type that
+    finishes, (D, 0, 0), leaves ``classes[j]`` and its block goes to
+    ``blocks[j]``."""
+    shift = _BETA if from_beta else _ALPHA
+    if a == 1:
+        moves = _whole(classes, shift, degree)
+    elif a == 2:
+        moves = _halve(classes, v, shift, degree)
+    else:
+        moves = _round(classes, v, a, shift, degree)
+    # the receivers gain v in D and lose one copy of the amalgam
+    step = (1 << (v + 6)) - (1 << shift)
+    for cls, out, move in zip(classes, blocks, moves):
+        for key, y in move.items():
             left = cls[key] - y
             if left:
                 cls[key] = left
             else:
                 del cls[key]
-            cls[key + step] = y  # a new key: no type of cls has v in D yet
-
-
-def _blocks(cls: dict[EdgeType, int]) -> tuple[Block, ...]:
-    """The 4-sets of a fully detached class, with multiplicity: the four
-    set bits of D, lowest first."""
-    out = []
-    for key, x in cls.items():
-        if key & 63:
-            raise RuntimeError("detachment left an amalgamated edge")
-        d = key >> 6
-        v1 = d & -d
-        d ^= v1
-        v2 = d & -d
-        d ^= v2
-        v3 = d & -d
-        out.extend([(v1.bit_length() - 1, v2.bit_length() - 1,
-                     v3.bit_length() - 1, (d ^ v3).bit_length() - 1)] * x)
-    return tuple(out)
+            key += step
+            if key & 63:
+                cls[key] = y  # a new key: no type of cls has v in D yet
+            else:  # the four set bits of D, lowest first
+                d = key >> 6
+                v1 = d & -d
+                d ^= v1
+                v2 = d & -d
+                d ^= v2
+                v3 = d & -d
+                out += [(v1.bit_length() - 1, v2.bit_length() - 1,
+                         v3.bit_length() - 1, (d ^ v3).bit_length() - 1)] * y
 
 
 def _vertex_order(vertices: range, rng: random.Random | None) -> list[int]:
@@ -320,10 +418,13 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
     m, r, lam = integers((m, r, lam))
     q = class_count(m, r, lam)  # raises unless (m, r, lam) is admissible
     classes = [{4 << 3 | 0: r * m // 4} for _ in range(q)]  # (empty, 4, 0)
+    blocks = [[] for _ in range(q)]
     rng = random.Random(seed) if seed else None
     for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):
-        _detach_vertex(classes, v, m - i, True, [r] * q)
-    fact = Factorization(m, lam, r, [_blocks(cls) for cls in classes])
+        _detach_vertex(classes, blocks, v, m - i, True, [r] * q)
+    if any(classes):
+        raise RuntimeError("detachment left an amalgamated edge")
+    fact = Factorization(m, lam, r, blocks)
     if not is_valid_factorization(fact):
         raise RuntimeError("generated base fails verification")
     return fact
@@ -346,17 +447,18 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
     for count, *quad in plan.rows:
         cls = {key: x for key, x in zip(_PLAN_TYPES, quad) if x}
         classes += (dict(cls) for _ in range(count))
+    blocks = [list(old) for old in base.classes] + [[] for _ in range(k - q)]
     rng = random.Random(seed) if seed else None
     old_degree = [s - r] * q + [s] * (k - q)
     for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):
-        _detach_vertex(classes, v, m - i, True, old_degree)
+        _detach_vertex(classes, blocks, v, m - i, True, old_degree)
     for i, v in enumerate(_vertex_order(range(m + 1, n + 1), rng)):
-        _detach_vertex(classes, v, n - m - i, False, [s] * k)
+        _detach_vertex(classes, blocks, v, n - m - i, False, [s] * k)
+    if any(classes):
+        raise RuntimeError("detachment left an amalgamated edge")
 
-    old_blocks = base.classes + ((),) * (k - q)
-    outer = Factorization(n, p.lam, s, [
-        old + _blocks(cls) for old, cls in zip(old_blocks, classes)])
-    cert = EmbeddingCertificate(inner=base, outer=outer)
-    if not verify_certificate(cert):
+    # the base was checked on entry and is immutable: check what is new
+    outer = Factorization(n, p.lam, s, blocks)
+    if factorization_issues(outer) or restriction_issues(base, outer):
         raise RuntimeError("detachment output fails verification")
-    return cert
+    return EmbeddingCertificate(inner=base, outer=outer)

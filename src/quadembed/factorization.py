@@ -189,14 +189,19 @@ def certificate_issues(cert: EmbeddingCertificate) -> list[str]:
         issues.append("inner and outer multiplicities differ")
     issues += [f"inner: {msg}" for msg in factorization_issues(inner)]
     issues += [f"outer: {msg}" for msg in factorization_issues(outer)]
+    return issues + restriction_issues(inner, outer)
 
-    q = len(inner.classes)
+
+def restriction_issues(inner: Factorization, outer: Factorization) -> list[str]:
+    """Restriction defects: outer class i restricted to the 4-subsets of
+    1..m must be inner class i, and the outer classes beyond the inner ones
+    must avoid 1..m."""
+    m, q = inner.ground_size, len(inner.classes)
     if q > len(outer.classes):
-        issues.append("inner system has more classes than outer")
-        return issues
-
+        return ["inner system has more classes than outer"]
     # both sides are sorted and a sorted block lies in 1..m when its last
     # vertex does, so the restriction of outer class i is a filter of it
+    issues = []
     for i, cls in enumerate(outer.classes):
         old = tuple(b for b in cls if b[3] <= m)
         if i < q:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from quadembed.detach import detach, generate_base
 from quadembed.errors import InputError
 from quadembed.factorization import (
+    Factorization,
     is_valid_factorization,
     render_factorization,
     verify_certificate,
@@ -149,11 +150,37 @@ def test_generate_base_raises_when_verification_fails(monkeypatch):
 
 
 def test_detach_raises_when_verification_fails(monkeypatch):
+    # the exit check: the outer system and its restriction to the base
     p = EmbeddingParams(6, 8, 2, 5, 1)
     base, plan = generate_base(6, 2, 1), build_plan(p)
-    monkeypatch.setattr(detach_module, "verify_certificate", lambda cert: False)
-    with pytest.raises(RuntimeError, match="fails verification"):
+    for name in ("factorization_issues", "restriction_issues"):
+        with monkeypatch.context() as patch:
+            patch.setattr(detach_module, name, lambda *facts: ["defect"])
+            with pytest.raises(RuntimeError, match="fails verification"):
+                detach(p, base, plan)
+
+
+def test_state_left_amalgamated_raises(monkeypatch):
+    # steps that move nothing leave every type amalgamated, and no block
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    base, plan = generate_base(6, 2, 1), build_plan(p)
+    monkeypatch.setattr(detach_module, "_detach_vertex", lambda *args: None)
+    with pytest.raises(RuntimeError, match="left an amalgamated edge"):
+        generate_base(6, 2, 1)
+    with pytest.raises(RuntimeError, match="left an amalgamated edge"):
         detach(p, base, plan)
+
+
+def test_detach_rejects_invalid_base():
+    # the base is checked once, on entry: one block moved to the next class
+    # keeps the class count but breaks both classes' degrees
+    p = EmbeddingParams(6, 8, 2, 5, 1)
+    base = generate_base(6, 2, 1)
+    (moved, *first), second, *rest = base.classes
+    bad = Factorization(6, 1, 2, [first, [moved, *second], *rest])
+    assert not is_valid_factorization(bad)
+    with pytest.raises(InputError, match="not a valid factorization"):
+        detach(p, bad, build_plan(p))
 
 
 
@@ -189,27 +216,32 @@ def _amalgamate(fact, beta, alpha):
 
 
 @st.composite
-def step_cases(draw):
+def step_cases(draw, least=1, most=None):
     """A regular factorization, two disjoint merged vertex sets and the
-    vertex to detach from one of them; every such state is reachable."""
+    vertex to detach from one of them, whose size a (the multiplicity) lies
+    in [least, most]; every such state is reachable."""
     tup = draw(st.sampled_from([(6, 8, 2, 5, 1), (5, 8, 4, 5, 1),
                                 (6, 9, 2, 4, 1), (4, 8, 2, 14, 2),
                                 (5, 10, 4, 6, 2)]))
     fact = _outer(tup, draw(st.integers(0, 3)))
     n = fact.ground_size
     order = draw(st.permutations(range(1, n + 1)))
-    size = draw(st.integers(1, n))
-    split = draw(st.integers(0, size - 1))
-    beta, alpha = set(order[:size - split]), set(order[size - split:size])
-    from_beta = not alpha or draw(st.booleans())
-    v = draw(st.sampled_from(sorted(beta if from_beta else alpha)))
+    a = draw(st.integers(least, min(most or n, n)))
+    other = draw(st.integers(0, n - a))
+    from_beta = not other or draw(st.booleans())
+    ours, theirs = set(order[:a]), set(order[a:a + other])
+    beta, alpha = (ours, theirs) if from_beta else (theirs, ours)
+    v = draw(st.sampled_from(sorted(ours)))
     return fact, beta, alpha, v, from_beta
 
 
 def _run_step(fact, beta, alpha, v, from_beta):
-    """(state before, state after, a, matching problems and answers)."""
+    """(state before, state after, a, matching problems and answers); the
+    blocks of the types that finished are counted in the state after as
+    (D, 0, 0) again."""
     before = _amalgamate(fact, beta, alpha)
     after = [dict(cls) for cls in before]
+    blocks = [[] for _ in after]
     a = len(beta if from_beta else alpha)
     matches = []
     real = detach_module._match
@@ -225,8 +257,12 @@ def _run_step(fact, beta, alpha, v, from_beta):
         matches.append((problem, chosen))
 
     with mock.patch.object(detach_module, "_match", spy):
-        detach_module._detach_vertex(after, v, a, from_beta,
+        detach_module._detach_vertex(after, blocks, v, a, from_beta,
                                      [fact.regularity] * len(after))
+    for cls, out in zip(after, blocks):
+        for block in out:
+            key = _pack(sum(1 << u for u in block), 0, 0)
+            cls[key] = cls.get(key, 0) + 1
     return before, after, a, matches
 
 
@@ -255,7 +291,7 @@ def test_detachment_step_meets_sums_caps_and_box(case):
         assert got[key] * a == total  # column sum: the type's fair share
 
 
-@given(step_cases())
+@given(step_cases(least=3))
 def test_deficit_matching_agrees_with_max_flow(case):
     nx = pytest.importorskip("networkx")
     *_, matches = _run_step(*case)
@@ -278,6 +314,56 @@ def test_deficit_matching_agrees_with_max_flow(case):
         assert len(keys) == row_need[j]
         taken.update(keys)
     assert all(taken[key] == want for key, want in col_need.items())
+
+
+@given(step_cases(most=2))
+def test_small_multiplicity_steps_reach_max_flow_without_matching(case):
+    # at a <= 2 the step rounds in one pass (whole cells at a = 1, closed
+    # trails at a = 2), and what it takes on the fractional cells is a
+    # maximum flow of the rounding problem
+    fact, beta, alpha, v, from_beta = case
+    before, after, a, matches = _run_step(*case)
+    assert a <= 2 and not matches
+    bit = 1 << v
+    cells, row_need, col_need, chosen = [], [], Counter(), []
+    for old, new in zip(before, after):
+        row, need, taken = [], fact.regularity, set()
+        for key, x in old.items():
+            d, b, t = key >> 6, key >> 3 & 7, key & 7
+            c = b if from_beta else t
+            need -= x * c // a
+            if x * c % a:
+                row.append(key)
+                col_need[key] += x * c % a
+                to = _pack(d | bit, b - 1, t) if from_beta else _pack(d | bit, b, t - 1)
+                if new.get(to, 0) > x * c // a:
+                    taken.add(key)
+        cells.append(row)
+        row_need.append(need)
+        chosen.append(taken)
+    assert all(units % a == 0 for units in col_need.values())
+    col_need = {key: units // a for key, units in col_need.items()}
+    total = sum(map(len, chosen))
+    assert total == sum(row_need) == sum(col_need.values())
+    assert _max_flow(cells, row_need, col_need) == total
+    assert [len(keys) for keys in chosen] == row_need
+    assert Counter(key for keys in chosen for key in keys) == Counter(col_need)
+
+
+@pytest.mark.parametrize("state, a, degree, message", [
+    # a = 2, one odd cell in each of two columns: neither column can take half
+    ([{_pack(0, 1, 0): 1, _pack(0, 1, 1): 1}], 2, [1], r"\(0, 1, 0\) has a non-integral"),
+    # a = 2, two odd cells per column, but row 1 has one odd cell for a need
+    # of 1, and then two odd cells for a need of 2
+    ([{_pack(0, 1, 0): 1}, {_pack(0, 1, 0): 1}], 2, [1, 0], "no integral solution"),
+    ([{_pack(0, 1, 0): 1, _pack(0, 1, 1): 1}] * 2, 2, [2, 0], "no integral solution"),
+    # a = 1, the whole cells give v degree 1, not 2
+    ([{_pack(0, 1, 0): 1, _pack(1 << 2, 0, 3): 1}], 1, [2], "no integral solution"),
+])
+def test_small_multiplicity_step_checks_its_sums(state, a, degree, message):
+    with pytest.raises(RuntimeError, match=message):
+        detach_module._detach_vertex([dict(cls) for cls in state], [[] for _ in state],
+                                     1, a, True, degree)
 
 
 @st.composite
@@ -390,7 +476,7 @@ def test_step_with_non_integral_share_raises():
     # 2 edges of type (0, 2, 0) at multiplicity 4 would give v 1 of them,
     # one edge gives v half a 4-set
     with pytest.raises(RuntimeError, match=r"\(0, 2, 0\) has a non-integral"):
-        detach_module._detach_vertex([{_pack(0, 2, 0): 1}], 1, 4, True, [0])
+        detach_module._detach_vertex([{_pack(0, 2, 0): 1}], [[]], 1, 4, True, [0])
 
 
 def test_every_small_tuple_embeds():
@@ -426,12 +512,12 @@ def test_former_search_walls_embed_quickly(tup):
 # construction visits classes, types and vertices in a fixed order, so its
 # output is the same in every process and on every platform
 PINNED_CERTIFICATES = {
-    (6, 8, 2, 5, 1): "a6bf08d048f6cdcb",
-    (5, 8, 8, 10, 2): "2b590b0a05a19ad8",
-    (6, 9, 2, 4, 1): "408c361b171477c7",
-    (6, 8, 2, 7, 1): "5c948972dc91ac5c",
-    (4, 8, 2, 14, 2): "91b7f87a9a7e0000",
-    (9, 10, 4, 6, 1): "3bc3ed82cf2fa2f0",
+    (6, 8, 2, 5, 1): "e25d8b828ce46fc2",
+    (5, 8, 8, 10, 2): "a11c42b6997d5cd7",
+    (6, 9, 2, 4, 1): "dff49f9456f23294",
+    (6, 8, 2, 7, 1): "43c729d6faa904ba",
+    (4, 8, 2, 14, 2): "272d7ecba6fab6a6",
+    (9, 10, 4, 6, 1): "f8b36e2237ff954a",
 }
 
 
@@ -440,9 +526,9 @@ def test_search_order_pinned(tup, monkeypatch):
     order = []
     step = detach_module._detach_vertex
 
-    def recorded(classes, v, a, from_beta, degree):
+    def recorded(classes, blocks, v, a, from_beta, degree):
         order.append((v, a, from_beta))
-        return step(classes, v, a, from_beta, degree)
+        return step(classes, blocks, v, a, from_beta, degree)
 
     monkeypatch.setattr(detach_module, "_detach_vertex", recorded)
     p = EmbeddingParams(*tup)
