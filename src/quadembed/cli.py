@@ -111,12 +111,9 @@ def cmd_embed(args) -> int:
     else:
         base = generate_base(p.m, p.r, p.lam, seed=args.seed)
     cert = detach(p, base, plan, seed=args.seed)
-    text = render_factorization(cert.outer)
+    _emit(render_factorization(cert.outer), args.out)
     if args.out:
-        _emit(text, args.out)
         print(f"certificate written to {args.out}")
-    else:
-        _emit(text, None)
     return EXIT_OK
 
 
@@ -135,13 +132,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+SWEEP_COLUMNS = ["m", "n", "r", "s", "lambda", "status", "q", "k",
+                 "theorem_case", *CONDITION_IDS, "all_hold", "case",
+                 "subcase", "plan_found", "plan_ms"]
+
+
 def _sweep_row(tup) -> dict:
     m, n, r, s, lam = tup
-    row = {"m": m, "n": n, "r": r, "s": s, "lambda": lam, "status": "ok",
-           "q": "", "k": "", "theorem_case": "",
-           **{c: "" for c in CONDITION_IDS},
-           "all_hold": "", "case": "", "subcase": "", "plan_found": "",
-           "plan_ms": ""}
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update({"m": m, "n": n, "r": r, "s": s, "lambda": lam, "status": "ok"})
     try:
         p = EmbeddingParams(m, n, r, s, lam)
     except InputError:
@@ -166,11 +165,6 @@ def _sweep_row(tup) -> dict:
         if plan is not None:
             row["case"], row["subcase"] = plan.case.code, plan.subcase or ""
     return row
-
-
-SWEEP_COLUMNS = ["m", "n", "r", "s", "lambda", "status", "q", "k",
-                 "theorem_case", *CONDITION_IDS, "all_hold", "case",
-                 "subcase", "plan_found", "plan_ms"]
 
 
 def run_sweep(ms: range, ns: range, rs: range, ss: range, lams: range) -> list[dict]:
@@ -205,23 +199,15 @@ def build_parser() -> argparse.ArgumentParser:
                     " plans, explicit certificates.")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    p_check = sp.add_parser("check", help="evaluate the necessary conditions")
-    _add_param_args(p_check)
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument("--out")
-    p_check.set_defaults(func=cmd_check)
-
-    p_bounds = sp.add_parser("bounds", help="print the bound calculus")
-    _add_param_args(p_bounds)
-    p_bounds.add_argument("--format", choices=("text", "json"), default="text")
-    p_bounds.add_argument("--out")
-    p_bounds.set_defaults(func=cmd_bounds)
-
-    p_plan = sp.add_parser("plan", help="compute a per-color plan")
-    _add_param_args(p_plan)
-    p_plan.add_argument("--format", choices=("text", "json"), default="text")
-    p_plan.add_argument("--out")
-    p_plan.set_defaults(func=cmd_plan)
+    for name, func, help_text in (
+            ("check", cmd_check, "evaluate the necessary conditions"),
+            ("bounds", cmd_bounds, "print the bound calculus"),
+            ("plan", cmd_plan, "compute a per-color plan")):
+        sub = sp.add_parser(name, help=help_text)
+        _add_param_args(sub)
+        sub.add_argument("--format", choices=("text", "json"), default="text")
+        sub.add_argument("--out")
+        sub.set_defaults(func=func)
 
     p_embed = sp.add_parser("embed", help="construct an explicit certificate")
     _add_param_args(p_embed)

@@ -55,14 +55,15 @@ point has an integral vertex.  The step finds one.  Every cell starts at
 floor(x * c / a), and a cell whose fair value is fractional may take one
 more (capacity 1 each).  How those cells are chosen depends on a:
 
-  * a = 1: c <= 1, so the fair point is integral, and every cell with
-    c = 1 moves whole;
-  * a = 2: every fractional part is 1/2.  By the two sums, a row has
-    exactly twice its need of odd cells (x * c odd) and a column an even
-    number of them, so the bipartite graph of odd cells splits into closed
-    trails.  They are walked with one current-arc pointer per row and per
-    column, and the cells walked row -> column are taken: every row and
-    every column takes exactly half of its odd cells, in one linear pass;
+  * a <= 2: a cell starts at x * c >> (a - 1) and is odd when
+    x * c & (a - 1).  At a = 1 no cell is odd, since the fair point is
+    integral, and every cell with c = 1 moves whole.  At a = 2 every
+    fractional part is 1/2.  By the two sums, a row has exactly twice its
+    need of odd cells and a column an even number of them, so the bipartite
+    graph of odd cells splits into closed trails.  They are walked with one
+    current-arc pointer per row and per column, and the cells walked
+    row -> column are taken: every row and every column takes exactly half
+    of its odd cells, in one linear pass;
   * a >= 3: in the scan that sets the floors, systematic rounding per
     column takes a fractional cell where its column's running sum of
     fractional parts crosses a multiple of a, as far as its row's need
@@ -254,54 +255,43 @@ def _share_error(key: EdgeType, v: int) -> RuntimeError:
     return RuntimeError(f"edge type {dbt} has a non-integral share at vertex {v}")
 
 
-def _whole(classes: list[dict[EdgeType, int]], shift: int,
+def _halve(classes: list[dict[EdgeType, int]], v: int, a: int, shift: int,
            degree: list[int]) -> list[dict[EdgeType, int]]:
-    """a = 1: c <= a, so the fair point is integral and every cell with
-    c = 1 moves whole; a class whose cells give another degree has no
-    solution."""
-    moves = []
-    for cls, deg in zip(classes, degree):
-        move = {key: x for key, x in cls.items() if key >> shift & 7}
-        if sum(move.values()) != deg:
-            raise RuntimeError("detachment step has no integral solution")
-        moves.append(move)
-    return moves
-
-
-def _halve(classes: list[dict[EdgeType, int]], v: int, shift: int,
-           degree: list[int]) -> list[dict[EdgeType, int]]:
-    """a = 2: every cell starts at its floor, and the cells where x * c is
-    odd form a bipartite graph of classes against types.  By (I2) a row has
-    exactly twice its need of odd cells, and by (I1) a column an even
-    number; both are checked first.  Closed trails are then walked, one
-    current-arc pointer per row and per column, and the cells walked
-    row -> column are taken: each visit enters and leaves, so every row and
-    every column takes exactly half of its odd cells."""
-    moves, need, ends = [], [], []
+    """a <= 2: every cell starts at its floor, and the cells where x * c / a
+    is fractional (odd cells) form a bipartite graph of classes against
+    types.  At a = 1 there is no odd cell and every cell moves whole.  By
+    (I2) a row has exactly twice its need of odd cells, and by (I1) a
+    column an even number; both are checked first.  Closed trails are then
+    walked, one current-arc pointer per row and per column, and the cells
+    walked row -> column are taken: each visit enters and leaves, so every
+    row and every column takes exactly half of its odd cells."""
+    half = a - 1
+    moves, ends, skewed = [], [], False
     keys, rows = [], []  # the odd cells, row by row: their column and row
     col_cells: dict[EdgeType, list[int]] = defaultdict(list)
-    for j, (cls, deg) in enumerate(zip(classes, degree)):
-        start = {}
+    for cls, deg in zip(classes, degree):
+        start, first_odd = {}, len(keys)
         for key, x in cls.items():
             rem = x * (key >> shift & 7)
-            if rem > 1:
-                start[key] = rem >> 1
-                deg -= rem >> 1
-            if rem & 1:
+            if rem > half:
+                start[key] = y = rem >> half
+                deg -= y
+            if rem & half:
                 col_cells[key].append(len(keys))
                 keys.append(key)
-                rows.append(j)
+                rows.append(len(moves))
         moves.append(start)
-        need.append(deg)
         ends.append(len(keys))
+        # the row takes half of its odd cells, so they must be twice its need
+        skewed |= 2 * deg != len(keys) - first_odd
     for key, cells in col_cells.items():
         if len(cells) & 1:
             raise _share_error(key, v)
-    pos = [0] + ends[:-1]  # each row's current arc
-    if any(2 * deg != end - e for deg, e, end in zip(need, pos, ends)):
+    if skewed:
         raise RuntimeError("detachment step has no integral solution")
+    pos = [0] + ends[:-1]  # each row's current arc
     used = bytearray(len(keys))
-    for first in range(len(moves)):
+    for first in dict.fromkeys(rows):  # each row with odd cells, in order
         j = first
         while True:  # a trail runs out of cells only back at its first row
             e, end = pos[j], ends[j]
@@ -325,13 +315,13 @@ def _halve(classes: list[dict[EdgeType, int]], v: int, shift: int,
 
 def _round(classes: list[dict[EdgeType, int]], v: int, a: int, shift: int,
            degree: list[int]) -> list[dict[EdgeType, int]]:
-    """a >= 3: every cell starts at its floor.  A fractional cell is taken
-    once more when the running sum of fractional parts in its column
-    crosses a multiple of a (systematic rounding of the fair point, column
-    by column), as far as its row's need allows; ``_match`` closes the
-    rest.  Each part is below a, so a column crosses exactly
-    sum_j (x_j c mod a) / a times, its share: it needs again only the
-    crossings a row dropped."""
+    """a >= 3, the other regime: every cell starts at its floor.  A
+    fractional cell is taken once more when the running sum of fractional
+    parts in its column crosses a multiple of a (systematic rounding of the
+    fair point, column by column), as far as its row's need allows;
+    ``_match`` closes the rest.  Each part is below a, so a column crosses
+    exactly sum_j (x_j c mod a) / a times, its share: it needs again only
+    the crossings a row dropped."""
     running: dict[EdgeType, int] = defaultdict(int)  # mod a, per column
     col_need: dict[EdgeType, int] = defaultdict(int)
     moves, cells, chosen, row_need = [], [], [], []
@@ -377,10 +367,8 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[list[Block]]
     finishes, (D, 0, 0), leaves ``classes[j]`` and its block goes to
     ``blocks[j]``."""
     shift = _BETA if from_beta else _ALPHA
-    if a == 1:
-        moves = _whole(classes, shift, degree)
-    elif a == 2:
-        moves = _halve(classes, v, shift, degree)
+    if a <= 2:
+        moves = _halve(classes, v, a, shift, degree)
     else:
         moves = _round(classes, v, a, shift, degree)
     # the receivers gain v in D and lose one copy of the amalgam
@@ -406,11 +394,20 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[list[Block]]
                          v3.bit_length() - 1, (d ^ v3).bit_length() - 1)] * y
 
 
-def _vertex_order(vertices: range, rng: random.Random | None) -> list[int]:
-    order = list(vertices)
-    if rng:
-        rng.shuffle(order)
-    return order
+def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[list[Block]],
+                amalgams: list[tuple[range, bool, list[int]]], seed: int) -> None:
+    """Detach every vertex of each amalgam in turn; ``amalgams`` lists
+    (vertices, from_beta, degree).  A nonzero seed shuffles each amalgam's
+    order, all with one generator."""
+    rng = random.Random(seed) if seed else None
+    for vertices, from_beta, degree in amalgams:
+        order = list(vertices)
+        if rng:
+            rng.shuffle(order)
+        for i, v in enumerate(order):
+            _detach_vertex(classes, blocks, v, len(order) - i, from_beta, degree)
+    if any(classes):
+        raise RuntimeError("detachment left an amalgamated edge")
 
 
 def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
@@ -419,11 +416,7 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
     q = class_count(m, r, lam)  # raises unless (m, r, lam) is admissible
     classes = [{4 << 3 | 0: r * m // 4} for _ in range(q)]  # (empty, 4, 0)
     blocks = [[] for _ in range(q)]
-    rng = random.Random(seed) if seed else None
-    for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):
-        _detach_vertex(classes, blocks, v, m - i, True, [r] * q)
-    if any(classes):
-        raise RuntimeError("detachment left an amalgamated edge")
+    _detach_all(classes, blocks, [(range(1, m + 1), True, [r] * q)], seed)
     fact = Factorization(m, lam, r, blocks)
     if not is_valid_factorization(fact):
         raise RuntimeError("generated base fails verification")
@@ -448,14 +441,8 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
         cls = {key: x for key, x in zip(_PLAN_TYPES, quad) if x}
         classes += (dict(cls) for _ in range(count))
     blocks = [list(old) for old in base.classes] + [[] for _ in range(k - q)]
-    rng = random.Random(seed) if seed else None
-    old_degree = [s - r] * q + [s] * (k - q)
-    for i, v in enumerate(_vertex_order(range(1, m + 1), rng)):
-        _detach_vertex(classes, blocks, v, m - i, True, old_degree)
-    for i, v in enumerate(_vertex_order(range(m + 1, n + 1), rng)):
-        _detach_vertex(classes, blocks, v, n - m - i, False, [s] * k)
-    if any(classes):
-        raise RuntimeError("detachment left an amalgamated edge")
+    _detach_all(classes, blocks, [(range(1, m + 1), True, [s - r] * q + [s] * (k - q)),
+                                  (range(m + 1, n + 1), False, [s] * k)], seed)
 
     # the base was checked on entry and is immutable: check what is new
     outer = Factorization(n, p.lam, s, blocks)

@@ -26,11 +26,11 @@ ground_size, which is what the construction hands over, is only sorted; any
 other class goes block by block through ``_canonical_block``, which sorts
 each block, converts its vertices and words the error.
 
-The parser reads labels through a table from "1".."N" to their integers.  N
-is at most ground_size and at most the largest v with 8 * C(v, 4) <= file
-length, since a cover of the 4-subsets of 1..v takes that many characters;
-so the table is bounded by the file, and only by its fourth root, not by the
-header.  A class line in the renderer's layout, "a b c d, a b c d, ..." with
+The parser reads the labels of a line in the renderer's layout through a
+table from "1".."N" to their integers.  N is at most ground_size and at
+most the largest v with 8 * C(v, 4) <= file length, since a cover of the
+4-subsets of 1..v takes that many characters; so the table is bounded by
+the file, and only by its fourth root, not by the header.  A class line in the renderer's layout, "a b c d, a b c d, ..." with
 a < b < c < d in each block (any blanks, any block order), is read by
 columns: the body is cut into segments of whole blocks, each ending just
 after the first comma at or past ``_SEGMENT`` characters, and each segment is
@@ -44,9 +44,9 @@ the parse keeps.
 
 Any other line (a missing comma, an empty entry, "05", "x", "3.5", a label
 above N, an unsorted block), and every line after it, is converted chunk by
-chunk: through the label table, or else with ``int()``, and a chunk that
-``int()`` rejects is passed on as its list of tokens.  The constructor then
-checks the whole file, and reports a bad block with the line of its class.
+chunk with ``int()``, and a chunk that ``int()`` rejects is passed on as
+its list of tokens.  The constructor then checks the whole file, and
+reports a bad block with the line of its class.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
 one on {1..n}.  It is valid when both factorizations are valid and
@@ -268,10 +268,7 @@ def parse_factorization(text: str) -> Factorization:
         # a blank body is an empty class; an empty entry in a body is the
         # block (), which Factorization rejects as not a 4-subset
         chunks = body.split(",") if body.strip() else ()
-        try:
-            classes.append([tuple(map(label, c.split())) for c in chunks])
-        except KeyError:
-            classes.append([_int_block(c.split()) for c in chunks])
+        classes.append([_int_block(c.split()) for c in chunks])
     if by_columns:
         classes = _Checked(classes)
     try:

@@ -357,8 +357,9 @@ def test_small_multiplicity_steps_reach_max_flow_without_matching(case):
     # of 1, and then two odd cells for a need of 2
     ([{_pack(0, 1, 0): 1}, {_pack(0, 1, 0): 1}], 2, [1, 0], "no integral solution"),
     ([{_pack(0, 1, 0): 1, _pack(0, 1, 1): 1}] * 2, 2, [2, 0], "no integral solution"),
-    # a = 1, the whole cells give v degree 1, not 2
+    # a = 1, the whole cells give v degree 1, not 2, and degree 2, not 1
     ([{_pack(0, 1, 0): 1, _pack(1 << 2, 0, 3): 1}], 1, [2], "no integral solution"),
+    ([{_pack(0, 1, 0): 1, _pack(0, 1, 1): 1}], 1, [1], "no integral solution"),
 ])
 def test_small_multiplicity_step_checks_its_sums(state, a, degree, message):
     with pytest.raises(RuntimeError, match=message):
@@ -537,3 +538,32 @@ def test_search_order_pinned(tup, monkeypatch):
     assert order == base_order + base_order + [
         (v, p.n - v + 1, False) for v in range(p.m + 1, p.n + 1)]
     assert sha256(text.encode()).hexdigest()[:16] == PINNED_CERTIFICATES[tup]
+
+
+@pytest.mark.parametrize("tup", [(6, 9, 2, 4, 1), (5, 10, 4, 6, 2)])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_seeded_order_permutes_each_amalgam(tup, seed, monkeypatch):
+    # a nonzero seed shuffles each amalgam's vertices: generate_base's one
+    # amalgam, then detach's old and new amalgams, each with a running down
+    # from the amalgam's size to 1
+    order = []
+    step = detach_module._detach_vertex
+
+    def recorded(classes, blocks, v, a, from_beta, degree):
+        order.append((v, a, from_beta))
+        return step(classes, blocks, v, a, from_beta, degree)
+
+    monkeypatch.setattr(detach_module, "_detach_vertex", recorded)
+    p = EmbeddingParams(*tup)
+    assert verify_certificate(_certificate(tup, seed))
+    old, new = range(1, p.m + 1), range(p.m + 1, p.n + 1)
+    amalgams = [(old, True), (old, True), (new, False)]
+    assert len(order) == p.m + p.n
+    shuffled = False
+    for vertices, from_beta in amalgams:
+        steps, order = order[:len(vertices)], order[len(vertices):]
+        assert sorted(v for v, _, _ in steps) == list(vertices)
+        assert [a for _, a, _ in steps] == list(range(len(vertices), 0, -1))
+        assert all(f is from_beta for *_, f in steps)
+        shuffled |= [v for v, _, _ in steps] != list(vertices)
+    assert shuffled
