@@ -44,9 +44,10 @@ the parse keeps.
 
 Any other line (a missing comma, an empty entry, "05", "x", "3.5", a label
 above N, an unsorted block), and every line after it, is converted chunk by
-chunk with ``int()``, and a chunk that ``int()`` rejects is passed on as
-its list of tokens.  The constructor then checks the whole file, and
-reports a bad block with the line of its class.
+chunk with ``int()``, and a chunk with a token that is not ASCII digits
+("+1", "-1", "0_5", "٢"; "04" is 4) is passed on as its list of tokens.  The
+constructor then checks the whole file, and reports a bad block with the
+line of its class.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
 one on {1..n}.  It is valid when both factorizations are valid and
@@ -305,12 +306,12 @@ def _columns(body: str, label, comma_label) -> tuple[Block, ...] | None:
 
 
 def _int_block(tokens: list[str]):
-    """A chunk's vertices converted with ``int()``; a chunk it rejects stays
-    a list of strings, which Factorization reports as non-integer."""
-    try:
+    """A chunk's vertices converted with ``int()`` when every token is ASCII
+    digits; any other chunk stays a list of strings, which Factorization
+    reports as non-integer."""
+    if all(t.isascii() and t.isdigit() for t in tokens):
         return tuple(map(int, tokens))
-    except ValueError:
-        return tokens
+    return tokens
 
 
 def read_factorization(path) -> Factorization:

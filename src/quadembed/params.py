@@ -8,10 +8,11 @@ makes the color counts
     q = lam*C(m-1,3)/r        (inner colors, kappa1 = {1..q})
     k = lam*C(n-1,3)/s        (all colors, kappa2 = {q+1..k})
 
-integers.  ``check_conditions`` writes each of the eight necessary
-conditions once, as one integer inequality a >= b (a <= b for N2 and N8;
-N2 also needs r <= s) over a positive denominator den.  Its witnesses
-a/den and b/den are exact rationals, built only when a report is read.
+integers; ``check_conditions`` sets a report's q and k exactly when N1
+holds, and builds its verdicts on their first read.  Each of the eight
+necessary conditions is written once, as one integer inequality a >= b
+(a <= b for N2 and N8; N2 also needs r <= s) over a positive denominator
+den, with exact rational witnesses a/den and b/den built only when read.
 The scope and the sign of k - q both come from the one integer
 gap = r*C(n-1,3) - s*C(m-1,3).  The four composite condition ids eq2..eq5
 used by the theorem statements are read off the N-verdicts:
@@ -33,6 +34,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from operator import index
 from typing import NamedTuple
@@ -62,16 +64,21 @@ class TheoremCase(enum.Enum):
     OUT_OF_SCOPE = "out-of-scope"
 
 
-def _divisibility(m: int, r: int, lam: int) -> tuple[bool, bool]:
-    """The two admissibility checks of (m, r, lam): 4 | rm, r | lam*C(m-1,3)."""
-    return (r * m) % 4 == 0, (lam * comb(m - 1, 3)) % r == 0
+def _divisibility(m: int, r: int, lam: int, b: int) -> tuple[bool, bool]:
+    """The two admissibility checks of (m, r, lam), b = C(m-1,3): 4 | rm, r | lam*b."""
+    return (r * m) % 4 == 0, (lam * b) % r == 0
+
+
+def _class_count(r: int, lam: int, b: int, admissible: bool) -> int | None:
+    """lam*b/r for b = C(m-1,3) when (m, r, lam) is ``admissible``, else None."""
+    return lam * b // r if admissible else None
 
 
 def is_admissible(m: int, r: int, lam: int) -> bool:
     """4 | rm and r | lam*C(m-1,3)."""
     if m < 4 or r < 1 or lam < 1:
         raise InputError(f"need m >= 4, r >= 1, lam >= 1, got ({m}, {r}, {lam})")
-    return all(_divisibility(m, r, lam))
+    return all(_divisibility(m, r, lam, comb(m - 1, 3)))
 
 
 def integers(values: tuple) -> tuple[int, ...]:
@@ -117,9 +124,10 @@ class EmbeddingParams:
 def class_count(m: int, r: int, lam: int, triple: str = "triple") -> int:
     """lam*C(m-1,3)/r, the classes of an r-factorization of lam*K_m^4;
     raises InputError unless (m, r, lam) is admissible."""
-    if not is_admissible(m, r, lam):
+    count = _class_count(r, lam, comb(m - 1, 3), is_admissible(m, r, lam))
+    if count is None:
         raise InputError(f"{triple} ({m}, {r}, {lam}) not admissible")
-    return lam * comb(m - 1, 3) // r
+    return count
 
 
 def color_counts(p: EmbeddingParams) -> tuple[int, int]:
@@ -134,7 +142,7 @@ class Verdict(NamedTuple):
     which also needs r <= s, and N8) over the positive denominator ``den``.
     The witnesses ``lhs`` = a/den and ``rhs`` = b/den are exact rationals,
     built only when read.  A vacuous verdict holds whatever a and b are.
-    A tuple, not a dataclass: ``check_conditions`` builds ten per call."""
+    A tuple, not a dataclass: a report builds ten when first read."""
 
     holds: bool
     a: int
@@ -158,16 +166,56 @@ def _at_least(a: int, b: int, den: int = 1, active: bool = True) -> Verdict:
 
 @dataclass
 class ConditionReport:
-    """Per-condition verdicts with exact witness values."""
+    """Per-condition verdicts with exact witness values, built on the first
+    read of ``verdicts`` from bm = C(m-1,3), bn = C(n-1,3), gap = r*bn - s*bm
+    and the four divisibility checks.  q and k are None exactly when N1 fails."""
 
     params: EmbeddingParams
-    verdicts: dict[str, Verdict]
     theorem_case: TheoremCase
-    q: int | None = None
-    k: int | None = None
+    q: int | None
+    k: int | None
+    bm: int
+    bn: int
+    gap: int
+    div: tuple[bool, bool, bool, bool]
+
+    @cached_property
+    def verdicts(self) -> dict[str, Verdict]:
+        """N1-N8 and eq2-eq5, each condition written once."""
+        p, bm, bn, gap = self.params, self.bm, self.bn, self.gap
+        m, n, r, s = p.m, p.n, p.r, p.s
+        cm3 = comb(m, 3)
+        v: dict[str, Verdict] = {}
+        v["N1"] = _at_least(sum(self.div), 4)
+        # r <= s and s/r <= C(n-1,3)/C(m-1,3), over the denominator r*C(m-1,3)
+        v["N2"] = Verdict(r <= s and gap >= 0, s * bm, r * bn, r * bm)
+        v["N3"] = _at_least(n, 2 * m, active=s == r)
+        v["N4"] = _at_least(3 * s * n, m * (4 * s - r), 3 * s)
+        v["N5"] = _at_least(3 * n, 4 * m, 3, active=r < s and gap > 0)
+        v["N6"] = _at_least(2 * r * (n - m) * cm3, (2 * m - n) * gap, 2 * r)
+        n7 = 2 * (n - m) * cm3 + comb(m, 2) * comb(n - m, 2)
+        v["N7"] = _at_least(4 * r * n7, (4 * m - n) * gap, 4 * r)
+        # k = q with t = m(s-r) mod 3 nonzero: C(n-1,3)/s <= f + g/t, where
+        # f = C(m,2)C(n-m,2) and g = m*C(n-m,3)
+        t = (m * (s - r)) % 3
+        if gap == 0 and t:
+            a = t * bn
+            b = s * (t * comb(m, 2) * comb(n - m, 2) + m * comb(n - m, 3))
+            v["N8"] = Verdict(a <= b, a, b, t * s)
+        else:
+            v["N8"] = Verdict(True, bn, 0, s, vacuous=True)
+
+        v["eq2"] = _at_least(v["N1"].a + v["N2"].holds, 5)
+        # the lower bound on n in force: N3 when s = r, N5 inside the strict
+        # window, none at the ratio boundary (so eq3 <-> N3 and N5 everywhere)
+        v["eq3"] = (v["N3"] if s == r else v["N5"] if not v["N5"].vacuous
+                    else Verdict(True, n, 0, vacuous=True))
+        v["eq4"] = v["N6"]
+        v["eq5"] = v["N7"]
+        return v
 
     def all_hold(self) -> bool:
-        return all(self.verdicts[c].holds for c in CONDITION_IDS)
+        return self.q is not None and all(self.verdicts[c].holds for c in CONDITION_IDS)
 
     def failing(self) -> list[str]:
         return [c for c in CONDITION_IDS if not self.verdicts[c].holds]
@@ -213,48 +261,18 @@ class ConditionReport:
 
 
 def check_conditions(p: EmbeddingParams) -> ConditionReport:
-    """Evaluate N1-N8 and eq2-eq5 in integers; pure and deterministic."""
+    """Scope, q and k of ``p`` in integers, its verdicts on first read;
+    pure and deterministic."""
     m, n, r, s, lam = p.m, p.n, p.r, p.s, p.lam
     bm = comb(m - 1, 3)
     bn = comb(n - 1, 3)
-    cm3 = comb(m, 3)
     # r*C(n-1,3) - s*C(m-1,3): the sign of k - q, and the scope
     gap = r * bn - s * bm
-    v: dict[str, Verdict] = {}
-
-    div = _divisibility(m, r, lam) + _divisibility(n, s, lam)
-    v["N1"] = _at_least(sum(div), 4)
-    # r <= s and s/r <= C(n-1,3)/C(m-1,3), over the denominator r*C(m-1,3)
-    v["N2"] = Verdict(r <= s and gap >= 0, s * bm, r * bn, r * bm)
-    v["N3"] = _at_least(n, 2 * m, active=s == r)
-    v["N4"] = _at_least(3 * s * n, m * (4 * s - r), 3 * s)
-    v["N5"] = _at_least(3 * n, 4 * m, 3, active=r < s and gap > 0)
-    v["N6"] = _at_least(2 * r * (n - m) * cm3, (2 * m - n) * gap, 2 * r)
-    n7 = 2 * (n - m) * cm3 + comb(m, 2) * comb(n - m, 2)
-    v["N7"] = _at_least(4 * r * n7, (4 * m - n) * gap, 4 * r)
-    # k = q with t = m(s-r) mod 3 nonzero: C(n-1,3)/s <= f + g/t, where
-    # f = C(m,2)C(n-m,2) and g = m*C(n-m,3)
-    t = (m * (s - r)) % 3
-    if gap == 0 and t:
-        a = t * bn
-        b = s * (t * comb(m, 2) * comb(n - m, 2) + m * comb(n - m, 3))
-        v["N8"] = Verdict(a <= b, a, b, t * s)
-    else:
-        v["N8"] = Verdict(True, bn, 0, s, vacuous=True)
-
-    v["eq2"] = _at_least(v["N1"].a + v["N2"].holds, 5)
-    # the lower bound on n in force: N3 when s = r, N5 inside the strict
-    # window, none at the ratio boundary (so eq3 <-> N3 and N5 everywhere)
-    v["eq3"] = (v["N3"] if s == r else v["N5"] if not v["N5"].vacuous
-                else Verdict(True, n, 0, vacuous=True))
-    v["eq4"] = v["N6"]
-    v["eq5"] = v["N7"]
-
     if gap < 0 or (s > r and 3 * n < 4 * m):
         case = TheoremCase.OUT_OF_SCOPE
     else:
         case = TheoremCase.STRICT_RATIO if gap else TheoremCase.EQUAL_RATIO
-    q = k = None
-    if v["N1"].holds:
-        q, k = lam * bm // r, lam * bn // s
-    return ConditionReport(params=p, verdicts=v, theorem_case=case, q=q, k=k)
+    div = _divisibility(m, r, lam, bm) + _divisibility(n, s, lam, bn)
+    ok = all(div)
+    return ConditionReport(p, case, _class_count(r, lam, bm, ok),
+                           _class_count(s, lam, bn, ok), bm, bn, gap, div)

@@ -258,6 +258,21 @@ def test_format_errors_carry_line_numbers():
         parse_factorization("")
 
 
+@pytest.mark.parametrize("block", ["+1 2 3 5", "1 ٢ 3 5", "1 2 3 0_5"])
+def test_chunk_path_rejects_non_ascii_digit_spellings(block):
+    # int() reads each block as 1 2 3 5, the first block of intro_6; a label
+    # is ASCII digits only, so the line goes to the chunk path and the block
+    # is reported as non-integer at its line
+    assert tuple(map(int, block.split())) == (1, 2, 3, 5)
+    text = render_factorization(_intro(6))
+    assert "\n1: 1 2 3 5," in text
+    with pytest.raises(FormatError) as err:
+        parse_factorization(text.replace("\n1: 1 2 3 5,", f"\n1: {block},"))
+    assert err.value.line == 2
+    assert str(err.value) == ("line 2: class 1: non-integer vertex in block"
+                              f" {block.split()}")
+
+
 def test_certificate_negative_restriction():
     f6, f8 = _intro(6), _intro(8)
     # swap outer classes 1 and 2: each still covers and is regular, but

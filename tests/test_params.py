@@ -201,6 +201,31 @@ def test_conditions_build_no_fraction(monkeypatch):
         rep.verdicts["N4"].lhs  # the witnesses come from the stub
 
 
+def test_failed_n1_answers_without_verdicts(monkeypatch):
+    def no_verdict(*args, **kwargs):
+        raise RuntimeError("a Verdict was built")
+
+    monkeypatch.setattr("quadembed.params.Verdict", no_verdict)
+    failed = 0
+    for p in _grid_params():
+        if is_admissible(p.m, p.r, p.lam) and is_admissible(p.n, p.s, p.lam):
+            continue
+        rep = check_conditions(p)
+        assert rep.all_hold() is False
+        assert rep.q is None and rep.k is None
+        assert isinstance(rep.theorem_case, TheoremCase)
+        failed += 1
+    assert failed > 0
+    with pytest.raises(RuntimeError):
+        rep.verdicts  # built on first read, from the stub
+
+
+def test_all_hold_reads_the_verdicts():
+    for p in chain(sweep_params(n_hi=20, r_hi=8, s_hi=8, lam_hi=2), _grid_params()):
+        rep = check_conditions(p)
+        assert rep.all_hold() == all(rep.verdicts[c].holds for c in CONDITION_IDS)
+
+
 def test_check_conditions_deterministic():
     p = EmbeddingParams(9, 12, 4, 11, 1)
     r1, r2 = check_conditions(p), check_conditions(p)
