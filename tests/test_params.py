@@ -145,6 +145,8 @@ def _grid_params():
 def test_composite_labels_match_over_small_sweep():
     for p in chain(sweep_params(n_hi=20, r_hi=8, s_hi=8, lam_hi=2), _grid_params()):
         rep = check_conditions(p)
+        # all_hold before the verdicts are read, then against them
+        assert rep.all_hold() == all(rep.verdicts[c].holds for c in CONDITION_IDS)
         v = rep.verdicts
         assert v["eq2"].holds == (v["N1"].holds and v["N2"].holds)
         assert v["eq3"].holds == (v["N3"].holds and v["N5"].holds)
@@ -218,12 +220,6 @@ def test_failed_n1_answers_without_verdicts(monkeypatch):
     assert failed > 0
     with pytest.raises(RuntimeError):
         rep.verdicts  # built on first read, from the stub
-
-
-def test_all_hold_reads_the_verdicts():
-    for p in chain(sweep_params(n_hi=20, r_hi=8, s_hi=8, lam_hi=2), _grid_params()):
-        rep = check_conditions(p)
-        assert rep.all_hold() == all(rep.verdicts[c].holds for c in CONDITION_IDS)
 
 
 def test_check_conditions_deterministic():
