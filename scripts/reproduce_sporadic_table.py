@@ -18,7 +18,7 @@ Usage: PYTHONPATH=src python scripts/reproduce_sporadic_table.py
 
 import sys
 
-from quadembed.bounds import floors, global_bounds
+from quadembed.bounds import global_bounds
 from quadembed.errors import PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions
 from quadembed.planner import build_plan, plan_f, totals
@@ -76,7 +76,10 @@ def main() -> int:
                   + ", ".join(rep.failing()), file=sys.stderr)
             failed = True
             continue
-        b = global_bounds(p)
+        # floored global bounds per tier (count, c, d): iota = 2c - d,
+        # floor(rho') = c // 2, floor(rho) = d // 3; NA for an empty new tier
+        floors = [x for count, c, d in global_bounds(p)
+                  for x in ((2 * c - d, c // 2, d // 3) if count else (None,) * 3)]
         e, f, g, _h = totals(p)
         plan = build_plan(p, rep)
         code = f"{plan.case.code}({plan.subcase})" if plan.subcase else plan.case.code
@@ -89,7 +92,7 @@ def main() -> int:
                 feasible = False
         failed = failed or not feasible
         row = [m, n, r, s, rep.q, rep.k, rep.k - rep.q,
-               *map(fmt, floors(b).values()),
+               *map(fmt, floors),
                e, f, g, code, "yes" if feasible else "NO"]
         print(" ".join(f"{str(x):>5}" for x in row))
     return 1 if failed else 0

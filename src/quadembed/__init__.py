@@ -5,12 +5,13 @@ vertices, decide whether it extends to an s-factorization on n vertices,
 plan the extension color by color, and construct an explicit certificate.
 
 All arithmetic is exact integer arithmetic (``math.comb``); a
-``fractions.Fraction`` appears only in reports (``check`` witnesses and
-``bounds``).  The inequalities decided here are sharp at many boundary
-tuples, so floating point is banned everywhere.
+``fractions.Fraction`` appears only in the ``Verdict`` witnesses of a
+``check`` report (``bounds`` prints its ratios from integer rows).  The
+inequalities decided here are sharp at many boundary tuples, so floating
+point is banned everywhere.
 """
 
-from .bounds import AmalgamCase, BoundSet, global_bounds, per_color_bounds
+from .bounds import AmalgamCase, global_bounds, per_color_bounds
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (

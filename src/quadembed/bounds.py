@@ -19,7 +19,10 @@ with c_1 = sm - sn/4 - 3rm/4, d_1 = sm - rm, c_2 = sm - sn/4, d_2 = sm
 of equal e_j, once per run and tier, never once per color.
 Admissibility of both triples gives 4 | rm and 4 | sn, so c_i, d_i, iota1
 and iota2 are integers; only rho_ij, rho_i and rhop_i can be fractional,
-and every bound here is computed from (c_i, d_i).
+and every bound here is computed from (c_i, d_i).  The global bounds are
+read off the same rows, iota_i = 2 c_i - d_i, rho_i = d_i / 3 and
+rhop_i = c_i / 2, so nothing here builds a Fraction (``global_bounds`` hands
+the checked rows to the ``bounds`` report, which prints the ratios).
 
 Sign equivalences tying the two levels together (i = 1, 2):
 
@@ -34,28 +37,9 @@ six regimes (case codes "5.1".."5.6"); ``sign_case`` reads them off (c_i, d_i).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from math import floor
 
 from .errors import InputError
 from .params import EmbeddingParams, color_counts
-
-
-@dataclass(frozen=True)
-class BoundSet:
-    """Global bounds; tier-2 fields are None when there are no new colors."""
-
-    iota1: int
-    rho1: Fraction
-    rhop1: Fraction
-    iota2: int | None
-    rho2: Fraction | None
-    rhop2: Fraction | None
-
-    @property
-    def two_tier(self) -> bool:
-        return self.iota2 is not None
 
 
 class AmalgamCase(enum.Enum):
@@ -94,17 +78,17 @@ def tier_bounds(p: EmbeddingParams) -> list[tuple[int, int, int]]:
     return [(q, sm - sn4 - 3 * rm // 4, sm - rm), (k - q, sm - sn4, sm)]
 
 
-def global_bounds(p: EmbeddingParams) -> BoundSet:
-    """Exact global bounds, for reports only; needs admissible triples, s >= r, k >= q."""
-    (_, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
+def global_bounds(p: EmbeddingParams) -> list[tuple[int, int, int]]:
+    """The tier table of ``tier_bounds`` for the ``bounds`` report; needs s >= r, k >= q.
+
+    Tier i's global bounds are iota_i = 2 c - d, rho_i = d / 3 and rhop_i = c / 2.
+    """
+    tiers = tier_bounds(p)
     if p.s < p.r:
         raise InputError(f"bounds need s >= r, got r={p.r}, s={p.s}")
-    if new_colors < 0:
-        raise InputError(f"new-tier color count k - q = {new_colors} is negative")
-    old = (2 * c1 - d1, Fraction(d1, 3), Fraction(c1, 2))
-    if new_colors == 0:
-        return BoundSet(*old, None, None, None)
-    return BoundSet(*old, 2 * c2 - d2, Fraction(d2, 3), Fraction(c2, 2))
+    if tiers[1][0] < 0:
+        raise InputError(f"new-tier color count k - q = {tiers[1][0]} is negative")
+    return tiers
 
 
 def per_color_bounds(p: EmbeddingParams, e_runs) -> list[tuple[int, int, int, int]]:
@@ -133,8 +117,10 @@ def sign_case(tiers: list[tuple[int, int, int]]) -> AmalgamCase:
     """The unique sign regime of the tier table: rhop_i and iota_i have the signs
     of c_i and 2 c_i - d_i.  InputError when s < r (d_1 < 0) or k < q."""
     (_, c1, d1), (new_colors, c2, d2) = tiers
-    if new_colors < 0 or d1 < 0:
-        raise InputError(f"no sign regime: s < r or k - q = {new_colors} is negative")
+    if d1 < 0:
+        raise InputError(f"no sign regime: d_1 = {d1} is negative (s < r)")
+    if new_colors < 0:
+        raise InputError(f"no sign regime: k - q = {new_colors} is negative")
     if not new_colors:
         if 2 * c1 >= d1:
             return AmalgamCase.BOTH_FLOORS
@@ -153,14 +139,3 @@ def sign_case(tiers: list[tuple[int, int, int]]) -> AmalgamCase:
         return AmalgamCase.OLD_PINNED_NEW_FLOOR
     return AmalgamCase.OLD_PINNED_THRESHOLD
 
-
-def floors(b: BoundSet) -> dict[str, int | None]:
-    """Floor snapshot (iota1, |rhop1|, |rho1|, iota2, |rhop2|, |rho2|) for reports."""
-    return {
-        "iota1": b.iota1,
-        "rhop1_floor": floor(b.rhop1),
-        "rho1_floor": floor(b.rho1),
-        "iota2": b.iota2,
-        "rhop2_floor": floor(b.rhop2) if b.two_tier else None,
-        "rho2_floor": floor(b.rho2) if b.two_tier else None,
-    }

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .bounds import floors, global_bounds, sign_case, tier_bounds
+from .bounds import global_bounds, sign_case
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (
@@ -68,30 +68,33 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.all_hold() else EXIT_FAIL
 
 
+def _ratio(num: int, den: int) -> str:
+    """num/den as ``str(Fraction(num, den))`` writes it, for a prime den (2 or 3)."""
+    return str(num // den) if num % den == 0 else f"{num}/{den}"
+
+
+def _na(value) -> object:
+    return "NA" if value is None else value
+
+
 def cmd_bounds(args) -> int:
-    p = _params_from_args(args)
-    b = global_bounds(p)
-    fl = floors(b)
-    case = sign_case(tier_bounds(p)).code
+    tiers = global_bounds(_params_from_args(args))
+    case = sign_case(tiers).code
+    # tier i (count, c, d): iota_i = 2c - d, rho_i = d/3, rhop_i = c/2, all
+    # None for the new tier when k = q (the old tier always has q > 0 colors)
+    bounds, fl = {}, {}
+    for i, (count, c, d) in enumerate(tiers, 1):
+        iota, rho, rhop, rho_fl, rhop_fl = (
+            (2 * c - d, _ratio(d, 3), _ratio(c, 2), d // 3, c // 2) if count else (None,) * 5)
+        bounds |= {f"iota{i}": iota, f"rho{i}": rho, f"rhop{i}": rhop}
+        fl |= {f"iota{i}": iota, f"rhop{i}_floor": rhop_fl, f"rho{i}_floor": rho_fl}
     if args.format == "json":
-        doc = {
-            "iota1": b.iota1, "rho1": str(b.rho1), "rhop1": str(b.rhop1),
-            "iota2": b.iota2,
-            "rho2": str(b.rho2) if b.two_tier else None,
-            "rhop2": str(b.rhop2) if b.two_tier else None,
-            "floors": fl,
-            "case": case,
-        }
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(json.dumps({**bounds, "floors": fl, "case": case}, indent=2), args.out)
     else:
-        lines = [
-            f"iota1={b.iota1} rhop1={b.rhop1} rho1={b.rho1}",
-            f"iota2={b.iota2} rhop2={b.rhop2} rho2={b.rho2}"
-            if b.two_tier else "iota2=NA rhop2=NA rho2=NA",
-            "floors: " + " ".join(f"{k}={v if v is not None else 'NA'}"
-                                  for k, v in fl.items()),
-            f"case={case}",
-        ]
+        lines = [" ".join(f"{key}{i}={_na(bounds[f'{key}{i}'])}"
+                          for key in ("iota", "rhop", "rho")) for i in (1, 2)]
+        lines += ["floors: " + " ".join(f"{k}={_na(v)}" for k, v in fl.items()),
+                  f"case={case}"]
         _emit("\n".join(lines), args.out)
     return EXIT_OK
 

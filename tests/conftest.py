@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import groupby
 from math import comb
 from pathlib import Path
@@ -13,6 +14,7 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+from quadembed.bounds import global_bounds
 from quadembed.params import EmbeddingParams
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -86,6 +88,13 @@ def sweep_params(n_hi: int, r_hi: int, s_hi: int, lam_hi: int):
                         continue
                     for s in ss:
                         yield EmbeddingParams(m, n, r, s, lam)
+
+
+def fraction_bounds(p: EmbeddingParams) -> list[tuple]:
+    """Per tier (count, iota_i, rho_i, rhop_i) from the rows (count, c, d) of
+    ``global_bounds``: iota_i = 2c - d, rho_i = d/3, rhop_i = c/2 as Fractions."""
+    return [(count, 2 * c - d, Fraction(d, 3), Fraction(c, 2))
+            for count, c, d in global_bounds(p)]
 
 
 # Runs (count, *value): ``count`` consecutive entries sharing a value.  The

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hashlib import sha256
 from math import ceil, comb, floor
 
-from quadembed.bounds import AmalgamCase, global_bounds, sign_case, tier_bounds
+from quadembed.bounds import AmalgamCase, sign_case, tier_bounds
 from quadembed.cli import main
 from quadembed.factorization import (
     EmbeddingCertificate,
@@ -40,6 +40,7 @@ from conftest import (
     FIXTURES,
     expand,
     feasible,
+    fraction_bounds,
     identity_a,
     identity_b,
     identity_c,
@@ -135,12 +136,12 @@ def test_criterion_3_sporadic_table_reproduction():
         rep = check_conditions(p)
         assert rep.all_hold(), (row, rep.failing())
         assert (rep.q, rep.k, rep.k - rep.q) == (q, k, kq), row
-        b = global_bounds(p)
-        assert (b.iota1, floor(b.rhop1), floor(b.rho1)) == (i1, rp1, r1), row
+        (_, iota1, rho1, rhop1), (new_colors, iota2, rho2, rhop2) = fraction_bounds(p)
+        assert (iota1, floor(rhop1), floor(rho1)) == (i1, rp1, r1), row
         if i2 is None:
-            assert not b.two_tier, row
+            assert not new_colors, row
         else:
-            assert (b.iota2, floor(b.rhop2), floor(b.rho2)) == (i2, rp2, r2), row
+            assert (iota2, floor(rhop2), floor(rho2)) == (i2, rp2, r2), row
         te, tf, tg, _ = totals(p)
         assert (te, tf, tg) == (e, f, g), row
 
@@ -230,20 +231,21 @@ def test_criterion_4_lemma_property_suites():
         passing += 1
         q, k = rep.q, rep.k
         e, f, g, h = totals(p)
-        b = global_bounds(p)
+        (_, iota1, rho1, rhop1), (_, iota2, rho2, rhop2) = fraction_bounds(p)
 
-        lo = q * b.iota1 + ((k - q) * b.iota2 if b.two_tier else 0)
-        hi = q * floor(b.rho1) + ((k - q) * floor(b.rho2) if b.two_tier else 0)
+        # an empty new tier (k = q) adds 0 to each sum
+        lo = q * iota1 + (k - q) * iota2
+        hi = q * floor(rho1) + (k - q) * floor(rho2)
         if not lo <= e <= hi:
             bad["L6.1"].append(tup)
 
-        if b.two_tier:
-            if b.iota2 >= 0 and b.rhop1 >= 0 and \
-                    e > q * floor(b.rhop1) + (k - q) * floor(b.rhop2):
+        if k > q:
+            if iota2 >= 0 and rhop1 >= 0 and \
+                    e > q * floor(rhop1) + (k - q) * floor(rhop2):
                 bad["L6.3"].append(tup)
-            if b.iota2 > 0 and b.rhop1 < 0 and e > (k - q) * floor(b.rhop2):
+            if iota2 > 0 and rhop1 < 0 and e > (k - q) * floor(rhop2):
                 bad["L6.3"].append(tup)
-            if b.iota2 <= 0 and b.rhop2 >= 0 and f < k:
+            if iota2 <= 0 and rhop2 >= 0 and f < k:
                 bad["L6.6"].append(tup)
 
         # colored-e lower bounds in closed form (sums of iota_ij)
@@ -255,10 +257,10 @@ def test_criterion_4_lemma_property_suites():
 
         case = sign_case(tier_bounds(p))
         if case is AmalgamCase.THRESHOLD_SPLIT:
-            if not (ceil(b.rhop1) <= b.rho1 and ceil(b.rhop2) <= b.rho2):
+            if not (ceil(rhop1) <= rho1 and ceil(rhop2) <= rho2):
                 bad["rounding"].append(tup)
         if case is AmalgamCase.OLD_PINNED_THRESHOLD:
-            if not ceil(b.rhop2) <= b.rho2:
+            if not ceil(rhop2) <= rho2:
                 bad["rounding"].append(tup)
 
     failures = {key: val for key, val in bad.items() if val}

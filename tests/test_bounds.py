@@ -7,15 +7,13 @@ from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds, sign_
 from quadembed.errors import InputError
 from quadembed.params import EmbeddingParams, TheoremCase, check_conditions, color_counts
 
-from conftest import expand, runs, sweep_params
+from conftest import expand, fraction_bounds, runs, sweep_params
 
 
 def _floors(p):
-    b = global_bounds(p)
-    out = [b.iota1, floor(b.rhop1), floor(b.rho1)]
-    if b.two_tier:
-        out += [b.iota2, floor(b.rhop2), floor(b.rho2)]
-    return out
+    """(iota_i, floor(rhop_i), floor(rho_i)) of each tier that has colors."""
+    return [x for count, iota, rho, rhop in fraction_bounds(p) if count
+            for x in (iota, floor(rhop), floor(rho))]
 
 
 def test_global_bounds_table_rows():
@@ -25,10 +23,17 @@ def test_global_bounds_table_rows():
 
 
 def test_global_bounds_single_tier_when_counts_match():
-    b = global_bounds(EmbeddingParams(6, 8, 2, 7, 1))
-    assert not b.two_tier
-    assert (b.iota2, b.rho2, b.rhop2) == (None, None, None)
-    assert [b.iota1, floor(b.rhop1), floor(b.rho1)] == [8, 9, 10]
+    p = EmbeddingParams(6, 8, 2, 7, 1)
+    (q, *_), (new_colors, *_) = fraction_bounds(p)
+    assert (q, new_colors) == (5, 0)
+    assert _floors(p) == [8, 9, 10]
+
+
+def test_global_bounds_is_the_checked_tier_table():
+    for p in sweep_params(n_hi=14, r_hi=6, s_hi=6, lam_hi=2):
+        q, k = color_counts(p)
+        if p.s >= p.r and k >= q:
+            assert global_bounds(p) == tier_bounds(p)
 
 
 def test_global_bounds_rejects_bad_input():
@@ -82,6 +87,17 @@ def test_sign_case_examples():
     assert case(6, 8, 2, 5, 1).code == "5.2"
 
 
+def test_sign_case_names_only_the_failing_condition():
+    # (4, 8, 2, 1, 2): s < r gives d_1 = 4 - 8 < 0, while k - q = 69 > 0
+    with pytest.raises(InputError) as exc:
+        sign_case(tier_bounds(EmbeddingParams(4, 8, 2, 1, 2)))
+    assert str(exc.value) == "no sign regime: d_1 = -4 is negative (s < r)"
+    # (8, 9, 1, 4, 1): s > r, k - q = -21
+    with pytest.raises(InputError) as exc:
+        sign_case(tier_bounds(EmbeddingParams(8, 9, 1, 4, 1)))
+    assert str(exc.value) == "no sign regime: k - q = -21 is negative"
+
+
 def _passing_in_scope(n_hi=25, r_hi=8, s_hi=8, lam_hi=2):
     for p in sweep_params(n_hi, r_hi, s_hi, lam_hi):
         rep = check_conditions(p)
@@ -92,24 +108,24 @@ def _passing_in_scope(n_hi=25, r_hi=8, s_hi=8, lam_hi=2):
 def test_bound_chain_invariants_over_sweep():
     seen_rs = False
     for p in _passing_in_scope(n_hi=60, r_hi=20, s_hi=20, lam_hi=3):
-        b = global_bounds(p)
-        assert b.rho1 >= 0
-        assert b.iota1 <= b.rhop1 <= b.rho1
-        if b.two_tier:
-            assert b.iota2 > b.iota1
-            assert b.rho2 > b.rho1
-            assert b.rhop2 > b.rhop1
-            assert b.iota2 <= b.rhop2 <= b.rho2
+        (_, iota1, rho1, rhop1), (new_colors, iota2, rho2, rhop2) = fraction_bounds(p)
+        assert rho1 >= 0
+        assert iota1 <= rhop1 <= rho1
+        if new_colors:
+            assert iota2 > iota1
+            assert rho2 > rho1
+            assert rhop2 > rhop1
+            assert iota2 <= rhop2 <= rho2
         # sign equivalences of the global parameters
         m, n, r, s = p.m, p.n, p.r, p.s
-        assert (b.iota1 >= 0) == (n * s <= (2 * s - r) * m)
-        assert (b.rhop1 >= 0) == (n * s <= (4 * s - 3 * r) * m)
-        if b.two_tier:
-            assert (b.iota2 >= 0) == (n <= 2 * m)
-            assert (b.rhop2 >= 0) == (n <= 4 * m)
+        assert (iota1 >= 0) == (n * s <= (2 * s - r) * m)
+        assert (rhop1 >= 0) == (n * s <= (4 * s - 3 * r) * m)
+        if new_colors:
+            assert (iota2 >= 0) == (n <= 2 * m)
+            assert (rhop2 >= 0) == (n <= 4 * m)
         if r == s:
             seen_rs = True
-            assert b.rho1 == 0 and b.rhop1 < 0
+            assert rho1 == 0 and rhop1 < 0
             _, c, d = tier_bounds(p)[0]  # an old color: iota = c - 2e, 2 rho = d - 3e
             for e_j in range(0, 4):
                 iota, two_rho = c - 2 * e_j, d - 3 * e_j
@@ -120,12 +136,10 @@ def test_bound_chain_invariants_over_sweep():
 
 def test_per_color_equivalences_over_sweep():
     for p in _passing_in_scope(n_hi=20, r_hi=6, s_hi=6, lam_hi=1):
-        b = global_bounds(p)
         q, k = color_counts(p)
         # index of the first color of each tier in an e-list
-        tiers = [(0, b.iota1, b.rho1, b.rhop1)]
-        if b.two_tier:
-            tiers.append((q, b.iota2, b.rho2, b.rhop2))
+        tiers = [(j, *bounds) for j, (count, *bounds) in zip((0, q), fraction_bounds(p))
+                 if count]
         for j, iota_i, rho_i, rhop_i in tiers:
             for e_j in range(0, floor(rho_i) + 3):
                 _, iota, two_rho = expand(per_color_bounds(p, runs([e_j] * k)))[j]
@@ -137,18 +151,18 @@ def test_per_color_equivalences_over_sweep():
 def test_six_sign_patterns_partition_the_sweep():
     seen = set()
     for p in _passing_in_scope(n_hi=30, r_hi=10, s_hi=10, lam_hi=2):
-        b = global_bounds(p)
-        if not b.two_tier:
+        (_, iota1, _, rhop1), (new_colors, iota2, _, rhop2) = fraction_bounds(p)
+        if not new_colors:
             continue
         patterns = {
-            AmalgamCase.FREE_RANGE: b.iota2 <= 0 and b.rhop2 < 0,
-            AmalgamCase.BOTH_FLOORS: 0 <= b.iota1 and 0 <= b.rhop1,
-            AmalgamCase.NEW_FLOOR: b.iota1 < 0 <= b.iota2 and 0 <= b.rhop1,
+            AmalgamCase.FREE_RANGE: iota2 <= 0 and rhop2 < 0,
+            AmalgamCase.BOTH_FLOORS: 0 <= iota1 and 0 <= rhop1,
+            AmalgamCase.NEW_FLOOR: iota1 < 0 <= iota2 and 0 <= rhop1,
             AmalgamCase.OLD_PINNED_NEW_FLOOR:
-                b.iota1 < 0 < b.iota2 and b.rhop1 < 0 <= b.rhop2,
-            AmalgamCase.THRESHOLD_SPLIT: b.iota2 < 0 and 0 <= b.rhop1,
+                iota1 < 0 < iota2 and rhop1 < 0 <= rhop2,
+            AmalgamCase.THRESHOLD_SPLIT: iota2 < 0 and 0 <= rhop1,
             AmalgamCase.OLD_PINNED_THRESHOLD:
-                b.iota2 <= 0 and b.rhop1 < 0 <= b.rhop2,
+                iota2 <= 0 and rhop1 < 0 <= rhop2,
         }
         matches = [case for case, hit in patterns.items() if hit]
         assert len(matches) == 1, (p, matches)
@@ -180,13 +194,11 @@ def _fraction_per_color(p, old, e_j):
 def test_iota_integrality_over_sweep():
     checked = 0
     for p in _passing_in_scope(n_hi=20, r_hi=8, s_hi=8, lam_hi=2):
-        b = global_bounds(p)
-        assert isinstance(b.iota1, int)
-        if b.two_tier:
-            assert isinstance(b.iota2, int)
+        (_, *got_old), (new_colors, *got_new) = fraction_bounds(p)
+        assert all(isinstance(x, int) for row in global_bounds(p) for x in row)
         old, new = _fraction_global_bounds(p)
-        assert (b.iota1, b.rho1, b.rhop1) == old
-        assert (b.iota2, b.rho2, b.rhop2) == (new if b.two_tier else (None,) * 3)
+        assert tuple(got_old) == old
+        assert new_colors >= 0 and tuple(got_new) == new
         q, k = color_counts(p)
         assert all(isinstance(x, int) for run in per_color_bounds(p, runs([1] * k))
                    for x in run)

@@ -3,6 +3,8 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from hashlib import sha256
 from math import comb
 
 import pytest
@@ -45,6 +47,29 @@ def test_bounds_output(capsys):
     assert "case=5.2" in capsys.readouterr().out
     assert main(["bounds", "8", "9", "1", "4", "1"]) == 3  # k < q
     assert "k - q = -21 is negative" in capsys.readouterr().err
+
+
+def test_bounds_output_pinned(monkeypatch):
+    # exit code, stdout and stderr of every `bounds` call on a small grid, in
+    # both formats: the exit-0 rows, and the exit-3 rows of each input check
+    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
+    digest, codes = sha256(), {}
+    for m in range(4, 11):
+        for n in range(m + 1, 15):
+            for r in range(1, 7):
+                for s in range(1, 7):
+                    for lam in (1, 2):
+                        for fmt in ("text", "json"):
+                            argv = ["bounds", *map(str, (m, n, r, s, lam)), "--format", fmt]
+                            out, err = io.StringIO(), io.StringIO()
+                            with redirect_stdout(out), redirect_stderr(err):
+                                code = main(argv)
+                            codes[code] = codes.get(code, 0) + 1
+                            digest.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}"
+                                          f"\0{err.getvalue()}\0".encode())
+    assert codes == {0: 290, 3: 6766}
+    assert digest.hexdigest() == (
+        "7a0c5c92570f0858b529995d7b600afe245a02f1028d164f8026a18a89cf0cd8")
 
 
 def test_plan_to_file(tmp_path):

@@ -71,6 +71,11 @@ def test_rejects_degenerate_blocks():
         Factorization(6, 1, 1, [[(1, 2, 3, 3)]])
     with pytest.raises(InputError):
         Factorization(6, 1, 1, [[(1, 2, 3, 7)]])
+    # sorted and in range: only a < b rejects it, in the one-pass check and
+    # in the block-by-block one
+    with pytest.raises(InputError) as err:
+        Factorization(6, 1, 1, [[(1, 1, 2, 3)]])
+    assert str(err.value) == "class 1: block (1, 1, 2, 3) is not a 4-subset"
 
 
 def test_rejects_non_integer_header_fields():
@@ -249,6 +254,10 @@ def test_format_errors_carry_line_numbers():
         parse_factorization("6 1 2 2\n\n1: 1 2 3 4\n2: 1 2 5 2\n")
     assert str(err.value) == "line 4: class 2: block (1, 2, 2, 5) is not a 4-subset"
     with pytest.raises(FormatError) as err:
+        # in the renderer's layout: only the column check's a < b rejects it
+        parse_factorization("6 1 1 1\n1: 1 1 2 3\n")
+    assert str(err.value) == "line 2: class 1: block (1, 1, 2, 3) is not a 4-subset"
+    with pytest.raises(FormatError) as err:
         parse_factorization("6 1 2 1\n1: 1 2 3 4, , 1 2 5 6\n")
     assert str(err.value) == "line 2: class 1: block () is not a 4-subset"
     with pytest.raises(FormatError) as err:
@@ -284,6 +293,9 @@ def test_certificate_negative_restriction():
     # roles reversed: seven inner classes cannot sit in five outer ones
     issues = certificate_issues(EmbeddingCertificate(inner=_intro(8), outer=f6))
     assert issues[-1] == "inner system has more classes than outer"
+    # intro_6 over itself restricts class by class, so only the sizes fail
+    issues = certificate_issues(EmbeddingCertificate(inner=f6, outer=f6))
+    assert issues == ["outer ground set not larger than inner"]
 
 
 def test_certificate_swap_between_classes_fails():

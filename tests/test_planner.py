@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadembed import detach, generate_base, planner, verify_certificate
-from quadembed.bounds import AmalgamCase, global_bounds, per_color_bounds, tier_bounds
+from quadembed.bounds import AmalgamCase, per_color_bounds, tier_bounds
 from quadembed.errors import ConditionsFailed, InputError, PlanInfeasible
 from quadembed.factorization import read_factorization
 from quadembed.params import EmbeddingParams, check_conditions, color_counts
@@ -27,7 +27,7 @@ from quadembed.planner import (
     verify_plan,
 )
 
-from conftest import FIXTURES, amalgamate, expand, runs, sweep_params
+from conftest import FIXTURES, amalgamate, expand, fraction_bounds, runs, sweep_params
 
 
 def tampered(plan, **cols):
@@ -105,6 +105,13 @@ def test_verify_plan_catches_perturbation():
     assert verify_plan(p, plan)
     bumped = tampered(plan, f=(plan.f[0] + 1,) + plan.f[1:])
     assert not verify_plan(p, bumped)
+    # (e, f, g, h) += (1, -1, -1, 1) on a one-color row keeps both degree
+    # laws and every entry nonnegative; only the four totals reject it
+    p = EmbeddingParams(12, 28, 5, 9, 2)
+    plan = build_plan(p)
+    assert plan.rows[2] == (1, 22, 17, 8, 16)
+    bad = replace(plan, rows=(*plan.rows[:2], (1, 23, 16, 7, 17), *plan.rows[3:]))
+    assert not verify_plan(p, bad)
 
 
 def test_verify_plan_rejects_negative_entries():
@@ -206,7 +213,7 @@ def _multiset_lists(values: list[int], slots: int, total: int):
             yield [v] * count + tail
 
 
-def _fallback_candidates(p, b, q: int, k: int, e_total: int):
+def _fallback_candidates(p, q: int, k: int, e_total: int):
     """e-multisets within the master range, parity-friendly values first."""
     sm = p.s * p.m
 
@@ -215,12 +222,13 @@ def _fallback_candidates(p, b, q: int, k: int, e_total: int):
         vals = list(range(lo, hi + 1))
         return sorted(vals, key=lambda v: ((sm + v) % 2, v))
 
-    vals1 = tier_values(b.iota1, b.rho1)
-    if not b.two_tier:
+    (_, iota1, rho1, _), (_, iota2, rho2, _) = fraction_bounds(p)
+    vals1 = tier_values(iota1, rho1)
+    if k == q:
         for ms in _multiset_lists(vals1, q, e_total):
             yield ms
         return
-    vals2 = tier_values(b.iota2, b.rho2)
+    vals2 = tier_values(iota2, rho2)
     if not vals1 or not vals2:
         return
     lo2, hi2 = (k - q) * min(vals2), (k - q) * max(vals2)
@@ -258,8 +266,7 @@ def test_exact_e_solve_agrees_with_enumerator():
         q, k = color_counts(p)
         if p.s < p.r or k < q:
             continue
-        b = global_bounds(p)
-        candidates = _fallback_candidates(p, b, q, k, totals(p)[0])
+        candidates = _fallback_candidates(p, q, k, totals(p)[0])
         for tried, e_list in enumerate(candidates):
             if tried == ORACLE_CAP:
                 found = None
