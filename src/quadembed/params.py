@@ -69,9 +69,9 @@ def _divisibility(m: int, r: int, lam: int, b: int) -> tuple[bool, bool]:
     return (r * m) % 4 == 0, (lam * b) % r == 0
 
 
-def _class_count(r: int, lam: int, b: int, admissible: bool) -> int | None:
-    """lam*b/r for b = C(m-1,3) when (m, r, lam) is ``admissible``, else None."""
-    return lam * b // r if admissible else None
+def _class_count(r: int, lam: int, b: int) -> int:
+    """lam*b/r for b = C(m-1,3), exact when (m, r, lam) is admissible."""
+    return lam * b // r
 
 
 def is_admissible(m: int, r: int, lam: int) -> bool:
@@ -97,7 +97,10 @@ def integers(values: tuple) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EmbeddingParams:
-    """The tuple (m, n, r, s, lam); n > m >= 4, and if m = 4 then lam, r >= 2."""
+    """The tuple (m, n, r, s, lam); n > m >= 4, and if m = 4 then lam, r >= 2.
+    Five ints are stored as given, other values by ``integers`` (a bool as an
+    int; a float or string raises "must be integers") before the range checks,
+    which run in this order: m >= 4, n > m, r, s, lam >= 1, the m = 4 case."""
 
     m: int
     n: int
@@ -105,12 +108,9 @@ class EmbeddingParams:
     s: int
     lam: int
 
-    def __post_init__(self):
-        given = (self.m, self.n, self.r, self.s, self.lam)
-        m, n, r, s, lam = values = integers(given)
-        if values is not given:  # store an int subclass such as bool as an int
-            for name, x in zip(self.__dataclass_fields__, values):
-                object.__setattr__(self, name, x)
+    def __init__(self, m: int, n: int, r: int, s: int, lam: int):
+        if not (type(m) is type(n) is type(r) is type(s) is type(lam) is int):
+            m, n, r, s, lam = integers((m, n, r, s, lam))
         if m < 4:
             raise InputError(f"m must be at least 4, got {m}")
         if n <= m:
@@ -119,15 +119,15 @@ class EmbeddingParams:
             raise InputError("r, s, lam must be positive")
         if m == 4 and (lam < 2 or r < 2):
             raise InputError("m = 4 requires lam >= 2 and r >= 2")
+        self.__dict__.update(m=m, n=n, r=r, s=s, lam=lam)
 
 
 def class_count(m: int, r: int, lam: int, triple: str = "triple") -> int:
     """lam*C(m-1,3)/r, the classes of an r-factorization of lam*K_m^4;
     raises InputError unless (m, r, lam) is admissible."""
-    count = _class_count(r, lam, comb(m - 1, 3), is_admissible(m, r, lam))
-    if count is None:
+    if not is_admissible(m, r, lam):
         raise InputError(f"{triple} ({m}, {r}, {lam}) not admissible")
-    return count
+    return _class_count(r, lam, comb(m - 1, 3))
 
 
 def color_counts(p: EmbeddingParams) -> tuple[int, int]:
@@ -274,5 +274,5 @@ def check_conditions(p: EmbeddingParams) -> ConditionReport:
         case = TheoremCase.STRICT_RATIO if gap else TheoremCase.EQUAL_RATIO
     div = _divisibility(m, r, lam, bm) + _divisibility(n, s, lam, bn)
     ok = all(div)
-    return ConditionReport(p, case, _class_count(r, lam, bm, ok),
-                           _class_count(s, lam, bn, ok), bm, bn, gap, div)
+    return ConditionReport(p, case, _class_count(r, lam, bm) if ok else None,
+                           _class_count(s, lam, bn) if ok else None, bm, bn, gap, div)

@@ -178,10 +178,13 @@ def test_factorization_issues_reports_defects():
     blocks = [list(b) for b in combinations(range(1, 7), 4)]
     fact = Factorization(6, 1, 2, [blocks[0:3], blocks[3:6], blocks[6:9],
                                    blocks[9:12], blocks[12:15]])
-    issues = factorization_issues(fact)
-    assert issues  # arbitrary grouping is not 2-regular
-    assert any("degree" in msg for msg in issues)
-
+    # arbitrary grouping is not 2-regular
+    assert factorization_issues(fact) == [
+        "class 1: vertices [1, 2, 3, 4, 5, 6] do not have degree 2",
+        "class 2: vertices [1, 2, 3] do not have degree 2",
+        "class 3: vertices [1, 2, 3] do not have degree 2",
+        "class 4: vertices [1, 4] do not have degree 2",
+        "class 5: vertices [1, 5, 6] do not have degree 2"]
 
 
 def _enumerated_cover_issues(fact):
@@ -296,6 +299,12 @@ def test_certificate_negative_restriction():
     # intro_6 over itself restricts class by class, so only the sizes fail
     issues = certificate_issues(EmbeddingCertificate(inner=f6, outer=f6))
     assert issues == ["outer ground set not larger than inner"]
+    # intro_6's classes as a 2-fold system: half of each 4-subset's copies
+    issues = certificate_issues(EmbeddingCertificate(
+        inner=Factorization(6, 2, 2, f6.classes), outer=_intro(8)))
+    assert issues == ["inner and outer multiplicities differ",
+                      "inner: not a 2-fold cover of all 4-subsets"
+                      " (15 missing, 0 unexpected)"]
 
 
 def test_certificate_swap_between_classes_fails():
@@ -303,7 +312,14 @@ def test_certificate_swap_between_classes_fails():
     classes = [list(c) for c in f8.classes]
     classes[0][0], classes[5][0] = classes[5][0], classes[0][0]
     tampered = Factorization(8, 1, 5, classes)
-    assert not verify_certificate(EmbeddingCertificate(inner=f6, outer=tampered))
+    cert = EmbeddingCertificate(inner=f6, outer=tampered)
+    assert not verify_certificate(cert)
+    # (1, 2, 3, 5) moves to class 6 and (1, 2, 3, 7) to class 1
+    assert certificate_issues(cert) == [
+        "outer: class 1: vertices [5, 7] do not have degree 5",
+        "outer: class 6: vertices [5, 7] do not have degree 5",
+        "outer class 1 does not restrict to inner class 1",
+        "new outer class 6 contains 1 inner 4-subsets"]
 
 
 @st.composite

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import pickle
 from fractions import Fraction
 from itertools import chain
 
@@ -53,6 +55,34 @@ def test_excluded_inputs_rejected():
         EmbeddingParams(6, 6, 2, 2, 1)
     with pytest.raises(InputError):
         EmbeddingParams(6, 8, 0, 2, 1)
+
+
+def test_params_constructor_contract():
+    p = EmbeddingParams(7, 12, 3, 8, 2)
+    assert EmbeddingParams(m=7, n=12, r=3, s=8, lam=2) == p
+    assert hash(EmbeddingParams(7, 12, 3, 8, 2)) == hash(p)
+    assert p != EmbeddingParams(7, 12, 3, 8, 1)
+    assert dataclasses.replace(p, n=9) == EmbeddingParams(7, 9, 3, 8, 2)
+    assert [f.name for f in dataclasses.fields(p)] == ["m", "n", "r", "s", "lam"]
+    assert repr(p) == "EmbeddingParams(m=7, n=12, r=3, s=8, lam=2)"
+    assert pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.m = 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.lam
+    assert p == EmbeddingParams(7, 12, 3, 8, 2)
+    # the integer check comes first, then the range checks in this order
+    for args, message in [
+        ((6.0, 2, 0, 0, 0), "parameters must be integers, got (6.0, 2, 0, 0, 0)"),
+        ((3, 2, 0, 0, 0), "m must be at least 4, got 3"),
+        ((6, 6, 0, 0, 0), "need n > m, got n=6, m=6"),
+        ((6, 8, 2, 5, 0), "r, s, lam must be positive"),
+        ((4, 5, 1, 0, 1), "r, s, lam must be positive"),
+        ((4, 5, 1, 1, 1), "m = 4 requires lam >= 2 and r >= 2"),
+    ]:
+        with pytest.raises(InputError) as err:
+            EmbeddingParams(*args)
+        assert str(err.value) == message, args
 
 
 @pytest.mark.parametrize("spell", [float, lambda x: x + 0.5, Fraction, str],
