@@ -78,11 +78,13 @@ edges, the receivers number lam * C(a - 1, b - 1) * C(a', t), and each
 class loses exactly deg_j of its incidence: (I1) and (I2) hold at a - 1.
 
 A type that finishes, (D, 0, 0) with |D| = 4, leaves the state in the
-step that finishes it, and its block joins its class's block list (after
-the base blocks in ``detach``), so the state holds only live types.  When
-both amalgams are used up the state is empty, so by (I1) every 4-set
-occurs lam times, and every vertex received exactly its degree in every
-class.  There is no search and no exhaustion: any valid plan with any
+step that finishes it, and the vertices of its block are appended to its
+class's ``block_array`` (after the base blocks in ``detach``), so the state
+holds only live types and a block takes 4 bytes (8 past n = 255), not an
+80-byte tuple; ``Factorization`` checks those arrays by columns and stores
+each as its sorted keys.  When both amalgams are used up the state is
+empty, so by (I1) every 4-set occurs lam times, and every vertex received
+exactly its degree in every class.  There is no search and no exhaustion: any valid plan with any
 valid base yields a certificate in time polynomial in the number of
 blocks.  The result is still checked: the base once, on entry, and on exit
 the outer system and its restriction to the base.
@@ -105,13 +107,14 @@ are visited in a fixed order, so the output is a function of the inputs.
 from __future__ import annotations
 
 import random
+from array import array
 from collections import defaultdict
 
 from .errors import InputError
 from .factorization import (
-    Block,
     EmbeddingCertificate,
     Factorization,
+    block_array,
     factorization_issues,
     is_valid_factorization,
     restriction_issues,
@@ -360,12 +363,12 @@ def _round(classes: list[dict[EdgeType, int]], v: int, a: int, shift: int,
     return moves
 
 
-def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[list[Block]],
+def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[bytearray | array],
                    v: int, a: int, from_beta: bool, degree: list[int]) -> None:
     """Split vertex v off the amalgam of multiplicity a (beta or alpha);
     class j receives v on exactly degree[j] of its edges.  A type that
-    finishes, (D, 0, 0), leaves ``classes[j]`` and its block goes to
-    ``blocks[j]``."""
+    finishes, (D, 0, 0), leaves ``classes[j]`` and the vertices of its
+    block go to ``blocks[j]``."""
     shift = _BETA if from_beta else _ALPHA
     if a <= 2:
         moves = _halve(classes, v, a, shift, degree)
@@ -390,11 +393,11 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[list[Block]]
                 v2 = d & -d
                 d ^= v2
                 v3 = d & -d
-                out += [(v1.bit_length() - 1, v2.bit_length() - 1,
-                         v3.bit_length() - 1, (d ^ v3).bit_length() - 1)] * y
+                out.extend((v1.bit_length() - 1, v2.bit_length() - 1,
+                            v3.bit_length() - 1, (d ^ v3).bit_length() - 1) * y)
 
 
-def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[list[Block]],
+def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[bytearray | array],
                 amalgams: list[tuple[range, bool, list[int]]], seed: int) -> None:
     """Detach every vertex of each amalgam in turn; ``amalgams`` lists
     (vertices, from_beta, degree).  A nonzero seed shuffles each amalgam's
@@ -415,7 +418,7 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
     m, r, lam = integers((m, r, lam))
     q = class_count(m, r, lam)  # raises unless (m, r, lam) is admissible
     classes = [{4 << 3 | 0: r * m // 4} for _ in range(q)]  # (empty, 4, 0)
-    blocks = [[] for _ in range(q)]
+    blocks = [block_array(m) for _ in range(q)]
     _detach_all(classes, blocks, [(range(1, m + 1), True, [r] * q)], seed)
     fact = Factorization(m, lam, r, blocks)
     if not is_valid_factorization(fact):
@@ -440,7 +443,8 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
     for count, *quad in plan.rows:
         cls = {key: x for key, x in zip(_PLAN_TYPES, quad) if x}
         classes += (dict(cls) for _ in range(count))
-    blocks = [list(old) for old in base.classes] + [[] for _ in range(k - q)]
+    blocks = [block_array(n, old) for old in base.classes]
+    blocks += (block_array(n) for _ in range(k - q))
     _detach_all(classes, blocks, [(range(1, m + 1), True, [s - r] * q + [s] * (k - q)),
                                   (range(m + 1, n + 1), False, [s] * k)], seed)
 

@@ -11,36 +11,59 @@ File format (line oriented, bit-exact round trip on the canonical form):
     1: 1 2 3 5, 1 2 4 6, 3 4 5 6
     2: ...
 
-A Factorization is immutable and checked once, on construction or by the
-parser (below): every block becomes a sorted 4-subset of 1..ground_size and
-every class a sorted tuple of blocks, so parse(render(x)) == x and the
-issue finders below never meet a malformed block.  Vertices are integers in
-the sense of ``operator.index``: a float, a Fraction or a string is
-rejected, even when its value is integral, and an ``int`` subclass such as
-``bool`` is stored as a plain ``int``.  The three header fields are
-converted and stored the same way.
+Storage.  A block a < b < c < d is one key, ((a << w | b) << w | c) << w
+| d, with fields of w = 8 bits up to ground size 255 (a 4-byte key, array
+typecode "I") and of 16 bits up to 65,535 (8 bytes, "Q"); a larger ground
+size is refused.  Keys compare as their blocks do as tuples, and a class is
+stored as the bytes of its sorted keys in native byte order, so a block
+takes 4 bytes where its tuple took 80, and the cyclic garbage collector
+tracks none of them.  A key's fields are also read in place, as the bytes
+(or 16-bit items) of the class: in memory they run d c b a on a
+little-endian host and a b c d on a big-endian one (``_LAST``).  The issue
+finders read that storage: the cover from the keys, the degrees of a class
+from its fields four at a time, and the restriction to 1..m from the field
+d.  ``classes`` is a tuple of read-only ``ColorClass`` views, which decode
+a class to its sorted 4-tuples when it is read and compare, hash and print
+as that tuple; ``len()`` and indexing decode no more than they return.
 
-The constructor's check runs one class at a time.  A class whose blocks are
-all tuples of four plain ``int`` vertices with 1 <= a < b < c < d <=
-ground_size, which is what the construction hands over, is only sorted; any
-other class goes block by block through ``_canonical_block``, which sorts
-each block, converts its vertices and words the error.
+A Factorization is immutable and checked once, on construction or by the
+parser (below): every block becomes a 4-subset of 1..ground_size stored as
+its key, and every class the sorted bytes of its keys, so parse(render(x))
+== x and the issue finders below never meet a malformed block.  Vertices
+are integers in the sense of ``operator.index``: a float, a Fraction or a
+string is rejected, even when its value is integral, and an ``int``
+subclass such as ``bool`` is stored as a plain ``int``.  The three header
+fields are converted and stored the same way.
+
+The constructor's check runs one class at a time, by columns.  A class
+given as its vertices, four per block, in a bytearray (ground size up to
+255) or an array of 16-bit items (``block_array``), which is what the
+construction hands over, is read as it is; any other class is flattened
+into one when every block has four integer vertices that fit a field.
+Three comparisons of columns, with the least a and the largest d, then
+prove every block a 4-subset of 1..ground_size, and the keys are packed
+and sorted.  A class that fails, or that cannot be flattened, goes block by
+block through ``_canonical_block``, which sorts each block, converts its
+vertices and words the error.
 
 The parser reads the labels of a line in the renderer's layout through a
 table from "1".."N" to their integers.  N is at most ground_size and at
 most the largest v with 8 * C(v, 4) <= file length, since a cover of the
 4-subsets of 1..v takes that many characters; so the table is bounded by
-the file, and only by its fourth root, not by the header.  A class line in the renderer's layout, "a b c d, a b c d, ..." with
-a < b < c < d in each block (any blanks, any block order), is read by
-columns: the body is cut into segments of whole blocks, each ending just
-after the first comma at or past ``_SEGMENT`` characters, and each segment is
-split once.  Its tokens 0, 4, 8, ... are the a column, and so on; the d
-column goes through a second table of the labels "1,".."N,", except the
-line's last token.  Three comparisons of columns then prove every block a
-4-subset of 1..ground_size, so this is the class's only check.  Segments
-are 64 KiB because the 385k tokens of a 1.1 MB line would take about 22 MB
-at once, while a segment's take about 1.3 MB, little beside the blocks that
-the parse keeps.
+the file, and only by its fourth root, not by the header.  A class line in
+the renderer's layout, "a b c d, a b c d, ..." with a < b < c < d in each
+block (any blanks, any block order), is read by columns: the body is cut
+into segments of whole blocks, each ending just after the first comma at or
+past ``_SEGMENT`` characters, and each segment is split once.  Its tokens
+0, 4, 8, ... are the a column, and so on; the d column goes through a
+second table of the labels "1,".."N,", the line's last token with a comma
+added.  Three comparisons of columns then prove every block a 4-subset of
+1..ground_size, so this is the class's only check, and the four columns are
+interleaved straight into the class's array of vertices, which the
+constructor packs into keys and sorts.  Segments are 64 KiB so that the
+366k tokens of a 1.1 MB line are never held at once: parsing the two such
+lines of a 2.2 MB certificate peaks at 22 MB unsegmented and at 8.5 MB in
+segments (tracemalloc), and keeps 0.7 MB of keys.
 
 Any other line (a missing comma, an empty entry, "05", "x", "3.5", a label
 above N, an unsorted block), and every line after it, is converted chunk by
@@ -58,22 +81,87 @@ entirely.
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, compress
 from math import comb
-from operator import index as index_of, lt
+from operator import index as index_of, lt, ne
 
 from .errors import FormatError, InputError
 
 Block = tuple[int, int, int, int]
 
+MAX_GROUND_SIZE = 65535  # the largest vertex that a 16-bit field holds
 _SEGMENT = 1 << 16  # characters per segment of a class line read by columns
+# a key's typecode -> the type of a class given as its vertices, four per
+# block; called on an iterable of vertices, it makes one
+_VERTICES = {"I": bytearray, "Q": partial(array, "H")}
+_LITTLE = sys.byteorder == "little"
+_LAST = 0 if _LITTLE else 3  # the memory slot of a key's last field, d
 
 
-class _Checked(tuple):
-    """Classes that the parser has proved canonical; the constructor takes
-    them as they are."""
+def _key_code(ground_size: int) -> str:
+    """The array typecode of the keys of blocks on 1..ground_size: 4-byte
+    keys of 8-bit fields up to 255, 8-byte keys of 16-bit fields above."""
+    return "I" if ground_size <= 255 else "Q"
+
+
+def block_array(ground_size: int, blocks=()) -> bytearray | array:
+    """A new class of blocks on 1..ground_size as its vertices, four per
+    block, which ``Factorization`` takes as a class: a bytearray up to 255,
+    an array of 16-bit items above.  It starts with ``blocks`` (a class of
+    another factorization is copied from its keys); the construction
+    appends to it and hands it over without building tuples."""
+    fields = _VERTICES[_key_code(ground_size)]()
+    fields.extend(_flat(blocks._keys, blocks._code) if type(blocks) is ColorClass
+                  else chain.from_iterable(blocks))
+    return fields
+
+
+def _fields(keys, code: str) -> bytes | array:
+    """The fields of ``keys`` (a buffer of keys of typecode ``code``), four
+    per key, in memory order: 8-bit ones as bytes, which iterate fastest,
+    and 16-bit ones as an array."""
+    if code == "I":
+        return bytes(keys)  # bytes(x) is x itself when x is bytes
+    fields = array("H")
+    fields.frombytes(memoryview(keys).cast("B"))
+    return fields
+
+
+def _flat(keys, code: str) -> bytes | array:
+    """The fields of ``keys`` block by block, a b c d, in key order."""
+    if not _LITTLE:  # memory order is a b c d already
+        return _fields(keys, code)
+    keys = array(code, keys)
+    keys.reverse()
+    return _fields(keys, code)[::-1]
+
+
+def _blocks(keys, code: str):
+    """The blocks of ``keys`` as 4-tuples (a, b, c, d), in key order."""
+    fields = iter(_flat(keys, code))
+    return zip(fields, fields, fields, fields)
+
+
+def _proved(fields: bytearray | array, ground_size: int) -> bool:
+    """Whether ``fields``, four per block, are blocks 1 <= a < b < c < d <=
+    ground_size, checked by columns."""
+    if len(fields) % 4:
+        return False
+    if not fields:
+        return True
+    a, b, c, d = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    return (min(a) >= 1 and max(d) <= ground_size and all(map(lt, a, b))
+            and all(map(lt, b, c)) and all(map(lt, c, d)))
+
+
+class _Checked(list):
+    """Classes that the parser has proved canonical, each given as its
+    vertices; the constructor only packs and sorts them."""
 
 
 class BlockError(InputError):
@@ -97,40 +185,140 @@ def _canonical_block(block, ground_size: int, index: int) -> Block:
     raise BlockError(index, f"block {b} out of range 1..{ground_size}")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Immutable: ``classes`` is a tuple of classes, each a sorted tuple of
-    sorted blocks, so every block is a 4-subset of 1..ground_size."""
-
-    ground_size: int
-    lam: int
-    regularity: int
-    classes: tuple[tuple[Block, ...], ...]
-
-    def __post_init__(self):
+def _class_keys(cls, ground_size: int, code: str, index: int) -> bytes:
+    """Class ``index`` as the bytes of its sorted keys.  The class is read as
+    its vertices, four per block: as given, when it is of the type that
+    ``block_array`` makes, or flattened from its blocks when every block has
+    four integer vertices that fit a field.  One column check then proves
+    every block a 4-subset of 1..ground_size.  A class that fails it, or
+    that cannot be flattened, goes block by block through
+    ``_canonical_block``, which sorts each block, converts its vertices and
+    words the error."""
+    vertices, fields = _VERTICES[code], None
+    if (type(cls) is bytearray) if code == "I" else (type(cls) is array
+                                                     and cls.typecode == "H"):
+        fields = cls
+    else:
+        cls = tuple(cls)
         try:
-            n, lam, reg = map(index_of, (self.ground_size, self.lam, self.regularity))
+            if all(len(b) == 4 for b in cls):
+                fields = vertices(chain.from_iterable(cls))
+        except (TypeError, ValueError, OverflowError):  # a vertex no field holds
+            pass
+    if fields is None or not _proved(fields, ground_size):
+        if fields is cls:
+            cls = [tuple(fields[i:i + 4]) for i in range(0, len(fields), 4)]
+        fields = vertices(chain.from_iterable(
+            _canonical_block(b, ground_size, index) for b in cls))
+    return _sorted_keys(fields, code)
+
+
+def _sorted_keys(fields: bytearray | array, code: str) -> bytes:
+    """The bytes of the sorted keys of blocks given as their vertices, four
+    per block.  In memory a key's fields run d c b a on a little-endian
+    host, so there the vertices are reversed first: that reverses the order
+    of the blocks too, which the sort undoes."""
+    keys = array(code, bytes(fields[::-1] if _LITTLE else fields))
+    return array(code, sorted(keys)).tobytes()
+
+
+class ColorClass(Sequence):
+    """One class, read-only: a view of its stored keys that decodes its
+    blocks, sorted 4-tuples, when they are read.  It compares, hashes and
+    prints as the tuple of its blocks."""
+
+    __slots__ = ("_keys", "_code")
+
+    def __init__(self, keys: bytes, code: str):
+        self._keys, self._code = keys, code
+
+    def __len__(self) -> int:
+        return len(memoryview(self._keys).cast(self._code))
+
+    def __getitem__(self, i):
+        keys = memoryview(self._keys).cast(self._code)
+        if isinstance(i, slice):
+            return tuple(_blocks(keys[i].tobytes(), self._code))
+        return tuple(_flat(array(self._code, [keys[i]]), self._code))
+
+    def __iter__(self):
+        return _blocks(self._keys, self._code)
+
+    def __eq__(self, other):
+        if type(other) is ColorClass and other._code == self._code:
+            return self._keys == other._keys
+        if isinstance(other, (ColorClass, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return ColorClass, (self._keys, self._code)
+
+
+class Factorization:
+    """Immutable: each class is stored as the bytes of its sorted keys, so
+    every block is a 4-subset of 1..ground_size.  ``classes`` is a tuple of
+    read-only ``ColorClass`` views, built on first read."""
+
+    __slots__ = ("ground_size", "lam", "regularity", "_keys", "_code", "_view")
+
+    def __init__(self, ground_size: int, lam: int, regularity: int, classes):
+        try:
+            n, lam, reg = map(index_of, (ground_size, lam, regularity))
         except TypeError:
             raise InputError("ground_size, lam and regularity must be integers") from None
         if n < 4 or lam < 1 or reg < 1:
             raise InputError("ground_size >= 4, lam >= 1, regularity >= 1 required")
-        if type(self.classes) is _Checked:
-            classes = tuple(self.classes)
+        if n > MAX_GROUND_SIZE:
+            raise InputError(f"ground_size <= {MAX_GROUND_SIZE} required")
+        code = _key_code(n)
+        if type(classes) is _Checked:
+            keys = tuple(_sorted_keys(fields, code) for fields in classes)
         else:
-            classes = tuple(_canonical_class(tuple(c), n, i)
-                            for i, c in enumerate(self.classes))
-        for name, x in zip(self.__dataclass_fields__, (n, lam, reg, classes)):
+            keys = tuple(_class_keys(c, n, code, i) for i, c in enumerate(classes))
+        for name, x in zip(self.__slots__, (n, lam, reg, keys, code, None)):
             object.__setattr__(self, name, x)
 
+    @property
+    def classes(self) -> tuple[ColorClass, ...]:
+        view = self._view
+        if view is None:
+            view = tuple(ColorClass(keys, self._code) for keys in self._keys)
+            object.__setattr__(self, "_view", view)
+        return view
 
-def _canonical_class(cls: tuple, ground_size: int, index: int) -> tuple[Block, ...]:
-    """Class ``index`` as a sorted tuple of sorted blocks; one pass shows
-    whether it is that already, up to the order of its blocks."""
-    if all(type(b) is tuple and len(b) == 4 and type(b[0]) is int
-           and type(b[1]) is int and type(b[2]) is int and type(b[3]) is int
-           and 1 <= b[0] < b[1] < b[2] < b[3] <= ground_size for b in cls):
-        return tuple(sorted(cls))
-    return tuple(sorted(_canonical_block(b, ground_size, index) for b in cls))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _state(self) -> tuple:
+        return self.ground_size, self.lam, self.regularity, self._keys
+
+    def __eq__(self, other):
+        if type(other) is not Factorization:
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __hash__(self) -> int:
+        return hash(self._state())
+
+    def __repr__(self) -> str:
+        return (f"Factorization(ground_size={self.ground_size}, lam={self.lam},"
+                f" regularity={self.regularity}, classes={self.classes!r})")
+
+    def __reduce__(self):
+        # unpickling goes through the constructor, which checks every block
+        # again: each class travels as its array of vertices
+        return Factorization, (self.ground_size, self.lam, self.regularity,
+                               [block_array(self.ground_size, cls) for cls in self.classes])
 
 
 def factorization_issues(fact: Factorization) -> list[str]:
@@ -141,25 +329,32 @@ def factorization_issues(fact: Factorization) -> list[str]:
     lam * C(n, 4) wanted copies, and every other block is surplus.
     """
     issues = []
-    n, lam, reg = fact.ground_size, fact.lam, fact.regularity
-    counts = Counter(chain.from_iterable(fact.classes))
-    # a block's multiplicity takes few values, so take min() once per value
-    covered = sum(min(count, lam) * blocks
-                  for count, blocks in Counter(counts.values()).items())
+    n, lam, reg, code = fact.ground_size, fact.lam, fact.regularity, fact._code
+    every = array(code, b"".join(fact._keys))
+    blocks, size = len(every), every.itemsize
+    if lam == 1:
+        covered = len(set(every))
+    else:
+        # entry i of the sorted keys is one of the first lam copies of its
+        # key exactly when i < lam or entry i - lam differs from it
+        every = sorted(every)
+        covered = min(lam, blocks) + sum(map(ne, every[lam:], every))
     missing = lam * comb(n, 4) - covered
-    extra = sum(map(len, fact.classes)) - covered
+    extra = blocks - covered
     if missing or extra:
         issues.append(f"not a {lam}-fold cover of all 4-subsets"
                       f" ({missing} missing, {extra} unexpected)")
-    for i, cls in enumerate(fact.classes):
+    for i, cls in enumerate(fact._keys):
         # degree reg at all n vertices needs 4 |cls| = reg n; a class of
         # another size has a vertex of the wrong degree, so skip its scan
-        if 4 * len(cls) != reg * n:
-            issues.append(f"class {i + 1}: {len(cls)} blocks cannot give all {n}"
+        count = len(cls) // size
+        if 4 * count != reg * n:
+            issues.append(f"class {i + 1}: {count} blocks cannot give all {n}"
                           f" vertices degree {reg} (needs 4 * blocks = {reg * n})")
             continue
         degrees = [0] * (n + 1)
-        for a, b, c, d in cls:
+        vertices = iter(_fields(cls, code))  # four per block, in any order
+        for a, b, c, d in zip(vertices, vertices, vertices, vertices):
             degrees[a] += 1
             degrees[b] += 1
             degrees[c] += 1
@@ -197,20 +392,23 @@ def restriction_issues(inner: Factorization, outer: Factorization) -> list[str]:
     """Restriction defects: outer class i restricted to the 4-subsets of
     1..m must be inner class i, and the outer classes beyond the inner ones
     must avoid 1..m."""
-    m, q = inner.ground_size, len(inner.classes)
-    if q > len(outer.classes):
+    m, q, code = inner.ground_size, len(inner._keys), outer._code
+    if q > len(outer._keys):
         return ["inner system has more classes than outer"]
-    # both sides are sorted and a sorted block lies in 1..m when its last
-    # vertex does, so the restriction of outer class i is a filter of it
+    # a block lies in 1..m when its last field d does, and the restriction
+    # of a sorted class is a filter of it, so it stays sorted
     issues = []
-    for i, cls in enumerate(outer.classes):
-        old = tuple(b for b in cls if b[3] <= m)
+    for i, cls in enumerate(outer._keys):
+        last = _fields(cls, code)[_LAST::4]
         if i < q:
-            if old != inner.classes[i]:
+            old = array(code, compress(array(code, cls), map(m.__ge__, last))).tobytes()
+            if (old != inner._keys[i] if inner._code == code
+                    else ColorClass(old, code) != inner.classes[i]):
                 issues.append(f"outer class {i + 1} does not restrict to"
                               f" inner class {i + 1}")
-        elif old:
-            issues.append(f"new outer class {i + 1} contains {len(old)}"
+        elif last and min(last) <= m:
+            count = sum(map(m.__ge__, last))
+            issues.append(f"new outer class {i + 1} contains {count}"
                           f" inner 4-subsets")
     return issues
 
@@ -221,9 +419,10 @@ def verify_certificate(cert: EmbeddingCertificate) -> bool:
 
 
 def render_factorization(fact: Factorization) -> str:
-    lines = [f"{fact.ground_size} {fact.lam} {fact.regularity} {len(fact.classes)}"]
-    for i, cls in enumerate(fact.classes):
-        body = ", ".join(map("%d %d %d %d".__mod__, cls))
+    lines = [f"{fact.ground_size} {fact.lam} {fact.regularity} {len(fact._keys)}"]
+    for i, cls in enumerate(fact._keys):
+        fields = tuple(_flat(cls, fact._code))
+        body = ", ".join(["%d %d %d %d"] * (len(fields) // 4)) % fields
         lines.append(f"{i + 1}: {body}")
     return "\n".join(lines) + "\n"
 
@@ -251,6 +450,7 @@ def parse_factorization(text: str) -> Factorization:
         top += 1
     label = {str(v): v for v in range(1, top + 1)}.__getitem__
     comma_label = {f"{v},": v for v in range(1, top + 1)}.__getitem__
+    code = _key_code(ground)
     classes, by_columns = [], True
     for expected, (lineno, ln) in enumerate(rows, start=1):
         prefix, _, body = ln.partition(":")
@@ -261,7 +461,7 @@ def parse_factorization(text: str) -> Factorization:
         if idx != expected:
             raise FormatError(f"class index {idx}, expected {expected}", lineno)
         if by_columns:
-            cls = _columns(body, label, comma_label)
+            cls = _columns(body, label, comma_label, code)
             if cls is not None:
                 classes.append(cls)
                 continue
@@ -280,29 +480,36 @@ def parse_factorization(text: str) -> Factorization:
         raise FormatError(str(exc), 1) from exc
 
 
-def _columns(body: str, label, comma_label) -> tuple[Block, ...] | None:
-    """A class line's body in the renderer's layout as its sorted tuple of
-    blocks, or None when the body is in any other layout."""
+def _columns(body: str, label, comma_label, code: str) -> bytearray | array | None:
+    """A class line's body in the renderer's layout as its vertices, four per
+    block, for keys of typecode ``code``, or None when the body is in any
+    other layout.  Each segment's four label columns are interleaved
+    straight into them."""
+    vertices = _VERTICES[code]
+    fields, start, end = vertices(), 0, len(body)
     if not body.strip():
-        return ()
-    blocks, start, end = [], 0, len(body)
+        return fields
     while start < end:
         cut = body.find(",", start + _SEGMENT) + 1 or end
         t = body[start:cut].split()
         start = cut
         if not t or len(t) % 4:
             return None
+        if start == end:  # the line's last token is the one d without a comma
+            t[-1] += ","
         try:
-            a, b, c = (list(map(label, t[i::4])) for i in range(3))
-            d = list(map(comma_label, t[3:-1:4]))
-            d.append((comma_label if start < end else label)(t[-1]))
+            a = vertices(map(label, t[0::4]))
+            b = vertices(map(label, t[1::4]))
+            c = vertices(map(label, t[2::4]))
+            d = vertices(map(comma_label, t[3::4]))
         except KeyError:
             return None
         if not (all(map(lt, a, b)) and all(map(lt, b, c)) and all(map(lt, c, d))):
             return None
-        blocks += zip(a, b, c, d)
-    blocks.sort()
-    return tuple(blocks)
+        segment = vertices([0]) * len(t)
+        segment[0::4], segment[1::4], segment[2::4], segment[3::4] = a, b, c, d
+        fields += segment
+    return fields
 
 
 def _int_block(tokens: list[str]):

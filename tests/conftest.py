@@ -1,6 +1,7 @@
+import importlib.util
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 from math import comb
 from pathlib import Path
 
@@ -17,7 +18,19 @@ settings.load_profile("ci")
 from quadembed.bounds import global_bounds
 from quadembed.params import EmbeddingParams
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's certificate checker, which shares no code with the package
+bench_checks = _load(ROOT / "bench" / "checks.py")
 
 
 # Three counting identities of the paper, used as oracles for math.comb:
@@ -155,3 +168,53 @@ def amalgamate(inner, outer) -> tuple[tuple[int, int, int, int, int], ...]:
         colors.append((new, shapes[3], shapes[2], shapes[1], shapes[0]))
     colors.sort(key=lambda color: color[0])  # stable: old colors first
     return tuple((count, *quad) for count, _, *quad in runs(colors))
+
+
+# Oracles for the issue finders of ``quadembed.factorization``, which read
+# the stored keys: the same checks over the decoded classes, tuple by tuple,
+# with a Counter for the cover and a slice for the restriction.
+
+def tuple_factorization_issues(fact) -> list[str]:
+    issues = []
+    n, lam, reg = fact.ground_size, fact.lam, fact.regularity
+    counts = Counter(chain.from_iterable(fact.classes))
+    # a block's multiplicity takes few values, so take min() once per value
+    covered = sum(min(count, lam) * blocks
+                  for count, blocks in Counter(counts.values()).items())
+    missing = lam * comb(n, 4) - covered
+    extra = sum(map(len, fact.classes)) - covered
+    if missing or extra:
+        issues.append(f"not a {lam}-fold cover of all 4-subsets"
+                      f" ({missing} missing, {extra} unexpected)")
+    for i, cls in enumerate(fact.classes):
+        if 4 * len(cls) != reg * n:
+            issues.append(f"class {i + 1}: {len(cls)} blocks cannot give all {n}"
+                          f" vertices degree {reg} (needs 4 * blocks = {reg * n})")
+            continue
+        degrees = [0] * (n + 1)
+        for a, b, c, d in cls:
+            degrees[a] += 1
+            degrees[b] += 1
+            degrees[c] += 1
+            degrees[d] += 1
+        if degrees.count(reg) != n:
+            bad = [v for v in range(1, n + 1) if degrees[v] != reg]
+            issues.append(f"class {i + 1}: vertices {bad} do not have degree {reg}")
+    return issues
+
+
+def tuple_restriction_issues(inner, outer) -> list[str]:
+    m, q = inner.ground_size, len(inner.classes)
+    if q > len(outer.classes):
+        return ["inner system has more classes than outer"]
+    issues = []
+    for i, cls in enumerate(outer.classes):
+        old = tuple(b for b in cls if b[3] <= m)
+        if i < q:
+            if old != tuple(inner.classes[i]):
+                issues.append(f"outer class {i + 1} does not restrict to"
+                              f" inner class {i + 1}")
+        elif old:
+            issues.append(f"new outer class {i + 1} contains {len(old)}"
+                          f" inner 4-subsets")
+    return issues

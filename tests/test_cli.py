@@ -189,17 +189,26 @@ def test_verify_large_header_without_blocks(tmp_path, capsys):
 
 def test_verify_huge_header_with_small_classes(tmp_path, capsys):
     # a class of the wrong size is reported by its size, without a scan
-    # over the 2,000,000 vertices the header names
+    # over the 65,535 vertices the header names, the most a 16-bit field holds
     f = tmp_path / "small.txt"
-    f.write_text("2000000 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n")
+    f.write_text("65535 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n")
     t0 = time.perf_counter()
     assert main(["verify", str(f)]) == 1
     assert time.perf_counter() - t0 < 1
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("not a 1-fold cover of all 4-subsets")
     assert lines[1:] == [
-        f"class {i}: 1 blocks cannot give all 2000000 vertices degree 1"
-        " (needs 4 * blocks = 2000000)" for i in (1, 2, 3)]
+        f"class {i}: 1 blocks cannot give all 65535 vertices degree 1"
+        " (needs 4 * blocks = 65535)" for i in (1, 2, 3)]
+
+
+def test_verify_refuses_a_header_past_16_bits(tmp_path, capsys):
+    # a block is stored in 16-bit fields at most, so a larger ground size
+    # is an input error at the header
+    f = tmp_path / "wide.txt"
+    f.write_text("2000000 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n")
+    assert main(["verify", str(f)]) == 3
+    assert capsys.readouterr().err == "input error: line 1: ground_size <= 65535 required\n"
 
 
 FILE_BYTES = [bytes([c]) for c in b"0123456789 \t\n\r:,-x"] + [b"\xc3\xa9", b"\xff", b"\x00"]

@@ -26,7 +26,7 @@ from quadembed.params import (
 )
 from quadembed.planner import build_plan, totals
 
-from conftest import amalgamate, sweep_params
+from conftest import amalgamate, bench_checks, sweep_params
 
 
 def test_generate_base_small():
@@ -186,9 +186,16 @@ def test_detach_rejects_invalid_base():
 
 
 def _certificate(tup, seed=0):
+    """The certificate of ``tup``, also checked by the benchmark's checker,
+    which re-reads both texts and shares no code with the issue finders."""
     p = EmbeddingParams(*tup)
     base = generate_base(p.m, p.r, p.lam, seed=seed)
-    return detach(p, base, build_plan(p), seed=seed)
+    cert = detach(p, base, build_plan(p), seed=seed)
+    inner, outer = (bench_checks.parse_certificate_text(render_factorization(fact))
+                    for fact in (base, cert.outer))
+    assert outer[:3] == (p.n, p.lam, p.s)
+    assert bench_checks.certificate_defects(outer, inner) == []
+    return cert
 
 
 @lru_cache(maxsize=None)
@@ -237,8 +244,8 @@ def step_cases(draw, least=1, most=None):
 
 def _run_step(fact, beta, alpha, v, from_beta):
     """(state before, state after, a, matching problems and answers); the
-    blocks of the types that finished are counted in the state after as
-    (D, 0, 0) again."""
+    blocks of the types that finished, four vertices each, are counted in
+    the state after as (D, 0, 0) again."""
     before = _amalgamate(fact, beta, alpha)
     after = [dict(cls) for cls in before]
     blocks = [[] for _ in after]
@@ -260,8 +267,8 @@ def _run_step(fact, beta, alpha, v, from_beta):
         detach_module._detach_vertex(after, blocks, v, a, from_beta,
                                      [fact.regularity] * len(after))
     for cls, out in zip(after, blocks):
-        for block in out:
-            key = _pack(sum(1 << u for u in block), 0, 0)
+        for at in range(0, len(out), 4):
+            key = _pack(sum(1 << u for u in out[at:at + 4]), 0, 0)
             cls[key] = cls.get(key, 0) + 1
     return before, after, a, matches
 

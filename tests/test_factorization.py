@@ -1,8 +1,12 @@
+import copy
+import pickle
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
 
 import pytest
@@ -12,6 +16,7 @@ from quadembed import factorization
 from quadembed.detach import detach, generate_base
 from quadembed.errors import FormatError, InputError
 from quadembed.factorization import (
+    ColorClass,
     EmbeddingCertificate,
     Factorization,
     certificate_issues,
@@ -20,12 +25,13 @@ from quadembed.factorization import (
     parse_factorization,
     read_factorization,
     render_factorization,
+    restriction_issues,
     verify_certificate,
 )
 from quadembed.params import EmbeddingParams
 from quadembed.planner import build_plan
 
-from conftest import FIXTURES
+from conftest import FIXTURES, tuple_factorization_issues, tuple_restriction_issues
 
 
 def _intro(level):
@@ -101,45 +107,187 @@ def _one_class_line(n):
     return render_factorization(Factorization(n, 1, comb(n - 1, 3), [blocks]))
 
 
-def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
-    calls = Counter()
-
-    def spy(name):
+def _spy(monkeypatch, calls, *names):
+    """Count the calls of the named functions of the factorization module
+    in ``calls``; ``_columns`` is counted under "columns" when it reads a
+    line and "columns declined" when it returns None."""
+    for name in names:
         real = getattr(factorization, name)
 
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
+        def counted(*args, name=name, real=real):
+            if name != "_columns":
+                calls[name] += 1
+                return real(*args)
+            result = real(*args)
+            calls["columns" if result is not None else "columns declined"] += 1
+            return result
         monkeypatch.setattr(factorization, name, counted)
 
+
+def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
+    calls = Counter()
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    cert = detach(p, generate_base(6, 2, 1), build_plan(p))
+    base, plan = generate_base(6, 2, 1), build_plan(p)
+    cert = detach(p, base, plan)
     texts = [(FIXTURES / f"intro_{level}.txt").read_text() for level in (6, 8, 9)]
     texts.append(render_factorization(cert.outer))
-    spy("_canonical_class")
-    spy("_canonical_block")
-    # the parser's column check is the only check of a canonical file
+    _spy(monkeypatch, calls, "_class_keys", "_canonical_block", "_columns")
+    # the parser's column check is the only check of a canonical file: it
+    # reads every class line, and the constructor checks nothing again
     facts = [parse_factorization(text) for text in texts]
-    assert facts[3] == cert.outer and not calls
+    assert facts[3] == cert.outer
+    assert calls == {"columns": sum(len(f.classes) for f in facts)}
     for fact in facts:
         assert type(fact.classes) is tuple
-        assert all(type(cls) is tuple for cls in fact.classes)
+        assert {type(cls) for cls in fact.classes} == {ColorClass}
+        assert {type(keys) for keys in fact._keys} == {bytes}
         assert {type(b) for cls in fact.classes for b in cls} == {tuple}
         assert {type(v) for cls in fact.classes for b in cls for v in b} == {int}
-    # the constructor checks each class once, and a canonical one is only
-    # sorted
+    # the constructor checks each class once, by columns, and never a
+    # canonical one block by block: classes read back from a factorization,
+    # and the key arrays that detach hands over
+    calls.clear()
     assert [Factorization(f.ground_size, f.lam, f.regularity, f.classes)
             for f in facts] == facts
-    assert calls == {"_canonical_class": sum(len(f.classes) for f in facts)}
+    assert calls == {"_class_keys": sum(len(f.classes) for f in facts)}
+    calls.clear()
+    assert detach(p, base, plan) == cert
+    assert calls == {"_class_keys": len(cert.outer.classes)}
     # a respelled label or an unsorted block takes the chunk path, whose
-    # classes the constructor checks: a sorted block as a whole, an
+    # classes the constructor checks: a sorted block by columns, an
     # unsorted one block by block
     calls.clear()
     assert parse_factorization("6 1 1 1\n1: 1 2 3 04\n").classes == (((1, 2, 3, 4),),)
-    assert calls == {"_canonical_class": 1}
+    assert calls == {"columns declined": 1, "_class_keys": 1}
     calls.clear()
     assert parse_factorization("6 1 1 1\n1: 2 1 3 4\n").classes == (((1, 2, 3, 4),),)
-    assert calls == {"_canonical_class": 1, "_canonical_block": 1}
+    assert calls == {"columns declined": 1, "_class_keys": 1, "_canonical_block": 1}
+    # a class given as its vertices with a bad block goes block by block,
+    # which words the error; so does one whose last block is short
+    calls.clear()
+    with pytest.raises(InputError) as err:
+        Factorization(6, 1, 1, [bytearray([1, 2, 3, 4, 0, 1, 2, 3])])
+    assert str(err.value) == "class 1: block (0, 1, 2, 3) out of range 1..6"
+    assert calls == {"_class_keys": 1, "_canonical_block": 2}
+    with pytest.raises(InputError) as err:
+        Factorization(6, 1, 1, [bytearray([1, 2, 3, 4, 1, 2, 3])])
+    assert str(err.value) == "class 1: block (1, 2, 3) is not a 4-subset"
+    # block_array: bytearrays up to ground size 255, 16-bit arrays above,
+    # empty or copied from a class of another factorization
+    for n in (255, 256):
+        fields = factorization.block_array(n, facts[0].classes[1])
+        assert type(fields) is (bytearray if n == 255 else array)
+        assert list(fields) == list(chain(*facts[0].classes[1]))
+        fields += factorization.block_array(n, [(1, 2, 3, n)])
+        assert Factorization(n, 1, 1, [fields]).classes[0] == tuple(
+            sorted([*facts[0].classes[1], (1, 2, 3, n)]))
+
+
+@pytest.mark.parametrize("code, field, width", [("I", "B", 8), ("Q", "H", 16)])
+def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
+    # every 4-subset of 1..n, n <= 20, shuffled: the sorted keys are the
+    # packed vertices of the blocks in the order of combinations(), which
+    # is tuple order, all distinct, and decode back to the blocks, in bulk
+    # and one by one
+    rng = random.Random(0)
+    for n in range(4, 21):
+        blocks = list(combinations(range(1, n + 1), 4))
+        shuffled = rng.sample(blocks, len(blocks))
+        keys = array(code, factorization._sorted_keys(
+            array(field, chain.from_iterable(shuffled)), code))
+        assert list(keys) == [((a << width | b) << width | c) << width | d
+                              for a, b, c, d in blocks]
+        assert len(set(keys)) == len(blocks)
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+        cls = ColorClass(keys.tobytes(), code)
+        assert list(cls) == blocks and len(cls) == len(blocks)
+        assert [cls[i] for i in range(-len(blocks), len(blocks))] == blocks + blocks
+        assert cls[1::3] == tuple(blocks[1::3])
+    # the constructor stores the same keys, whatever the block order
+    fact = Factorization(20 if code == "I" else 300, 1, 1, [shuffled])
+    assert fact._keys == (keys.tobytes(),) and fact.classes[0] == tuple(blocks)
+
+
+def _sixteen_bit_system():
+    # 16-bit fields, a lam = 2 cover that is far from complete, and an
+    # empty class
+    return Factorization(300, 2, 1, [
+        [(1, 2, 3, 300), (297, 298, 299, 300), (4, 3, 2, 1), (1, 2, 3, 4)],
+        [(5, 6, 7, 256), (1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4)], []])
+
+
+def test_ground_size_past_255_uses_16_bit_fields(monkeypatch):
+    fact = _sixteen_bit_system()
+    assert fact._code == "Q"
+    assert [len(keys) for keys in fact._keys] == [32, 32, 0]
+    assert fact.classes == (
+        ((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 300), (297, 298, 299, 300)),
+        ((1, 2, 3, 4), (1, 2, 3, 4), (2, 3, 4, 5), (5, 6, 7, 256)), ())
+    text = render_factorization(fact)
+    assert text == ("300 2 1 3\n"
+                    "1: 1 2 3 4, 1 2 3 4, 1 2 3 300, 297 298 299 300\n"
+                    "2: 1 2 3 4, 1 2 3 4, 2 3 4 5, 5 6 7 256\n3: \n")
+    # the label table reaches v only in a file of 8 * C(v, 4) characters,
+    # so these labels up to 300 go by chunks; labels up to 12 in a padded
+    # file go by columns into 16-bit fields
+    calls = Counter()
+    _spy(monkeypatch, calls, "_columns")
+    assert parse_factorization(text) == fact
+    assert calls == {"columns declined": 1}
+    calls.clear()
+    low = Factorization(300, 2, 1, [[(9, 10, 11, 12), (1, 2, 3, 4)], [], [(5, 6, 7, 8)]])
+    assert parse_factorization(render_factorization(low) + "\n" * 4000) == low
+    assert calls == {"columns": 3}
+    issues = factorization_issues(fact)
+    assert issues == tuple_factorization_issues(fact)
+    assert issues[0] == ("not a 2-fold cover of all 4-subsets"
+                         f" ({2 * comb(300, 4) - 6} missing, 2 unexpected)")
+    # inner systems with 8-bit keys (m = 200) and 16-bit ones (m = 256)
+    # restrict to 1..m: class 1 matches, and class 2 keeps a third copy of
+    # (1, 2, 3, 4), and at m = 256 also (5, 6, 7, 256)
+    for m in (200, 256):
+        inner = Factorization(m, 2, 1, [[(1, 2, 3, 4)] * 2, [(1, 2, 3, 4), (2, 3, 4, 5)]])
+        issues = restriction_issues(inner, fact)
+        assert issues == tuple_restriction_issues(inner, fact)
+        assert issues == ["outer class 2 does not restrict to inner class 2"]
+    with pytest.raises(InputError) as err:
+        Factorization(300, 1, 1, [[(1, 2, 3, 301)]])
+    assert str(err.value) == "class 1: block (1, 2, 3, 301) out of range 1..300"
+
+
+def test_ground_size_past_16_bits_is_refused():
+    with pytest.raises(InputError) as err:
+        Factorization(65536, 1, 1, [])
+    assert str(err.value) == "ground_size <= 65535 required"
+    assert Factorization(65535, 1, 1, [[(1, 2, 3, 65535)]]).classes == (((1, 2, 3, 65535),),)
+    with pytest.raises(FormatError) as err:
+        parse_factorization("65536 1 1 1\n1: 1 2 3 4\n")
+    assert err.value.line == 1
+    assert str(err.value) == "line 1: ground_size <= 65535 required"
+
+
+def test_classes_compare_hash_and_pickle_as_tuples(monkeypatch):
+    fact = _intro(8)
+    plain = tuple(tuple(cls) for cls in fact.classes)
+    assert fact.classes == plain and plain == fact.classes
+    assert hash(fact.classes) == hash(plain)
+    assert repr(fact) == ("Factorization(ground_size=8, lam=1, regularity=5,"
+                          f" classes={plain!r})")
+    for copied in (pickle.loads(pickle.dumps(fact)), copy.deepcopy(fact),
+                   Factorization(8, 1, 5, plain)):
+        assert copied == fact and hash(copied) == hash(fact)
+    assert pickle.loads(pickle.dumps(fact.classes)) == plain
+    assert fact.classes[0] != list(plain[0]) and fact != plain
+    # len() and indexing decode no more than they are asked for: record
+    # how many keys each decoding takes
+    decoded, real = [], factorization._flat
+    monkeypatch.setattr(factorization, "_flat", lambda keys, code: (
+        decoded.append(len(array(code, keys))) or real(keys, code)))
+    fresh = _intro(8)
+    assert len(fresh.classes) == 7 and len(fresh.classes[3]) == 10
+    assert not decoded
+    assert fresh.classes[3][-1] == plain[3][-1] and decoded == [1]
+    assert fresh.classes[3][2:4] == plain[3][2:4] and decoded == [1, 2]
 
 
 def _parse_memory(text):
@@ -154,15 +302,17 @@ def _parse_memory(text):
 
 
 def test_parse_memory_is_bounded_by_the_file():
-    # the header names 2,000,000 vertices; the 47-byte file names six
-    text = "2000000 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n"
-    assert len(text) == 47
+    # the header names 65,535 vertices, the most that a 16-bit field holds
+    # (label tables that long would take about 20 MB); the 45-byte file
+    # names six
+    text = "65535 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n"
+    assert len(text) == 45
     fact, peak, _ = _parse_memory(text)
     assert fact.classes == (((1, 2, 3, 4),), ((1, 2, 3, 5),), ((1, 2, 3, 6),))
     assert peak < 1_000_000
     # 200 kB that name no vertex: a label table as long as the file would
     # take about 27 MB
-    fact, peak, _ = _parse_memory("1000000000 1 1 1\n1:" + " " * 200_000 + "\n")
+    fact, peak, _ = _parse_memory("65535 1 1 1\n1:" + " " * 200_000 + "\n")
     assert fact.classes == ((),)
     assert peak < 1_000_000
     # a 323 kB class line of 27,405 blocks is read in segments: its tokens
@@ -401,9 +551,20 @@ def _chunk_path_outcome(text):
         return _outcome(text)
 
 
-def _segmented_outcome(text, segment):
+def _segmented_outcome(text, segment, paths=None):
+    """_outcome with ``segment`` characters per segment; ``paths``, when
+    given, gets one entry per class line offered to the column path:
+    whether that path read it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorization, "_SEGMENT", segment)
+        if paths is not None:
+            real = factorization._columns
+
+            def spy(*args):
+                result = real(*args)
+                paths.append(result is not None)
+                return result
+            mp.setattr(factorization, "_columns", spy)
         return _outcome(text)
 
 
@@ -456,7 +617,9 @@ def test_columns_agree_with_the_chunk_path(text, segment, pad):
 def test_columns_agree_with_the_chunk_path_at_a_segment_cut():
     text = _one_class_line(30)
     assert len(text) > 4 * factorization._SEGMENT  # five segments
-    assert _outcome(text) == _chunk_path_outcome(text)
+    paths = []
+    assert _segmented_outcome(text, factorization._SEGMENT, paths) == _chunk_path_outcome(text)
+    assert paths == [True]  # the column path reads all five segments
     head, line, _ = text.split("\n")
     # block k ends at the line's first cut; offsets count from the body,
     # the part after "1:", as the parser's do
@@ -465,24 +628,78 @@ def test_columns_agree_with_the_chunk_path_at_a_segment_cut():
     start = body.rfind(",", 0, end) + 2
     block, rest = body[start:end], body[end + 2:]
     before = "1:" + body[:start]
+    # each case with whether the column path reads its line
     cases = [
         # block k with three vertices
-        (head, before + block.rsplit(" ", 1)[0] + ", " + rest),
-        # block k's comma inside the token "d,e"
-        (head, before + block + "," + rest),
+        (head, before + block.rsplit(" ", 1)[0] + ", " + rest, False),
+        # block k's comma inside the token "d,e": the cut splits it, so the
+        # column path reads the line
+        (head, before + block + "," + rest, True),
         # the line ends in ", " after block k; the rest of it becomes class
         # 2, so the file keeps its length and with it the label table
-        (head[:-1] + "2", before + block + ", \n2: " + rest),
+        (head[:-1] + "2", before + block + ", \n2: " + rest, False),
     ]
     outcomes = []
-    for new_head, new_line in cases:
+    for new_head, new_line, by_columns in cases:
         changed = f"{new_head}\n{new_line}\n"
         # the segment size that cuts the line just after block k's comma
         at = new_line.index(",", len(before)) - 2
         assert new_line[2:].find(",", at) == at
-        outcomes.append(_segmented_outcome(changed, at))
+        paths = []
+        outcomes.append(_segmented_outcome(changed, at, paths))
+        # a line the column path declines is its last: no line after it is
+        # offered to it
+        assert paths == [by_columns]
         assert outcomes[-1] == _chunk_path_outcome(changed)
     a, b, c, _ = map(int, block.split())
     assert outcomes[0] == (f"line 2: class 1: block {(a, b, c)} is not a 4-subset", 2)
     assert outcomes[1] == _outcome(text)
     assert outcomes[2] == ("line 2: class 1: block () is not a 4-subset", 2)
+
+
+@lru_cache(maxsize=None)
+def _small_certificate(tup):
+    p = EmbeddingParams(*tup)
+    base = generate_base(p.m, p.r, p.lam)
+    return base, detach(p, base, build_plan(p)).outer
+
+
+@st.composite
+def tampered_certificates(draw):
+    """A certificate for lam 1, 2 or 3 with up to four edits: a block
+    dropped, duplicated into some class, swapped with one of another class,
+    or an inner block strayed into some outer class; an edit may hit the
+    inner system too."""
+    tup = draw(st.sampled_from([(6, 8, 2, 5, 1), (5, 8, 4, 5, 1), (4, 8, 2, 14, 2),
+                                (4, 6, 3, 6, 3), (5, 6, 4, 10, 3)]))
+    base, outer = _small_certificate(tup)
+    systems = [[list(cls) for cls in fact.classes] for fact in (base, outer)]
+    for _ in range(draw(st.integers(0, 4))):
+        classes = systems[draw(st.sampled_from([0, 1, 1, 1]))]
+        i = draw(st.integers(0, len(classes) - 1))
+        j = draw(st.integers(0, len(classes) - 1))
+        if not classes[i]:
+            continue
+        at = draw(st.integers(0, len(classes[i]) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "stray"]))
+        if edit == "drop":
+            del classes[i][at]
+        elif edit == "duplicate":
+            classes[j].append(classes[i][at])
+        elif edit == "swap" and classes[j]:
+            other = draw(st.integers(0, len(classes[j]) - 1))
+            classes[i][at], classes[j][other] = classes[j][other], classes[i][at]
+        elif edit == "stray":
+            classes[j].append(draw(st.sampled_from(list(chain(*base.classes)))))
+    inner, outer = (Factorization(fact.ground_size, fact.lam, fact.regularity, classes)
+                    for fact, classes in zip((base, outer), systems))
+    return inner, outer
+
+
+@given(st.one_of(tampered_certificates(),
+                 st.tuples(factorizations(), factorizations())))
+def test_issue_finders_agree_with_the_tuple_oracles(pair):
+    inner, outer = pair
+    for fact in pair:
+        assert factorization_issues(fact) == tuple_factorization_issues(fact)
+    assert restriction_issues(inner, outer) == tuple_restriction_issues(inner, outer)
