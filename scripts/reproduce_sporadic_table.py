@@ -78,7 +78,8 @@ def main() -> int:
             continue
         # floored global bounds per tier (count, c, d): iota = 2c - d,
         # floor(rho') = c // 2, floor(rho) = d // 3; NA for an empty new tier
-        floors = [x for count, c, d in global_bounds(p)
+        tiers = global_bounds(p)  # the checked tier table of tier_bounds(p)
+        floors = [x for count, c, d in tiers
                   for x in ((2 * c - d, c // 2, d // 3) if count else (None,) * 3)]
         e, f, g, _h = totals(p)
         plan = build_plan(p, rep)
@@ -87,7 +88,7 @@ def main() -> int:
         feasible = sum(count * value for count, value in e_runs) == e
         if feasible:
             try:
-                plan_f(p, e_runs)
+                plan_f(tiers, e_runs, f)
             except PlanInfeasible:
                 feasible = False
         failed = failed or not feasible

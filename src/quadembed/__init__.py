@@ -11,7 +11,7 @@ inequalities decided here are sharp at many boundary tuples, so floating
 point is banned everywhere.
 """
 
-from .bounds import AmalgamCase, global_bounds, per_color_bounds
+from .bounds import AmalgamCase, global_bounds, per_color_bounds, tier_bounds
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (

@@ -91,13 +91,13 @@ def global_bounds(p: EmbeddingParams) -> list[tuple[int, int, int]]:
     return tiers
 
 
-def per_color_bounds(p: EmbeddingParams, e_runs) -> list[tuple[int, int, int, int]]:
-    """(count, e_j, iota_ij, 2 rho_ij) for each run (count, e_j) of ``e_runs``.
+def per_color_bounds(tiers, e_runs) -> list[tuple[int, int, int, int]]:
+    """(count, e_j, iota_ij, 2 rho_ij) per run (count, e_j) of ``e_runs``, from ``tiers``.
 
     The runs cover the q old colors, then the k - q new ones; a run that
     crosses the tier boundary q comes out as two, and a run of count 0 as none.
     """
-    (q, c1, d1), (new_colors, c2, d2) = tier_bounds(p)
+    (q, c1, d1), (new_colors, c2, d2) = tiers
     out, start = [], 0
     for count, e_j in e_runs:
         if count < 0 or e_j < 0:

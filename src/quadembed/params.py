@@ -74,11 +74,16 @@ def _class_count(r: int, lam: int, b: int) -> int:
     return lam * b // r
 
 
-def is_admissible(m: int, r: int, lam: int) -> bool:
-    """4 | rm and r | lam*C(m-1,3)."""
+def _binom(m: int, r: int, lam: int) -> int:
+    """C(m-1,3) once m >= 4, r >= 1 and lam >= 1 are checked."""
     if m < 4 or r < 1 or lam < 1:
         raise InputError(f"need m >= 4, r >= 1, lam >= 1, got ({m}, {r}, {lam})")
-    return all(_divisibility(m, r, lam, comb(m - 1, 3)))
+    return comb(m - 1, 3)
+
+
+def is_admissible(m: int, r: int, lam: int) -> bool:
+    """4 | rm and r | lam*C(m-1,3)."""
+    return all(_divisibility(m, r, lam, _binom(m, r, lam)))
 
 
 def integers(values: tuple) -> tuple[int, ...]:
@@ -125,9 +130,10 @@ class EmbeddingParams:
 def class_count(m: int, r: int, lam: int, triple: str = "triple") -> int:
     """lam*C(m-1,3)/r, the classes of an r-factorization of lam*K_m^4;
     raises InputError unless (m, r, lam) is admissible."""
-    if not is_admissible(m, r, lam):
+    b = _binom(m, r, lam)
+    if not all(_divisibility(m, r, lam, b)):
         raise InputError(f"{triple} ({m}, {r}, {lam}) not admissible")
-    return _class_count(r, lam, comb(m - 1, 3))
+    return _class_count(r, lam, b)
 
 
 def color_counts(p: EmbeddingParams) -> tuple[int, int]:

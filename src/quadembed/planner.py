@@ -32,11 +32,12 @@ fixed by e (see ``solve_e``).
 Planning works on runs (count, value): ``count`` consecutive colors that
 share a value.  Each tier's e_j come from one interval, so the e-system has
 one run per tier, and each solve or bound evaluation turns a few runs into
-a few more.  ``plan_e``, ``plan_e_exact`` and ``plan_f`` return runs,
-``extend_plan`` forces g_j and h_j once per run, and a plan is its rows
-(count, e_j, f_j, g_j, h_j), which ``verify_plan`` re-checks independently
-of the runs that built them.  Only ``render_plan``, ``plan_to_json`` and
-``detach`` write one entry per color.
+a few more.  ``build_plan`` takes the tier table and the totals from p once
+and hands them to ``plan_e``, ``plan_e_exact`` and ``plan_f``, which return
+runs; ``extend_plan`` forces g_j and h_j once per run, and a plan is its rows
+(count, e_j, f_j, g_j, h_j), which ``verify_plan`` re-checks in one pass
+from p alone, independently of the table and runs that built them.  Only
+``render_plan``, ``plan_to_json`` and ``detach`` write one entry per color.
 """
 
 from __future__ import annotations
@@ -141,22 +142,21 @@ def _solve(target: int, runs, name: str, where: str = "") -> list[tuple[int, int
     return xs
 
 
-def plan_e(p: EmbeddingParams) -> list[tuple[int, int]]:
-    """Runs (count, e_j) inside the intervals of the case discipline."""
-    tiers, e_total = tier_bounds(p), totals(p)[0]
+def plan_e(tiers, e_total: int) -> list[tuple[int, int]]:
+    """Runs (count, e_j) summing to ``e_total`` inside the intervals of the case discipline."""
     case, _, *intervals = _e_intervals(tiers, e_total)
     runs = [(count, *interval) for (count, _, _), interval in zip(tiers, intervals) if count]
     return _solve(e_total, runs, "e-system", f" for case {case.code}")
 
 
-def plan_f(p: EmbeddingParams, e_runs) -> list[tuple[int, int]]:
-    """Runs (count, f_j) inside [iota_ij, rho_ij]; raises PlanInfeasible."""
+def plan_f(tiers, e_runs, f_total: int) -> list[tuple[int, int]]:
+    """Runs (count, f_j) summing to ``f_total`` inside [iota_ij, rho_ij]; raises PlanInfeasible."""
     runs = [(count, iota, two_rho // 2)
-            for count, _, iota, two_rho in per_color_bounds(p, e_runs)]
-    return _solve(totals(p)[1], runs, "f-system")
+            for count, _, iota, two_rho in per_color_bounds(tiers, e_runs)]
+    return _solve(f_total, runs, "f-system")
 
 
-def extend_plan(p: EmbeddingParams, e_runs, f_runs, via: str = "general") -> AmalgamPlan:
+def extend_plan(p: EmbeddingParams, tiers, e_runs, f_runs, via: str = "general") -> AmalgamPlan:
     """Force g_j and h_j from runs of e_j and f_j and check every plan invariant.
 
     The two run lists may split the colors at different places; g_j and h_j
@@ -165,8 +165,8 @@ def extend_plan(p: EmbeddingParams, e_runs, f_runs, via: str = "general") -> Ama
     """
     if via not in PLANNING_PATHS:
         raise InputError(f"unknown planning path {via!r}")
-    bounds = per_color_bounds(p, e_runs)  # raises unless the e-runs cover the k colors
-    k = sum(count for count, *_ in bounds)
+    bounds = per_color_bounds(tiers, e_runs)  # raises unless the e-runs cover the k colors
+    k = tiers[0][0] + tiers[1][0]
     f_colors = sum(count for count, _ in f_runs if count > 0)
     if f_colors != k:
         raise InputError(f"expected {k} f-values, got {f_colors}")
@@ -202,19 +202,21 @@ def verify_plan(p: EmbeddingParams, plan: AmalgamPlan) -> bool:
         q, k = color_counts(p)
     except InputError:
         return False
-    m, n, r, s = p.m, p.n, p.r, p.s
-    start, sums = 0, [0, 0, 0, 0]
+    old_law, new_law, law = p.m * (p.s - p.r), p.s * p.m, p.s * (p.n - p.m)
+    start = e = f = g = h = 0
     for row in plan.rows:
-        if len(row) != 5 or any(type(x) is not int for x in row):
+        if len(row) != 5:
             return False
         count, e_j, f_j, g_j, h_j = row
-        if (count < 1 or min(e_j, f_j, g_j, h_j) < 0 or start < q < start + count
-                or 3 * e_j + 2 * f_j + g_j != (m * (s - r) if start < q else s * m)
-                or e_j + 2 * f_j + 3 * g_j + 4 * h_j != s * (n - m)):
+        # ints OR to a negative value exactly when one of them is negative
+        if (not type(count) is type(e_j) is type(f_j) is type(g_j) is type(h_j) is int
+                or count < 1 or e_j | f_j | g_j | h_j < 0 or start < q < start + count
+                or 3 * e_j + 2 * f_j + g_j != (old_law if start < q else new_law)
+                or e_j + 2 * f_j + 3 * g_j + 4 * h_j != law):
             return False
-        sums = [total + count * x for total, x in zip(sums, row[1:])]
+        e, f, g, h = e + count * e_j, f + count * f_j, g + count * g_j, h + count * h_j
         start += count
-    return start == k and tuple(sums) == totals(p)
+    return start == k and (e, f, g, h) == totals(p)
 
 
 _TierFit = namedtuple("_TierFit", "values w lower odd splits cost")
@@ -268,9 +270,9 @@ def solve_e(tiers: list[tuple[int, int, int]], e_total: int, f_total: int):
     return None
 
 
-def plan_e_exact(p: EmbeddingParams) -> list[tuple[int, int]]:
-    """``solve_e`` over the master range of p; PlanInfeasible proves no plan exists."""
-    e_runs = solve_e(tier_bounds(p), *totals(p)[:2])
+def plan_e_exact(tiers, e_total: int, f_total: int) -> list[tuple[int, int]]:
+    """``solve_e`` over the master range of ``tiers``; PlanInfeasible proves no plan exists."""
+    e_runs = solve_e(tiers, e_total, f_total)
     if e_runs is None:
         raise PlanInfeasible("no e-multiset in the master range admits a feasible f-system")
     return e_runs
@@ -292,13 +294,14 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
     report = report if report is not None else check_conditions(p)
     if not report.all_hold():
         raise ConditionsFailed("necessary conditions fail: " + ", ".join(report.failing()))
+    tiers, (e_total, f_total, _, _) = tier_bounds(p), totals(p)
     try:
-        e_runs, via = plan_e(p), "general"
-        f_runs = plan_f(p, e_runs)
+        e_runs, via = plan_e(tiers, e_total), "general"
+        f_runs = plan_f(tiers, e_runs, f_total)
     except PlanInfeasible:
-        e_runs, via = plan_e_exact(p), "fallback"
-        f_runs = plan_f(p, e_runs)
-    return extend_plan(p, e_runs, f_runs, via)
+        e_runs, via = plan_e_exact(tiers, e_total, f_total), "fallback"
+        f_runs = plan_f(tiers, e_runs, f_total)
+    return extend_plan(p, tiers, e_runs, f_runs, via)
 
 
 def _header(p: EmbeddingParams, via: str) -> dict:

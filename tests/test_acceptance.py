@@ -145,7 +145,8 @@ def test_criterion_3_sporadic_table_reproduction():
         te, tf, tg, _ = totals(p)
         assert (te, tf, tg) == (e, f, g), row
 
-        case, subcase, old, new = _e_intervals(tier_bounds(p), te)
+        tiers = tier_bounds(p)
+        case, subcase, old, new = _e_intervals(tiers, te)
         code = f"{case.code}({subcase})" if subcase in ("i", "ii", "iii") \
             else case.code
         assert code == case_code, (row, code)
@@ -158,9 +159,9 @@ def test_criterion_3_sporadic_table_reproduction():
         # each tier's e-values inside that tier's interval (new is None when k = q)
         for vals, tier in ((old_vals, old), (new_vals, new)):
             assert all(tier[0] <= v <= tier[1] for v in vals), row
-        f_runs = plan_f(p, old_runs + new_runs)  # raises if the follow-up system fails
+        f_runs = plan_f(tiers, old_runs + new_runs, tf)  # raises if the follow-up system fails
         assert sum(expand(f_runs)) == f, row
-        assert verify_plan(p, extend_plan(p, old_runs + new_runs, f_runs)), row
+        assert verify_plan(p, extend_plan(p, tiers, old_runs + new_runs, f_runs)), row
     _report("3 sporadic-table", time.perf_counter() - t0, 5.0,
             f"{len(SPORADIC_TABLE)} rows")
 

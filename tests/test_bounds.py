@@ -43,18 +43,21 @@ def test_global_bounds_rejects_bad_input():
         global_bounds(EmbeddingParams(8, 9, 1, 4, 1))  # k < q
     with pytest.raises(InputError):
         global_bounds(EmbeddingParams(5, 8, 2, 5, 1))  # inadmissible inner
-    # per-color bounds raise on inadmissible input too, even where 4 | rm
-    # would make iota integral: (8, 10, 2, 4, 1) has 2 not dividing C(9, 3)
+    # the tier table that per-color bounds read raises on inadmissible input
+    # too, even where 4 | rm would make iota integral: (8, 10, 2, 4, 1) has 2
+    # not dividing C(9, 3)
     for p in (EmbeddingParams(5, 8, 2, 5, 1), EmbeddingParams(8, 10, 2, 4, 1)):
         with pytest.raises(InputError, match="not admissible"):
-            per_color_bounds(p, runs([0]))
+            tier_bounds(p)
 
 
 def test_per_color_bounds_examples():
     # (e_j, iota_ij, 2 rho_ij) per color: the old tier first, then the new one
-    bounds = expand(per_color_bounds(EmbeddingParams(6, 8, 2, 5, 1), runs([4] * 5 + [10] * 2)))
+    bounds = expand(per_color_bounds(tier_bounds(EmbeddingParams(6, 8, 2, 5, 1)),
+                                   runs([4] * 5 + [10] * 2)))
     assert bounds[0] == (4, 3, 2 * Fraction(3))
-    bounds = expand(per_color_bounds(EmbeddingParams(6, 9, 2, 4, 1), runs([4] * 5 + [6] * 9)))
+    bounds = expand(per_color_bounds(tier_bounds(EmbeddingParams(6, 9, 2, 4, 1)),
+                                   runs([4] * 5 + [6] * 9)))
     assert bounds[0] == (4, -2, 2 * Fraction(0))
     assert bounds[5] == (6, 3, 2 * Fraction(3))
 
@@ -62,18 +65,18 @@ def test_per_color_bounds_examples():
 def test_per_color_bounds_rejects_negative_count():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     with pytest.raises(InputError, match="nonnegative"):
-        per_color_bounds(p, runs([4] * 5 + [-1, 10]))
+        per_color_bounds(tier_bounds(p), runs([4] * 5 + [-1, 10]))
     with pytest.raises(InputError, match="nonnegative"):
-        per_color_bounds(p, [(8, 4), (-1, 4)])
+        per_color_bounds(tier_bounds(p), [(8, 4), (-1, 4)])
     with pytest.raises(InputError, match="expected 7 e-values, got 6"):
-        per_color_bounds(p, runs([4] * 6))
+        per_color_bounds(tier_bounds(p), runs([4] * 6))
 
 
 def test_per_color_bounds_splits_a_run_at_the_tier_boundary():
     # q = 5 old colors: one run of 7 becomes 5 old and 2 new, a count-0 run none
     p = EmbeddingParams(6, 8, 2, 5, 1)
     (_, c1, d1), (_, c2, d2) = tier_bounds(p)
-    assert per_color_bounds(p, [(3, 4), (0, 9), (4, 4)]) == [
+    assert per_color_bounds(tier_bounds(p), [(3, 4), (0, 9), (4, 4)]) == [
         (3, 4, c1 - 8, d1 - 12), (2, 4, c1 - 8, d1 - 12), (2, 4, c2 - 8, d2 - 12)]
 
 
@@ -142,7 +145,7 @@ def test_per_color_equivalences_over_sweep():
                  if count]
         for j, iota_i, rho_i, rhop_i in tiers:
             for e_j in range(0, floor(rho_i) + 3):
-                _, iota, two_rho = expand(per_color_bounds(p, runs([e_j] * k)))[j]
+                _, iota, two_rho = expand(per_color_bounds(tier_bounds(p), runs([e_j] * k)))[j]
                 assert (two_rho >= 0) == (e_j <= rho_i)
                 assert (iota >= 0) == (e_j <= rhop_i)
                 assert (two_rho >= 2 * iota) == (e_j >= iota_i)
@@ -200,7 +203,7 @@ def test_iota_integrality_over_sweep():
         assert tuple(got_old) == old
         assert new_colors >= 0 and tuple(got_new) == new
         q, k = color_counts(p)
-        assert all(isinstance(x, int) for run in per_color_bounds(p, runs([1] * k))
+        assert all(isinstance(x, int) for run in per_color_bounds(tier_bounds(p), runs([1] * k))
                    for x in run)
         # the integer tier form (c, d) and per_color_bounds against the
         # Fraction formula over the whole master range [max(iota_i, 0), floor(rho_i)]
@@ -211,7 +214,7 @@ def test_iota_integrality_over_sweep():
                 iota, rho = _fraction_per_color(p, j == 0, e_j)
                 assert (c - 2 * e_j, d - 3 * e_j) == (iota, 2 * rho)
                 if count:  # color j is the tier's first
-                    bounds = expand(per_color_bounds(p, runs([e_j] * k)))[j]
+                    bounds = expand(per_color_bounds(tier_bounds(p), runs([e_j] * k)))[j]
                     assert all(isinstance(x, int) for x in bounds)
                     assert bounds == (e_j, iota, 2 * rho)
                 checked += 1

@@ -16,6 +16,7 @@ from quadembed.params import (
     EmbeddingParams,
     TheoremCase,
     check_conditions,
+    class_count,
     color_counts,
     is_admissible,
 )
@@ -30,8 +31,17 @@ def test_is_admissible_examples():
 
 
 def test_is_admissible_rejects_bad_args():
-    with pytest.raises(InputError):
-        is_admissible(3, 1, 1)
+    # the range check fires before C(m-1,3) is taken (m = 0 would make comb
+    # raise ValueError) and before divisibility, which (3, 1, 1) fails too
+    for call in (is_admissible, class_count):
+        for args in ((3, 1, 1), (0, 1, 1), (6, 0, 1)):
+            with pytest.raises(InputError) as exc:
+                call(*args)
+            assert str(exc.value) == f"need m >= 4, r >= 1, lam >= 1, got {args}"
+    with pytest.raises(InputError) as exc:
+        class_count(5, 2, 1, "inner triple")
+    assert str(exc.value) == "inner triple (5, 2, 1) not admissible"
+    assert class_count(6, 2, 1) == 5
 
 
 def test_color_counts_examples():

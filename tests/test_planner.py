@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -13,7 +14,7 @@ from quadembed import detach, generate_base, planner, verify_certificate
 from quadembed.bounds import AmalgamCase, per_color_bounds, tier_bounds
 from quadembed.errors import ConditionsFailed, InputError, PlanInfeasible
 from quadembed.factorization import read_factorization
-from quadembed.params import EmbeddingParams, check_conditions, color_counts
+from quadembed.params import EmbeddingParams, check_conditions, class_count, color_counts
 from quadembed.planner import (
     build_plan,
     extend_plan,
@@ -51,23 +52,23 @@ def test_totals_examples():
 
 def test_plan_e_examples():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    e_list = expand(plan_e(p))
+    e_list = expand(plan_e(tier_bounds(p), totals(p)[0]))
     assert Counter(e_list[:5]) == {4: 5} and Counter(e_list[5:]) == {10: 2}
     assert build_plan(p).subcase is None
 
     p = EmbeddingParams(8, 16, 1, 1, 1)
-    e_list = expand(plan_e(p))
+    e_list = expand(plan_e(tier_bounds(p), totals(p)[0]))
     assert Counter(e_list[:35]) == {0: 35}
     assert Counter(e_list[35:]) == {0: 196, 2: 224}
     assert build_plan(p).subcase == "i"
 
     p = EmbeddingParams(5, 8, 4, 5, 1)
-    assert expand(plan_e(p)) == [0] + [5] * 6
+    assert expand(plan_e(tier_bounds(p), totals(p)[0])) == [0] + [5] * 6
 
 
 def test_plan_f_forced_example():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    f_list = expand(plan_f(p, runs([4] * 5 + [10] * 2)))
+    f_list = expand(plan_f(tier_bounds(p), runs([4] * 5 + [10] * 2), totals(p)[1]))
     assert f_list == [3] * 5 + [0] * 2
 
 
@@ -75,7 +76,7 @@ def test_plan_f_rejects_bad_e_choice():
     # valid e-system solution whose f-system is infeasible (lower bound 48 > 45)
     p = EmbeddingParams(6, 9, 2, 4, 1)
     with pytest.raises(PlanInfeasible):
-        plan_f(p, runs([4, 0, 0, 0, 0, 8, 6, 6, 6, 6, 6, 6, 6, 6]))
+        plan_f(tier_bounds(p), runs([4, 0, 0, 0, 0, 8, 6, 6, 6, 6, 6, 6, 6, 6]), totals(p)[1])
 
 
 def test_equal_regularity_forces_zero_f_on_old_colors():
@@ -91,7 +92,7 @@ def test_equal_regularity_forces_zero_f_on_old_colors():
 
 def test_extend_plan_examples():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    plan = extend_plan(p, runs([4] * 5 + [10] * 2), runs([3] * 5 + [0] * 2))
+    plan = extend_plan(p, tier_bounds(p), runs([4] * 5 + [10] * 2), runs([3] * 5 + [0] * 2))
     assert plan.g == (0,) * 7 and plan.h == (0,) * 7
 
     p = EmbeddingParams(6, 9, 2, 4, 1)
@@ -174,6 +175,31 @@ def test_build_plan_fallback_repairs_parity():
     assert plan.via == "fallback"
     assert verify_plan(p, plan)
     assert _embeds(p, plan)
+
+
+def test_build_plan_derives_one_tier_table(monkeypatch):
+    # build_plan derives the tier table and the totals once and hands them to
+    # every stage, on either path; verify_plan recomputes (q, k) and the
+    # totals from p on its own, so (q, k) and the totals are each taken twice
+    # (once for planning, once in the re-check), with one class_count per
+    # triple each time
+    calls = Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, fn in (("tier_bounds", tier_bounds), ("color_counts", color_counts),
+                     ("class_count", class_count), ("totals", totals)):
+        for module in [m for key, m in sys.modules.items() if key.startswith("quadembed")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, count(name, fn))
+    for tup, via in (((12, 28, 5, 9, 2), "general"), ((12, 16, 1, 2, 2), "fallback")):
+        calls.clear()
+        assert build_plan(EmbeddingParams(*tup)).via == via
+        assert calls == {"tier_bounds": 1, "color_counts": 2, "class_count": 4, "totals": 2}
 
 
 def test_build_plan_fallback_at_higher_multiplicity():
@@ -266,7 +292,8 @@ def test_exact_e_solve_agrees_with_enumerator():
         q, k = color_counts(p)
         if p.s < p.r or k < q:
             continue
-        candidates = _fallback_candidates(p, q, k, totals(p)[0])
+        tiers, (e_total, f_total, _, _) = tier_bounds(p), totals(p)
+        candidates = _fallback_candidates(p, q, k, e_total)
         for tried, e_list in enumerate(candidates):
             if tried == ORACLE_CAP:
                 found = None
@@ -282,10 +309,11 @@ def test_exact_e_solve_agrees_with_enumerator():
         resolved += 1
         if not found:
             with pytest.raises(PlanInfeasible):
-                plan_e_exact(p)
+                plan_e_exact(tiers, e_total, f_total)
             continue
-        e_runs = plan_e_exact(p)
-        assert verify_plan(p, extend_plan(p, e_runs, plan_f(p, e_runs)))
+        e_runs = plan_e_exact(tiers, e_total, f_total)
+        plan = extend_plan(p, tiers, e_runs, plan_f(tiers, e_runs, f_total))
+        assert verify_plan(p, plan)
     assert (resolved, unresolved) == (151, 19)
 
 
@@ -340,33 +368,34 @@ def test_solve_e_matches_brute_force(old, new, n1, n2, data):
 def test_extend_plan_rejects_f_outside_its_interval():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     with pytest.raises(InputError, match="above rho"):
-        extend_plan(p, runs([4] * 5 + [10] * 2), runs([4] * 5 + [0] * 2))
+        extend_plan(p, tier_bounds(p), runs([4] * 5 + [10] * 2), runs([4] * 5 + [0] * 2))
 
 
 def test_extend_plan_raises_when_verification_fails(monkeypatch):
     monkeypatch.setattr(planner, "verify_plan", lambda p, plan: False)
+    p = EmbeddingParams(6, 8, 2, 5, 1)
     with pytest.raises(InputError, match="independent verification"):
-        extend_plan(EmbeddingParams(6, 8, 2, 5, 1), runs([4] * 5 + [10] * 2),
-                    runs([3] * 5 + [0] * 2))
+        extend_plan(p, tier_bounds(p), runs([4] * 5 + [10] * 2), runs([3] * 5 + [0] * 2))
 
 
 def test_extend_plan_merges_runs_of_any_boundaries():
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    plan = extend_plan(p, [(2, 4), (3, 4), (2, 10)], [(1, 3)] * 5 + [(1, 0), (1, 0)])
-    assert plan == extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (2, 0)])
+    tiers = tier_bounds(p)
+    plan = extend_plan(p, tiers, [(2, 4), (3, 4), (2, 10)], [(1, 3)] * 5 + [(1, 0), (1, 0)])
+    assert plan == extend_plan(p, tiers, [(5, 4), (2, 10)], [(5, 3), (2, 0)])
     assert plan.rows == ((5, 4, 3, 0, 0), (2, 10, 0, 0, 0))
     with pytest.raises(InputError, match="expected 7 f-values, got 6"):
-        extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (1, 0)])
+        extend_plan(p, tiers, [(5, 4), (2, 10)], [(5, 3), (1, 0)])
     with pytest.raises(InputError, match="expected 7 f-values, got 8"):
-        extend_plan(p, [(5, 4), (2, 10)], [(5, 3), (3, 0)])  # one color over
+        extend_plan(p, tiers, [(5, 4), (2, 10)], [(5, 3), (3, 0)])  # one color over
 
 
 def test_extend_plan_rejects_unknown_path():
     # the header and the JSON name the path, so only a known one may be rendered
     p = EmbeddingParams(5, 8, 4, 5, 1)
-    e_runs = runs([0] + [5] * 6)
+    tiers, e_runs = tier_bounds(p), runs([0] + [5] * 6)
     with pytest.raises(InputError, match="unknown planning path 'sporadic'"):
-        extend_plan(p, e_runs, plan_f(p, e_runs), via="sporadic")
+        extend_plan(p, tiers, e_runs, plan_f(tiers, e_runs, totals(p)[1]), via="sporadic")
 
 
 # one tuple for each (case, subcase, path) that plans in the desk box
@@ -460,13 +489,14 @@ def test_threshold_subcase_iii_pins_iota_to_units():
         rep = check_conditions(p)
         if not rep.all_hold() or rep.theorem_case is TheoremCase.OUT_OF_SCOPE:
             continue
-        case, subcase, _, _ = planner._e_intervals(tier_bounds(p), totals(p)[0])
+        tiers, e_total = tier_bounds(p), totals(p)[0]
+        case, subcase, _, _ = planner._e_intervals(tiers, e_total)
         if case not in found or subcase != "iii":
             continue
-        e_runs = plan_e(p)
+        e_runs = plan_e(tiers, e_total)
         found[case] += 1
         q, _ = color_counts(p)
-        bounds = expand(per_color_bounds(p, e_runs))
+        bounds = expand(per_color_bounds(tiers, e_runs))
         for j, (e_j, iota, _) in enumerate(bounds):
             if case is AmalgamCase.OLD_PINNED_THRESHOLD and j < q:
                 continue  # an old color, pinned at 0, below its own threshold
@@ -490,11 +520,13 @@ def test_conditions_hold_exactly_when_an_e_list_exists():
         if tiers[1][0] < 0:  # k < q
             fewer += 1
             continue
-        e_runs = solve_e(tiers, *totals(p)[:2])
+        f_total = totals(p)[1]
+        e_runs = solve_e(tiers, totals(p)[0], f_total)
         assert check_conditions(p).all_hold() == (e_runs is not None), p
         if e_runs is not None:
             found += 1
-            extend_plan(p, e_runs, plan_f(p, e_runs), "fallback")  # raises unless it verifies
+            # raises unless it verifies
+            extend_plan(p, tiers, e_runs, plan_f(tiers, e_runs, f_total), "fallback")
     assert (tuples, found, fewer) == (5416, 1783, 627)
 
 
@@ -519,7 +551,7 @@ def test_exact_e_solve_rejects_fewer_outer_than_inner_colors():
             continue
         assert not check_conditions(p).verdicts["N2"].holds, p
         with pytest.raises(InputError, match="negative"):
-            plan_e_exact(p)
+            plan_e_exact(tier_bounds(p), *totals(p)[:2])
         rejected += 1
     assert rejected == 627
     with pytest.raises(InputError, match="negative"):
