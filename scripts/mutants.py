@@ -1,4 +1,5 @@
-"""Mutation check of verify_plan, the independent re-check of every plan.
+"""Mutation check of verify_plan, the independent re-check of every plan,
+and with ``--full`` of the certificate parser's column reader.
 
 Each mutant changes one node of a target function:
 
@@ -18,10 +19,13 @@ listed mutant that a test now kills or that the function no longer
 yields, fails the run (exit 1).  The unmutated module, unparsed the same
 way, must pass first.
 
-This is the toy mode: ``TARGETS`` holds ``verify_plan`` and
-``tests/test_planner.py`` only, about 45 s on 2 cores.
+The toy mode runs ``TARGETS``: ``verify_plan`` with
+``tests/test_planner.py`` only, about 45 s on 2 cores.  The full mode adds
+``FULL_TARGETS``: the parser's batch reader ``_by_columns``, its column
+reader ``_columns`` and the batch packer ``_sorted_keys``, each with
+``tests/test_factorization.py``.
 
-    python scripts/mutants.py
+    python scripts/mutants.py [--full]
 
 The script imports only the standard library; the tests it runs need
 pytest and hypothesis.
@@ -44,6 +48,9 @@ PACKAGE = ROOT / "src" / "quadembed"
 
 # (module, function, test file): each function with the tests that guard it
 TARGETS = (("planner", "verify_plan", "tests/test_planner.py"),)
+FULL_TARGETS = TARGETS + tuple(
+    ("factorization", function, "tests/test_factorization.py")
+    for function in ("_by_columns", "_columns", "_sorted_keys"))
 
 # mutant name -> why no test can kill it
 EQUIVALENT = {
@@ -52,6 +59,9 @@ EQUIVALENT = {
     "verify_plan+19: start + count -> start - count":
         "it drops the crossing check; a row crossing q puts more than q colors under the old"
         " law m(s - r) != sm, so its sum of 3e + 2f + g misses the one the totals fix",
+    "_columns+26: [0] -> [1]":
+        "the segment's first value is never read: the four column assignments overwrite"
+        " every slot, as the segment holds a multiple of four tokens",
 }
 
 FLIPS = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,
@@ -128,14 +138,18 @@ def _passes(package_copy: Path, module: str, source: str, tests: str) -> bool:
     return result.returncode == 0
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--full"]):
+        print("usage: python scripts/mutants.py [--full]", file=sys.stderr)
+        return 2
+    targets = FULL_TARGETS if argv else TARGETS
     t0 = time.perf_counter()
     unexplained, stale, total = [], [], 0
     with tempfile.TemporaryDirectory() as tmp:
         package_copy = Path(tmp)
         shutil.copytree(PACKAGE, package_copy / "quadembed",
                         ignore=shutil.ignore_patterns("__pycache__"))
-        for module, function, tests in TARGETS:
+        for module, function, tests in targets:
             original = (PACKAGE / f"{module}.py").read_text()
             if not _passes(package_copy, module, ast.unparse(ast.parse(original)), tests):
                 print(f"{module}.{function}: the unmutated module fails {tests}")
@@ -162,4 +176,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -50,27 +50,30 @@ The parser reads the labels of a line in the renderer's layout through a
 table from "1".."N" to their integers.  N is at most ground_size and at
 most the largest v with 8 * C(v, 4) <= file length, since a cover of the
 4-subsets of 1..v takes that many characters; so the table is bounded by
-the file, and only by its fourth root, not by the header.  A class line in
+the file, and only by its fourth root, not by the header.  Class lines in
 the renderer's layout, "a b c d, a b c d, ..." with a < b < c < d in each
-block (any blanks, any block order), is read by columns: the body is cut
-into segments of whole blocks, each ending just after the first comma at or
-past ``_SEGMENT`` characters, and each segment is split once.  Its tokens
-0, 4, 8, ... are the a column, and so on; the d column goes through a
-second table of the labels "1,".."N,", the line's last token with a comma
-added.  Three comparisons of columns then prove every block a 4-subset of
-1..ground_size, so this is the class's only check, and the four columns are
-interleaved straight into the class's array of vertices, which the
-constructor packs into keys and sorts.  Segments are 64 KiB so that the
-366k tokens of a 1.1 MB line are never held at once: parsing the two such
-lines of a 2.2 MB certificate peaks at 22 MB unsegmented and at 8.5 MB in
-segments (tracemalloc), and keeps 0.7 MB of keys.
+block (any blanks, any block order), are read by columns in batches: the
+bodies of consecutive lines, at least ``_SEGMENT`` characters of lines,
+joined by ", " (a line that long is a batch of its own, read in place).  A
+batch is cut into segments of whole blocks, each ending just after the
+first comma at or past ``_SEGMENT`` characters, and each segment is split
+once.  Its tokens 0, 4, 8, ... are the a column, and so on; the d column
+goes through a second table of the labels "1,".."N,", the batch's last
+token with a comma added.  Three comparisons of columns then prove every
+block a 4-subset of 1..ground_size, so this is the only check, and the four
+columns are interleaved straight into the batch's vertices, of which a body
+holds one block more than its commas (none if blank); the constructor packs
+a batch into keys at once and sorts each class.
+Segments are 64 KiB so that the 366k tokens of a 1.1 MB line are never held
+at once: parsing the two such lines of a 2.2 MB certificate peaks at 8.5 MB
+(tracemalloc), against 45 MB as one segment, and keeps 0.7 MB of keys.
 
 Any other line (a missing comma, an empty entry, "05", "x", "3.5", a label
-above N, an unsorted block), and every line after it, is converted chunk by
-chunk with ``int()``, and a chunk with a token that is not ASCII digits
-("+1", "-1", "0_5", "٢"; "04" is 4) is passed on as its list of tokens.  The
-constructor then checks the whole file, and reports a bad block with the
-line of its class.
+above N, an unsorted block) fails its batch, which is re-read line by line;
+that line and every line after it are converted chunk by chunk with
+``int()``, and a chunk with a token that is not ASCII digits ("+1", "-1",
+"0_5", "٢"; "04" is 4) is passed on as its list of tokens.  The constructor
+then checks the whole file, and reports a bad block with its class's line.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
 one on {1..n}.  It is valid when both factorizations are valid and
@@ -86,7 +89,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress
+from itertools import accumulate, chain, compress, pairwise
 from math import comb
 from operator import index as index_of, lt, ne
 
@@ -160,8 +163,7 @@ def _proved(fields: bytearray | array, ground_size: int) -> bool:
 
 
 class _Checked(list):
-    """Classes that the parser has proved canonical, each given as its
-    vertices; the constructor only packs and sorts them."""
+    """Batches (vertices, blocks per class) the parser proved canonical: only packed and sorted."""
 
 
 class BlockError(InputError):
@@ -186,14 +188,8 @@ def _canonical_block(block, ground_size: int, index: int) -> Block:
 
 
 def _class_keys(cls, ground_size: int, code: str, index: int) -> bytes:
-    """Class ``index`` as the bytes of its sorted keys.  The class is read as
-    its vertices, four per block: as given, when it is of the type that
-    ``block_array`` makes, or flattened from its blocks when every block has
-    four integer vertices that fit a field.  One column check then proves
-    every block a 4-subset of 1..ground_size.  A class that fails it, or
-    that cannot be flattened, goes block by block through
-    ``_canonical_block``, which sorts each block, converts its vertices and
-    words the error."""
+    """Class ``index`` as the bytes of its sorted keys, checked by columns
+    or block by block, as the module docstring says."""
     vertices, fields = _VERTICES[code], None
     if (type(cls) is bytearray) if code == "I" else (type(cls) is array
                                                      and cls.typecode == "H"):
@@ -210,16 +206,18 @@ def _class_keys(cls, ground_size: int, code: str, index: int) -> bytes:
             cls = [tuple(fields[i:i + 4]) for i in range(0, len(fields), 4)]
         fields = vertices(chain.from_iterable(
             _canonical_block(b, ground_size, index) for b in cls))
-    return _sorted_keys(fields, code)
+    return _sorted_keys(fields, code, [len(fields) // 4])[0]
 
 
-def _sorted_keys(fields: bytearray | array, code: str) -> bytes:
-    """The bytes of the sorted keys of blocks given as their vertices, four
-    per block.  In memory a key's fields run d c b a on a little-endian
-    host, so there the vertices are reversed first: that reverses the order
-    of the blocks too, which the sort undoes."""
+def _sorted_keys(fields: bytearray | array, code: str, counts) -> list[bytes]:
+    """The bytes of the sorted keys of each class i of ``counts[i]`` blocks,
+    given as their vertices, four per block.  On a little-endian host a key's
+    fields run d c b a in memory, so the vertices are reversed first; the
+    slices from the end and the sort undo that reversal of the blocks."""
     keys = array(code, bytes(fields[::-1] if _LITTLE else fields))
-    return array(code, sorted(keys)).tobytes()
+    last = len(keys)
+    return [array(code, sorted(keys[last - hi:last - lo] if _LITTLE else keys[lo:hi])).tobytes()
+            for lo, hi in pairwise(accumulate(counts, initial=0))]
 
 
 class ColorClass(Sequence):
@@ -279,7 +277,8 @@ class Factorization:
             raise InputError(f"ground_size <= {MAX_GROUND_SIZE} required")
         code = _key_code(n)
         if type(classes) is _Checked:
-            keys = tuple(_sorted_keys(fields, code) for fields in classes)
+            keys = tuple(chain.from_iterable(
+                _sorted_keys(fields, code, counts) for fields, counts in classes))
         else:
             keys = tuple(_class_keys(c, n, code, i) for i, c in enumerate(classes))
         for name, x in zip(self.__slots__, (n, lam, reg, keys, code, None)):
@@ -438,7 +437,7 @@ def parse_factorization(text: str) -> Factorization:
         ground, lam, reg, count = (int(x) for x in head)
     except ValueError as exc:
         raise FormatError(f"bad header: {exc}", 1) from exc
-    rows = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
+    rows = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln and not ln.isspace()]
     if len(rows) != count:
         raise FormatError(f"expected {count} class lines, found {len(rows)}",
                           len(lines))
@@ -450,28 +449,23 @@ def parse_factorization(text: str) -> Factorization:
         top += 1
     label = {str(v): v for v in range(1, top + 1)}.__getitem__
     comma_label = {f"{v},": v for v in range(1, top + 1)}.__getitem__
-    code = _key_code(ground)
-    classes, by_columns = [], True
     for expected, (lineno, ln) in enumerate(rows, start=1):
-        prefix, _, body = ln.partition(":")
+        prefix = ln.partition(":")[0]
         try:
             idx = int(prefix)
         except ValueError as exc:
             raise FormatError(f"bad class index {prefix!r}", lineno) from exc
         if idx != expected:
             raise FormatError(f"class index {idx}, expected {expected}", lineno)
-        if by_columns:
-            cls = _columns(body, label, comma_label, code)
-            if cls is not None:
-                classes.append(cls)
-                continue
-            by_columns = False
-        # a blank body is an empty class; an empty entry in a body is the
-        # block (), which Factorization rejects as not a 4-subset
-        chunks = body.split(",") if body.strip() else ()
-        classes.append([_int_block(c.split()) for c in chunks])
-    if by_columns:
-        classes = _Checked(classes)
+    classes = _by_columns([ln for _, ln in rows], label, comma_label, _key_code(ground))
+    done = sum(len(counts) for _, counts in classes)
+    if done < len(rows):
+        # the classes read by columns one by one, then the rest chunk by chunk:
+        # a blank body is an empty class, an empty entry the block (), no 4-subset
+        classes = [fields[4 * lo:4 * hi] for fields, counts in classes
+                   for lo, hi in pairwise(accumulate(counts, initial=0))]
+        classes += [[_int_block(c.split()) for c in body.split(",")] if body and not body.isspace()
+                    else [] for body in (ln.partition(":")[2] for _, ln in rows[done:])]
     try:
         return Factorization(ground, lam, reg, classes)
     except BlockError as exc:
@@ -480,14 +474,43 @@ def parse_factorization(text: str) -> Factorization:
         raise FormatError(str(exc), 1) from exc
 
 
+def _by_columns(lines: list[str], label, comma_label, code: str) -> _Checked:
+    """The leading class lines that read by columns, in batches (vertices,
+    blocks per class) as the module docstring says; a batch that fails is
+    re-read one line at a time, up to the first line that fails."""
+    def read(batch):
+        if len(batch) == 1:
+            fields = _columns(batch[0].partition(":")[2], label, comma_label, code)
+            return None if fields is None else (fields, [len(fields) // 4])
+        bodies = [ln.partition(":")[2] for ln in batch]
+        counts = [body.count(",") + 1 if body and not body.isspace() else 0 for body in bodies]
+        fields = _columns(", ".join(compress(bodies, counts)), label, comma_label, code)
+        return None if fields is None else (fields, counts)
+
+    checked, starts, size = _Checked(), [0], 0
+    for i, ln in enumerate(lines):
+        if size >= _SEGMENT or i > starts[-1] and len(ln) >= _SEGMENT:
+            starts.append(i)
+        size = (size if i > starts[-1] else 0) + len(ln)
+    for lo, hi in pairwise(starts + [len(lines)]):
+        reads = [read(lines[lo:hi])]
+        if reads[0] is None and hi - lo > 1:
+            reads = (read([ln]) for ln in lines[lo:hi])
+        for batch in reads:
+            if batch is None:
+                return checked
+            checked.append(batch)
+    return checked
+
+
 def _columns(body: str, label, comma_label, code: str) -> bytearray | array | None:
-    """A class line's body in the renderer's layout as its vertices, four per
-    block, for keys of typecode ``code``, or None when the body is in any
-    other layout.  Each segment's four label columns are interleaved
-    straight into them."""
+    """A body in the renderer's layout (a class line's, or a batch of them
+    joined by ", ") as its vertices, four per block, for keys of typecode
+    ``code``, or None when it is in any other layout.  Each segment's four
+    label columns are interleaved straight into them."""
     vertices = _VERTICES[code]
     fields, start, end = vertices(), 0, len(body)
-    if not body.strip():
+    if body.isspace():
         return fields
     while start < end:
         cut = body.find(",", start + _SEGMENT) + 1 or end
@@ -507,6 +530,7 @@ def _columns(body: str, label, comma_label, code: str) -> bytearray | array | No
         if not (all(map(lt, a, b)) and all(map(lt, b, c)) and all(map(lt, c, d))):
             return None
         segment = vertices([0]) * len(t)
+        del t  # free the tokens before the vertices grow, or the heap keeps their space
         segment[0::4], segment[1::4], segment[2::4], segment[3::4] = a, b, c, d
         fields += segment
     return fields

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import sys
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from hashlib import sha256
@@ -10,7 +12,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from quadembed import cli
+from quadembed import cli, planner
+from quadembed.bounds import sign_case, tier_bounds
 from quadembed.cli import main
 from quadembed.errors import PlanInfeasible
 from quadembed.factorization import read_factorization, verify_certificate, EmbeddingCertificate
@@ -271,6 +274,32 @@ def test_sweep_csv(capsys):
     (scope_row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
     assert scope_row["theorem_case"] == "out-of-scope"
     assert scope_row["plan_found"] == "1" and scope_row["case"] == "5.2"
+
+
+def test_sweep_row_derives_one_table_past_the_plan(monkeypatch):
+    # build_plan plans from one tier table; the row's case and subcase come
+    # from one header, which derives one more, on either planning path
+    calls = Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, fn in (("tier_bounds", tier_bounds), ("totals", planner.totals),
+                     ("_e_intervals", planner._e_intervals), ("sign_case", sign_case)):
+        for module in [m for key, m in sys.modules.items() if key.startswith("quadembed")]:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, count(name, fn))
+    for tup, case, subcase in (((12, 28, 5, 9, 2), "5.5", "i"), ((12, 16, 1, 2, 2), "5.2", "")):
+        calls.clear()
+        build_plan(EmbeddingParams(*tup))
+        planning = calls.copy()
+        calls.clear()
+        row = cli._sweep_row(tup)
+        assert (row["case"], row["subcase"]) == (case, subcase)
+        assert calls == planning + Counter(["tier_bounds", "totals", "_e_intervals", "sign_case"])
 
 
 def test_sweep_excluded_status(capsys):

@@ -186,16 +186,21 @@ def test_detach_rejects_invalid_base():
 
 
 def _certificate(tup, seed=0):
-    """The certificate of ``tup``, also checked by the benchmark's checker,
-    which re-reads both texts and shares no code with the issue finders."""
+    """The certificate of ``tup``, also checked by the benchmark's checker."""
     p = EmbeddingParams(*tup)
     base = generate_base(p.m, p.r, p.lam, seed=seed)
     cert = detach(p, base, build_plan(p), seed=seed)
+    _assert_bench_checks(p, base, cert)
+    return cert
+
+
+def _assert_bench_checks(p, base, cert):
+    """The benchmark's checker, which re-reads both texts and shares no code
+    with the issue finders, finds no defect in the certificate of p."""
     inner, outer = (bench_checks.parse_certificate_text(render_factorization(fact))
                     for fact in (base, cert.outer))
     assert outer[:3] == (p.n, p.lam, p.s)
-    assert bench_checks.certificate_defects(outer, inner) == []
-    return cert
+    assert bench_checks.certificate_defects(outer, inner) == [], p
 
 
 @lru_cache(maxsize=None)
@@ -501,6 +506,7 @@ def test_every_small_tuple_embeds():
         plan = build_plan(p, report)
         cert = detach(p, base, plan)
         assert verify_certificate(cert), p
+        _assert_bench_checks(p, base, cert)
         # the necessity half: the certificate amalgamates back to its plan
         assert amalgamate(base, cert.outer) == plan.rows, p
     assert (count, out_of_scope) == (196, 41)

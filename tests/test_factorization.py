@@ -6,7 +6,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb
 
 import pytest
@@ -110,7 +110,8 @@ def _one_class_line(n):
 def _spy(monkeypatch, calls, *names):
     """Count the calls of the named functions of the factorization module
     in ``calls``; ``_columns`` is counted under "columns" when it reads a
-    line and "columns declined" when it returns None."""
+    batch of class lines, with the blocks it reads under "column blocks",
+    and under "columns declined" when it returns None."""
     for name in names:
         real = getattr(factorization, name)
 
@@ -120,6 +121,8 @@ def _spy(monkeypatch, calls, *names):
                 return real(*args)
             result = real(*args)
             calls["columns" if result is not None else "columns declined"] += 1
+            if result:
+                calls["column blocks"] += len(result) // 4
             return result
         monkeypatch.setattr(factorization, name, counted)
 
@@ -133,10 +136,18 @@ def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
     texts.append(render_factorization(cert.outer))
     _spy(monkeypatch, calls, "_class_keys", "_canonical_block", "_columns")
     # the parser's column check is the only check of a canonical file: it
-    # reads every class line, and the constructor checks nothing again
+    # reads every block, each file under 64 KiB in one batch of all its
+    # class lines, and the constructor checks nothing again
     facts = [parse_factorization(text) for text in texts]
     assert facts[3] == cert.outer
-    assert calls == {"columns": sum(len(f.classes) for f in facts)}
+    blocks = sum(len(cls) for f in facts for cls in f.classes)
+    assert calls == {"columns": len(texts), "column blocks": blocks}
+    # with one character per segment every class line is a batch of its own
+    calls.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "_SEGMENT", 1)
+        assert [parse_factorization(text) for text in texts] == facts
+    assert calls == {"columns": sum(len(f.classes) for f in facts), "column blocks": blocks}
     for fact in facts:
         assert type(fact.classes) is tuple
         assert {type(cls) for cls in fact.classes} == {ColorClass}
@@ -193,8 +204,8 @@ def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
     for n in range(4, 21):
         blocks = list(combinations(range(1, n + 1), 4))
         shuffled = rng.sample(blocks, len(blocks))
-        keys = array(code, factorization._sorted_keys(
-            array(field, chain.from_iterable(shuffled)), code))
+        keys = array(code, *factorization._sorted_keys(
+            array(field, chain.from_iterable(shuffled)), code, [len(blocks)]))
         assert list(keys) == [((a << width | b) << width | c) << width | d
                               for a, b, c, d in blocks]
         assert len(set(keys)) == len(blocks)
@@ -206,6 +217,14 @@ def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
     # the constructor stores the same keys, whatever the block order
     fact = Factorization(20 if code == "I" else 300, 1, 1, [shuffled])
     assert fact._keys == (keys.tobytes(),) and fact.classes[0] == tuple(blocks)
+    # a batch of classes, empty ones among them, packs to each class's own
+    # sorted keys, in class order
+    counts = [0, 1, 0, 2, 1000, 3, 0, len(blocks) - 1006, 0]
+    ends = list(accumulate(counts, initial=0))
+    assert factorization._sorted_keys(array(field, chain.from_iterable(shuffled)),
+                                      code, counts) == [
+        Factorization(fact.ground_size, 1, 1, [shuffled[lo:hi]])._keys[0]
+        for lo, hi in zip(ends, ends[1:])]
 
 
 def _sixteen_bit_system():
@@ -230,14 +249,20 @@ def test_ground_size_past_255_uses_16_bit_fields(monkeypatch):
     # the label table reaches v only in a file of 8 * C(v, 4) characters,
     # so these labels up to 300 go by chunks; labels up to 12 in a padded
     # file go by columns into 16-bit fields
+    # the three class lines are one batch, which is declined and re-read
+    # one line at a time up to line 1, declined again; with one character
+    # per segment, only line 1 is offered
     calls = Counter()
     _spy(monkeypatch, calls, "_columns")
-    assert parse_factorization(text) == fact
-    assert calls == {"columns declined": 1}
-    calls.clear()
     low = Factorization(300, 2, 1, [[(9, 10, 11, 12), (1, 2, 3, 4)], [], [(5, 6, 7, 8)]])
-    assert parse_factorization(render_factorization(low) + "\n" * 4000) == low
-    assert calls == {"columns": 3}
+    for segment, batches in ((1 << 16, 1), (1, 3)):
+        monkeypatch.setattr(factorization, "_SEGMENT", segment)
+        calls.clear()
+        assert parse_factorization(text) == fact
+        assert calls == {"columns declined": 1 + (batches == 1)}
+        calls.clear()
+        assert parse_factorization(render_factorization(low) + "\n" * 4000) == low
+        assert calls == {"columns": batches, "column blocks": 3}
     issues = factorization_issues(fact)
     assert issues == tuple_factorization_issues(fact)
     assert issues[0] == ("not a 2-fold cover of all 4-subsets"
@@ -599,7 +624,15 @@ def token_edits(draw):
                            st.integers(0, 3), st.text(NEAR_FORMAT, max_size=3)),
                  token_edits(),
                  respellings().map(lambda item: item[1])),
-       st.integers(1, 12), st.booleans())
+       st.integers(1, 400), st.booleans())
+# a bad line in the middle of a batch: the batch is re-read line by line,
+# line 1 by columns and lines 2 and 3 chunk by chunk
+@example("6 1 1 3\n1: 1 2 3 4, 1 2 5 6\n2: 1 2 3 9\n3: 1 2 3 5\n", 400, True)
+@example("6 1 1 3\n1: 1 2 3 4, 1 2 5 6\n2: 1 1 2 3\n3: 1 2 3 5\n", 400, True)
+# a blank class inside a batch, with and without blanks after the colon
+@example("6 1 1 4\n1: 1 2 3 4\n2: \n3:\n4: 1 2 3 5\n", 400, True)
+# a line longer than a segment between two short ones: a batch of its own
+@example("6 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5, 1 2 3 6, 1 2 4 5\n3: 1 2 3 6\n", 20, True)
 @example("6 1 1 1\n1: 1 2 3 5, 1 2 4 3\n", 4, True)
 @example("6 1 1 1\n1: 1 2 3 5, 1 3 2 4\n", 4, True)
 @example("6 1 1 1\n1: 1 2 3 5, 1 2 3 4,\n", 64, True)
@@ -608,10 +641,47 @@ def token_edits(draw):
 def test_columns_agree_with_the_chunk_path(text, segment, pad):
     # the label table grows with the file, up to ground size 9 at 1,008
     # characters, so a short file reads few labels by columns; trailing
-    # blank lines change no outcome but the table
+    # blank lines change no outcome but the table; a segment of up to 400
+    # characters makes batches of several class lines
     if pad:
         text += "\n" * 1008
     assert _segmented_outcome(text, segment) == _chunk_path_outcome(text)
+
+
+def test_batches_are_runs_of_at_least_a_segment():
+    # class lines of 10, 10, 10, 28, 10 and 3 characters, padded so that the
+    # label table reaches 9; each _columns call is logged with the blocks it
+    # read, or None when it declines
+    lines = ["1: 1 2 3 4", "2: 1 2 3 5", "3: 1 2 3 6", "4: 1 2 3 7, 1 2 3 8, 1 2 3 9",
+             "5: 1 2 4 5", "6: "]
+    head = "9 1 1 6\n"
+    cases = [
+        # a batch closes once it reaches 20 characters, and the 28-character
+        # line is a batch of its own: lines 1-2, 3, 4, 5-6
+        (20, lines, [2, 1, 3, 1]),
+        # at 21, lines 1-3 (30 characters) make the first batch
+        (21, lines, [3, 3, 1]),
+        # a bad block in the second line of batch 1-2: the batch is re-read
+        # line by line up to that line, the last one the column path sees
+        (20, [lines[0], "2: 1 2 3 0", *lines[2:]], [None, 1, None]),
+        # a failing batch of one line is not re-read
+        (20, [*lines[:3], "4: 1 2 3 7, 1 2 3 8, 1 2 9 3", *lines[4:]], [2, 1, None]),
+    ]
+    for segment, class_lines, logged in cases:
+        calls = []
+        text = head + "\n".join(class_lines) + "\n" * 1008
+        with pytest.MonkeyPatch.context() as mp:
+            real = factorization._columns
+
+            def spy(*args):
+                result = real(*args)
+                calls.append(None if result is None else len(result) // 4)
+                return result
+            mp.setattr(factorization, "_SEGMENT", segment)
+            mp.setattr(factorization, "_columns", spy)
+            outcome = _outcome(text)
+        assert calls == logged
+        assert outcome == _chunk_path_outcome(text)
 
 
 def test_columns_agree_with_the_chunk_path_at_a_segment_cut():
