@@ -59,7 +59,7 @@ EQUIVALENT = {
     "verify_plan+19: start + count -> start - count":
         "it drops the crossing check; a row crossing q puts more than q colors under the old"
         " law m(s - r) != sm, so its sum of 3e + 2f + g misses the one the totals fix",
-    "_columns+26: [0] -> [1]":
+    "_columns+24: [0] -> [1]":
         "the segment's first value is never read: the four column assignments overwrite"
         " every slot, as the segment holds a multiple of four tokens",
 }

@@ -69,11 +69,13 @@ at once: parsing the two such lines of a 2.2 MB certificate peaks at 8.5 MB
 (tracemalloc), against 45 MB as one segment, and keeps 0.7 MB of keys.
 
 Any other line (a missing comma, an empty entry, "05", "x", "3.5", a label
-above N, an unsorted block) fails its batch, which is re-read line by line;
-that line and every line after it are converted chunk by chunk with
-``int()``, and a chunk with a token that is not ASCII digits ("+1", "-1",
-"0_5", "٢"; "04" is 4) is passed on as its list of tokens.  The constructor
-then checks the whole file, and reports a bad block with its class's line.
+above N, an unsorted block) fails its batch, and the column path stops
+there: the lines of that batch and every line after it are converted chunk
+by chunk with ``int()``, and a chunk with a token that is not ASCII digits
+("+1", "-1", "0_5", "٢"; "04" is 4) is passed on as its list of tokens.  The
+constructor then checks the whole file, and reports a bad block with its
+class's line.  The four header fields follow the same rule: "06" is 6, and
+"+6", "-1", "0_6" or "٦" is a bad header.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
 one on {1..n}.  It is valid when both factorizations are valid and
@@ -433,10 +435,10 @@ def parse_factorization(text: str) -> Factorization:
     head = lines[0].split()
     if len(head) != 4:
         raise FormatError(f"header needs 4 integers, got {len(head)} fields", 1)
-    try:
-        ground, lam, reg, count = (int(x) for x in head)
-    except ValueError as exc:
-        raise FormatError(f"bad header: {exc}", 1) from exc
+    header = _int_block(head)
+    if type(header) is not tuple:
+        raise FormatError(f"bad header: non-integer field in {head}", 1)
+    ground, lam, reg, count = header
     rows = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln and not ln.isspace()]
     if len(rows) != count:
         raise FormatError(f"expected {count} class lines, found {len(rows)}",
@@ -450,7 +452,7 @@ def parse_factorization(text: str) -> Factorization:
     label = {str(v): v for v in range(1, top + 1)}.__getitem__
     comma_label = {f"{v},": v for v in range(1, top + 1)}.__getitem__
     for expected, (lineno, ln) in enumerate(rows, start=1):
-        prefix = ln.partition(":")[0]
+        prefix = ln[:ln.find(":")] if ":" in ln else ln
         try:
             idx = int(prefix)
         except ValueError as exc:
@@ -475,13 +477,10 @@ def parse_factorization(text: str) -> Factorization:
 
 
 def _by_columns(lines: list[str], label, comma_label, code: str) -> _Checked:
-    """The leading class lines that read by columns, in batches (vertices,
-    blocks per class) as the module docstring says; a batch that fails is
-    re-read one line at a time, up to the first line that fails."""
+    """The batches (vertices, blocks per class) of the leading class lines,
+    as the module docstring says, up to the first batch that does not read
+    by columns."""
     def read(batch):
-        if len(batch) == 1:
-            fields = _columns(batch[0].partition(":")[2], label, comma_label, code)
-            return None if fields is None else (fields, [len(fields) // 4])
         bodies = [ln.partition(":")[2] for ln in batch]
         counts = [body.count(",") + 1 if body and not body.isspace() else 0 for body in bodies]
         fields = _columns(", ".join(compress(bodies, counts)), label, comma_label, code)
@@ -493,25 +492,20 @@ def _by_columns(lines: list[str], label, comma_label, code: str) -> _Checked:
             starts.append(i)
         size = (size if i > starts[-1] else 0) + len(ln)
     for lo, hi in pairwise(starts + [len(lines)]):
-        reads = [read(lines[lo:hi])]
-        if reads[0] is None and hi - lo > 1:
-            reads = (read([ln]) for ln in lines[lo:hi])
-        for batch in reads:
-            if batch is None:
-                return checked
-            checked.append(batch)
+        batch = read(lines[lo:hi])
+        if batch is None:
+            break
+        checked.append(batch)
     return checked
 
 
 def _columns(body: str, label, comma_label, code: str) -> bytearray | array | None:
-    """A body in the renderer's layout (a class line's, or a batch of them
-    joined by ", ") as its vertices, four per block, for keys of typecode
-    ``code``, or None when it is in any other layout.  Each segment's four
-    label columns are interleaved straight into them."""
+    """The non-blank bodies of a batch of class lines, joined by ", ", as
+    their vertices, four per block, for keys of typecode ``code``, or None
+    when they are in any other layout than the renderer's.  Each segment's
+    four label columns are interleaved straight into them."""
     vertices = _VERTICES[code]
     fields, start, end = vertices(), 0, len(body)
-    if body.isspace():
-        return fields
     while start < end:
         cut = body.find(",", start + _SEGMENT) + 1 or end
         t = body[start:cut].split()
@@ -537,11 +531,14 @@ def _columns(body: str, label, comma_label, code: str) -> bytearray | array | No
 
 
 def _int_block(tokens: list[str]):
-    """A chunk's vertices converted with ``int()`` when every token is ASCII
-    digits; any other chunk stays a list of strings, which Factorization
-    reports as non-integer."""
+    """A chunk's vertices (or the header's fields) converted with ``int()``
+    when every token is ASCII digits that ``int()`` converts; any other chunk
+    stays a list of strings, which Factorization reports as non-integer."""
     if all(t.isascii() and t.isdigit() for t in tokens):
-        return tuple(map(int, tokens))
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
     return tokens
 
 

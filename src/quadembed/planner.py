@@ -96,34 +96,26 @@ def _e_intervals(tiers, e_total: int):
 
     The one place that knows the case discipline, in integers from the tier
     table (count, c, d): floor(rho_i) = d // 3, rhop_i = c/2, iota_i = 2c - d.
-    The threshold cases split into subcases by comparing e with the floor/ceil
+    The pinned regimes 5.4 and 5.6 are 5.3 and 5.5 with rhop_1 < 0 read as 0,
+    and a negative lower end iota_i reads as 0 in ``IntervalSystem``.  The
+    threshold cases split into subcases by comparing e with the floor/ceil
     threshold sums.  Raises InputError when there is no regime.
     """
     case, subcase = sign_case(tiers), None
     (q, c1, d1), (new_colors, c2, d2) = tiers
-    fl1, ce1, fl2, ce2 = c1 // 2, -(-c1 // 2), c2 // 2, -(-c2 // 2)  # floor, ceil of rhop_i
+    # floor and ceil of rhop_i, rhop_1 < 0 read as 0
+    fl1, ce1 = (c1 // 2, -(-c1 // 2)) if c1 >= 0 else (0, 0)
+    fl2, ce2 = c2 // 2, -(-c2 // 2)
     if case is AmalgamCase.FREE_RANGE:
-        ranges = (0, d1 // 3), (0, d2 // 3)
-    elif case is AmalgamCase.BOTH_FLOORS:
+        ranges = (2 * c1 - d1, d1 // 3), (2 * c2 - d2, d2 // 3)
+    elif case not in (AmalgamCase.THRESHOLD_SPLIT, AmalgamCase.OLD_PINNED_THRESHOLD):
         ranges = (2 * c1 - d1, fl1), (2 * c2 - d2, fl2)
-    elif case is AmalgamCase.NEW_FLOOR:
-        ranges = (0, fl1), (2 * c2 - d2, fl2)
-    elif case is AmalgamCase.OLD_PINNED_NEW_FLOOR:
-        ranges = (0, 0), (2 * c2 - d2, fl2)
-    elif case is AmalgamCase.THRESHOLD_SPLIT:
-        if e_total <= q * fl1 + new_colors * fl2:
-            subcase, ranges = "i", ((0, fl1), (0, fl2))
-        elif e_total >= q * ce1 + new_colors * ce2:
-            subcase, ranges = "ii", ((ce1, d1 // 3), (ce2, d2 // 3))
-        else:
-            subcase, ranges = "iii", ((fl1, ce1), (fl2, ce2))
-    else:  # OLD_PINNED_THRESHOLD
-        if e_total <= new_colors * fl2:
-            subcase, ranges = "i", ((0, 0), (0, fl2))
-        elif e_total >= new_colors * ce2:
-            subcase, ranges = "ii", ((0, d1 // 3), (ce2, d2 // 3))
-        else:
-            subcase, ranges = "iii", ((0, 0), (fl2, ce2))
+    elif e_total <= q * fl1 + new_colors * fl2:
+        subcase, ranges = "i", ((0, fl1), (0, fl2))
+    elif e_total >= q * ce1 + new_colors * ce2:
+        subcase, ranges = "ii", ((ce1, d1 // 3), (ce2, d2 // 3))
+    else:
+        subcase, ranges = "iii", ((fl1, ce1), (fl2, ce2))
     return case, subcase, *ranges
 
 

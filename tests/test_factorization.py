@@ -249,9 +249,9 @@ def test_ground_size_past_255_uses_16_bit_fields(monkeypatch):
     # the label table reaches v only in a file of 8 * C(v, 4) characters,
     # so these labels up to 300 go by chunks; labels up to 12 in a padded
     # file go by columns into 16-bit fields
-    # the three class lines are one batch, which is declined and re-read
-    # one line at a time up to line 1, declined again; with one character
-    # per segment, only line 1 is offered
+    # the three class lines are one batch, which is declined; with one
+    # character per segment, only line 1 is offered; either way the column
+    # path is not called again after it declines
     calls = Counter()
     _spy(monkeypatch, calls, "_columns")
     low = Factorization(300, 2, 1, [[(9, 10, 11, 12), (1, 2, 3, 4)], [], [(5, 6, 7, 8)]])
@@ -259,7 +259,7 @@ def test_ground_size_past_255_uses_16_bit_fields(monkeypatch):
         monkeypatch.setattr(factorization, "_SEGMENT", segment)
         calls.clear()
         assert parse_factorization(text) == fact
-        assert calls == {"columns declined": 1 + (batches == 1)}
+        assert calls == {"columns declined": 1}
         calls.clear()
         assert parse_factorization(render_factorization(low) + "\n" * 4000) == low
         assert calls == {"columns": batches, "column blocks": 3}
@@ -438,6 +438,13 @@ def test_format_errors_carry_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_factorization("6 1 2 1\n1: 1 2 3 4, , 1 2 5 6\n")
     assert str(err.value) == "line 2: class 1: block () is not a 4-subset"
+    # int() refuses more than sys.get_int_max_str_digits() digits; the chunk
+    # keeps its tokens, so the block is reported as non-integer, not raised
+    label = "1" * 5000
+    with pytest.raises(FormatError) as err:
+        parse_factorization(f"6 1 1 1\n1: 1 2 3 {label}\n")
+    assert str(err.value) == ("line 2: class 1: non-integer vertex in block"
+                              f" {['1', '2', '3', label]}")
     with pytest.raises(FormatError) as err:
         parse_factorization("3 1 2 0\n")
     assert "line 1" in str(err.value)
@@ -458,6 +465,22 @@ def test_chunk_path_rejects_non_ascii_digit_spellings(block):
     assert err.value.line == 2
     assert str(err.value) == ("line 2: class 1: non-integer vertex in block"
                               f" {block.split()}")
+
+
+@pytest.mark.parametrize("header", ["+6 1 2 5", "0_6 1 2 5", "6 -1 2 5", "٦ 1 2 5",
+                                    "6 1 2 +5", "6 1 2 5.0",
+                                    pytest.param("1" * 5000 + " 1 2 5", id="5000 digits")])
+def test_header_fields_follow_the_label_spelling_rule(header):
+    # a header field is ASCII digits, as a class label is, though int()
+    # reads "+6", "0_6", "-1" and "٦" as numbers
+    text = render_factorization(_intro(6))
+    assert text.startswith("6 1 2 5\n")
+    with pytest.raises(FormatError) as err:
+        parse_factorization(text.replace("6 1 2 5", header, 1))
+    assert err.value.line == 1
+    assert str(err.value) == f"line 1: bad header: non-integer field in {header.split()}"
+    # zero-padded fields are the numbers they spell, as "04" is in a block
+    assert parse_factorization(text.replace("6 1 2 5", "06 01 002 5", 1)) == _intro(6)
 
 
 def test_certificate_negative_restriction():
@@ -576,18 +599,18 @@ def _chunk_path_outcome(text):
         return _outcome(text)
 
 
-def _segmented_outcome(text, segment, paths=None):
-    """_outcome with ``segment`` characters per segment; ``paths``, when
-    given, gets one entry per class line offered to the column path:
-    whether that path read it."""
+def _segmented_outcome(text, segment, log=None):
+    """_outcome with ``segment`` characters per segment; ``log``, when
+    given, gets one entry per batch offered to the column path: the blocks
+    it read, or None when it declined the batch."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorization, "_SEGMENT", segment)
-        if paths is not None:
+        if log is not None:
             real = factorization._columns
 
             def spy(*args):
                 result = real(*args)
-                paths.append(result is not None)
+                log.append(None if result is None else len(result) // 4)
                 return result
             mp.setattr(factorization, "_columns", spy)
         return _outcome(text)
@@ -625,8 +648,7 @@ def token_edits(draw):
                  token_edits(),
                  respellings().map(lambda item: item[1])),
        st.integers(1, 400), st.booleans())
-# a bad line in the middle of a batch: the batch is re-read line by line,
-# line 1 by columns and lines 2 and 3 chunk by chunk
+# a bad line in the middle of a batch: the whole batch goes chunk by chunk
 @example("6 1 1 3\n1: 1 2 3 4, 1 2 5 6\n2: 1 2 3 9\n3: 1 2 3 5\n", 400, True)
 @example("6 1 1 3\n1: 1 2 3 4, 1 2 5 6\n2: 1 1 2 3\n3: 1 2 3 5\n", 400, True)
 # a blank class inside a batch, with and without blanks after the colon
@@ -651,7 +673,7 @@ def test_columns_agree_with_the_chunk_path(text, segment, pad):
 def test_batches_are_runs_of_at_least_a_segment():
     # class lines of 10, 10, 10, 28, 10 and 3 characters, padded so that the
     # label table reaches 9; each _columns call is logged with the blocks it
-    # read, or None when it declines
+    # read, or None when it declines, and none follows a decline
     lines = ["1: 1 2 3 4", "2: 1 2 3 5", "3: 1 2 3 6", "4: 1 2 3 7, 1 2 3 8, 1 2 3 9",
              "5: 1 2 4 5", "6: "]
     head = "9 1 1 6\n"
@@ -661,35 +683,56 @@ def test_batches_are_runs_of_at_least_a_segment():
         (20, lines, [2, 1, 3, 1]),
         # at 21, lines 1-3 (30 characters) make the first batch
         (21, lines, [3, 3, 1]),
-        # a bad block in the second line of batch 1-2: the batch is re-read
-        # line by line up to that line, the last one the column path sees
-        (20, [lines[0], "2: 1 2 3 0", *lines[2:]], [None, 1, None]),
-        # a failing batch of one line is not re-read
+        # a bad block in the second line of batch 1-2 declines that batch:
+        # lines 1-6 go chunk by chunk, line 1 too
+        (20, [lines[0], "2: 1 2 3 0", *lines[2:]], [None]),
+        # an unsorted block in the 28-character line declines its batch:
+        # lines 4-6 go chunk by chunk
         (20, [*lines[:3], "4: 1 2 3 7, 1 2 3 8, 1 2 9 3", *lines[4:]], [2, 1, None]),
     ]
     for segment, class_lines, logged in cases:
         calls = []
         text = head + "\n".join(class_lines) + "\n" * 1008
-        with pytest.MonkeyPatch.context() as mp:
-            real = factorization._columns
-
-            def spy(*args):
-                result = real(*args)
-                calls.append(None if result is None else len(result) // 4)
-                return result
-            mp.setattr(factorization, "_SEGMENT", segment)
-            mp.setattr(factorization, "_columns", spy)
-            outcome = _outcome(text)
+        assert _segmented_outcome(text, segment, calls) == _chunk_path_outcome(text)
         assert calls == logged
-        assert outcome == _chunk_path_outcome(text)
+
+
+def test_a_declined_batch_and_every_later_line_go_by_chunks():
+    # 275 class lines of 100 blocks of 1..30 (the last one of 5), 324 KB in
+    # five batches of at least 64 KiB; a defect on the first, a middle or the
+    # last class line declines the batch that holds it, and the column path
+    # is offered no later batch
+    blocks = list(combinations(range(1, 31), 4))
+    fact = Factorization(30, 1, 1, [blocks[i:i + 100] for i in range(0, len(blocks), 100)])
+    lines = render_factorization(fact).split("\n")
+    valid = []
+    assert _segmented_outcome("\n".join(lines), factorization._SEGMENT, valid) == fact
+    assert len(valid) == 5 and sum(valid) == len(blocks)
+    # the class lines up to the end of each batch
+    ends = list(accumulate(-(-count // 100) for count in valid))
+    for at in (1, len(lines) // 2, len(fact.classes)):
+        prefix, body = lines[at].split(": ", 1)
+        a, b, c, d = body.split(",", 1)[0].split()
+        rest = body[len(f"{a} {b} "):]
+        declined = next(i for i, end in enumerate(ends) if at <= end)
+        out_of_range = (f"line {at + 1}: class {at}: block {(0, int(b), int(c), int(d))}"
+                        " out of range 1..30", at + 1)
+        # a zero-padded label, an unsorted block, a vertex 0
+        for first, outcome in ((f"0{a} {b}", fact), (f"{b} {a}", fact),
+                               (f"0 {b}", out_of_range)):
+            text = "\n".join([*lines[:at], f"{prefix}: {first} {rest}", *lines[at + 1:]])
+            log = []
+            assert _segmented_outcome(text, factorization._SEGMENT, log) == outcome
+            assert outcome == _chunk_path_outcome(text)
+            assert log == [*valid[:declined], None]
 
 
 def test_columns_agree_with_the_chunk_path_at_a_segment_cut():
     text = _one_class_line(30)
     assert len(text) > 4 * factorization._SEGMENT  # five segments
-    paths = []
-    assert _segmented_outcome(text, factorization._SEGMENT, paths) == _chunk_path_outcome(text)
-    assert paths == [True]  # the column path reads all five segments
+    log = []
+    assert _segmented_outcome(text, factorization._SEGMENT, log) == _chunk_path_outcome(text)
+    assert log == [comb(30, 4)]  # the column path reads all five segments
     head, line, _ = text.split("\n")
     # block k ends at the line's first cut; offsets count from the body,
     # the part after "1:", as the parser's do
@@ -698,28 +741,28 @@ def test_columns_agree_with_the_chunk_path_at_a_segment_cut():
     start = body.rfind(",", 0, end) + 2
     block, rest = body[start:end], body[end + 2:]
     before = "1:" + body[:start]
-    # each case with whether the column path reads its line
+    # each case with the blocks the column path reads of its line, or None
     cases = [
         # block k with three vertices
-        (head, before + block.rsplit(" ", 1)[0] + ", " + rest, False),
+        (head, before + block.rsplit(" ", 1)[0] + ", " + rest, None),
         # block k's comma inside the token "d,e": the cut splits it, so the
         # column path reads the line
-        (head, before + block + "," + rest, True),
+        (head, before + block + "," + rest, comb(30, 4)),
         # the line ends in ", " after block k; the rest of it becomes class
         # 2, so the file keeps its length and with it the label table
-        (head[:-1] + "2", before + block + ", \n2: " + rest, False),
+        (head[:-1] + "2", before + block + ", \n2: " + rest, None),
     ]
     outcomes = []
-    for new_head, new_line, by_columns in cases:
+    for new_head, new_line, logged in cases:
         changed = f"{new_head}\n{new_line}\n"
         # the segment size that cuts the line just after block k's comma
         at = new_line.index(",", len(before)) - 2
         assert new_line[2:].find(",", at) == at
-        paths = []
-        outcomes.append(_segmented_outcome(changed, at, paths))
+        log = []
+        outcomes.append(_segmented_outcome(changed, at, log))
         # a line the column path declines is its last: no line after it is
         # offered to it
-        assert paths == [by_columns]
+        assert log == [logged]
         assert outcomes[-1] == _chunk_path_outcome(changed)
     a, b, c, _ = map(int, block.split())
     assert outcomes[0] == (f"line 2: class 1: block {(a, b, c)} is not a 4-subset", 2)
