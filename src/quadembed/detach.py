@@ -4,7 +4,7 @@ Both constructions start from an amalgam, in which whole vertex sets are
 merged into single vertices of multiplicity, and split one vertex off at a
 time.  An edge type (D, b, t) is a 4-multiset made of the set D of vertices
 already detached plus b copies of the old amalgam beta and t copies of the
-new amalgam alpha, |D| + b + t = 4 (D is a bitmask over vertex labels).
+new amalgam alpha, |D| + b + t = 4.
 The state gives every class j a count x_j(type) of its edges of each type:
 
   * ``generate_base`` starts every class at (r*m/4) x (empty, 4, 0): all of
@@ -16,10 +16,13 @@ The state gives every class j a count x_j(type) of its edges of each type:
     copied into classes 1..q unchanged.
 
 A type is stored as one int, D << 6 | b << 3 | t: b and t take three bits
-each, and vertex v is bit v + 6.  So c (below) is a shift and a mask, the
-type that receives v is the key plus 2^(v + 6) minus 8 (v leaves beta) or
-minus 1 (v leaves alpha), and a finished type (D, 0, 0) decodes to its
-block, sorted, by four lowest-set-bit extractions.
+each, and D holds the vertices of D in detach order as fields of w bits,
+w = 8 up to n = 255, else 16 (a live key stays within 30 bits at n <= 255).
+So c (below) is a shift and a mask, and the type that receives v is
+((key & -64) << w) + (key & 63) + (v << 6) minus 8 (v leaves beta) or 1
+(v leaves alpha).  A finished type (D, 0, 0) is key << 6 for the key of
+its block as ``Factorization`` stores it, once its four fields are sorted,
+and seed 0 detaches in ascending order, so they are.
 
 The old vertices 1..m are detached from beta first, then the new vertices
 m+1..n from alpha.  Detaching v from an amalgam of multiplicity a chooses,
@@ -51,11 +54,12 @@ So the fair point lies in the transportation polytope given by the caps and
 both sums.  Its constraint matrix is the incidence matrix of a bipartite
 graph (classes against types), which is totally unimodular, so with
 integral sums the polytope restricted to the box [floor, ceil] of the fair
-point has an integral vertex.  The step finds one.  Every cell starts at
-floor(x * c / a), and a cell whose fair value is fractional may take one
-more (capacity 1 each).  How those cells are chosen depends on a:
+point has an integral vertex.  The step finds one.  The scan moves every
+cell's floor(x * c / a) edges as it reads them, and a cell whose fair
+value is fractional may move one more (capacity 1 each), in its row's
+order once all are chosen.  How those cells are chosen depends on a:
 
-  * a <= 2: a cell starts at x * c >> (a - 1) and is odd when
+  * a <= 2: a cell's floor is x * c >> (a - 1) and it is odd when
     x * c & (a - 1).  At a = 1 no cell is odd, since the fair point is
     integral, and every cell with c = 1 moves whole.  At a = 2 every
     fractional part is 1/2.  By the two sums, a row has exactly twice its
@@ -78,30 +82,32 @@ edges, the receivers number lam * C(a - 1, b - 1) * C(a', t), and each
 class loses exactly deg_j of its incidence: (I1) and (I2) hold at a - 1.
 
 A type that finishes, (D, 0, 0) with |D| = 4, leaves the state in the
-step that finishes it, and the vertices of its block are appended to its
-class's ``block_array`` (after the base blocks in ``detach``), so the state
-holds only live types and a block takes 4 bytes (8 past n = 255), not an
-80-byte tuple; ``Factorization`` checks those arrays by columns and stores
-each as its sorted keys.  When both amalgams are used up the state is
+step that finishes it, and key >> 6 is appended to its class's
+``key_array`` (after the base's keys, copied as they are, in ``detach``):
+the state holds only live types, and ``Factorization`` proves the arrays
+by columns and sorts them.  When both amalgams are used up the state is
 empty, so by (I1) every 4-set occurs lam times, and every vertex received
-exactly its degree in every class.  There is no search and no exhaustion: any valid plan with any
-valid base yields a certificate in time polynomial in the number of
-blocks.  The result is still checked: the base once, on entry, and on exit
-the outer system and its restriction to the base.
+exactly its degree in every class.  There is no search and no exhaustion:
+any valid plan with any valid base yields a certificate in time polynomial
+in the number of blocks.  The result is still checked: the base once, on
+entry, and on exit the outer system and its restriction to the base.
 
-Cost.  A step scans the state once (its (class, type) entries) and
-updates the cells that receive v; at a <= 2 that is all.  At a >= 3 a
-phase costs at most one pass over the fractional cells, and the phases
-number at most the longest shortest augmenting path; most steps need none
-or one.  At (6,48,2,5,1), seed 0, 3,243 classes with up to 171k fractional
-cells in one step, the 54 steps leave 13,954 units to 59 phases (the units
-of a phase are its short rows' need when it starts): 44 steps need at most
-one, and the last few, where a is small, up to 6 (a = 3).  The three
-a = 2 steps split 8, 338 and 30,360 odd cells by trails.
+Cost.  A step scans the state once (its (class, type) entries), moving
+the floors as it goes; at a <= 2 the trails and the odd cells they take
+are all that is left.  At a >= 3 a phase costs at most one pass over the
+fractional cells, and the phases number at most the longest shortest
+augmenting path; most steps need none or one.  At (6,48,2,5,1), seed 0,
+3,243 classes with up to 171k fractional cells in one step, the 54 steps
+leave 14,534 units to 59 phases (the units of a phase are its short rows'
+need when it starts): 44 steps need at most one, and the last few, where
+a is small, up to 5 (a = 3).  The three a = 2 steps split 8, 338 and
+30,360 odd cells by trails.
 
 ``seed`` permutes the order in which the old vertices, and then the new
-vertices, are detached; seed 0 keeps the natural order.  Classes and types
-are visited in a fixed order, so the output is a function of the inputs.
+vertices, are detached; seed 0 keeps the natural order, and any other
+seed sorts the fields of each block once all are detached.  Classes, types
+and the extra cells of a row are visited in a fixed order, so the output
+is a function of the inputs.
 """
 
 from __future__ import annotations
@@ -109,40 +115,47 @@ from __future__ import annotations
 import random
 from array import array
 from collections import defaultdict
+from collections.abc import Iterable
+from bisect import bisect_right
+from itertools import accumulate, chain, compress
 
 from .errors import InputError
 from .factorization import (
+    ColorClass,
     EmbeddingCertificate,
     Factorization,
-    block_array,
     factorization_issues,
     is_valid_factorization,
+    key_array,
     restriction_issues,
 )
 from .params import EmbeddingParams, class_count, color_counts, integers
 from .planner import AmalgamPlan, verify_plan
 
-EdgeType = int  # d << 6 | b << 3 | t: detached-vertex bitmask d, then b and t
+EdgeType = int  # D << 6 | b << 3 | t: D the fields of the detached vertices
 _BETA, _ALPHA = 3, 0  # the shift that reads an amalgam's copy count c off a type
 # the two amalgams at the start of ``detach``: (empty, 3, 1) ... (empty, 0, 4)
 _PLAN_TYPES = (3 << 3 | 1, 2 << 3 | 2, 1 << 3 | 3, 0 << 3 | 4)
 
 
-def _match(cells: list[list[EdgeType]], chosen: list[set[EdgeType]],
+def _match(cells: list[list[EdgeType]], chosen: list[dict[EdgeType, int]],
            row_need: list[int], col_need: dict[EdgeType, int]) -> None:
     """Take row_need[j] more of row j's cells ``cells[j]`` and col_need[type]
-    more in each column, each cell at most once, into ``chosen``; the cells
+    more in each column, each cell at most once, into ``chosen``, where
+    chosen[j] maps each cell row j takes to its place in cells[j]; the cells
     already in ``chosen`` may move.  ``row_need`` and ``col_need`` are used
     up.  A greedy pass first takes any cell still allowed: the paths of
     length one, found without a phase's set-up.  Hopcroft-Karp phases of
     augmenting paths close what is left."""
+    if not (col_need or any(row_need)):  # every need is met already
+        return
     for j, need in enumerate(row_need):
         if need > 0:
             taken = chosen[j]
-            for key in cells[j]:
+            for i, key in enumerate(cells[j]):
                 if col_need[key] > 0 and key not in taken:
                     col_need[key] -= 1
-                    taken.add(key)
+                    taken[key] = i
                     need -= 1
                     if not need:
                         break
@@ -161,7 +174,7 @@ def _match(cells: list[list[EdgeType]], chosen: list[set[EdgeType]],
 
 
 def _phase(cells: list[list[EdgeType]], short: list[int],
-           chosen: list[set[EdgeType]], holders: dict[EdgeType, set[int]],
+           chosen: list[dict[EdgeType, int]], holders: dict[EdgeType, set[int]],
            row_need: list[int], col_need: dict[EdgeType, int]) -> None:
     """One Hopcroft-Karp phase: a layered BFS from every short row, then
     disjoint shortest augmenting paths through the layers.  A path
@@ -244,10 +257,10 @@ def _phase(cells: list[list[EdgeType]], short: list[int],
             if not path:
                 break
             for w, key, old in zip(path, via, [None] + via):
-                chosen[w].add(key)
+                chosen[w][key] = arc[w]  # the place of key in w's row
                 holders[key].add(w)
                 if old is not None:
-                    chosen[w].discard(old)
+                    del chosen[w][old]
                     holders[old].discard(w)
             row_need[start] -= 1
             col_need[via[-1]] -= 1
@@ -258,43 +271,25 @@ def _share_error(key: EdgeType, v: int) -> RuntimeError:
     return RuntimeError(f"edge type {dbt} has a non-integral share at vertex {v}")
 
 
-def _halve(classes: list[dict[EdgeType, int]], v: int, a: int, shift: int,
-           degree: list[int]) -> list[dict[EdgeType, int]]:
-    """a <= 2: every cell starts at its floor, and the cells where x * c / a
-    is fractional (odd cells) form a bipartite graph of classes against
-    types.  At a = 1 there is no odd cell and every cell moves whole.  By
-    (I2) a row has exactly twice its need of odd cells, and by (I1) a
-    column an even number; both are checked first.  Closed trails are then
+def _trails(cells: list[list[EdgeType]]) -> list[Iterable[EdgeType]]:
+    """a <= 2: the odd cells, where x * c / a is fractional, form a
+    bipartite graph of classes against types; each row's taken cells are
+    returned in its order, none at all when there is no odd cell (as at
+    a = 1).  By (I2) a row has exactly twice its need of odd cells, and by
+    (I1) a column an even number; the scan checks both.  Closed trails are
     walked, one current-arc pointer per row and per column, and the cells
     walked row -> column are taken: each visit enters and leaves, so every
     row and every column takes exactly half of its odd cells."""
-    half = a - 1
-    moves, ends, skewed = [], [], False
-    keys, rows = [], []  # the odd cells, row by row: their column and row
+    if not any(cells):
+        return []
+    keys = list(chain.from_iterable(cells))  # the odd cells, row by row
+    ends = list(accumulate(map(len, cells)))  # row j's cells end at ends[j]
     col_cells: dict[EdgeType, list[int]] = defaultdict(list)
-    for cls, deg in zip(classes, degree):
-        start, first_odd = {}, len(keys)
-        for key, x in cls.items():
-            rem = x * (key >> shift & 7)
-            if rem > half:
-                start[key] = y = rem >> half
-                deg -= y
-            if rem & half:
-                col_cells[key].append(len(keys))
-                keys.append(key)
-                rows.append(len(moves))
-        moves.append(start)
-        ends.append(len(keys))
-        # the row takes half of its odd cells, so they must be twice its need
-        skewed |= 2 * deg != len(keys) - first_odd
-    for key, cells in col_cells.items():
-        if len(cells) & 1:
-            raise _share_error(key, v)
-    if skewed:
-        raise RuntimeError("detachment step has no integral solution")
+    for e, key in enumerate(keys):
+        col_cells[key].append(e)
     pos = [0] + ends[:-1]  # each row's current arc
-    used = bytearray(len(keys))
-    for first in dict.fromkeys(rows):  # each row with odd cells, in order
+    used, taken = bytearray(len(keys)), bytearray(len(keys))
+    for first in range(len(cells)):  # each row, in order
         j = first
         while True:  # a trail runs out of cells only back at its first row
             e, end = pos[j], ends[j]
@@ -303,105 +298,100 @@ def _halve(classes: list[dict[EdgeType, int]], v: int, a: int, shift: int,
             pos[j] = e
             if e == end:
                 break
-            used[e] = 1
-            key = keys[e]
-            start = moves[j]
-            start[key] = start.get(key, 0) + 1
-            cells = col_cells[key]  # its arc: the end of the list
-            f = cells.pop()
+            used[e] = taken[e] = 1
+            arc = col_cells[keys[e]]  # its column's arc: the end of the list
+            f = arc.pop()
             while used[f]:
-                f = cells.pop()
+                f = arc.pop()
             used[f] = 1
-            j = rows[f]
-    return moves
+            j = bisect_right(ends, f)  # the row of cell f
+    return [compress(keys[lo:hi], taken[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _round(classes: list[dict[EdgeType, int]], v: int, a: int, shift: int,
-           degree: list[int]) -> list[dict[EdgeType, int]]:
-    """a >= 3, the other regime: every cell starts at its floor.  A
-    fractional cell is taken once more when the running sum of fractional
-    parts in its column crosses a multiple of a (systematic rounding of the
-    fair point, column by column), as far as its row's need allows;
-    ``_match`` closes the rest.  Each part is below a, so a column crosses
-    exactly sum_j (x_j c mod a) / a times, its share: it needs again only
-    the crossings a row dropped."""
+def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[array],
+                   v: int, a: int, from_beta: bool, degree: list[int]) -> None:
+    """Split vertex v off the amalgam of multiplicity a (beta or alpha);
+    class j receives v on exactly degree[j] of its edges.  One scan moves
+    every cell's floor and lists each row's fractional cells, with the ones
+    that systematic rounding takes (used at a >= 3): a fractional cell is
+    taken when the running sum of fractional parts in its column crosses a
+    multiple of a, as far as its row's need allows, and ``_match`` closes
+    the rest.  Each part is below a, so a column crosses exactly
+    sum_j (x_j c mod a) / a times, its share: it needs again only the
+    crossings a row dropped.  At a <= 2 ``_trails`` chooses instead.  The
+    chosen cells then move one more edge each, in their row's order.  A
+    type that finishes, (D, 0, 0), leaves ``classes[j]``, and key >> 6 goes
+    to ``blocks[j]``."""
+    shift = _BETA if from_beta else _ALPHA
+    # the receivers gain v's field after those of D and lose one copy of
+    # the amalgam; a 4-byte key has 8-bit fields, an 8-byte one 16-bit ones
+    step, w = (v << 6) - (1 << shift), blocks[0].itemsize * 2
     running: dict[EdgeType, int] = defaultdict(int)  # mod a, per column
     col_need: dict[EdgeType, int] = defaultdict(int)
-    moves, cells, chosen, row_need = [], [], [], []
-    for cls, deg in zip(classes, degree):
-        start, frac, picks = {}, [], []
-        for key, x in cls.items():
+    cells, chosen, row_need, skewed = [], [], [], False
+    for cls, out, deg in zip(classes, blocks, degree):
+        frac, picks = [], {}  # picks: a taken cell's place in frac
+        for key, x in cls.copy().items():
             rem = x * (key >> shift & 7)
             if rem >= a:
                 y = rem // a
-                start[key] = y
                 deg -= y
                 rem -= y * a
+                if x > y:
+                    cls[key] = x - y
+                else:
+                    del cls[key]
+                to = ((key & -64) << w) + (key & 63) + step
+                if to & 63:
+                    cls[to] = y  # a new key: no type of cls has v in D yet
+                elif y == 1:
+                    out.append(to >> 6)
+                else:
+                    out.extend((to >> 6,) * y)
             if rem:
                 frac.append(key)
                 rem += running[key]
                 if rem >= a:
                     rem -= a
-                    picks.append(key)
+                    picks[key] = len(frac) - 1
                 running[key] = rem
+        skewed |= 2 * deg != len(frac)  # at a <= 2: not twice its need
         if len(picks) > deg:
-            keep = max(deg, 0)
-            for key in picks[keep:]:
+            for key in list(picks)[max(deg, 0):]:
                 col_need[key] += 1
-            del picks[keep:]
-        moves.append(start)
+                del picks[key]
         cells.append(frac)
-        chosen.append(set(picks))
+        chosen.append(picks)
         row_need.append(deg - len(picks))
     for key, rem in running.items():
         if rem:
             raise _share_error(key, v)
-    _match(cells, chosen, row_need, col_need)
-    for start, extra in zip(moves, chosen):
-        for key in extra:
-            start[key] = start.get(key, 0) + 1
-    return moves
-
-
-def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[bytearray | array],
-                   v: int, a: int, from_beta: bool, degree: list[int]) -> None:
-    """Split vertex v off the amalgam of multiplicity a (beta or alpha);
-    class j receives v on exactly degree[j] of its edges.  A type that
-    finishes, (D, 0, 0), leaves ``classes[j]`` and the vertices of its
-    block go to ``blocks[j]``."""
-    shift = _BETA if from_beta else _ALPHA
     if a <= 2:
-        moves = _halve(classes, v, a, shift, degree)
+        if skewed:
+            raise RuntimeError("detachment step has no integral solution")
+        moves = _trails(cells)
     else:
-        moves = _round(classes, v, a, shift, degree)
-    # the receivers gain v in D and lose one copy of the amalgam
-    step = (1 << (v + 6)) - (1 << shift)
-    for cls, out, move in zip(classes, blocks, moves):
-        for key, y in move.items():
-            left = cls[key] - y
-            if left:
-                cls[key] = left
+        _match(cells, chosen, row_need, col_need)
+        moves = [sorted(extra, key=extra.__getitem__) for extra in chosen]
+    for cls, out, keys in zip(classes, blocks, moves):
+        for key in keys:
+            if cls[key] > 1:
+                cls[key] -= 1
             else:
                 del cls[key]
-            key += step
+            key = ((key & -64) << w) + (key & 63) + step
             if key & 63:
-                cls[key] = y  # a new key: no type of cls has v in D yet
-            else:  # the four set bits of D, lowest first
-                d = key >> 6
-                v1 = d & -d
-                d ^= v1
-                v2 = d & -d
-                d ^= v2
-                v3 = d & -d
-                out.extend((v1.bit_length() - 1, v2.bit_length() - 1,
-                            v3.bit_length() - 1, (d ^ v3).bit_length() - 1) * y)
+                cls[key] = cls.get(key, 0) + 1
+            else:
+                out.append(key >> 6)
 
 
-def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[bytearray | array],
-                amalgams: list[tuple[range, bool, list[int]]], seed: int) -> None:
+def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[array],
+                amalgams: list[tuple[range, bool, list[int]]], seed: int) -> list:
     """Detach every vertex of each amalgam in turn; ``amalgams`` lists
     (vertices, from_beta, degree).  A nonzero seed shuffles each amalgam's
-    order, all with one generator."""
+    order, all with one generator, and then the fields of each finished
+    key, in detach order, are sorted; the classes are returned."""
     rng = random.Random(seed) if seed else None
     for vertices, from_beta, degree in amalgams:
         order = list(vertices)
@@ -411,6 +401,9 @@ def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[bytearray | arr
             _detach_vertex(classes, blocks, v, len(order) - i, from_beta, degree)
     if any(classes):
         raise RuntimeError("detachment left an amalgamated edge")
+    if rng:
+        return [list(map(sorted, ColorClass(out.tobytes(), out.typecode))) for out in blocks]
+    return blocks
 
 
 def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
@@ -418,8 +411,8 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
     m, r, lam = integers((m, r, lam))
     q = class_count(m, r, lam)  # raises unless (m, r, lam) is admissible
     classes = [{4 << 3 | 0: r * m // 4} for _ in range(q)]  # (empty, 4, 0)
-    blocks = [block_array(m) for _ in range(q)]
-    _detach_all(classes, blocks, [(range(1, m + 1), True, [r] * q)], seed)
+    blocks = [key_array(m) for _ in range(q)]
+    blocks = _detach_all(classes, blocks, [(range(1, m + 1), True, [r] * q)], seed)
     fact = Factorization(m, lam, r, blocks)
     if not is_valid_factorization(fact):
         raise RuntimeError("generated base fails verification")
@@ -443,10 +436,10 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
     for count, *quad in plan.rows:
         cls = {key: x for key, x in zip(_PLAN_TYPES, quad) if x}
         classes += (dict(cls) for _ in range(count))
-    blocks = [block_array(n, old) for old in base.classes]
-    blocks += (block_array(n) for _ in range(k - q))
-    _detach_all(classes, blocks, [(range(1, m + 1), True, [s - r] * q + [s] * (k - q)),
-                                  (range(m + 1, n + 1), False, [s] * k)], seed)
+    blocks = [key_array(n, old) for old in base.classes]
+    blocks += (key_array(n) for _ in range(k - q))
+    blocks = _detach_all(classes, blocks, [(range(1, m + 1), True, [s - r] * q + [s] * (k - q)),
+                                           (range(m + 1, n + 1), False, [s] * k)], seed)
 
     # the base was checked on entry and is immutable: check what is new
     outer = Factorization(n, p.lam, s, blocks)

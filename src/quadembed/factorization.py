@@ -15,16 +15,18 @@ Storage.  A block a < b < c < d is one key, ((a << w | b) << w | c) << w
 | d, with fields of w = 8 bits up to ground size 255 (a 4-byte key, array
 typecode "I") and of 16 bits up to 65,535 (8 bytes, "Q"); a larger ground
 size is refused.  Keys compare as their blocks do as tuples, and a class is
-stored as the bytes of its sorted keys in native byte order, so a block
-takes 4 bytes where its tuple took 80, and the cyclic garbage collector
-tracks none of them.  A key's fields are also read in place, as the bytes
-(or 16-bit items) of the class: in memory they run d c b a on a
-little-endian host and a b c d on a big-endian one (``_LAST``).  The issue
-finders read that storage: the cover from the keys, the degrees of a class
-from its fields four at a time, and the restriction to 1..m from the field
-d.  ``classes`` is a tuple of read-only ``ColorClass`` views, which decode
-a class to its sorted 4-tuples when it is read and compare, hash and print
-as that tuple; ``len()`` and indexing decode no more than they return.
+stored as the bytes of its sorted keys in native byte order: 4 bytes a
+block, none tracked by the cyclic garbage collector.  The construction
+builds these keys field by field in a ``key_array``.  A key's fields are
+also read in place, as the bytes (or 16-bit items) of the class: in memory
+they run d c b a on a little-endian host and a b c d on a big-endian one
+(``_LAST``).  The issue finders read that storage: the cover from the keys,
+the degrees of a class from its fields (by ``bytes.count`` per vertex when
+the class is long and the vertices few, else four at a time), and the
+restriction to 1..m from the field d.  ``classes`` is a tuple of read-only
+``ColorClass`` views, which decode a class to its sorted 4-tuples when it
+is read and compare, hash and print as that tuple; ``len()`` and indexing
+decode no more than they return.
 
 A Factorization is immutable and checked once, on construction or by the
 parser (below): every block becomes a 4-subset of 1..ground_size stored as
@@ -35,16 +37,17 @@ string is rejected, even when its value is integral, and an ``int``
 subclass such as ``bool`` is stored as a plain ``int``.  The three header
 fields are converted and stored the same way.
 
-The constructor's check runs one class at a time, by columns.  A class
-given as its vertices, four per block, in a bytearray (ground size up to
-255) or an array of 16-bit items (``block_array``), which is what the
-construction hands over, is read as it is; any other class is flattened
-into one when every block has four integer vertices that fit a field.
-Three comparisons of columns, with the least a and the largest d, then
-prove every block a 4-subset of 1..ground_size, and the keys are packed
-and sorted.  A class that fails, or that cannot be flattened, goes block by
-block through ``_canonical_block``, which sorts each block, converts its
-vertices and words the error.
+The constructor's check runs by columns.  A list of classes that are all
+arrays of keys of its typecode, which is what the construction hands over,
+is proved at once, the fields in memory order.  Otherwise each class is
+proved alone: one given as its vertices, four per block, in a bytearray
+(ground size up to 255) or an array of 16-bit items is read as it is, and
+any other (keys too) is flattened into one when every block has four
+integer vertices that fit a field.  Three comparisons of columns, with the
+least a and the largest d, prove every block a 4-subset of
+1..ground_size, and the keys are sorted.  A class that fails, or that
+cannot be flattened, goes block by block through ``_canonical_block``,
+which sorts each block, converts its vertices and words the error.
 
 The parser reads the labels of a line in the renderer's layout through a
 table from "1".."N" to their integers.  N is at most ground_size and at
@@ -75,7 +78,8 @@ by chunk with ``int()``, and a chunk with a token that is not ASCII digits
 ("+1", "-1", "0_5", "٢"; "04" is 4) is passed on as its list of tokens.  The
 constructor then checks the whole file, and reports a bad block with its
 class's line.  The four header fields follow the same rule: "06" is 6, and
-"+6", "-1", "0_6" or "٦" is a bad header.
+"+6", "-1", "0_6" or "٦" is a bad header; so does a class index, one such
+token before a colon.
 
 An EmbeddingCertificate pairs an inner factorization on {1..m} with an outer
 one on {1..n}.  It is valid when both factorizations are valid and
@@ -114,16 +118,16 @@ def _key_code(ground_size: int) -> str:
     return "I" if ground_size <= 255 else "Q"
 
 
-def block_array(ground_size: int, blocks=()) -> bytearray | array:
-    """A new class of blocks on 1..ground_size as its vertices, four per
-    block, which ``Factorization`` takes as a class: a bytearray up to 255,
-    an array of 16-bit items above.  It starts with ``blocks`` (a class of
-    another factorization is copied from its keys); the construction
-    appends to it and hands it over without building tuples."""
-    fields = _VERTICES[_key_code(ground_size)]()
-    fields.extend(_flat(blocks._keys, blocks._code) if type(blocks) is ColorClass
-                  else chain.from_iterable(blocks))
-    return fields
+def key_array(ground_size: int, cls: ColorClass | None = None) -> array:
+    """A new class of blocks on 1..ground_size as an array of keys, which
+    ``Factorization`` takes as a class, starting with the keys of ``cls``, a
+    class on at most ground_size vertices; the construction appends to it."""
+    code = _key_code(ground_size)
+    if cls is None:
+        return array(code)
+    if cls._code == code:
+        return array(code, cls._keys)
+    return array(code, array("H", memoryview(cls._keys)).tobytes())  # 8-bit fields widened
 
 
 def _fields(keys, code: str) -> bytes | array:
@@ -152,14 +156,16 @@ def _blocks(keys, code: str):
     return zip(fields, fields, fields, fields)
 
 
-def _proved(fields: bytearray | array, ground_size: int) -> bool:
-    """Whether ``fields``, four per block, are blocks 1 <= a < b < c < d <=
-    ground_size, checked by columns."""
+def _proved(fields, ground_size: int, reverse: bool = False) -> bool:
+    """Whether ``fields``, four per block, a b c d (d c b a if ``reverse``),
+    are blocks 1 <= a < b < c < d <= ground_size, checked by columns."""
     if len(fields) % 4:
         return False
     if not fields:
         return True
     a, b, c, d = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
+    if reverse:
+        a, b, c, d = d, c, b, a
     return (min(a) >= 1 and max(d) <= ground_size and all(map(lt, a, b))
             and all(map(lt, b, c)) and all(map(lt, c, d)))
 
@@ -193,6 +199,8 @@ def _class_keys(cls, ground_size: int, code: str, index: int) -> bytes:
     """Class ``index`` as the bytes of its sorted keys, checked by columns
     or block by block, as the module docstring says."""
     vertices, fields = _VERTICES[code], None
+    if type(cls) is array and cls.typecode == code:  # keys, read as their blocks
+        cls = _blocks(cls, code)
     if (type(cls) is bytearray) if code == "I" else (type(cls) is array
                                                      and cls.typecode == "H"):
         fields = cls
@@ -281,6 +289,10 @@ class Factorization:
         if type(classes) is _Checked:
             keys = tuple(chain.from_iterable(
                 _sorted_keys(fields, code, counts) for fields, counts in classes))
+        elif (type(classes) is list
+              and all(type(c) is array and c.typecode == code for c in classes)
+              and _proved(_fields(b"".join(classes), code), n, _LITTLE)):  # keys, by columns
+            keys = tuple(array(code, sorted(c)).tobytes() for c in classes)
         else:
             keys = tuple(_class_keys(c, n, code, i) for i, c in enumerate(classes))
         for name, x in zip(self.__slots__, (n, lam, reg, keys, code, None)):
@@ -317,9 +329,9 @@ class Factorization:
 
     def __reduce__(self):
         # unpickling goes through the constructor, which checks every block
-        # again: each class travels as its array of vertices
+        # again: each class travels as its array of keys
         return Factorization, (self.ground_size, self.lam, self.regularity,
-                               [block_array(self.ground_size, cls) for cls in self.classes])
+                               [array(self._code, keys) for keys in self._keys])
 
 
 def factorization_issues(fact: Factorization) -> list[str]:
@@ -353,13 +365,17 @@ def factorization_issues(fact: Factorization) -> list[str]:
             issues.append(f"class {i + 1}: {count} blocks cannot give all {n}"
                           f" vertices degree {reg} (needs 4 * blocks = {reg * n})")
             continue
-        degrees = [0] * (n + 1)
-        vertices = iter(_fields(cls, code))  # four per block, in any order
-        for a, b, c, d in zip(vertices, vertices, vertices, vertices):
-            degrees[a] += 1
-            degrees[b] += 1
-            degrees[c] += 1
-            degrees[d] += 1
+        fields = _fields(cls, code)  # four per block, in any order
+        if code == "I" and reg * (46 - n) > 30 * n:  # long classes on few vertices
+            degrees = list(map(fields.count, range(n + 1)))
+        else:
+            degrees = [0] * (n + 1)
+            vertices = iter(fields)
+            for a, b, c, d in zip(vertices, vertices, vertices, vertices):
+                degrees[a] += 1
+                degrees[b] += 1
+                degrees[c] += 1
+                degrees[d] += 1
         if degrees.count(reg) != n:  # degrees[0] stays 0 < reg
             bad = [v for v in range(1, n + 1) if degrees[v] != reg]
             issues.append(f"class {i + 1}: vertices {bad} do not have degree {reg}")
@@ -452,13 +468,14 @@ def parse_factorization(text: str) -> Factorization:
     label = {str(v): v for v in range(1, top + 1)}.__getitem__
     comma_label = {f"{v},": v for v in range(1, top + 1)}.__getitem__
     for expected, (lineno, ln) in enumerate(rows, start=1):
-        prefix = ln[:ln.find(":")] if ":" in ln else ln
-        try:
-            idx = int(prefix)
-        except ValueError as exc:
-            raise FormatError(f"bad class index {prefix!r}", lineno) from exc
-        if idx != expected:
-            raise FormatError(f"class index {idx}, expected {expected}", lineno)
+        colon = ln.find(":")
+        if colon < 0:
+            raise FormatError("class line has no ':' after its index", lineno)
+        index = ln[:colon].strip()  # one token of ASCII digits, as a label
+        if not (index.isascii() and index.isdigit()):
+            raise FormatError(f"bad class index {ln[:colon]!r}", lineno)
+        if (index.lstrip("0") or "0") != str(expected):
+            raise FormatError(f"class index {index.lstrip('0') or 0}, expected {expected}", lineno)
     classes = _by_columns([ln for _, ln in rows], label, comma_label, _key_code(ground))
     done = sum(len(counts) for _, counts in classes)
     if done < len(rows):

@@ -1,5 +1,6 @@
 import importlib
 import time
+from array import array
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from quadembed.detach import detach, generate_base
 from quadembed.errors import InputError
 from quadembed.factorization import (
+    ColorClass,
     Factorization,
     is_valid_factorization,
     render_factorization,
@@ -208,30 +210,50 @@ def _outer(tup, seed):
     return _certificate(tup, seed).outer
 
 
-def _pack(d, b, t):
-    """An edge type as the construction stores it: d << 6 | b << 3 | t."""
-    return d << 6 | b << 3 | t
+def _pack(detached, b, t, w=8):
+    """An edge type as the construction stores it: the vertices of D in
+    detach order, w bits each, then b and t in three bits each."""
+    fields = 0
+    for u in detached:
+        fields = fields << w | u
+    return fields << 6 | b << 3 | t
 
 
-def _amalgamate(fact, beta, alpha):
-    """The flow state of ``fact`` with the vertex sets beta and alpha merged:
-    per class, the count of each edge type (D, b, t), packed."""
+def _unpack(key, w=8):
+    """(the vertices of D in detach order, b, t) of a packed edge type."""
+    fields, detached = key >> 6, []
+    while fields:
+        detached.append(fields & (1 << w) - 1)
+        fields >>= w
+    return tuple(reversed(detached)), key >> 3 & 7, key & 7
+
+
+def _receiver(key, v, from_beta, w=8):
+    """The type that an edge of type ``key`` becomes when it receives v."""
+    d, b, t = _unpack(key, w)
+    return _pack(d + (v,), b - 1, t, w) if from_beta else _pack(d + (v,), b, t - 1, w)
+
+
+def _amalgamate(fact, beta, alpha, detached, w=8):
+    """The flow state of ``fact`` with the vertex sets beta and alpha merged
+    and the other vertices detached in the order ``detached``: per class,
+    the count of each edge type (D, b, t), packed."""
     state = []
     for cls in fact.classes:
         counts = Counter()
         for block in cls:
-            d = sum(1 << v for v in block if v not in beta and v not in alpha)
-            counts[_pack(d, sum(v in beta for v in block),
-                         sum(v in alpha for v in block))] += 1
+            counts[_pack([u for u in detached if u in block], sum(v in beta for v in block),
+                         sum(v in alpha for v in block), w)] += 1
         state.append(dict(counts))
     return state
 
 
 @st.composite
 def step_cases(draw, least=1, most=None):
-    """A regular factorization, two disjoint merged vertex sets and the
-    vertex to detach from one of them, whose size a (the multiplicity) lies
-    in [least, most]; every such state is reachable."""
+    """A regular factorization, two disjoint merged vertex sets, the vertex
+    to detach from one of them, whose size a (the multiplicity) lies in
+    [least, most], and the order in which the other vertices were detached,
+    a shuffled one; every such state is reachable."""
     tup = draw(st.sampled_from([(6, 8, 2, 5, 1), (5, 8, 4, 5, 1),
                                 (6, 9, 2, 4, 1), (4, 8, 2, 14, 2),
                                 (5, 10, 4, 6, 2)]))
@@ -244,16 +266,16 @@ def step_cases(draw, least=1, most=None):
     ours, theirs = set(order[:a]), set(order[a:a + other])
     beta, alpha = (ours, theirs) if from_beta else (theirs, ours)
     v = draw(st.sampled_from(sorted(ours)))
-    return fact, beta, alpha, v, from_beta
+    return fact, beta, alpha, v, from_beta, order[a + other:]
 
 
-def _run_step(fact, beta, alpha, v, from_beta):
-    """(state before, state after, a, matching problems and answers); the
-    blocks of the types that finished, four vertices each, are counted in
+def _run_step(fact, beta, alpha, v, from_beta, detached, w=8):
+    """(state before, state after, a, matching problems and answers), in
+    fields of w bits; the keys of the types that finished are counted in
     the state after as (D, 0, 0) again."""
-    before = _amalgamate(fact, beta, alpha)
+    before = _amalgamate(fact, beta, alpha, detached, w)
     after = [dict(cls) for cls in before]
-    blocks = [[] for _ in after]
+    blocks = [array("I" if w == 8 else "Q") for _ in after]
     a = len(beta if from_beta else alpha)
     matches = []
     real = detach_module._match
@@ -272,25 +294,22 @@ def _run_step(fact, beta, alpha, v, from_beta):
         detach_module._detach_vertex(after, blocks, v, a, from_beta,
                                      [fact.regularity] * len(after))
     for cls, out in zip(after, blocks):
-        for at in range(0, len(out), 4):
-            key = _pack(sum(1 << u for u in out[at:at + 4]), 0, 0)
-            cls[key] = cls.get(key, 0) + 1
+        for key in out:  # a finished key is its type (D, 0, 0) without b and t
+            cls[key << 6] = cls.get(key << 6, 0) + 1
     return before, after, a, matches
 
 
 @given(step_cases())
 def test_detachment_step_meets_sums_caps_and_box(case):
-    fact, beta, alpha, v, from_beta = case
+    fact, beta, alpha, v, from_beta, _ = case
     before, after, a, _ = _run_step(*case)
-    bit = 1 << v
     fair, got = Counter(), Counter()
     for old, new in zip(before, after):
         row = 0
         for key, x in old.items():
-            d, b, t = key >> 6, key >> 3 & 7, key & 7
+            _, b, t = _unpack(key)
             c = b if from_beta else t
-            to = _pack(d | bit, b - 1, t) if from_beta else _pack(d | bit, b, t - 1)
-            y = new.get(to, 0) if c else 0
+            y = new.get(_receiver(key, v, from_beta), 0) if c else 0
             assert 0 <= y <= x  # caps
             assert x * c // a <= y <= -(-x * c // a)  # [floor, ceil] box
             assert new.get(key, 0) == x - y
@@ -301,6 +320,48 @@ def test_detachment_step_meets_sums_caps_and_box(case):
         assert sum(new.values()) == sum(old.values())
     for key, total in fair.items():
         assert got[key] * a == total  # column sum: the type's fair share
+
+
+@given(step_cases())
+def test_sixteen_bit_fields_take_the_same_step(case):
+    # n > 255 never runs end to end: the same states in 16-bit fields (keys
+    # in 8-byte arrays) take the same step, type for type, in the same order
+    steps = []
+    for w in (8, 16):
+        _, after, _, matches = _run_step(*case, w=w)
+        steps.append(([[(_unpack(key, w), x) for key, x in cls.items()] for cls in after],
+                      [[[_unpack(key, w) for key in row] for row in cells]
+                       for (cells, _, _), _ in matches]))
+    assert steps[0] == steps[1]
+
+
+def test_finished_keys_are_the_keys_of_their_blocks(monkeypatch):
+    # a type that finishes leaves the state as its key: seed 0 detaches in
+    # ascending order, so the key arrays handed to Factorization hold the
+    # keys it stores for the blocks, base blocks first
+    handed = []
+    real = detach_module.Factorization
+    monkeypatch.setattr(detach_module, "Factorization",
+                        lambda *args: handed.append(args[3]) or real(*args))
+    p = EmbeddingParams(5, 10, 4, 6, 2)
+    base = generate_base(p.m, p.r, p.lam)
+    cert = detach(p, base, build_plan(p))
+    for fact, classes in zip((base, cert.outer), handed):
+        assert {type(keys) for keys in classes} == {array}
+        assert [array(fact._code, sorted(keys)).tobytes() for keys in classes] == list(fact._keys)
+    for keys, old in zip(handed[1], base.classes):
+        assert tuple(ColorClass(keys[:len(old)].tobytes(), "I")) == old
+    # one step: each finished key holds D's vertices in detach order, then v
+    fact = _outer((5, 10, 4, 6, 2), 0)
+    detached, blocks = [7, 3, 9, 1, 5, 2], [array("I") for _ in fact.classes]
+    state = _amalgamate(fact, {4, 6, 8, 10}, set(), detached)
+    detach_module._detach_vertex(state, blocks, 4, 4, True, [fact.regularity] * len(blocks))
+    finished = [_unpack(key << 6)[0] for out in blocks for key in out]
+    # by the column sums: as many as the blocks of 4 and three of D
+    assert len(finished) == sum(4 in b and len(set(b) & set(detached)) == 3
+                                for cls in fact.classes for b in cls) > 0
+    for block in finished:
+        assert block[-1] == 4 and list(block[:-1]) == [u for u in detached if u in block]
 
 
 @given(step_cases(least=3))
@@ -322,9 +383,10 @@ def test_deficit_matching_agrees_with_max_flow(case):
     assert nx.maximum_flow_value(graph, "source", "sink") == need
     taken = Counter()
     for j, (row, keys) in enumerate(zip(cells, chosen)):
-        assert keys <= set(row)
+        assert keys.keys() <= set(row)
+        assert all(row[i] == key for key, i in keys.items())  # each cell's place
         assert len(keys) == row_need[j]
-        taken.update(keys)
+        taken.update(keys.keys())
     assert all(taken[key] == want for key, want in col_need.items())
 
 
@@ -333,22 +395,20 @@ def test_small_multiplicity_steps_reach_max_flow_without_matching(case):
     # at a <= 2 the step rounds in one pass (whole cells at a = 1, closed
     # trails at a = 2), and what it takes on the fractional cells is a
     # maximum flow of the rounding problem
-    fact, beta, alpha, v, from_beta = case
+    fact, beta, alpha, v, from_beta, _ = case
     before, after, a, matches = _run_step(*case)
     assert a <= 2 and not matches
-    bit = 1 << v
     cells, row_need, col_need, chosen = [], [], Counter(), []
     for old, new in zip(before, after):
         row, need, taken = [], fact.regularity, set()
         for key, x in old.items():
-            d, b, t = key >> 6, key >> 3 & 7, key & 7
+            _, b, t = _unpack(key)
             c = b if from_beta else t
             need -= x * c // a
             if x * c % a:
                 row.append(key)
                 col_need[key] += x * c % a
-                to = _pack(d | bit, b - 1, t) if from_beta else _pack(d | bit, b, t - 1)
-                if new.get(to, 0) > x * c // a:
+                if new.get(_receiver(key, v, from_beta), 0) > x * c // a:
                     taken.add(key)
         cells.append(row)
         row_need.append(need)
@@ -364,18 +424,18 @@ def test_small_multiplicity_steps_reach_max_flow_without_matching(case):
 
 @pytest.mark.parametrize("state, a, degree, message", [
     # a = 2, one odd cell in each of two columns: neither column can take half
-    ([{_pack(0, 1, 0): 1, _pack(0, 1, 1): 1}], 2, [1], r"\(0, 1, 0\) has a non-integral"),
+    ([{_pack((), 1, 0): 1, _pack((), 1, 1): 1}], 2, [1], r"\(0, 1, 0\) has a non-integral"),
     # a = 2, two odd cells per column, but row 1 has one odd cell for a need
     # of 1, and then two odd cells for a need of 2
-    ([{_pack(0, 1, 0): 1}, {_pack(0, 1, 0): 1}], 2, [1, 0], "no integral solution"),
-    ([{_pack(0, 1, 0): 1, _pack(0, 1, 1): 1}] * 2, 2, [2, 0], "no integral solution"),
+    ([{_pack((), 1, 0): 1}, {_pack((), 1, 0): 1}], 2, [1, 0], "no integral solution"),
+    ([{_pack((), 1, 0): 1, _pack((), 1, 1): 1}] * 2, 2, [2, 0], "no integral solution"),
     # a = 1, the whole cells give v degree 1, not 2, and degree 2, not 1
-    ([{_pack(0, 1, 0): 1, _pack(1 << 2, 0, 3): 1}], 1, [2], "no integral solution"),
-    ([{_pack(0, 1, 0): 1, _pack(0, 1, 1): 1}], 1, [1], "no integral solution"),
+    ([{_pack((), 1, 0): 1, _pack((2,), 0, 3): 1}], 1, [2], "no integral solution"),
+    ([{_pack((), 1, 0): 1, _pack((), 1, 1): 1}], 1, [1], "no integral solution"),
 ])
 def test_small_multiplicity_step_checks_its_sums(state, a, degree, message):
     with pytest.raises(RuntimeError, match=message):
-        detach_module._detach_vertex([dict(cls) for cls in state], [[] for _ in state],
+        detach_module._detach_vertex([dict(cls) for cls in state], [array("I") for _ in state],
                                      1, a, True, degree)
 
 
@@ -424,8 +484,9 @@ def _max_flow(cells, row_total, col_total):
 
 
 def _run_match(cells, row_total, col_total, taken):
-    """``_match`` from the partial choice ``taken``; its final choice."""
-    chosen = [set(keys) for keys in taken]
+    """``_match`` from the partial choice ``taken``; its final choice, each
+    row's taken cells mapped to their places in the row."""
+    chosen = [{key: row.index(key) for key in keys} for keys, row in zip(taken, cells)]
     row_need = [total - len(keys) for total, keys in zip(row_total, chosen)]
     held = Counter(key for keys in chosen for key in keys)
     col_need = {key: total - held[key] for key, total in col_total.items()}
@@ -452,7 +513,8 @@ def test_match_agrees_with_max_flow(case):
         chosen = _run_match(*case)
     target(float(phase.call_count), label="phases")
     for row, keys, total in zip(cells, chosen, row_total):
-        assert keys <= set(row) and len(keys) == total
+        assert keys.keys() <= set(row) and len(keys) == total
+        assert all(row[i] == key for key, i in keys.items())
     got = Counter(key for keys in chosen for key in keys)
     assert all(got[key] == want for key, want in col_total.items())
 
@@ -481,7 +543,7 @@ def test_match_runs_one_phase_per_path_length():
     cells, taken, want, n_cols = _chains((3, 1, 2))
     with _counting_phases() as phase:
         chosen = _run_match(cells, [1] * len(cells), dict.fromkeys(range(n_cols), 1), taken)
-    assert chosen == want
+    assert [set(keys) for keys in chosen] == want
     assert phase.call_count == 3
 
 
@@ -489,7 +551,7 @@ def test_step_with_non_integral_share_raises():
     # 2 edges of type (0, 2, 0) at multiplicity 4 would give v 1 of them,
     # one edge gives v half a 4-set
     with pytest.raises(RuntimeError, match=r"\(0, 2, 0\) has a non-integral"):
-        detach_module._detach_vertex([{_pack(0, 2, 0): 1}], [[]], 1, 4, True, [0])
+        detach_module._detach_vertex([{_pack((), 2, 0): 1}], [array("I")], 1, 4, True, [0])
 
 
 def test_every_small_tuple_embeds():
@@ -523,15 +585,16 @@ def test_former_search_walls_embed_quickly(tup):
 
 
 # seed-0 detachment order and the SHA-256 prefix of the certificate: the
-# construction visits classes, types and vertices in a fixed order, so its
-# output is the same in every process and on every platform
+# construction visits classes, types and vertices in a fixed order, and the
+# extra cells of a row in the row's order, never in the order of a set of
+# int keys, so its output is the same in every process and on every platform
 PINNED_CERTIFICATES = {
     (6, 8, 2, 5, 1): "e25d8b828ce46fc2",
-    (5, 8, 8, 10, 2): "a11c42b6997d5cd7",
-    (6, 9, 2, 4, 1): "dff49f9456f23294",
+    (5, 8, 8, 10, 2): "643ad01b15ce6a68",
+    (6, 9, 2, 4, 1): "cf31cfd85577f265",
     (6, 8, 2, 7, 1): "43c729d6faa904ba",
     (4, 8, 2, 14, 2): "272d7ecba6fab6a6",
-    (9, 10, 4, 6, 1): "f8b36e2237ff954a",
+    (9, 10, 4, 6, 1): "95f73779a404e7d9",
 }
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations
 from math import comb
 
@@ -156,14 +156,17 @@ def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
         assert {type(v) for cls in fact.classes for b in cls for v in b} == {int}
     # the constructor checks each class once, by columns, and never a
     # canonical one block by block: classes read back from a factorization,
-    # and the key arrays that detach hands over
+    # and the key arrays that detach hands over, which one pass of columns
+    # proves all at once
     calls.clear()
     assert [Factorization(f.ground_size, f.lam, f.regularity, f.classes)
             for f in facts] == facts
     assert calls == {"_class_keys": sum(len(f.classes) for f in facts)}
     calls.clear()
-    assert detach(p, base, plan) == cert
-    assert calls == {"_class_keys": len(cert.outer.classes)}
+    with pytest.MonkeyPatch.context() as mp:
+        _spy(mp, calls, "_proved")
+        assert detach(p, base, plan) == cert
+    assert calls == {"_proved": 1}
     # a respelled label or an unsorted block takes the chunk path, whose
     # classes the constructor checks: a sorted block by columns, an
     # unsorted one block by block
@@ -183,15 +186,46 @@ def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
     with pytest.raises(InputError) as err:
         Factorization(6, 1, 1, [bytearray([1, 2, 3, 4, 1, 2, 3])])
     assert str(err.value) == "class 1: block (1, 2, 3) is not a 4-subset"
-    # block_array: bytearrays up to ground size 255, 16-bit arrays above,
-    # empty or copied from a class of another factorization
-    for n in (255, 256):
-        fields = factorization.block_array(n, facts[0].classes[1])
-        assert type(fields) is (bytearray if n == 255 else array)
-        assert list(fields) == list(chain(*facts[0].classes[1]))
-        fields += factorization.block_array(n, [(1, 2, 3, n)])
-        assert Factorization(n, 1, 1, [fields]).classes[0] == tuple(
+    # key_array: 4-byte keys up to ground size 255, 8-byte ones above,
+    # empty or copied from a class of another factorization, its 8-bit
+    # fields widened where the keys have 16-bit ones
+    for n, width in ((255, 8), (256, 16)):
+        keys = factorization.key_array(n)
+        assert keys == array("I" if n == 255 else "Q")
+        keys = factorization.key_array(n, facts[0].classes[1])
+        assert tuple(ColorClass(keys.tobytes(), keys.typecode)) == facts[0].classes[1]
+        keys.append(((1 << width | 2) << width | 3) << width | n)
+        assert Factorization(n, 1, 1, [keys]).classes[0] == tuple(
             sorted([*facts[0].classes[1], (1, 2, 3, n)]))
+
+
+@pytest.mark.parametrize("n, code, width", [(6, "I", 8), (300, "Q", 16)])
+@pytest.mark.parametrize("bad", [(0, 1, 2, 3), (1, 2, 3, 3), (3, 2, 1, 7), (5, 6, 7, None),
+                                 (2, 1, 3, 4), (1, 2, 3, 4)])
+def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
+    # a class given as an array of keys of the factorization's own typecode
+    # gets the outcome of the same blocks given as vertices: the same keys,
+    # unsorted fields sorted, or the same BlockError for the same block,
+    # whether it comes alone or with a class of tuples (None is n + 1)
+    bad = tuple(n + 1 if v is None else v for v in bad)
+    blocks = [(1, 2, 3, 4), bad, (2, 3, 4, 5)]
+    keys = array(code, [((a << width | b) << width | c) << width | d for a, b, c, d in blocks])
+    vertices = (bytearray if code == "I" else partial(array, "H"))(chain(*blocks))
+    outcomes = []
+    for cls in (keys, vertices):
+        for classes in ([cls], [[(1, 2, 5, 6)], cls]):
+            try:
+                outcomes.append(Factorization(n, 1, 1, classes)._keys[-1])
+            except factorization.BlockError as exc:
+                outcomes.append((exc.index == len(classes) - 1, str(exc).split(": ", 1)[1]))
+    assert outcomes[:2] == outcomes[2:]
+    assert outcomes[0] == outcomes[1]
+    if 1 <= min(bad) and max(bad) <= n and len(set(bad)) == 4:
+        assert outcomes[0] == array(code, sorted(array(code, [
+            ((a << width | b) << width | c) << width | d
+            for a, b, c, d in map(sorted, blocks)]))).tobytes()
+    else:
+        assert outcomes[0][0] is True
 
 
 @pytest.mark.parametrize("code, field, width", [("I", "B", 8), ("Q", "H", 16)])
@@ -465,6 +499,33 @@ def test_chunk_path_rejects_non_ascii_digit_spellings(block):
     assert err.value.line == 2
     assert str(err.value) == ("line 2: class 1: non-integer vertex in block"
                               f" {block.split()}")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("+1: 1 2 3 4", "bad class index '+1'"),
+    ("١: 1 2 3 4", "bad class index '١'"),
+    ("1 1: 1 2 3 4", "bad class index '1 1'"),
+    (": 1 2 3 4", "bad class index ''"),
+    ("1", "class line has no ':' after its index"),
+])
+def test_class_index_follows_the_label_spelling_rule(line, message):
+    # an index is one token of ASCII digits before a colon, as a label is
+    # one of ASCII digits, though int() reads "+1" and "١" as 1
+    with pytest.raises(FormatError) as err:
+        parse_factorization(f"6 1 1 1\n{line}\n")
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: {message}"
+    with pytest.raises(FormatError) as err:
+        parse_factorization(f"6 1 1 2\n1: 1 2 3 4\n\n{line.replace('1', '2', 1)}\n")
+    assert str(err.value) == "line 4: " + message.replace("1", "2", 1)
+    # blanks around the index are blanks around a token, and a zero-padded
+    # index is the number it spells, as a label or a header field is, even
+    # past int()'s digit limit
+    for index in (" 1 ", "\t1", "01", "0" * 5000 + "1"):
+        assert parse_factorization(f"6 1 1 1\n{index}: 1 2 3 4\n").classes == (((1, 2, 3, 4),),)
+    with pytest.raises(FormatError) as err:
+        parse_factorization(f"6 1 1 1\n{'1' * 5000}: 1 2 3 4\n")
+    assert str(err.value) == f"line 2: class index {'1' * 5000}, expected 1"
 
 
 @pytest.mark.parametrize("header", ["+6 1 2 5", "0_6 1 2 5", "6 -1 2 5", "٦ 1 2 5",
@@ -807,6 +868,19 @@ def tampered_certificates(draw):
     inner, outer = (Factorization(fact.ground_size, fact.lam, fact.regularity, classes)
                     for fact, classes in zip((base, outer), systems))
     return inner, outer
+
+
+@pytest.mark.parametrize("n, reg", [(8, 20), (8, 2), (40, 400), (44, 101), (300, 4)])
+def test_degree_counts_agree_with_the_tuple_oracle_on_both_paths(n, reg):
+    # a class of reg * n / 4 random blocks: its degrees are counted per
+    # vertex with bytes.count where reg * (46 - n) > 30 * n on 8-bit fields,
+    # (8, 20) and (40, 400), and block by block otherwise
+    rng = random.Random(n * reg)
+    blocks = [tuple(sorted(rng.sample(range(1, n + 1), 4))) for _ in range(reg * n // 4)]
+    fact = Factorization(n, 1, reg, [blocks, blocks[::-1], blocks[1:] + blocks[:1]])
+    issues = factorization_issues(fact)
+    assert issues == tuple_factorization_issues(fact)
+    assert sum("do not have degree" in issue for issue in issues) == 3
 
 
 @given(st.one_of(tampered_certificates(),
