@@ -21,9 +21,10 @@ way, must pass first.
 
 The toy mode runs ``TARGETS``: ``verify_plan`` with
 ``tests/test_planner.py`` only, about 45 s on 2 cores.  The full mode adds
-``FULL_TARGETS``: the parser's batch reader ``_by_columns``, its column
-reader ``_columns`` and the batch packer ``_sorted_keys``, each with
-``tests/test_factorization.py``.
+``FULL_TARGETS``: the parser's batch reader ``_by_columns`` and its column
+reader ``_columns``, the constructor's packer ``_packed``, the interleave
+into key memory ``_append_keys`` that both use, and the one column proof
+``_proved``, each with ``tests/test_factorization.py``.
 
     python scripts/mutants.py [--full]
 
@@ -50,7 +51,7 @@ PACKAGE = ROOT / "src" / "quadembed"
 TARGETS = (("planner", "verify_plan", "tests/test_planner.py"),)
 FULL_TARGETS = TARGETS + tuple(
     ("factorization", function, "tests/test_factorization.py")
-    for function in ("_by_columns", "_columns", "_sorted_keys"))
+    for function in ("_by_columns", "_columns", "_packed", "_append_keys", "_proved"))
 
 # mutant name -> why no test can kill it
 EQUIVALENT = {
@@ -59,9 +60,9 @@ EQUIVALENT = {
     "verify_plan+19: start + count -> start - count":
         "it drops the crossing check; a row crossing q puts more than q colors under the old"
         " law m(s - r) != sm, so its sum of 3e + 2f + g misses the one the totals fix",
-    "_columns+24: [0] -> [1]":
-        "the segment's first value is never read: the four column assignments overwrite"
-        " every slot, as the segment holds a multiple of four tokens",
+    "_append_keys+4: [0] -> [1]":
+        "the buffer's first value is never read: the four column assignments overwrite"
+        " every slot, as the buffer holds four fields per block",
 }
 
 FLIPS = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,

@@ -312,13 +312,14 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[array],
                    v: int, a: int, from_beta: bool, degree: list[int]) -> None:
     """Split vertex v off the amalgam of multiplicity a (beta or alpha);
     class j receives v on exactly degree[j] of its edges.  One scan moves
-    every cell's floor and lists each row's fractional cells, with the ones
-    that systematic rounding takes (used at a >= 3): a fractional cell is
-    taken when the running sum of fractional parts in its column crosses a
+    every cell's floor and lists each row's fractional cells, and at a >= 3
+    the ones that systematic rounding takes: a fractional cell is taken
+    when the running sum of fractional parts in its column crosses a
     multiple of a, as far as its row's need allows, and ``_match`` closes
     the rest.  Each part is below a, so a column crosses exactly
     sum_j (x_j c mod a) / a times, its share: it needs again only the
-    crossings a row dropped.  At a <= 2 ``_trails`` chooses instead.  The
+    crossings a row dropped.  At a <= 2 ``_trails`` chooses instead, and
+    the running sums serve only the check of each column's share.  The
     chosen cells then move one more edge each, in their row's order.  A
     type that finishes, (D, 0, 0), leaves ``classes[j]``, and key >> 6 goes
     to ``blocks[j]``."""
@@ -353,14 +354,17 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[array],
                 rem += running[key]
                 if rem >= a:
                     rem -= a
-                    picks[key] = len(frac) - 1
+                    if a > 2:
+                        picks[key] = len(frac) - 1
                 running[key] = rem
-        skewed |= 2 * deg != len(frac)  # at a <= 2: not twice its need
+        cells.append(frac)
+        if a <= 2:  # _trails chooses: the row needs exactly half its odd cells
+            skewed |= 2 * deg != len(frac)
+            continue
         if len(picks) > deg:
             for key in list(picks)[max(deg, 0):]:
                 col_need[key] += 1
                 del picks[key]
-        cells.append(frac)
         chosen.append(picks)
         row_need.append(deg - len(picks))
     for key, rem in running.items():

@@ -28,56 +28,57 @@ restriction to 1..m from the field d.  ``classes`` is a tuple of read-only
 is read and compare, hash and print as that tuple; ``len()`` and indexing
 decode no more than they return.
 
-A Factorization is immutable and checked once, on construction or by the
-parser (below): every block becomes a 4-subset of 1..ground_size stored as
-its key, and every class the sorted bytes of its keys, so parse(render(x))
-== x and the issue finders below never meet a malformed block.  Vertices
-are integers in the sense of ``operator.index``: a float, a Fraction or a
-string is rejected, even when its value is integral, and an ``int``
-subclass such as ``bool`` is stored as a plain ``int``.  The three header
-fields are converted and stored the same way.
+A Factorization is immutable and checked once, on construction: every
+block becomes a 4-subset of 1..ground_size stored as its key, and every
+class the sorted bytes of its keys, so parse(render(x)) == x and the issue
+finders below never meet a malformed block.  Vertices are integers in the
+sense of ``operator.index``: a float, a Fraction or a string is rejected,
+even when its value is integral, and an ``int`` subclass such as ``bool``
+is stored as a plain ``int``.  The three header fields are converted and
+stored the same way.
 
-The constructor's check runs by columns.  A list of classes that are all
-arrays of keys of its typecode, which is what the construction hands over,
-is proved at once, the fields in memory order.  Otherwise each class is
-proved alone: one given as its vertices, four per block, in a bytearray
-(ground size up to 255) or an array of 16-bit items is read as it is, and
-any other (keys too) is flattened into one when every block has four
-integer vertices that fit a field.  Three comparisons of columns, with the
-least a and the largest d, prove every block a 4-subset of
-1..ground_size, and the keys are sorted.  A class that fails, or that
-cannot be flattened, goes block by block through ``_canonical_block``,
-which sorts each block, converts its vertices and words the error.
+A class enters the constructor in one form, an array of keys of its
+typecode in the class's own block order.  An array of such keys, which is
+what the construction and the parser hand over, is taken as it is; any
+other class (tuples, lists, ``ColorClass`` views) is packed into one when
+every block has four integer vertices that fit a field.  One proof,
+``_proved``, then checks every class at once by columns: the fields are
+read in memory order, a range test of the a and d columns and three
+comparisons of columns prove every block a 4-subset of 1..ground_size.  If
+that fails, each class is proved alone, and a class that fails alone, or
+that cannot be packed, goes block by block through ``_canonical_block``,
+which sorts each block, converts its vertices and words the error.  Each
+class is then sorted.
 
 The parser reads the labels of a line in the renderer's layout through a
 table from "1".."N" to their integers.  N is at most ground_size and at
 most the largest v with 8 * C(v, 4) <= file length, since a cover of the
 4-subsets of 1..v takes that many characters; so the table is bounded by
 the file, and only by its fourth root, not by the header.  Class lines in
-the renderer's layout, "a b c d, a b c d, ..." with a < b < c < d in each
-block (any blanks, any block order), are read by columns in batches: the
-bodies of consecutive lines, at least ``_SEGMENT`` characters of lines,
-joined by ", " (a line that long is a batch of its own, read in place).  A
-batch is cut into segments of whole blocks, each ending just after the
-first comma at or past ``_SEGMENT`` characters, and each segment is split
-once.  Its tokens 0, 4, 8, ... are the a column, and so on; the d column
-goes through a second table of the labels "1,".."N,", the batch's last
-token with a comma added.  Three comparisons of columns then prove every
-block a 4-subset of 1..ground_size, so this is the only check, and the four
-columns are interleaved straight into the batch's vertices, of which a body
-holds one block more than its commas (none if blank); the constructor packs
-a batch into keys at once and sorts each class.
+the renderer's layout, "a b c d, a b c d, ..." (any blanks, any block
+order), are read by columns in batches: the bodies of consecutive lines, at
+least ``_SEGMENT`` characters of lines, joined by ", " (a line that long is
+a batch of its own, read in place).  A batch is cut into segments of whole
+blocks, each ending just after the first comma at or past ``_SEGMENT``
+characters, and each segment is split once.  Its tokens 0, 4, 8, ... are
+the a column, and so on; the d column goes through a second table of the
+labels "1,".."N,", the batch's last token with a comma added.  The four
+columns are interleaved straight into the memory of the batch's keys, and
+each class is a slice of them: a body holds one block more than its commas
+(none if blank).  The parser compares no columns: a block it reads that is
+unsorted or repeats a vertex fails the constructor's proof, and only its
+class goes block by block.
 Segments are 64 KiB so that the 366k tokens of a 1.1 MB line are never held
 at once: parsing the two such lines of a 2.2 MB certificate peaks at 8.5 MB
 (tracemalloc), against 45 MB as one segment, and keeps 0.7 MB of keys.
 
 Any other line (a missing comma, an empty entry, "05", "x", "3.5", a label
-above N, an unsorted block) fails its batch, and the column path stops
-there: the lines of that batch and every line after it are converted chunk
-by chunk with ``int()``, and a chunk with a token that is not ASCII digits
-("+1", "-1", "0_5", "٢"; "04" is 4) is passed on as its list of tokens.  The
-constructor then checks the whole file, and reports a bad block with its
-class's line.  The four header fields follow the same rule: "06" is 6, and
+above N) fails its batch, and the column path stops there: the lines of
+that batch and every line after it are converted chunk by chunk with
+``int()``, and a chunk with a token that is not ASCII digits ("+1", "-1",
+"0_5", "٢"; "04" is 4) is passed on as its list of tokens.  The
+constructor checks every class, and reports a bad block with its class's
+line.  The four header fields follow the same rule: "06" is 6, and
 "+6", "-1", "0_6" or "٦" is a bad header; so does a class index, one such
 token before a colon.
 
@@ -105,11 +106,12 @@ Block = tuple[int, int, int, int]
 
 MAX_GROUND_SIZE = 65535  # the largest vertex that a 16-bit field holds
 _SEGMENT = 1 << 16  # characters per segment of a class line read by columns
-# a key's typecode -> the type of a class given as its vertices, four per
-# block; called on an iterable of vertices, it makes one
-_VERTICES = {"I": bytearray, "Q": partial(array, "H")}
+# a key's typecode -> the type of its fields; called on an iterable of
+# integers, it makes a buffer of them
+_FIELDS = {"I": bytearray, "Q": partial(array, "H")}
 _LITTLE = sys.byteorder == "little"
-_LAST = 0 if _LITTLE else 3  # the memory slot of a key's last field, d
+# the memory slot of a key's last field, d; field k of a b c d is in slot _LAST ^ 3 ^ k
+_LAST = 0 if _LITTLE else 3
 
 
 def _key_code(ground_size: int) -> str:
@@ -156,22 +158,44 @@ def _blocks(keys, code: str):
     return zip(fields, fields, fields, fields)
 
 
-def _proved(fields, ground_size: int, reverse: bool = False) -> bool:
-    """Whether ``fields``, four per block, a b c d (d c b a if ``reverse``),
-    are blocks 1 <= a < b < c < d <= ground_size, checked by columns."""
-    if len(fields) % 4:
-        return False
-    if not fields:
-        return True
-    a, b, c, d = fields[0::4], fields[1::4], fields[2::4], fields[3::4]
-    if reverse:
-        a, b, c, d = d, c, b, a
-    return (min(a) >= 1 and max(d) <= ground_size and all(map(lt, a, b))
-            and all(map(lt, b, c)) and all(map(lt, c, d)))
+def _append_keys(keys: array, a, b, c, d) -> None:
+    """Append to ``keys`` the keys of the blocks (a[i], b[i], c[i], d[i]),
+    given as four columns of fields: the columns are interleaved straight
+    into the keys' memory."""
+    fields = _FIELDS[keys.typecode]([0]) * (4 * len(a))
+    fields[_LAST ^ 3::4], fields[_LAST ^ 2::4], fields[_LAST ^ 1::4], fields[_LAST::4] = a, b, c, d
+    keys.frombytes(memoryview(fields).cast("B"))
 
 
-class _Checked(list):
-    """Batches (vertices, blocks per class) the parser proved canonical: only packed and sorted."""
+def _packed(cls, code: str) -> array | tuple:
+    """Class ``cls`` as an array of keys of typecode ``code``, in its own
+    block order: an array of such keys is taken as it is, and any other
+    class is packed when every block is four integers that fit a field.  A
+    class that cannot be packed is returned as the tuple of its blocks."""
+    if type(cls) is array and cls.typecode == code:
+        return cls
+    cls = tuple(cls)
+    try:
+        if all(len(b) == 4 for b in cls):
+            keys, fields = array(code), _FIELDS[code](chain.from_iterable(cls))
+            _append_keys(keys, fields[0::4], fields[1::4], fields[2::4], fields[3::4])
+            return keys
+    except (TypeError, ValueError, OverflowError):  # no len(), or a vertex no field holds
+        pass
+    return cls
+
+
+def _proved(keys, ground_size: int, code: str) -> bool:
+    """Whether ``keys``, a buffer of keys of typecode ``code``, are all
+    blocks 1 <= a < b < c < d <= ground_size, checked by columns."""
+    fields = _fields(keys, code)
+    a, b, c, d = (fields[_LAST ^ 3 ^ k::4] for k in range(4))
+    if code == "I":  # 8-bit fields as bytes: d <= ground_size at C speed
+        inside = not d.translate(None, bytes(range(ground_size + 1)))
+    else:
+        inside = all(map(ground_size.__ge__, d))
+    return (0 not in a and inside and all(map(lt, a, b)) and all(map(lt, b, c))
+            and all(map(lt, c, d)))
 
 
 class BlockError(InputError):
@@ -193,41 +217,6 @@ def _canonical_block(block, ground_size: int, index: int) -> Block:
     if len(b) != 4 or len(set(b)) != 4:
         raise BlockError(index, f"block {b} is not a 4-subset")
     raise BlockError(index, f"block {b} out of range 1..{ground_size}")
-
-
-def _class_keys(cls, ground_size: int, code: str, index: int) -> bytes:
-    """Class ``index`` as the bytes of its sorted keys, checked by columns
-    or block by block, as the module docstring says."""
-    vertices, fields = _VERTICES[code], None
-    if type(cls) is array and cls.typecode == code:  # keys, read as their blocks
-        cls = _blocks(cls, code)
-    if (type(cls) is bytearray) if code == "I" else (type(cls) is array
-                                                     and cls.typecode == "H"):
-        fields = cls
-    else:
-        cls = tuple(cls)
-        try:
-            if all(len(b) == 4 for b in cls):
-                fields = vertices(chain.from_iterable(cls))
-        except (TypeError, ValueError, OverflowError):  # a vertex no field holds
-            pass
-    if fields is None or not _proved(fields, ground_size):
-        if fields is cls:
-            cls = [tuple(fields[i:i + 4]) for i in range(0, len(fields), 4)]
-        fields = vertices(chain.from_iterable(
-            _canonical_block(b, ground_size, index) for b in cls))
-    return _sorted_keys(fields, code, [len(fields) // 4])[0]
-
-
-def _sorted_keys(fields: bytearray | array, code: str, counts) -> list[bytes]:
-    """The bytes of the sorted keys of each class i of ``counts[i]`` blocks,
-    given as their vertices, four per block.  On a little-endian host a key's
-    fields run d c b a in memory, so the vertices are reversed first; the
-    slices from the end and the sort undo that reversal of the blocks."""
-    keys = array(code, bytes(fields[::-1] if _LITTLE else fields))
-    last = len(keys)
-    return [array(code, sorted(keys[last - hi:last - lo] if _LITTLE else keys[lo:hi])).tobytes()
-            for lo, hi in pairwise(accumulate(counts, initial=0))]
 
 
 class ColorClass(Sequence):
@@ -286,15 +275,13 @@ class Factorization:
         if n > MAX_GROUND_SIZE:
             raise InputError(f"ground_size <= {MAX_GROUND_SIZE} required")
         code = _key_code(n)
-        if type(classes) is _Checked:
-            keys = tuple(chain.from_iterable(
-                _sorted_keys(fields, code, counts) for fields, counts in classes))
-        elif (type(classes) is list
-              and all(type(c) is array and c.typecode == code for c in classes)
-              and _proved(_fields(b"".join(classes), code), n, _LITTLE)):  # keys, by columns
-            keys = tuple(array(code, sorted(c)).tobytes() for c in classes)
-        else:
-            keys = tuple(_class_keys(c, n, code, i) for i, c in enumerate(classes))
+        classes = [_packed(cls, code) for cls in classes]
+        if not (all(type(c) is array for c in classes) and _proved(b"".join(classes), n, code)):
+            classes = [c if type(c) is array and _proved(c, n, code)
+                       else _packed([_canonical_block(b, n, i) for b in
+                                     (_blocks(c, code) if type(c) is array else c)], code)
+                       for i, c in enumerate(classes)]
+        keys = tuple(array(code, sorted(c)).tobytes() for c in classes)
         for name, x in zip(self.__slots__, (n, lam, reg, keys, code, None)):
             object.__setattr__(self, name, x)
 
@@ -477,14 +464,10 @@ def parse_factorization(text: str) -> Factorization:
         if (index.lstrip("0") or "0") != str(expected):
             raise FormatError(f"class index {index.lstrip('0') or 0}, expected {expected}", lineno)
     classes = _by_columns([ln for _, ln in rows], label, comma_label, _key_code(ground))
-    done = sum(len(counts) for _, counts in classes)
-    if done < len(rows):
-        # the classes read by columns one by one, then the rest chunk by chunk:
-        # a blank body is an empty class, an empty entry the block (), no 4-subset
-        classes = [fields[4 * lo:4 * hi] for fields, counts in classes
-                   for lo, hi in pairwise(accumulate(counts, initial=0))]
-        classes += [[_int_block(c.split()) for c in body.split(",")] if body and not body.isspace()
-                    else [] for body in (ln.partition(":")[2] for _, ln in rows[done:])]
+    # the rest chunk by chunk: a blank body is an empty class, an empty
+    # entry the block (), no 4-subset
+    classes += ([_int_block(c.split()) for c in body.split(",")] if body and not body.isspace()
+                else [] for body in (ln.partition(":")[2] for _, ln in rows[len(classes):]))
     try:
         return Factorization(ground, lam, reg, classes)
     except BlockError as exc:
@@ -493,36 +476,32 @@ def parse_factorization(text: str) -> Factorization:
         raise FormatError(str(exc), 1) from exc
 
 
-def _by_columns(lines: list[str], label, comma_label, code: str) -> _Checked:
-    """The batches (vertices, blocks per class) of the leading class lines,
-    as the module docstring says, up to the first batch that does not read
-    by columns."""
-    def read(batch):
-        bodies = [ln.partition(":")[2] for ln in batch]
-        counts = [body.count(",") + 1 if body and not body.isspace() else 0 for body in bodies]
-        fields = _columns(", ".join(compress(bodies, counts)), label, comma_label, code)
-        return None if fields is None else (fields, counts)
-
-    checked, starts, size = _Checked(), [0], 0
+def _by_columns(lines: list[str], label, comma_label, code: str) -> list[array]:
+    """The leading class lines read by columns in batches, as the module
+    docstring says, up to the first batch that does not read by columns:
+    each class as the array of its keys, of typecode ``code``."""
+    classes, starts, size = [], [0], 0
     for i, ln in enumerate(lines):
         if size >= _SEGMENT or i > starts[-1] and len(ln) >= _SEGMENT:
             starts.append(i)
         size = (size if i > starts[-1] else 0) + len(ln)
     for lo, hi in pairwise(starts + [len(lines)]):
-        batch = read(lines[lo:hi])
-        if batch is None:
+        bodies = [ln.partition(":")[2] for ln in lines[lo:hi]]
+        counts = [body.count(",") + 1 if body and not body.isspace() else 0 for body in bodies]
+        keys = _columns(", ".join(compress(bodies, counts)), label, comma_label, code)
+        if keys is None:
             break
-        checked.append(batch)
-    return checked
+        classes += (keys[start:stop] for start, stop in pairwise(accumulate(counts, initial=0)))
+    return classes
 
 
-def _columns(body: str, label, comma_label, code: str) -> bytearray | array | None:
+def _columns(body: str, label, comma_label, code: str) -> array | None:
     """The non-blank bodies of a batch of class lines, joined by ", ", as
-    their vertices, four per block, for keys of typecode ``code``, or None
+    the keys of typecode ``code`` of their blocks, in block order, or None
     when they are in any other layout than the renderer's.  Each segment's
-    four label columns are interleaved straight into them."""
-    vertices = _VERTICES[code]
-    fields, start, end = vertices(), 0, len(body)
+    four label columns are interleaved straight into the keys' memory."""
+    column = _FIELDS[code]
+    keys, start, end = array(code), 0, len(body)
     while start < end:
         cut = body.find(",", start + _SEGMENT) + 1 or end
         t = body[start:cut].split()
@@ -532,19 +511,15 @@ def _columns(body: str, label, comma_label, code: str) -> bytearray | array | No
         if start == end:  # the line's last token is the one d without a comma
             t[-1] += ","
         try:
-            a = vertices(map(label, t[0::4]))
-            b = vertices(map(label, t[1::4]))
-            c = vertices(map(label, t[2::4]))
-            d = vertices(map(comma_label, t[3::4]))
+            a = column(map(label, t[0::4]))
+            b = column(map(label, t[1::4]))
+            c = column(map(label, t[2::4]))
+            d = column(map(comma_label, t[3::4]))
         except KeyError:
             return None
-        if not (all(map(lt, a, b)) and all(map(lt, b, c)) and all(map(lt, c, d))):
-            return None
-        segment = vertices([0]) * len(t)
-        del t  # free the tokens before the vertices grow, or the heap keeps their space
-        segment[0::4], segment[1::4], segment[2::4], segment[3::4] = a, b, c, d
-        fields += segment
-    return fields
+        del t  # free the tokens before the keys grow, or the heap keeps their space
+        _append_keys(keys, a, b, c, d)
+    return keys
 
 
 def _int_block(tokens: list[str]):

@@ -5,7 +5,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from math import comb
 
@@ -122,7 +122,7 @@ def _spy(monkeypatch, calls, *names):
             result = real(*args)
             calls["columns" if result is not None else "columns declined"] += 1
             if result:
-                calls["column blocks"] += len(result) // 4
+                calls["column blocks"] += len(result)
             return result
         monkeypatch.setattr(factorization, name, counted)
 
@@ -134,58 +134,70 @@ def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
     cert = detach(p, base, plan)
     texts = [(FIXTURES / f"intro_{level}.txt").read_text() for level in (6, 8, 9)]
     texts.append(render_factorization(cert.outer))
-    _spy(monkeypatch, calls, "_class_keys", "_canonical_block", "_columns")
-    # the parser's column check is the only check of a canonical file: it
-    # reads every block, each file under 64 KiB in one batch of all its
-    # class lines, and the constructor checks nothing again
+    _spy(monkeypatch, calls, "_proved", "_canonical_block", "_columns")
+    # the parser reads every block of a canonical file by columns, each file
+    # under 64 KiB in one batch of all its class lines, and the constructor
+    # proves all its classes with one call
     facts = [parse_factorization(text) for text in texts]
     assert facts[3] == cert.outer
     blocks = sum(len(cls) for f in facts for cls in f.classes)
-    assert calls == {"columns": len(texts), "column blocks": blocks}
+    assert calls == {"columns": len(texts), "column blocks": blocks, "_proved": len(texts)}
     # with one character per segment every class line is a batch of its own
     calls.clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(factorization, "_SEGMENT", 1)
         assert [parse_factorization(text) for text in texts] == facts
-    assert calls == {"columns": sum(len(f.classes) for f in facts), "column blocks": blocks}
+    assert calls == {"columns": sum(len(f.classes) for f in facts), "column blocks": blocks,
+                     "_proved": len(texts)}
     for fact in facts:
         assert type(fact.classes) is tuple
         assert {type(cls) for cls in fact.classes} == {ColorClass}
         assert {type(keys) for keys in fact._keys} == {bytes}
         assert {type(b) for cls in fact.classes for b in cls} == {tuple}
         assert {type(v) for cls in fact.classes for b in cls for v in b} == {int}
-    # the constructor checks each class once, by columns, and never a
-    # canonical one block by block: classes read back from a factorization,
-    # and the key arrays that detach hands over, which one pass of columns
-    # proves all at once
+    # classes read back from a factorization are packed, and the key arrays
+    # that detach hands over are taken as they are: one proof of all the
+    # classes, and none goes block by block
     calls.clear()
     assert [Factorization(f.ground_size, f.lam, f.regularity, f.classes)
             for f in facts] == facts
-    assert calls == {"_class_keys": sum(len(f.classes) for f in facts)}
+    assert calls == {"_proved": len(facts)}
     calls.clear()
-    with pytest.MonkeyPatch.context() as mp:
-        _spy(mp, calls, "_proved")
-        assert detach(p, base, plan) == cert
+    assert detach(p, base, plan) == cert
     assert calls == {"_proved": 1}
-    # a respelled label or an unsorted block takes the chunk path, whose
-    # classes the constructor checks: a sorted block by columns, an
-    # unsorted one block by block
+    # a respelled label declines the batch, and the chunk path's tuples are
+    # packed and proved; an unsorted block, or one that repeats a vertex, is
+    # read by columns, and once the proof of all the classes and that of its
+    # class fail, only its class goes block by block
     calls.clear()
     assert parse_factorization("6 1 1 1\n1: 1 2 3 04\n").classes == (((1, 2, 3, 4),),)
-    assert calls == {"columns declined": 1, "_class_keys": 1}
+    assert calls == {"columns declined": 1, "_proved": 1}
     calls.clear()
-    assert parse_factorization("6 1 1 1\n1: 2 1 3 4\n").classes == (((1, 2, 3, 4),),)
-    assert calls == {"columns declined": 1, "_class_keys": 1, "_canonical_block": 1}
-    # a class given as its vertices with a bad block goes block by block,
-    # which words the error; so does one whose last block is short
+    assert parse_factorization("6 1 1 2\n1: 1 2 3 4\n2: 2 1 3 4\n").classes == (
+        ((1, 2, 3, 4),), ((1, 2, 3, 4),))
+    assert calls == {"columns": 1, "column blocks": 2, "_proved": 3, "_canonical_block": 1}
+    calls.clear()
+    with pytest.raises(FormatError) as err:
+        parse_factorization("6 1 1 2\n1: 1 2 3 4\n2: 1 1 2 3\n")
+    assert str(err.value) == "line 3: class 2: block (1, 1, 2, 3) is not a 4-subset"
+    assert calls == {"columns": 1, "column blocks": 2, "_proved": 3, "_canonical_block": 1}
+    # a class of tuples with a bad block goes block by block, which words
+    # the error; so does one with a short block, which cannot be packed
     calls.clear()
     with pytest.raises(InputError) as err:
-        Factorization(6, 1, 1, [bytearray([1, 2, 3, 4, 0, 1, 2, 3])])
+        Factorization(6, 1, 1, [[(1, 2, 3, 4), (0, 1, 2, 3)]])
     assert str(err.value) == "class 1: block (0, 1, 2, 3) out of range 1..6"
-    assert calls == {"_class_keys": 1, "_canonical_block": 2}
+    assert calls == {"_proved": 2, "_canonical_block": 2}
+    calls.clear()
     with pytest.raises(InputError) as err:
-        Factorization(6, 1, 1, [bytearray([1, 2, 3, 4, 1, 2, 3])])
+        Factorization(6, 1, 1, [[(1, 2, 3, 4), (1, 2, 3)]])
     assert str(err.value) == "class 1: block (1, 2, 3) is not a 4-subset"
+    assert calls == {"_canonical_block": 2}
+    # a flat buffer of vertices is no class: its items are not blocks
+    for flat in (bytearray([1, 2, 3, 4]), array("H", [1, 2, 3, 4])):
+        with pytest.raises(InputError) as err:
+            Factorization(6, 1, 1, [flat])
+        assert str(err.value) == "class 1: non-integer vertex in block 1"
     # key_array: 4-byte keys up to ground size 255, 8-byte ones above,
     # empty or copied from a class of another factorization, its 8-bit
     # fields widened where the keys have 16-bit ones
@@ -199,20 +211,24 @@ def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
             sorted([*facts[0].classes[1], (1, 2, 3, n)]))
 
 
+def _key(block, width):
+    a, b, c, d = block
+    return ((a << width | b) << width | c) << width | d
+
+
 @pytest.mark.parametrize("n, code, width", [(6, "I", 8), (300, "Q", 16)])
 @pytest.mark.parametrize("bad", [(0, 1, 2, 3), (1, 2, 3, 3), (3, 2, 1, 7), (5, 6, 7, None),
                                  (2, 1, 3, 4), (1, 2, 3, 4)])
 def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
     # a class given as an array of keys of the factorization's own typecode
-    # gets the outcome of the same blocks given as vertices: the same keys,
+    # gets the outcome of the same blocks given as tuples: the same keys,
     # unsorted fields sorted, or the same BlockError for the same block,
     # whether it comes alone or with a class of tuples (None is n + 1)
     bad = tuple(n + 1 if v is None else v for v in bad)
     blocks = [(1, 2, 3, 4), bad, (2, 3, 4, 5)]
-    keys = array(code, [((a << width | b) << width | c) << width | d for a, b, c, d in blocks])
-    vertices = (bytearray if code == "I" else partial(array, "H"))(chain(*blocks))
+    keys = array(code, [_key(block, width) for block in blocks])
     outcomes = []
-    for cls in (keys, vertices):
+    for cls in (keys, blocks):
         for classes in ([cls], [[(1, 2, 5, 6)], cls]):
             try:
                 outcomes.append(Factorization(n, 1, 1, classes)._keys[-1])
@@ -221,44 +237,45 @@ def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
     assert outcomes[:2] == outcomes[2:]
     assert outcomes[0] == outcomes[1]
     if 1 <= min(bad) and max(bad) <= n and len(set(bad)) == 4:
-        assert outcomes[0] == array(code, sorted(array(code, [
-            ((a << width | b) << width | c) << width | d
-            for a, b, c, d in map(sorted, blocks)]))).tobytes()
+        assert outcomes[0] == array(code, sorted(
+            _key(block, width) for block in map(sorted, blocks))).tobytes()
     else:
         assert outcomes[0][0] is True
 
 
 @pytest.mark.parametrize("code, field, width", [("I", "B", 8), ("Q", "H", 16)])
 def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
-    # every 4-subset of 1..n, n <= 20, shuffled: the sorted keys are the
-    # packed vertices of the blocks in the order of combinations(), which
-    # is tuple order, all distinct, and decode back to the blocks, in bulk
-    # and one by one
+    # every 4-subset of 1..n, n <= 20, shuffled, as the constructor stores
+    # it: the sorted keys are the packed vertices of the blocks in the order
+    # of combinations(), which is tuple order, all distinct, and decode back
+    # to the blocks, in bulk and one by one; in memory a key's field d is in
+    # slot _LAST of its four
     rng = random.Random(0)
+    ground = 20 if code == "I" else 300
     for n in range(4, 21):
         blocks = list(combinations(range(1, n + 1), 4))
         shuffled = rng.sample(blocks, len(blocks))
-        keys = array(code, *factorization._sorted_keys(
-            array(field, chain.from_iterable(shuffled)), code, [len(blocks)]))
-        assert list(keys) == [((a << width | b) << width | c) << width | d
-                              for a, b, c, d in blocks]
+        fact = Factorization(ground, 1, 1, [shuffled])
+        keys = array(code, fact._keys[0])
+        assert list(keys) == [_key(block, width) for block in blocks]
         assert len(set(keys)) == len(blocks)
         assert all(x < y for x, y in zip(keys, keys[1:]))
-        cls = ColorClass(keys.tobytes(), code)
+        assert list(array(field, fact._keys[0])[factorization._LAST::4]) == [
+            d for *_, d in blocks]
+        cls = fact.classes[0]
         assert list(cls) == blocks and len(cls) == len(blocks)
         assert [cls[i] for i in range(-len(blocks), len(blocks))] == blocks + blocks
         assert cls[1::3] == tuple(blocks[1::3])
-    # the constructor stores the same keys, whatever the block order
-    fact = Factorization(20 if code == "I" else 300, 1, 1, [shuffled])
-    assert fact._keys == (keys.tobytes(),) and fact.classes[0] == tuple(blocks)
-    # a batch of classes, empty ones among them, packs to each class's own
-    # sorted keys, in class order
+    # the same keys as an array, in any order, are stored as they sort
+    shuffled_keys = array(code, [_key(block, width) for block in shuffled])
+    assert Factorization(ground, 1, 1, [shuffled_keys])._keys == (keys.tobytes(),)
+    # classes packed and proved together, empty ones among them: each stores
+    # its own sorted keys, in class order
     counts = [0, 1, 0, 2, 1000, 3, 0, len(blocks) - 1006, 0]
     ends = list(accumulate(counts, initial=0))
-    assert factorization._sorted_keys(array(field, chain.from_iterable(shuffled)),
-                                      code, counts) == [
-        Factorization(fact.ground_size, 1, 1, [shuffled[lo:hi]])._keys[0]
-        for lo, hi in zip(ends, ends[1:])]
+    parts = [shuffled[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    assert Factorization(ground, 1, 1, parts)._keys == tuple(
+        array(code, sorted(_key(block, width) for block in part)).tobytes() for part in parts)
 
 
 def _sixteen_bit_system():
@@ -466,7 +483,7 @@ def test_format_errors_carry_line_numbers():
         parse_factorization("6 1 2 2\n\n1: 1 2 3 4\n2: 1 2 5 2\n")
     assert str(err.value) == "line 4: class 2: block (1, 2, 2, 5) is not a 4-subset"
     with pytest.raises(FormatError) as err:
-        # in the renderer's layout: only the column check's a < b rejects it
+        # in the renderer's layout, read by columns: only the proof's a < b rejects it
         parse_factorization("6 1 1 1\n1: 1 1 2 3\n")
     assert str(err.value) == "line 2: class 1: block (1, 1, 2, 3) is not a 4-subset"
     with pytest.raises(FormatError) as err:
@@ -671,7 +688,7 @@ def _segmented_outcome(text, segment, log=None):
 
             def spy(*args):
                 result = real(*args)
-                log.append(None if result is None else len(result) // 4)
+                log.append(None if result is None else len(result))
                 return result
             mp.setattr(factorization, "_columns", spy)
         return _outcome(text)
@@ -744,12 +761,17 @@ def test_batches_are_runs_of_at_least_a_segment():
         (20, lines, [2, 1, 3, 1]),
         # at 21, lines 1-3 (30 characters) make the first batch
         (21, lines, [3, 3, 1]),
-        # a bad block in the second line of batch 1-2 declines that batch:
-        # lines 1-6 go chunk by chunk, line 1 too
+        # a label defect (0 is no label) in the second line of batch 1-2
+        # declines that batch: lines 1-6 go chunk by chunk, line 1 too
         (20, [lines[0], "2: 1 2 3 0", *lines[2:]], [None]),
-        # an unsorted block in the 28-character line declines its batch:
-        # lines 4-6 go chunk by chunk
-        (20, [*lines[:3], "4: 1 2 3 7, 1 2 3 8, 1 2 9 3", *lines[4:]], [2, 1, None]),
+        # so does a token defect (a block of three) or a comma defect (a
+        # missing comma) in the 28-character line: lines 4-6 go chunk by chunk
+        (20, [*lines[:3], "4: 1 2 3 7, 1 2 3 8, 1 2 9", *lines[4:]], [2, 1, None]),
+        (20, [*lines[:3], "4: 1 2 3 7 1 2 3 8, 1 2 3 9", *lines[4:]], [2, 1, None]),
+        # an unsorted block, or one that repeats a vertex, is read: only the
+        # constructor's proof tells it from a canonical one
+        (20, [*lines[:3], "4: 1 2 3 7, 1 2 3 8, 1 2 9 3", *lines[4:]], [2, 1, 3, 1]),
+        (20, [*lines[:3], "4: 1 2 3 7, 1 2 3 8, 1 2 9 9", *lines[4:]], [2, 1, 3, 1]),
     ]
     for segment, class_lines, logged in cases:
         calls = []
@@ -760,9 +782,10 @@ def test_batches_are_runs_of_at_least_a_segment():
 
 def test_a_declined_batch_and_every_later_line_go_by_chunks():
     # 275 class lines of 100 blocks of 1..30 (the last one of 5), 324 KB in
-    # five batches of at least 64 KiB; a defect on the first, a middle or the
-    # last class line declines the batch that holds it, and the column path
-    # is offered no later batch
+    # five batches of at least 64 KiB; a label defect on the first, a middle
+    # or the last class line declines the batch that holds it, and the
+    # column path is offered no later batch, while an unsorted block or a
+    # repeated vertex is read by columns like any block
     blocks = list(combinations(range(1, 31), 4))
     fact = Factorization(30, 1, 1, [blocks[i:i + 100] for i in range(0, len(blocks), 100)])
     lines = render_factorization(fact).split("\n")
@@ -778,14 +801,19 @@ def test_a_declined_batch_and_every_later_line_go_by_chunks():
         declined = next(i for i, end in enumerate(ends) if at <= end)
         out_of_range = (f"line {at + 1}: class {at}: block {(0, int(b), int(c), int(d))}"
                         " out of range 1..30", at + 1)
-        # a zero-padded label, an unsorted block, a vertex 0
-        for first, outcome in ((f"0{a} {b}", fact), (f"{b} {a}", fact),
-                               (f"0 {b}", out_of_range)):
+        repeated = (f"line {at + 1}: class {at}: block {(int(b), int(b), int(c), int(d))}"
+                    " is not a 4-subset", at + 1)
+        declines = [*valid[:declined], None]
+        # a zero-padded label, a vertex 0, an unsorted block, a repeated vertex
+        for first, outcome, logged in ((f"0{a} {b}", fact, declines),
+                                       (f"0 {b}", out_of_range, declines),
+                                       (f"{b} {a}", fact, valid),
+                                       (f"{b} {b}", repeated, valid)):
             text = "\n".join([*lines[:at], f"{prefix}: {first} {rest}", *lines[at + 1:]])
             log = []
             assert _segmented_outcome(text, factorization._SEGMENT, log) == outcome
             assert outcome == _chunk_path_outcome(text)
-            assert log == [*valid[:declined], None]
+            assert log == logged
 
 
 def test_columns_agree_with_the_chunk_path_at_a_segment_cut():
