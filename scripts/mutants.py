@@ -60,9 +60,6 @@ EQUIVALENT = {
     "verify_plan+19: start + count -> start - count":
         "it drops the crossing check; a row crossing q puts more than q colors under the old"
         " law m(s - r) != sm, so its sum of 3e + 2f + g misses the one the totals fix",
-    "_append_keys+4: [0] -> [1]":
-        "the buffer's first value is never read: the four column assignments overwrite"
-        " every slot, as the buffer holds four fields per block",
 }
 
 FLIPS = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,

@@ -16,10 +16,10 @@ The state gives every class j a count x_j(type) of its edges of each type:
     copied into classes 1..q unchanged.
 
 A type is stored as one int, D << 6 | b << 3 | t: b and t take three bits
-each, and D holds the vertices of D in detach order as fields of w bits,
-w = 8 up to n = 255, else 16 (a live key stays within 30 bits at n <= 255).
-So c (below) is a shift and a mask, and the type that receives v is
-((key & -64) << w) + (key & 63) + (v << 6) minus 8 (v leaves beta) or 1
+each, and D holds the vertices of D in detach order as 8-bit fields (n is
+at most 255, and a live key stays within 30 bits).  So c (below) is a
+shift and a mask, and the type that receives v is
+((key & -64) << 8) + (key & 63) + (v << 6) minus 8 (v leaves beta) or 1
 (v leaves alpha).  A finished type (D, 0, 0) is key << 6 for the key of
 its block as ``Factorization`` stores it, once its four fields are sorted,
 and seed 0 detaches in ascending order, so they are.
@@ -121,6 +121,7 @@ from itertools import accumulate, chain, compress
 
 from .errors import InputError
 from .factorization import (
+    MAX_GROUND_SIZE,
     ColorClass,
     EmbeddingCertificate,
     Factorization,
@@ -324,9 +325,9 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[array],
     type that finishes, (D, 0, 0), leaves ``classes[j]``, and key >> 6 goes
     to ``blocks[j]``."""
     shift = _BETA if from_beta else _ALPHA
-    # the receivers gain v's field after those of D and lose one copy of
-    # the amalgam; a 4-byte key has 8-bit fields, an 8-byte one 16-bit ones
-    step, w = (v << 6) - (1 << shift), blocks[0].itemsize * 2
+    # the receivers gain v's 8-bit field after those of D and lose one copy
+    # of the amalgam
+    step = (v << 6) - (1 << shift)
     running: dict[EdgeType, int] = defaultdict(int)  # mod a, per column
     col_need: dict[EdgeType, int] = defaultdict(int)
     cells, chosen, row_need, skewed = [], [], [], False
@@ -342,7 +343,7 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[array],
                     cls[key] = x - y
                 else:
                     del cls[key]
-                to = ((key & -64) << w) + (key & 63) + step
+                to = ((key & -64) << 8) + (key & 63) + step
                 if to & 63:
                     cls[to] = y  # a new key: no type of cls has v in D yet
                 elif y == 1:
@@ -383,7 +384,7 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[array],
                 cls[key] -= 1
             else:
                 del cls[key]
-            key = ((key & -64) << w) + (key & 63) + step
+            key = ((key & -64) << 8) + (key & 63) + step
             if key & 63:
                 cls[key] = cls.get(key, 0) + 1
             else:
@@ -406,16 +407,18 @@ def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[array],
     if any(classes):
         raise RuntimeError("detachment left an amalgamated edge")
     if rng:
-        return [list(map(sorted, ColorClass(out.tobytes(), out.typecode))) for out in blocks]
+        return [list(map(sorted, ColorClass(out.tobytes()))) for out in blocks]
     return blocks
 
 
 def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
     """An r-factorization of lam*K_m^4 by detaching m vertices from one amalgam."""
     m, r, lam = integers((m, r, lam))
+    if m > MAX_GROUND_SIZE:  # a key's 8-bit fields hold no larger vertex
+        raise InputError(f"m <= {MAX_GROUND_SIZE} required")
     q = class_count(m, r, lam)  # raises unless (m, r, lam) is admissible
     classes = [{4 << 3 | 0: r * m // 4} for _ in range(q)]  # (empty, 4, 0)
-    blocks = [key_array(m) for _ in range(q)]
+    blocks = [key_array() for _ in range(q)]
     blocks = _detach_all(classes, blocks, [(range(1, m + 1), True, [r] * q)], seed)
     fact = Factorization(m, lam, r, blocks)
     if not is_valid_factorization(fact):
@@ -426,6 +429,8 @@ def generate_base(m: int, r: int, lam: int, seed: int = 0) -> Factorization:
 def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
            seed: int = 0) -> EmbeddingCertificate:
     """Expand a verified plan into an explicit certificate extending ``base``."""
+    if p.n > MAX_GROUND_SIZE:  # refused before any state or check of the plan
+        raise InputError(f"n <= {MAX_GROUND_SIZE} required")
     if not verify_plan(p, plan):
         raise InputError("plan fails verification; refusing to detach")
     q, k = color_counts(p)
@@ -440,8 +445,8 @@ def detach(p: EmbeddingParams, base: Factorization, plan: AmalgamPlan,
     for count, *quad in plan.rows:
         cls = {key: x for key, x in zip(_PLAN_TYPES, quad) if x}
         classes += (dict(cls) for _ in range(count))
-    blocks = [key_array(n, old) for old in base.classes]
-    blocks += (key_array(n) for _ in range(k - q))
+    blocks = [key_array(old) for old in base.classes]
+    blocks += (key_array() for _ in range(k - q))
     blocks = _detach_all(classes, blocks, [(range(1, m + 1), True, [s - r] * q + [s] * (k - q)),
                                            (range(m + 1, n + 1), False, [s] * k)], seed)
 

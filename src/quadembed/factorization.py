@@ -11,22 +11,21 @@ File format (line oriented, bit-exact round trip on the canonical form):
     1: 1 2 3 5, 1 2 4 6, 3 4 5 6
     2: ...
 
-Storage.  A block a < b < c < d is one key, ((a << w | b) << w | c) << w
-| d, with fields of w = 8 bits up to ground size 255 (a 4-byte key, array
-typecode "I") and of 16 bits up to 65,535 (8 bytes, "Q"); a larger ground
-size is refused.  Keys compare as their blocks do as tuples, and a class is
-stored as the bytes of its sorted keys in native byte order: 4 bytes a
-block, none tracked by the cyclic garbage collector.  The construction
-builds these keys field by field in a ``key_array``.  A key's fields are
-also read in place, as the bytes (or 16-bit items) of the class: in memory
-they run d c b a on a little-endian host and a b c d on a big-endian one
-(``_LAST``).  The issue finders read that storage: the cover from the keys,
-the degrees of a class from its fields (by ``bytes.count`` per vertex when
-the class is long and the vertices few, else four at a time), and the
-restriction to 1..m from the field d.  ``classes`` is a tuple of read-only
-``ColorClass`` views, which decode a class to its sorted 4-tuples when it
-is read and compare, hash and print as that tuple; ``len()`` and indexing
-decode no more than they return.
+Storage.  A block a < b < c < d is one 4-byte key (array typecode "I"),
+((a << 8 | b) << 8 | c) << 8 | d, of four 8-bit fields, so the ground size
+is at most 255 and a larger one is refused.  Keys compare as their blocks
+do as tuples, and a class is stored as the bytes of its sorted keys in
+native byte order: 4 bytes a block, none tracked by the cyclic garbage
+collector.  The construction builds these keys field by field in a
+``key_array``.  A key's fields are also read in place, as the bytes of the
+class: in memory they run d c b a on a little-endian host and a b c d on a
+big-endian one (``_LAST``).  The issue finders read that storage: the
+cover from the keys, the degrees of a class from its fields (by
+``bytes.count`` per vertex when the class is long and the vertices few,
+else four at a time), and the restriction to 1..m from the field d.
+``classes`` is a tuple of read-only ``ColorClass`` views, which decode a
+class to its sorted 4-tuples when it is read and compare, hash and print
+as that tuple; ``len()`` and indexing decode no more than they return.
 
 A Factorization is immutable and checked once, on construction: every
 block becomes a 4-subset of 1..ground_size stored as its key, and every
@@ -37,35 +36,33 @@ even when its value is integral, and an ``int`` subclass such as ``bool``
 is stored as a plain ``int``.  The three header fields are converted and
 stored the same way.
 
-A class enters the constructor in one form, an array of keys of its
-typecode in the class's own block order.  An array of such keys, which is
-what the construction and the parser hand over, is taken as it is; any
-other class (tuples, lists, ``ColorClass`` views) is packed into one when
-every block has four integer vertices that fit a field.  One proof,
-``_proved``, then checks every class at once by columns: the fields are
-read in memory order, a range test of the a and d columns and three
-comparisons of columns prove every block a 4-subset of 1..ground_size.  If
-that fails, each class is proved alone, and a class that fails alone, or
-that cannot be packed, goes block by block through ``_canonical_block``,
-which sorts each block, converts its vertices and words the error.  Each
-class is then sorted.
+A class enters the constructor in one form, an array of keys in the
+class's own block order.  An array of such keys, which is what the
+construction and the parser hand over, is taken as it is; any other class
+(tuples, lists, ``ColorClass`` views) is packed into one when every block
+has four integer vertices that fit a field.  One proof, ``_proved``, then
+checks every class at once by columns: the fields are read in memory
+order, a range test of the a and d columns and three comparisons of
+columns prove every block a 4-subset of 1..ground_size.  If that fails,
+each class is proved alone, and a class that fails alone, or that cannot
+be packed, goes block by block through ``_canonical_block``, which sorts
+each block, converts its vertices and words the error.  Each class is then
+sorted.
 
 The parser reads the labels of a line in the renderer's layout through a
-table from "1".."N" to their integers.  N is at most ground_size and at
-most the largest v with 8 * C(v, 4) <= file length, since a cover of the
-4-subsets of 1..v takes that many characters; so the table is bounded by
-the file, and only by its fourth root, not by the header.  Class lines in
-the renderer's layout, "a b c d, a b c d, ..." (any blanks, any block
-order), are read by columns in batches: the bodies of consecutive lines, at
-least ``_SEGMENT`` characters of lines, joined by ", " (a line that long is
-a batch of its own, read in place).  A batch is cut into segments of whole
-blocks, each ending just after the first comma at or past ``_SEGMENT``
-characters, and each segment is split once.  Its tokens 0, 4, 8, ... are
-the a column, and so on; the d column goes through a second table of the
-labels "1,".."N,", the batch's last token with a comma added.  The four
-columns are interleaved straight into the memory of the batch's keys, and
-each class is a slice of them: a body holds one block more than its commas
-(none if blank).  The parser compares no columns: a block it reads that is
+table from "1".."N" to their integers, N the ground size, which is at most
+255: a larger one is refused at the header.  Class lines in the renderer's
+layout, "a b c d, a b c d, ..." (any blanks, any block order), are read by
+columns in batches: the bodies of consecutive lines, at least ``_SEGMENT``
+characters of lines, joined by ", " (a line that long is a batch of its
+own, read in place).  A batch is cut into segments of whole blocks, each
+ending just after the first comma at or past ``_SEGMENT`` characters, and
+each segment is split once.  Its tokens 0, 4, 8, ... are the a column, and
+so on; the d column goes through a second table of the labels "1,"..
+"N,", the batch's last token with a comma added.  The four columns are
+interleaved straight into the memory of the batch's keys, and each class
+is a slice of them: a body holds one block more than its commas (none if
+blank).  The parser compares no columns: a block it reads that is
 unsorted or repeats a vertex fails the constructor's proof, and only its
 class goes block by block.
 Segments are 64 KiB so that the 366k tokens of a 1.1 MB line are never held
@@ -95,7 +92,6 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain, compress, pairwise
 from math import comb
 from operator import index as index_of, lt, ne
@@ -104,57 +100,32 @@ from .errors import FormatError, InputError
 
 Block = tuple[int, int, int, int]
 
-MAX_GROUND_SIZE = 65535  # the largest vertex that a 16-bit field holds
+MAX_GROUND_SIZE = 255  # the largest vertex that an 8-bit field holds
 _SEGMENT = 1 << 16  # characters per segment of a class line read by columns
-# a key's typecode -> the type of its fields; called on an iterable of
-# integers, it makes a buffer of them
-_FIELDS = {"I": bytearray, "Q": partial(array, "H")}
 _LITTLE = sys.byteorder == "little"
 # the memory slot of a key's last field, d; field k of a b c d is in slot _LAST ^ 3 ^ k
 _LAST = 0 if _LITTLE else 3
 
 
-def _key_code(ground_size: int) -> str:
-    """The array typecode of the keys of blocks on 1..ground_size: 4-byte
-    keys of 8-bit fields up to 255, 8-byte keys of 16-bit fields above."""
-    return "I" if ground_size <= 255 else "Q"
+def key_array(cls: ColorClass | None = None) -> array:
+    """A new class as an array of keys, which ``Factorization`` takes as a
+    class, starting with the keys of ``cls``; the construction appends to it."""
+    return array("I") if cls is None else array("I", cls._keys)
 
 
-def key_array(ground_size: int, cls: ColorClass | None = None) -> array:
-    """A new class of blocks on 1..ground_size as an array of keys, which
-    ``Factorization`` takes as a class, starting with the keys of ``cls``, a
-    class on at most ground_size vertices; the construction appends to it."""
-    code = _key_code(ground_size)
-    if cls is None:
-        return array(code)
-    if cls._code == code:
-        return array(code, cls._keys)
-    return array(code, array("H", memoryview(cls._keys)).tobytes())  # 8-bit fields widened
-
-
-def _fields(keys, code: str) -> bytes | array:
-    """The fields of ``keys`` (a buffer of keys of typecode ``code``), four
-    per key, in memory order: 8-bit ones as bytes, which iterate fastest,
-    and 16-bit ones as an array."""
-    if code == "I":
-        return bytes(keys)  # bytes(x) is x itself when x is bytes
-    fields = array("H")
-    fields.frombytes(memoryview(keys).cast("B"))
-    return fields
-
-
-def _flat(keys, code: str) -> bytes | array:
-    """The fields of ``keys`` block by block, a b c d, in key order."""
+def _flat(keys) -> bytes:
+    """The fields of ``keys`` (a buffer of keys) block by block, a b c d,
+    in key order."""
     if not _LITTLE:  # memory order is a b c d already
-        return _fields(keys, code)
-    keys = array(code, keys)
+        return bytes(keys)
+    keys = array("I", keys)
     keys.reverse()
-    return _fields(keys, code)[::-1]
+    return bytes(keys)[::-1]
 
 
-def _blocks(keys, code: str):
+def _blocks(keys):
     """The blocks of ``keys`` as 4-tuples (a, b, c, d), in key order."""
-    fields = iter(_flat(keys, code))
+    fields = iter(_flat(keys))
     return zip(fields, fields, fields, fields)
 
 
@@ -162,40 +133,36 @@ def _append_keys(keys: array, a, b, c, d) -> None:
     """Append to ``keys`` the keys of the blocks (a[i], b[i], c[i], d[i]),
     given as four columns of fields: the columns are interleaved straight
     into the keys' memory."""
-    fields = _FIELDS[keys.typecode]([0]) * (4 * len(a))
+    fields = bytearray(4 * len(a))
     fields[_LAST ^ 3::4], fields[_LAST ^ 2::4], fields[_LAST ^ 1::4], fields[_LAST::4] = a, b, c, d
-    keys.frombytes(memoryview(fields).cast("B"))
+    keys.frombytes(fields)
 
 
-def _packed(cls, code: str) -> array | tuple:
-    """Class ``cls`` as an array of keys of typecode ``code``, in its own
-    block order: an array of such keys is taken as it is, and any other
-    class is packed when every block is four integers that fit a field.  A
-    class that cannot be packed is returned as the tuple of its blocks."""
-    if type(cls) is array and cls.typecode == code:
+def _packed(cls) -> array | tuple:
+    """Class ``cls`` as an array of keys, in its own block order: an array
+    of keys is taken as it is, and any other class is packed when every
+    block is four integers that fit a field.  A class that cannot be packed
+    is returned as the tuple of its blocks."""
+    if type(cls) is array and cls.typecode == "I":
         return cls
     cls = tuple(cls)
     try:
         if all(len(b) == 4 for b in cls):
-            keys, fields = array(code), _FIELDS[code](chain.from_iterable(cls))
+            keys, fields = array("I"), bytearray(chain.from_iterable(cls))
             _append_keys(keys, fields[0::4], fields[1::4], fields[2::4], fields[3::4])
             return keys
-    except (TypeError, ValueError, OverflowError):  # no len(), or a vertex no field holds
+    except (TypeError, ValueError):  # no len(), or a vertex no field holds
         pass
     return cls
 
 
-def _proved(keys, ground_size: int, code: str) -> bool:
-    """Whether ``keys``, a buffer of keys of typecode ``code``, are all
-    blocks 1 <= a < b < c < d <= ground_size, checked by columns."""
-    fields = _fields(keys, code)
+def _proved(keys, ground_size: int) -> bool:
+    """Whether ``keys``, a buffer of keys, are all blocks
+    1 <= a < b < c < d <= ground_size, checked by columns."""
+    fields = bytes(keys)
     a, b, c, d = (fields[_LAST ^ 3 ^ k::4] for k in range(4))
-    if code == "I":  # 8-bit fields as bytes: d <= ground_size at C speed
-        inside = not d.translate(None, bytes(range(ground_size + 1)))
-    else:
-        inside = all(map(ground_size.__ge__, d))
-    return (0 not in a and inside and all(map(lt, a, b)) and all(map(lt, b, c))
-            and all(map(lt, c, d)))
+    return (0 not in a and not d.translate(None, bytes(range(ground_size + 1)))
+            and all(map(lt, a, b)) and all(map(lt, b, c)) and all(map(lt, c, d)))
 
 
 class BlockError(InputError):
@@ -224,28 +191,28 @@ class ColorClass(Sequence):
     blocks, sorted 4-tuples, when they are read.  It compares, hashes and
     prints as the tuple of its blocks."""
 
-    __slots__ = ("_keys", "_code")
+    __slots__ = ("_keys",)
 
-    def __init__(self, keys: bytes, code: str):
-        self._keys, self._code = keys, code
+    def __init__(self, keys: bytes):
+        self._keys = keys
 
     def __len__(self) -> int:
-        return len(memoryview(self._keys).cast(self._code))
+        return len(self._keys) // 4
 
     def __getitem__(self, i):
-        keys = memoryview(self._keys).cast(self._code)
+        keys = memoryview(self._keys).cast("I")
         if isinstance(i, slice):
-            return tuple(_blocks(keys[i].tobytes(), self._code))
-        return tuple(_flat(array(self._code, [keys[i]]), self._code))
+            return tuple(_blocks(keys[i].tobytes()))
+        return tuple(_flat(array("I", [keys[i]])))
 
     def __iter__(self):
-        return _blocks(self._keys, self._code)
+        return _blocks(self._keys)
 
     def __eq__(self, other):
-        if type(other) is ColorClass and other._code == self._code:
+        if isinstance(other, ColorClass):
             return self._keys == other._keys
-        if isinstance(other, (ColorClass, tuple)):
-            return tuple(self) == tuple(other)
+        if isinstance(other, tuple):
+            return tuple(self) == other
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -255,7 +222,7 @@ class ColorClass(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return ColorClass, (self._keys, self._code)
+        return ColorClass, (self._keys,)
 
 
 class Factorization:
@@ -263,7 +230,7 @@ class Factorization:
     every block is a 4-subset of 1..ground_size.  ``classes`` is a tuple of
     read-only ``ColorClass`` views, built on first read."""
 
-    __slots__ = ("ground_size", "lam", "regularity", "_keys", "_code", "_view")
+    __slots__ = ("ground_size", "lam", "regularity", "_keys", "_view")
 
     def __init__(self, ground_size: int, lam: int, regularity: int, classes):
         try:
@@ -274,22 +241,21 @@ class Factorization:
             raise InputError("ground_size >= 4, lam >= 1, regularity >= 1 required")
         if n > MAX_GROUND_SIZE:
             raise InputError(f"ground_size <= {MAX_GROUND_SIZE} required")
-        code = _key_code(n)
-        classes = [_packed(cls, code) for cls in classes]
-        if not (all(type(c) is array for c in classes) and _proved(b"".join(classes), n, code)):
-            classes = [c if type(c) is array and _proved(c, n, code)
+        classes = [_packed(cls) for cls in classes]
+        if not (all(type(c) is array for c in classes) and _proved(b"".join(classes), n)):
+            classes = [c if type(c) is array and _proved(c, n)
                        else _packed([_canonical_block(b, n, i) for b in
-                                     (_blocks(c, code) if type(c) is array else c)], code)
+                                     (_blocks(c) if type(c) is array else c)])
                        for i, c in enumerate(classes)]
-        keys = tuple(array(code, sorted(c)).tobytes() for c in classes)
-        for name, x in zip(self.__slots__, (n, lam, reg, keys, code, None)):
+        keys = tuple(array("I", sorted(c)).tobytes() for c in classes)
+        for name, x in zip(self.__slots__, (n, lam, reg, keys, None)):
             object.__setattr__(self, name, x)
 
     @property
     def classes(self) -> tuple[ColorClass, ...]:
         view = self._view
         if view is None:
-            view = tuple(ColorClass(keys, self._code) for keys in self._keys)
+            view = tuple(ColorClass(keys) for keys in self._keys)
             object.__setattr__(self, "_view", view)
         return view
 
@@ -318,7 +284,7 @@ class Factorization:
         # unpickling goes through the constructor, which checks every block
         # again: each class travels as its array of keys
         return Factorization, (self.ground_size, self.lam, self.regularity,
-                               [array(self._code, keys) for keys in self._keys])
+                               [array("I", keys) for keys in self._keys])
 
 
 def factorization_issues(fact: Factorization) -> list[str]:
@@ -329,9 +295,9 @@ def factorization_issues(fact: Factorization) -> list[str]:
     lam * C(n, 4) wanted copies, and every other block is surplus.
     """
     issues = []
-    n, lam, reg, code = fact.ground_size, fact.lam, fact.regularity, fact._code
-    every = array(code, b"".join(fact._keys))
-    blocks, size = len(every), every.itemsize
+    n, lam, reg = fact.ground_size, fact.lam, fact.regularity
+    every = array("I", b"".join(fact._keys))
+    blocks = len(every)
     if lam == 1:
         covered = len(set(every))
     else:
@@ -347,17 +313,17 @@ def factorization_issues(fact: Factorization) -> list[str]:
     for i, cls in enumerate(fact._keys):
         # degree reg at all n vertices needs 4 |cls| = reg n; a class of
         # another size has a vertex of the wrong degree, so skip its scan
-        count = len(cls) // size
+        count = len(cls) // 4
         if 4 * count != reg * n:
             issues.append(f"class {i + 1}: {count} blocks cannot give all {n}"
                           f" vertices degree {reg} (needs 4 * blocks = {reg * n})")
             continue
-        fields = _fields(cls, code)  # four per block, in any order
-        if code == "I" and reg * (46 - n) > 30 * n:  # long classes on few vertices
-            degrees = list(map(fields.count, range(n + 1)))
+        # cls holds four fields per block, in any order
+        if reg * (46 - n) > 30 * n:  # long classes on few vertices
+            degrees = list(map(cls.count, range(n + 1)))
         else:
             degrees = [0] * (n + 1)
-            vertices = iter(fields)
+            vertices = iter(cls)
             for a, b, c, d in zip(vertices, vertices, vertices, vertices):
                 degrees[a] += 1
                 degrees[b] += 1
@@ -396,18 +362,17 @@ def restriction_issues(inner: Factorization, outer: Factorization) -> list[str]:
     """Restriction defects: outer class i restricted to the 4-subsets of
     1..m must be inner class i, and the outer classes beyond the inner ones
     must avoid 1..m."""
-    m, q, code = inner.ground_size, len(inner._keys), outer._code
+    m, q = inner.ground_size, len(inner._keys)
     if q > len(outer._keys):
         return ["inner system has more classes than outer"]
     # a block lies in 1..m when its last field d does, and the restriction
     # of a sorted class is a filter of it, so it stays sorted
     issues = []
     for i, cls in enumerate(outer._keys):
-        last = _fields(cls, code)[_LAST::4]
+        last = cls[_LAST::4]
         if i < q:
-            old = array(code, compress(array(code, cls), map(m.__ge__, last))).tobytes()
-            if (old != inner._keys[i] if inner._code == code
-                    else ColorClass(old, code) != inner.classes[i]):
+            old = array("I", compress(array("I", cls), map(m.__ge__, last))).tobytes()
+            if old != inner._keys[i]:
                 issues.append(f"outer class {i + 1} does not restrict to"
                               f" inner class {i + 1}")
         elif last and min(last) <= m:
@@ -425,7 +390,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> bool:
 def render_factorization(fact: Factorization) -> str:
     lines = [f"{fact.ground_size} {fact.lam} {fact.regularity} {len(fact._keys)}"]
     for i, cls in enumerate(fact._keys):
-        fields = tuple(_flat(cls, fact._code))
+        fields = tuple(_flat(cls))
         body = ", ".join(["%d %d %d %d"] * (len(fields) // 4)) % fields
         lines.append(f"{i + 1}: {body}")
     return "\n".join(lines) + "\n"
@@ -442,18 +407,15 @@ def parse_factorization(text: str) -> Factorization:
     if type(header) is not tuple:
         raise FormatError(f"bad header: non-integer field in {head}", 1)
     ground, lam, reg, count = header
+    if ground > MAX_GROUND_SIZE:  # before the label tables, which run to ground
+        raise FormatError(f"ground_size <= {MAX_GROUND_SIZE} required", 1)
     rows = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln and not ln.isspace()]
     if len(rows) != count:
         raise FormatError(f"expected {count} class lines, found {len(rows)}",
                           len(lines))
-    # a file that covers the 4-subsets of 1..v names C(v, 4) blocks of at
-    # least 8 characters each, so a label above the last such v (or above
-    # the header's ground size) only appears in a file that is no cover
-    top = 0
-    while top < ground and 8 * comb(top + 1, 4) <= len(text):
-        top += 1
-    label = {str(v): v for v in range(1, top + 1)}.__getitem__
-    comma_label = {f"{v},": v for v in range(1, top + 1)}.__getitem__
+    labels = range(1, ground + 1)
+    label = {str(v): v for v in labels}.__getitem__
+    comma_label = {f"{v},": v for v in labels}.__getitem__
     for expected, (lineno, ln) in enumerate(rows, start=1):
         colon = ln.find(":")
         if colon < 0:
@@ -463,7 +425,7 @@ def parse_factorization(text: str) -> Factorization:
             raise FormatError(f"bad class index {ln[:colon]!r}", lineno)
         if (index.lstrip("0") or "0") != str(expected):
             raise FormatError(f"class index {index.lstrip('0') or 0}, expected {expected}", lineno)
-    classes = _by_columns([ln for _, ln in rows], label, comma_label, _key_code(ground))
+    classes = _by_columns([ln for _, ln in rows], label, comma_label)
     # the rest chunk by chunk: a blank body is an empty class, an empty
     # entry the block (), no 4-subset
     classes += ([_int_block(c.split()) for c in body.split(",")] if body and not body.isspace()
@@ -476,10 +438,10 @@ def parse_factorization(text: str) -> Factorization:
         raise FormatError(str(exc), 1) from exc
 
 
-def _by_columns(lines: list[str], label, comma_label, code: str) -> list[array]:
+def _by_columns(lines: list[str], label, comma_label) -> list[array]:
     """The leading class lines read by columns in batches, as the module
     docstring says, up to the first batch that does not read by columns:
-    each class as the array of its keys, of typecode ``code``."""
+    each class as the array of its keys."""
     classes, starts, size = [], [0], 0
     for i, ln in enumerate(lines):
         if size >= _SEGMENT or i > starts[-1] and len(ln) >= _SEGMENT:
@@ -488,20 +450,19 @@ def _by_columns(lines: list[str], label, comma_label, code: str) -> list[array]:
     for lo, hi in pairwise(starts + [len(lines)]):
         bodies = [ln.partition(":")[2] for ln in lines[lo:hi]]
         counts = [body.count(",") + 1 if body and not body.isspace() else 0 for body in bodies]
-        keys = _columns(", ".join(compress(bodies, counts)), label, comma_label, code)
+        keys = _columns(", ".join(compress(bodies, counts)), label, comma_label)
         if keys is None:
             break
         classes += (keys[start:stop] for start, stop in pairwise(accumulate(counts, initial=0)))
     return classes
 
 
-def _columns(body: str, label, comma_label, code: str) -> array | None:
+def _columns(body: str, label, comma_label) -> array | None:
     """The non-blank bodies of a batch of class lines, joined by ", ", as
-    the keys of typecode ``code`` of their blocks, in block order, or None
-    when they are in any other layout than the renderer's.  Each segment's
-    four label columns are interleaved straight into the keys' memory."""
-    column = _FIELDS[code]
-    keys, start, end = array(code), 0, len(body)
+    the keys of their blocks, in block order, or None when they are in any
+    other layout than the renderer's.  Each segment's four label columns
+    are interleaved straight into the keys' memory."""
+    keys, start, end = array("I"), 0, len(body)
     while start < end:
         cut = body.find(",", start + _SEGMENT) + 1 or end
         t = body[start:cut].split()
@@ -511,10 +472,10 @@ def _columns(body: str, label, comma_label, code: str) -> array | None:
         if start == end:  # the line's last token is the one d without a comma
             t[-1] += ","
         try:
-            a = column(map(label, t[0::4]))
-            b = column(map(label, t[1::4]))
-            c = column(map(label, t[2::4]))
-            d = column(map(comma_label, t[3::4]))
+            a = bytearray(map(label, t[0::4]))
+            b = bytearray(map(label, t[1::4]))
+            c = bytearray(map(label, t[2::4]))
+            d = bytearray(map(comma_label, t[3::4]))
         except KeyError:
             return None
         del t  # free the tokens before the keys grow, or the heap keeps their space

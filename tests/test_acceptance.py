@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from hashlib import sha256
@@ -348,7 +349,7 @@ def test_criterion_7_end_to_end_embeddings(tmp_path):
 
 
 def test_equal_regularity_matches_the_literature(tmp_path, capsys):
-    """lam = 1 and r = s: a plan exists exactly when n >= 2m.
+    """lam <= 4 and r = s: a plan exists exactly when n >= 2m.
 
     At r = s the battery collapses.  N5 (active only for r < s) and N8
     (active only when r*C(n-1,3) = s*C(m-1,3)) are vacuous; N2 and N4
@@ -361,22 +362,23 @@ def test_equal_regularity_matches_the_literature(tmp_path, capsys):
     38 (2018) 1309-1335, prove that for lam = 1, under a gcd hypothesis on
     m, n and 4, an r-factorization of K_m^4 extends to an r-factorization of
     K_n^4 exactly when both triples are admissible and n >= 2m.  The scan
-    below covers every admissible tuple with m <= 40, n <= 120 and
-    r = s <= 12, inside that hypothesis or not, and three tuples at n = 2m
-    are embedded end to end.  A disagreement is a finding, not noise.
+    below covers every admissible tuple with lam <= 4, m <= 40, n <= 120
+    and r = s <= 12, inside that hypothesis or not, and four tuples at
+    n >= 2m are embedded end to end, (7, 18, 4, 4, 1) outside it.  A
+    disagreement is a finding, not noise.
     """
-    tuples = disagree = 0
-    for p in sweep_params(n_hi=120, r_hi=12, s_hi=12, lam_hi=1):
+    tuples, disagree = Counter(), 0
+    for p in sweep_params(n_hi=120, r_hi=12, s_hi=12, lam_hi=4):
         if p.m > 40 or p.r != p.s:
             continue
-        tuples += 1
+        tuples[p.lam] += 1
         holds = check_conditions(p).all_hold()
         found = solve_e(tier_bounds(p), *totals(p)[:2]) is not None
         if holds != (p.n >= 2 * p.m) or found != (p.n >= 2 * p.m):
             disagree += 1
-    assert (tuples, disagree) == (2458, 0)
-    # (m, r, n = 2m, the largest admissible n below 2m)
-    for m, r, n, below in ((5, 4, 10, 9), (8, 1, 16, 12), (9, 4, 18, 17)):
+    assert ([tuples[lam] for lam in (1, 2, 3, 4)], disagree) == ([2458, 5256, 4091, 7725], 0)
+    # (m, r, n >= 2m, the largest admissible n below 2m)
+    for m, r, n, below in ((5, 4, 10, 9), (8, 1, 16, 12), (9, 4, 18, 17), (7, 4, 18, 13)):
         cert_path = tmp_path / f"cert_{m}_{n}_{r}.txt"
         assert main(["embed", *map(str, (m, n, r, r, 1)), "--out", str(cert_path)]) == 0
         assert main(["verify", str(cert_path)]) == 0

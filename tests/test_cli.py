@@ -179,39 +179,50 @@ def test_verify_directory(tmp_path, capsys):
 
 
 def test_verify_large_header_without_blocks(tmp_path, capsys):
-    # C(400, 4) is about 1.05e9: the cover check must not list the subsets
+    # C(255, 4) is about 1.7e8: the cover check must not list the subsets
     f = tmp_path / "empty.txt"
-    f.write_text("400 1 1 0\n")
+    f.write_text("255 1 1 0\n")
     t0 = time.perf_counter()
     assert main(["verify", str(f)]) == 1
     assert time.perf_counter() - t0 < 5
     assert capsys.readouterr().err == (
-        f"not a 1-fold cover of all 4-subsets ({comb(400, 4)} missing,"
+        f"not a 1-fold cover of all 4-subsets ({comb(255, 4)} missing,"
         " 0 unexpected)\n")
 
 
 def test_verify_huge_header_with_small_classes(tmp_path, capsys):
     # a class of the wrong size is reported by its size, without a scan
-    # over the 65,535 vertices the header names, the most a 16-bit field holds
+    # over the 255 vertices the header names, the most a field holds
     f = tmp_path / "small.txt"
-    f.write_text("65535 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n")
+    f.write_text("255 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n")
     t0 = time.perf_counter()
     assert main(["verify", str(f)]) == 1
     assert time.perf_counter() - t0 < 1
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("not a 1-fold cover of all 4-subsets")
     assert lines[1:] == [
-        f"class {i}: 1 blocks cannot give all 65535 vertices degree 1"
-        " (needs 4 * blocks = 65535)" for i in (1, 2, 3)]
+        f"class {i}: 1 blocks cannot give all 255 vertices degree 1"
+        " (needs 4 * blocks = 255)" for i in (1, 2, 3)]
 
 
-def test_verify_refuses_a_header_past_16_bits(tmp_path, capsys):
-    # a block is stored in 16-bit fields at most, so a larger ground size
-    # is an input error at the header
+def test_verify_refuses_a_header_past_255(tmp_path, capsys):
+    # a block is four 8-bit fields, so a larger ground size is an input
+    # error at the header
     f = tmp_path / "wide.txt"
-    f.write_text("2000000 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n")
-    assert main(["verify", str(f)]) == 3
-    assert capsys.readouterr().err == "input error: line 1: ground_size <= 65535 required\n"
+    for ground in (256, 2000000):
+        f.write_text(f"{ground} 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n")
+        assert main(["verify", str(f)]) == 3
+        assert capsys.readouterr().err == "input error: line 1: ground_size <= 255 required\n"
+
+
+def test_embed_refuses_a_ground_size_past_255(tmp_path, capsys):
+    # (6, 256, 2, 5, 1) passes N1-N8 and plans at once, k = 546,227 colors:
+    # embed refuses it before any detachment state, and plan still prints it
+    t0 = time.perf_counter()
+    assert main(["embed", "6", "256", "2", "5", "1"]) == 3
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == "input error: n <= 255 required\n"
+    assert main(["plan", "6", "256", "2", "5", "1", "--out", str(tmp_path / "plan.txt")]) == 0
 
 
 FILE_BYTES = [bytes([c]) for c in b"0123456789 \t\n\r:,-x"] + [b"\xc3\xa9", b"\xff", b"\x00"]
@@ -312,6 +323,8 @@ def test_sweep_excluded_status(capsys):
 def test_sweep_bad_range(capsys):
     assert main(["sweep", "--m", "xx"]) == 3
     capsys.readouterr()
+    assert main(["sweep", "--m", "5..4"]) == 3
+    assert capsys.readouterr().err == "input error: empty range for m: 5..4\n"
     # sweep has no worker pool and no row filters
     for extra in (("--jobs", "2"), ("--admissible-only",),
                   ("--theorem-case", "strict-ratio")):

@@ -198,17 +198,14 @@ def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
         with pytest.raises(InputError) as err:
             Factorization(6, 1, 1, [flat])
         assert str(err.value) == "class 1: non-integer vertex in block 1"
-    # key_array: 4-byte keys up to ground size 255, 8-byte ones above,
-    # empty or copied from a class of another factorization, its 8-bit
-    # fields widened where the keys have 16-bit ones
-    for n, width in ((255, 8), (256, 16)):
-        keys = factorization.key_array(n)
-        assert keys == array("I" if n == 255 else "Q")
-        keys = factorization.key_array(n, facts[0].classes[1])
-        assert tuple(ColorClass(keys.tobytes(), keys.typecode)) == facts[0].classes[1]
-        keys.append(((1 << width | 2) << width | 3) << width | n)
-        assert Factorization(n, 1, 1, [keys]).classes[0] == tuple(
-            sorted([*facts[0].classes[1], (1, 2, 3, n)]))
+    # key_array: empty, or copied from a class of another factorization,
+    # and taken by a factorization on up to 255 vertices
+    assert factorization.key_array() == array("I")
+    keys = factorization.key_array(facts[0].classes[1])
+    assert tuple(ColorClass(keys.tobytes())) == facts[0].classes[1]
+    keys.append(((1 << 8 | 2) << 8 | 3) << 8 | 255)
+    assert Factorization(255, 1, 1, [keys]).classes[0] == tuple(
+        sorted([*facts[0].classes[1], (1, 2, 3, 255)]))
 
 
 def _key(block, width):
@@ -216,14 +213,15 @@ def _key(block, width):
     return ((a << width | b) << width | c) << width | d
 
 
-@pytest.mark.parametrize("n, code, width", [(6, "I", 8), (300, "Q", 16)])
+@pytest.mark.parametrize("n, code, width", [(6, "I", 8), (254, "I", 8)])
 @pytest.mark.parametrize("bad", [(0, 1, 2, 3), (1, 2, 3, 3), (3, 2, 1, 7), (5, 6, 7, None),
                                  (2, 1, 3, 4), (1, 2, 3, 4)])
 def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
-    # a class given as an array of keys of the factorization's own typecode
-    # gets the outcome of the same blocks given as tuples: the same keys,
-    # unsorted fields sorted, or the same BlockError for the same block,
-    # whether it comes alone or with a class of tuples (None is n + 1)
+    # a class given as an array of keys gets the outcome of the same blocks
+    # given as tuples: the same keys, unsorted fields sorted, or the same
+    # BlockError for the same block, whether it comes alone or with a class
+    # of tuples (None is n + 1: at n = 254, 255 is the largest vertex a
+    # field holds)
     bad = tuple(n + 1 if v is None else v for v in bad)
     blocks = [(1, 2, 3, 4), bad, (2, 3, 4, 5)]
     keys = array(code, [_key(block, width) for block in blocks])
@@ -243,7 +241,7 @@ def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
         assert outcomes[0][0] is True
 
 
-@pytest.mark.parametrize("code, field, width", [("I", "B", 8), ("Q", "H", 16)])
+@pytest.mark.parametrize("code, field, width", [("I", "B", 8)])
 def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
     # every 4-subset of 1..n, n <= 20, shuffled, as the constructor stores
     # it: the sorted keys are the packed vertices of the blocks in the order
@@ -251,7 +249,7 @@ def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
     # to the blocks, in bulk and one by one; in memory a key's field d is in
     # slot _LAST of its four
     rng = random.Random(0)
-    ground = 20 if code == "I" else 300
+    ground = 20
     for n in range(4, 21):
         blocks = list(combinations(range(1, n + 1), 4))
         shuffled = rng.sample(blocks, len(blocks))
@@ -278,68 +276,22 @@ def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
         array(code, sorted(_key(block, width) for block in part)).tobytes() for part in parts)
 
 
-def _sixteen_bit_system():
-    # 16-bit fields, a lam = 2 cover that is far from complete, and an
-    # empty class
-    return Factorization(300, 2, 1, [
-        [(1, 2, 3, 300), (297, 298, 299, 300), (4, 3, 2, 1), (1, 2, 3, 4)],
-        [(5, 6, 7, 256), (1, 2, 3, 4), (2, 3, 4, 5), (1, 2, 3, 4)], []])
-
-
-def test_ground_size_past_255_uses_16_bit_fields(monkeypatch):
-    fact = _sixteen_bit_system()
-    assert fact._code == "Q"
-    assert [len(keys) for keys in fact._keys] == [32, 32, 0]
-    assert fact.classes == (
-        ((1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 300), (297, 298, 299, 300)),
-        ((1, 2, 3, 4), (1, 2, 3, 4), (2, 3, 4, 5), (5, 6, 7, 256)), ())
-    text = render_factorization(fact)
-    assert text == ("300 2 1 3\n"
-                    "1: 1 2 3 4, 1 2 3 4, 1 2 3 300, 297 298 299 300\n"
-                    "2: 1 2 3 4, 1 2 3 4, 2 3 4 5, 5 6 7 256\n3: \n")
-    # the label table reaches v only in a file of 8 * C(v, 4) characters,
-    # so these labels up to 300 go by chunks; labels up to 12 in a padded
-    # file go by columns into 16-bit fields
-    # the three class lines are one batch, which is declined; with one
-    # character per segment, only line 1 is offered; either way the column
-    # path is not called again after it declines
-    calls = Counter()
-    _spy(monkeypatch, calls, "_columns")
-    low = Factorization(300, 2, 1, [[(9, 10, 11, 12), (1, 2, 3, 4)], [], [(5, 6, 7, 8)]])
-    for segment, batches in ((1 << 16, 1), (1, 3)):
-        monkeypatch.setattr(factorization, "_SEGMENT", segment)
-        calls.clear()
-        assert parse_factorization(text) == fact
-        assert calls == {"columns declined": 1}
-        calls.clear()
-        assert parse_factorization(render_factorization(low) + "\n" * 4000) == low
-        assert calls == {"columns": batches, "column blocks": 3}
-    issues = factorization_issues(fact)
-    assert issues == tuple_factorization_issues(fact)
-    assert issues[0] == ("not a 2-fold cover of all 4-subsets"
-                         f" ({2 * comb(300, 4) - 6} missing, 2 unexpected)")
-    # inner systems with 8-bit keys (m = 200) and 16-bit ones (m = 256)
-    # restrict to 1..m: class 1 matches, and class 2 keeps a third copy of
-    # (1, 2, 3, 4), and at m = 256 also (5, 6, 7, 256)
-    for m in (200, 256):
-        inner = Factorization(m, 2, 1, [[(1, 2, 3, 4)] * 2, [(1, 2, 3, 4), (2, 3, 4, 5)]])
-        issues = restriction_issues(inner, fact)
-        assert issues == tuple_restriction_issues(inner, fact)
-        assert issues == ["outer class 2 does not restrict to inner class 2"]
+def test_ground_size_past_255_is_refused():
+    # a block is four 8-bit fields, so a larger ground size is an input
+    # error, in the constructor and at a file's header, and so is a larger
+    # vertex
+    for n in (256, 65536):
+        with pytest.raises(InputError) as err:
+            Factorization(n, 1, 1, [])
+        assert str(err.value) == "ground_size <= 255 required"
+    assert Factorization(255, 1, 1, [[(1, 2, 3, 255)]]).classes == (((1, 2, 3, 255),),)
     with pytest.raises(InputError) as err:
-        Factorization(300, 1, 1, [[(1, 2, 3, 301)]])
-    assert str(err.value) == "class 1: block (1, 2, 3, 301) out of range 1..300"
-
-
-def test_ground_size_past_16_bits_is_refused():
-    with pytest.raises(InputError) as err:
-        Factorization(65536, 1, 1, [])
-    assert str(err.value) == "ground_size <= 65535 required"
-    assert Factorization(65535, 1, 1, [[(1, 2, 3, 65535)]]).classes == (((1, 2, 3, 65535),),)
+        Factorization(255, 1, 1, [[(1, 2, 3, 256)]])
+    assert str(err.value) == "class 1: block (1, 2, 3, 256) out of range 1..255"
     with pytest.raises(FormatError) as err:
-        parse_factorization("65536 1 1 1\n1: 1 2 3 4\n")
+        parse_factorization("256 1 1 1\n1: 1 2 3 4\n")
     assert err.value.line == 1
-    assert str(err.value) == "line 1: ground_size <= 65535 required"
+    assert str(err.value) == "line 1: ground_size <= 255 required"
 
 
 def test_classes_compare_hash_and_pickle_as_tuples(monkeypatch):
@@ -354,11 +306,18 @@ def test_classes_compare_hash_and_pickle_as_tuples(monkeypatch):
         assert copied == fact and hash(copied) == hash(fact)
     assert pickle.loads(pickle.dumps(fact.classes)) == plain
     assert fact.classes[0] != list(plain[0]) and fact != plain
+    # a view compares with a view by its keys: equal to the same class
+    # read back, unequal to another class of as many blocks; it hashes as
+    # its tuple
+    views = parse_factorization(render_factorization(fact)).classes
+    assert all(x == y for x, y in zip(views, fact.classes))
+    assert len(views[0]) == len(views[1]) and views[0] != views[1]
+    assert all(hash(view) == hash(tuple(view)) for view in views)
     # len() and indexing decode no more than they are asked for: record
     # how many keys each decoding takes
     decoded, real = [], factorization._flat
-    monkeypatch.setattr(factorization, "_flat", lambda keys, code: (
-        decoded.append(len(array(code, keys))) or real(keys, code)))
+    monkeypatch.setattr(factorization, "_flat", lambda keys: (
+        decoded.append(len(array("I", keys))) or real(keys)))
     fresh = _intro(8)
     assert len(fresh.classes) == 7 and len(fresh.classes[3]) == 10
     assert not decoded
@@ -378,17 +337,15 @@ def _parse_memory(text):
 
 
 def test_parse_memory_is_bounded_by_the_file():
-    # the header names 65,535 vertices, the most that a 16-bit field holds
-    # (label tables that long would take about 20 MB); the 45-byte file
-    # names six
-    text = "65535 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n"
-    assert len(text) == 45
+    # the header names 255 vertices, the most that a field holds; the
+    # 43-byte file names six
+    text = "255 1 1 3\n1: 1 2 3 4\n2: 1 2 3 5\n3: 1 2 3 6\n"
+    assert len(text) == 43
     fact, peak, _ = _parse_memory(text)
     assert fact.classes == (((1, 2, 3, 4),), ((1, 2, 3, 5),), ((1, 2, 3, 6),))
     assert peak < 1_000_000
-    # 200 kB that name no vertex: a label table as long as the file would
-    # take about 27 MB
-    fact, peak, _ = _parse_memory("65535 1 1 1\n1:" + " " * 200_000 + "\n")
+    # 200 kB that name no vertex take no memory in proportion to the file
+    fact, peak, _ = _parse_memory("255 1 1 1\n1:" + " " * 200_000 + "\n")
     assert fact.classes == ((),)
     assert peak < 1_000_000
     # a 323 kB class line of 27,405 blocks is read in segments: its tokens
@@ -739,9 +696,7 @@ def token_edits(draw):
 @example("6 1 1 1\n1: 1 2 3 4, 5\n", 4, True)
 @example("6 1 1 1\n1: 1 2 3 4, 3 5\n", 64, True)
 def test_columns_agree_with_the_chunk_path(text, segment, pad):
-    # the label table grows with the file, up to ground size 9 at 1,008
-    # characters, so a short file reads few labels by columns; trailing
-    # blank lines change no outcome but the table; a segment of up to 400
+    # trailing blank lines change no outcome; a segment of up to 400
     # characters makes batches of several class lines
     if pad:
         text += "\n" * 1008
@@ -749,9 +704,9 @@ def test_columns_agree_with_the_chunk_path(text, segment, pad):
 
 
 def test_batches_are_runs_of_at_least_a_segment():
-    # class lines of 10, 10, 10, 28, 10 and 3 characters, padded so that the
-    # label table reaches 9; each _columns call is logged with the blocks it
-    # read, or None when it declines, and none follows a decline
+    # class lines of 10, 10, 10, 28, 10 and 3 characters, then blank lines;
+    # each _columns call is logged with the blocks it read, or None when it
+    # declines, and none follows a decline
     lines = ["1: 1 2 3 4", "2: 1 2 3 5", "3: 1 2 3 6", "4: 1 2 3 7, 1 2 3 8, 1 2 3 9",
              "5: 1 2 4 5", "6: "]
     head = "9 1 1 6\n"
@@ -838,7 +793,7 @@ def test_columns_agree_with_the_chunk_path_at_a_segment_cut():
         # column path reads the line
         (head, before + block + "," + rest, comb(30, 4)),
         # the line ends in ", " after block k; the rest of it becomes class
-        # 2, so the file keeps its length and with it the label table
+        # 2
         (head[:-1] + "2", before + block + ", \n2: " + rest, None),
     ]
     outcomes = []
@@ -898,11 +853,11 @@ def tampered_certificates(draw):
     return inner, outer
 
 
-@pytest.mark.parametrize("n, reg", [(8, 20), (8, 2), (40, 400), (44, 101), (300, 4)])
+@pytest.mark.parametrize("n, reg", [(8, 20), (8, 2), (40, 400), (44, 101), (255, 4)])
 def test_degree_counts_agree_with_the_tuple_oracle_on_both_paths(n, reg):
     # a class of reg * n / 4 random blocks: its degrees are counted per
-    # vertex with bytes.count where reg * (46 - n) > 30 * n on 8-bit fields,
-    # (8, 20) and (40, 400), and block by block otherwise
+    # vertex with bytes.count where reg * (46 - n) > 30 * n, (8, 20) and
+    # (40, 400), and block by block otherwise
     rng = random.Random(n * reg)
     blocks = [tuple(sorted(rng.sample(range(1, n + 1), 4))) for _ in range(reg * n // 4)]
     fact = Factorization(n, 1, reg, [blocks, blocks[::-1], blocks[1:] + blocks[:1]])
