@@ -1,5 +1,6 @@
 """Mutation check of verify_plan, the independent re-check of every plan,
-and with ``--full`` of the certificate parser's column reader.
+and of the lane test ``_less``; with ``--full``, of the certificate
+parser's column reader and the certificate checks as well.
 
 Each mutant changes one node of a target function:
 
@@ -20,11 +21,15 @@ yields, fails the run (exit 1).  The unmutated module, unparsed the same
 way, must pass first.
 
 The toy mode runs ``TARGETS``: ``verify_plan`` with
-``tests/test_planner.py`` only, about 45 s on 2 cores.  The full mode adds
+``tests/test_planner.py``, and the lane test ``_less`` of the column proof
+with ``tests/test_factorization.py``.  The full mode adds
 ``FULL_TARGETS``: the parser's batch reader ``_by_columns`` and its column
 reader ``_columns``, the constructor's packer ``_packed``, the interleave
-into key memory ``_append_keys`` that both use, and the one column proof
-``_proved``, each with ``tests/test_factorization.py``.
+into key memory ``_append_keys`` that both use, the runs of keys ``_runs``
+that the lane tests take, the one column proof ``_proved``, and the issue
+finders ``factorization_issues`` and ``restriction_issues`` with their lane
+tests ``_repeats`` and ``_restricted``, each with
+``tests/test_factorization.py``.
 
     python scripts/mutants.py [--full]
 
@@ -48,10 +53,12 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quadembed"
 
 # (module, function, test file): each function with the tests that guard it
-TARGETS = (("planner", "verify_plan", "tests/test_planner.py"),)
+TARGETS = (("planner", "verify_plan", "tests/test_planner.py"),
+           ("factorization", "_less", "tests/test_factorization.py"))
 FULL_TARGETS = TARGETS + tuple(
     ("factorization", function, "tests/test_factorization.py")
-    for function in ("_by_columns", "_columns", "_packed", "_append_keys", "_proved"))
+    for function in ("_by_columns", "_columns", "_packed", "_append_keys", "_runs", "_proved",
+                     "factorization_issues", "_repeats", "restriction_issues", "_restricted"))
 
 # mutant name -> why no test can kill it
 EQUIVALENT = {
@@ -60,6 +67,17 @@ EQUIVALENT = {
     "verify_plan+19: start + count -> start - count":
         "it drops the crossing check; a row crossing q puts more than q colors under the old"
         " law m(s - r) != sm, so its sum of 3e + 2f + g misses the one the totals fix",
+    **dict.fromkeys((
+        "factorization_issues+31: reg * (46 - n) > 30 * n -> reg * (46 - n) <= 30 * n",
+        "factorization_issues+31: 46 - n -> 46 + n",
+        "factorization_issues+31: 30 * n -> 31 * n",
+        "factorization_issues+31: 46 - n -> 47 - n"),
+        "the test only picks how the degrees are counted, per vertex or block by block,"
+        " and both count the same degrees"),
+    "factorization_issues+32: n + 1 -> n + 2":
+        "it also counts vertex n + 1, which no field holds, so the extra degree is 0 < reg",
+    "factorization_issues+34: n + 1 -> n + 2":
+        "the extra slot, past vertex n, stays 0 < reg, so degrees.count(reg) is unchanged",
 }
 
 FLIPS = {ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt,

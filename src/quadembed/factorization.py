@@ -20,9 +20,14 @@ collector.  The construction builds these keys field by field in a
 ``key_array``.  A key's fields are also read in place, as the bytes of the
 class: in memory they run d c b a on a little-endian host and a b c d on a
 big-endian one (``_LAST``).  The issue finders read that storage: the
-cover from the keys, the degrees of a class from its fields (by
-``bytes.count`` per vertex when the class is long and the vertices few,
-else four at a time), and the restriction to 1..m from the field d.
+cover from the keys (a set at lam = 1; else the sorted keys, each XORed
+with the key lam places before it, as big ints, ``_repeats``), the
+degrees of a class from its fields (by ``bytes.count`` per vertex when
+the class is long and the vertices few, else four at a time), and the
+restriction to 1..m from the field d, which masks the keys as big ints
+(``_restricted``).  No result of the three depends on the byte order: the
+fields are read through ``_LAST``, and the cover and the restriction
+depend only on equality and AND.
 ``classes`` is a tuple of read-only ``ColorClass`` views, which decode a
 class to its sorted 4-tuples when it is read and compare, hash and print
 as that tuple; ``len()`` and indexing decode no more than they return.
@@ -41,9 +46,12 @@ class's own block order.  An array of such keys, which is what the
 construction and the parser hand over, is taken as it is; any other class
 (tuples, lists, ``ColorClass`` views) is packed into one when every block
 has four integer vertices that fit a field.  One proof, ``_proved``, then
-checks every class at once by columns: the fields are read in memory
-order, a range test of the a and d columns and three comparisons of
-columns prove every block a 4-subset of 1..ground_size.  If that fails,
+checks every class at once by columns, a run of ``_SEGMENT`` bytes of
+keys at a time: the fields are read in memory order, and a range test of
+the a and d columns and one lane test, ``_less``, of the columns a b c
+against b c d prove every block a 4-subset of 1..ground_size.  The lane
+test widens each byte to a 16-bit lane of a big int, where one
+subtraction compares all of them at C speed.  If that fails,
 each class is proved alone, and a class that fails alone, or that cannot
 be packed, goes block by block through ``_canonical_block``, which sorts
 each block, converts its vertices and words the error.  Each class is then
@@ -94,7 +102,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, pairwise
 from math import comb
-from operator import index as index_of, lt, ne
+from operator import index as index_of
 
 from .errors import FormatError, InputError
 
@@ -105,6 +113,9 @@ _SEGMENT = 1 << 16  # characters per segment of a class line read by columns
 _LITTLE = sys.byteorder == "little"
 # the memory slot of a key's last field, d; field k of a b c d is in slot _LAST ^ 3 ^ k
 _LAST = 0 if _LITTLE else 3
+# the key of four 1 fields: no block's key, and in 1..m for every m
+_MARK = bytes([1, 1, 1, 1])
+_BYTES = bytes(range(256))  # every byte value: _BYTES[lo:hi] deletes labels lo..hi - 1
 
 
 def key_array(cls: ColorClass | None = None) -> array:
@@ -156,13 +167,37 @@ def _packed(cls) -> array | tuple:
     return cls
 
 
+def _runs(start: int, stop: int):
+    """(lo, hi) of the runs of whole keys, ``_SEGMENT`` bytes or one key
+    each, that cut bytes start..stop of a buffer of keys: the lane tests
+    take one run at a time, so that their big ints stay small."""
+    step = max(_SEGMENT - _SEGMENT % 4, 4)
+    return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
+
+
+def _less(x: bytes, y: bytes) -> bool:
+    """Whether x[i] < y[i] at every i, for byte strings of one length, by
+    lanes: each pair is a 16-bit lane of two big ints, and the lane
+    0x8000 + x[i] - y[i] of their difference neither borrows nor carries,
+    with bit 15 clear exactly when x[i] < y[i]."""
+    high, low = bytearray(b"\0\x80") * len(x), bytearray(2 * len(x))
+    high[0::2], low[0::2] = x, y
+    lanes = int.from_bytes(high, "little") - int.from_bytes(low, "little")
+    return 0x80 not in lanes.to_bytes(len(high), "little")[1::2]
+
+
 def _proved(keys, ground_size: int) -> bool:
     """Whether ``keys``, a buffer of keys, are all blocks
-    1 <= a < b < c < d <= ground_size, checked by columns."""
-    fields = bytes(keys)
-    a, b, c, d = (fields[_LAST ^ 3 ^ k::4] for k in range(4))
-    return (0 not in a and not d.translate(None, bytes(range(ground_size + 1)))
-            and all(map(lt, a, b)) and all(map(lt, b, c)) and all(map(lt, c, d)))
+    1 <= a < b < c < d <= ground_size, checked by columns, run by run: a
+    range test of the a and d columns, and one lane test of a b c against
+    b c d."""
+    fields, top = bytes(keys), _BYTES[:ground_size + 1]
+    for lo, hi in _runs(0, len(fields)):
+        run = fields[lo:hi]
+        a, b, c, d = (run[_LAST ^ 3 ^ k::4] for k in range(4))
+        if 0 in a or d.translate(None, top) or not _less(a + b + c, b + c + d):
+            return False
+    return True
 
 
 class BlockError(InputError):
@@ -301,10 +336,9 @@ def factorization_issues(fact: Factorization) -> list[str]:
     if lam == 1:
         covered = len(set(every))
     else:
-        # entry i of the sorted keys is one of the first lam copies of its
-        # key exactly when i < lam or entry i - lam differs from it
-        every = sorted(every)
-        covered = min(lam, blocks) + sum(map(ne, every[lam:], every))
+        # a sorted key is one of the first lam copies of itself exactly
+        # when it differs from the key lam places before it
+        covered = blocks - _repeats(array("I", sorted(every)).tobytes(), lam)
     missing = lam * comb(n, 4) - covered
     extra = blocks - covered
     if missing or extra:
@@ -361,25 +395,57 @@ def certificate_issues(cert: EmbeddingCertificate) -> list[str]:
 def restriction_issues(inner: Factorization, outer: Factorization) -> list[str]:
     """Restriction defects: outer class i restricted to the 4-subsets of
     1..m must be inner class i, and the outer classes beyond the inner ones
-    must avoid 1..m."""
+    must avoid 1..m.
+
+    The first q outer classes, q the inner class count, are restricted in
+    one pass, joined by ``_MARK``, and compared with the inner classes
+    joined the same way; the new classes are checked by one deletion from
+    their joined d column.  Only a side that fails is gone over class by
+    class, to word its issues."""
     m, q = inner.ground_size, len(inner._keys)
     if q > len(outer._keys):
         return ["inner system has more classes than outer"]
-    # a block lies in 1..m when its last field d does, and the restriction
-    # of a sorted class is a filter of it, so it stays sorted
     issues = []
-    for i, cls in enumerate(outer._keys):
-        last = cls[_LAST::4]
-        if i < q:
-            old = array("I", compress(array("I", cls), map(m.__ge__, last))).tobytes()
-            if old != inner._keys[i]:
-                issues.append(f"outer class {i + 1} does not restrict to"
-                              f" inner class {i + 1}")
-        elif last and min(last) <= m:
-            count = sum(map(m.__ge__, last))
-            issues.append(f"new outer class {i + 1} contains {count}"
-                          f" inner 4-subsets")
+    if _restricted(_MARK.join(outer._keys[:q]), m) != _MARK.join(inner._keys):
+        issues += [f"outer class {i + 1} does not restrict to inner class {i + 1}"
+                   for i, (cls, old) in enumerate(zip(outer._keys, inner._keys))
+                   if _restricted(cls, m) != old]
+    above = _BYTES[m + 1:]  # the labels of the new vertices
+    if b"".join(outer._keys[q:])[_LAST::4].translate(None, above):
+        for i, cls in enumerate(outer._keys[q:], start=q):
+            count = len(cls[_LAST::4].translate(None, above))
+            if count:
+                issues.append(f"new outer class {i + 1} contains {count}"
+                              f" inner 4-subsets")
     return issues
+
+
+def _restricted(keys: bytes, m: int) -> bytes:
+    """The keys of ``keys`` whose blocks lie in 1..m, in their order, so
+    sorted keys restrict to sorted keys.  A block lies in 1..m when its
+    field d does: its key's four bytes are masked with 0xff, any other
+    key's with 0, by an AND of big ints, and the zero bytes are deleted.
+    Every field is at least 1, so only whole masked keys vanish."""
+    mask = bytearray(len(keys))
+    mask[0::4] = mask[1::4] = mask[2::4] = mask[3::4] = keys[_LAST::4].translate(
+        b"\xff" * (m + 1) + bytes(255 - m))
+    kept = int.from_bytes(keys, "little") & int.from_bytes(mask, "little")
+    return kept.to_bytes(len(keys), "little").translate(None, b"\0")
+
+
+def _repeats(keys: bytes, lag: int) -> int:
+    """How many of ``keys`` equal the key ``lag`` places before them, run
+    by run.  Two equal keys XOR, as big ints, to four zero bytes, and an
+    OR-fold of each 32-bit lane's four bytes into its low byte leaves a
+    zero byte exactly there."""
+    shift, count = 4 * lag, 0
+    for lo, hi in _runs(shift, len(keys)):
+        z = int.from_bytes(keys[lo:hi], "little") ^ int.from_bytes(
+            keys[lo - shift:hi - shift], "little")
+        z |= z >> 8
+        z |= z >> 16
+        count += z.to_bytes(hi - lo, "little")[::4].count(0)
+    return count
 
 
 def verify_certificate(cert: EmbeddingCertificate) -> bool:

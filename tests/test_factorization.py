@@ -8,6 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 from math import comb
+from operator import lt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -208,15 +209,15 @@ def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
         sorted([*facts[0].classes[1], (1, 2, 3, 255)]))
 
 
-def _key(block, width):
+def _key(block):
     a, b, c, d = block
-    return ((a << width | b) << width | c) << width | d
+    return ((a << 8 | b) << 8 | c) << 8 | d
 
 
-@pytest.mark.parametrize("n, code, width", [(6, "I", 8), (254, "I", 8)])
+@pytest.mark.parametrize("n", [6, 254])
 @pytest.mark.parametrize("bad", [(0, 1, 2, 3), (1, 2, 3, 3), (3, 2, 1, 7), (5, 6, 7, None),
                                  (2, 1, 3, 4), (1, 2, 3, 4)])
-def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
+def test_key_arrays_are_checked_as_their_vertices_are(n, bad):
     # a class given as an array of keys gets the outcome of the same blocks
     # given as tuples: the same keys, unsorted fields sorted, or the same
     # BlockError for the same block, whether it comes alone or with a class
@@ -224,7 +225,7 @@ def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
     # field holds)
     bad = tuple(n + 1 if v is None else v for v in bad)
     blocks = [(1, 2, 3, 4), bad, (2, 3, 4, 5)]
-    keys = array(code, [_key(block, width) for block in blocks])
+    keys = array("I", [_key(block) for block in blocks])
     outcomes = []
     for cls in (keys, blocks):
         for classes in ([cls], [[(1, 2, 5, 6)], cls]):
@@ -235,14 +236,13 @@ def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
     assert outcomes[:2] == outcomes[2:]
     assert outcomes[0] == outcomes[1]
     if 1 <= min(bad) and max(bad) <= n and len(set(bad)) == 4:
-        assert outcomes[0] == array(code, sorted(
-            _key(block, width) for block in map(sorted, blocks))).tobytes()
+        assert outcomes[0] == array("I", sorted(
+            _key(block) for block in map(sorted, blocks))).tobytes()
     else:
         assert outcomes[0][0] is True
 
 
-@pytest.mark.parametrize("code, field, width", [("I", "B", 8)])
-def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
+def test_keys_are_a_bijection_that_keeps_tuple_order():
     # every 4-subset of 1..n, n <= 20, shuffled, as the constructor stores
     # it: the sorted keys are the packed vertices of the blocks in the order
     # of combinations(), which is tuple order, all distinct, and decode back
@@ -254,18 +254,18 @@ def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
         blocks = list(combinations(range(1, n + 1), 4))
         shuffled = rng.sample(blocks, len(blocks))
         fact = Factorization(ground, 1, 1, [shuffled])
-        keys = array(code, fact._keys[0])
-        assert list(keys) == [_key(block, width) for block in blocks]
+        keys = array("I", fact._keys[0])
+        assert list(keys) == [_key(block) for block in blocks]
         assert len(set(keys)) == len(blocks)
         assert all(x < y for x, y in zip(keys, keys[1:]))
-        assert list(array(field, fact._keys[0])[factorization._LAST::4]) == [
+        assert list(fact._keys[0][factorization._LAST::4]) == [
             d for *_, d in blocks]
         cls = fact.classes[0]
         assert list(cls) == blocks and len(cls) == len(blocks)
         assert [cls[i] for i in range(-len(blocks), len(blocks))] == blocks + blocks
         assert cls[1::3] == tuple(blocks[1::3])
     # the same keys as an array, in any order, are stored as they sort
-    shuffled_keys = array(code, [_key(block, width) for block in shuffled])
+    shuffled_keys = array("I", [_key(block) for block in shuffled])
     assert Factorization(ground, 1, 1, [shuffled_keys])._keys == (keys.tobytes(),)
     # classes packed and proved together, empty ones among them: each stores
     # its own sorted keys, in class order
@@ -273,7 +273,7 @@ def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
     ends = list(accumulate(counts, initial=0))
     parts = [shuffled[lo:hi] for lo, hi in zip(ends, ends[1:])]
     assert Factorization(ground, 1, 1, parts)._keys == tuple(
-        array(code, sorted(_key(block, width) for block in part)).tobytes() for part in parts)
+        array("I", sorted(_key(block) for block in part)).tobytes() for part in parts)
 
 
 def test_ground_size_past_255_is_refused():
@@ -873,3 +873,143 @@ def test_issue_finders_agree_with_the_tuple_oracles(pair):
     for fact in pair:
         assert factorization_issues(fact) == tuple_factorization_issues(fact)
     assert restriction_issues(inner, outer) == tuple_restriction_issues(inner, outer)
+
+
+_SEG = 9  # bytes a run of the lane tests below: two whole keys, 8 bytes
+
+
+@st.composite
+def byte_pairs(draw):
+    """Two byte strings of one length, 0 to 3 * _SEG + 1 bytes, with
+    x[i] < y[i] at every place but none, one or a few, where x[i] >= y[i]
+    (equal pairs among them); 0, 1, 254 and 255 are drawn often."""
+    edge = st.sampled_from([0, 1, 254, 255])
+    size = draw(st.integers(0, 3 * _SEG + 1))
+    pairs = []
+    for _ in range(size):
+        x = draw(st.one_of(edge.filter(lambda v: v < 255), st.integers(0, 254)))
+        pairs.append((x, draw(st.one_of(st.sampled_from([x + 1, 255]), st.integers(x + 1, 255)))))
+    for _ in range(draw(st.integers(0, 2)) if size else 0):
+        x = draw(st.one_of(edge, st.integers(0, 255)))
+        pairs[draw(st.integers(0, size - 1))] = (x, draw(st.one_of(st.just(x), edge.filter(
+            lambda v: v <= x), st.integers(0, x))))
+    return bytes(x for x, _ in pairs), bytes(y for _, y in pairs)
+
+
+@given(byte_pairs())
+@example((b"", b""))
+@example((b"\x05", b"\x05"))
+@example((b"\xff", b"\x00"))
+@example((b"\x00\xfe", b"\x01\xff"))
+@example((bytes(3 * _SEG + 1), bytes([1] * 3 * _SEG + [0])))
+def test_lane_test_agrees_with_byte_comparison(pair):
+    x, y = pair
+    assert factorization._less(x, y) is all(map(lt, x, y))
+
+
+@st.composite
+def proof_cases(draw):
+    """A ground size and 0 to 3 runs + 1 of blocks, runs of _SEG bytes of
+    whole keys, all 4-subsets of 1..n but none, one or a few: blocks of any
+    four fields, 0 and n + 1 drawn often."""
+    n = draw(st.one_of(st.sampled_from([4, 5, 254, 255]), st.integers(4, 255)))
+    vertices = st.integers(1, n)
+    blocks = [tuple(sorted(draw(st.sets(vertices, min_size=4, max_size=4))))
+              for _ in range(draw(st.integers(0, 3 * (_SEG // 4) + 1)))]
+    field = st.one_of(st.sampled_from([0, 1, n, min(n + 1, 255), 255]), st.integers(0, 255))
+    for _ in range(draw(st.integers(0, 2)) if blocks else 0):
+        block = list(blocks[draw(st.integers(0, len(blocks) - 1))])
+        block[draw(st.integers(0, 3))] = draw(field)
+        blocks[draw(st.integers(0, len(blocks) - 1))] = tuple(block)
+    return n, blocks
+
+
+@given(proof_cases())
+@example((6, [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (2, 2, 3, 6)]))
+@example((6, [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 4, 3)]))
+@example((6, [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 7)]))
+@example((6, [(1, 2, 3, 4), (0, 2, 3, 5)]))
+def test_proof_agrees_with_the_blocks_run_by_run(case):
+    # the one column proof of a buffer of keys, run by run of _SEG bytes
+    # (two keys), and all at once in one run, is that of the blocks
+    n, blocks = case
+    keys = array("I", map(_key, blocks)).tobytes()
+    want = all(1 <= a < b < c < d <= n for a, b, c, d in blocks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "_SEGMENT", _SEG)
+        assert factorization._proved(keys, n) is want
+    assert factorization._proved(keys, n) is want
+
+
+def test_restriction_agrees_with_the_tuple_oracle_block_by_block():
+    # every inner block of an old outer class moved to every other old
+    # class, and strayed into two new classes: the issues, one for one, are
+    # the tuple oracle's.  Last, (1, 2, 3, 5) moved to the next class, where
+    # it sorts first, leaves the restriction of the old classes, joined
+    # without a mark, as it was
+    rng = random.Random(35)
+    moved = strayed = 0
+    for tup in ((6, 8, 2, 5, 1), (5, 8, 4, 5, 1), (4, 8, 2, 14, 2), (4, 6, 3, 6, 3)):
+        inner, outer = _small_certificate(tup)
+        m, q = inner.ground_size, len(inner.classes)
+        assert restriction_issues(inner, outer) == []
+        base = [list(cls) for cls in outer.classes]
+        for i in range(q):
+            for block in [b for b in base[i] if b[3] <= m]:
+                for j in [j for j in range(q) if j != i] + rng.sample(range(q, len(base)), 2):
+                    classes = [list(cls) for cls in base]
+                    classes[i].remove(block)
+                    classes[j].append(block)
+                    tampered = Factorization(outer.ground_size, outer.lam,
+                                             outer.regularity, classes)
+                    issues = restriction_issues(inner, tampered)
+                    assert issues == tuple_restriction_issues(inner, tampered)
+                    assert len(issues) == 2
+                    moved += j < q
+                    strayed += j >= q
+    assert moved >= 50 and strayed >= 50
+    inner = Factorization(6, 1, 1, [[(1, 2, 3, 4), (1, 2, 3, 5)], [(1, 2, 3, 6)]])
+    outer = Factorization(8, 1, 1, [[(1, 2, 3, 4), (1, 7, 8, 2)], [(1, 2, 3, 5), (1, 2, 3, 6)],
+                                    [(1, 2, 7, 8), (3, 4, 5, 6), (2, 3, 4, 5)]])
+    assert restriction_issues(inner, outer) == tuple_restriction_issues(inner, outer) == [
+        "outer class 1 does not restrict to inner class 1",
+        "outer class 2 does not restrict to inner class 2",
+        "new outer class 3 contains 2 inner 4-subsets"]
+    # a stray block as the fifth key of the new classes, after four blocks
+    # with every vertex above m, is found by its d field
+    outer = Factorization(12, 1, 1, [[(1, 2, 3, 4)], [(5, 6, 7, v) for v in range(8, 12)],
+                                     [(1, 2, 3, 4)]])
+    inner = Factorization(4, 1, 1, [[(1, 2, 3, 4)]])
+    assert restriction_issues(inner, outer) == tuple_restriction_issues(inner, outer) == [
+        "new outer class 3 contains 1 inner 4-subsets"]
+
+
+@pytest.mark.parametrize("segment", [_SEG, factorization._SEGMENT])
+@pytest.mark.parametrize("tup", [(4, 8, 2, 14, 2), (4, 6, 3, 6, 3), (5, 6, 4, 10, 3)])
+def test_repeated_cover_agrees_with_the_tuple_oracle(tup, segment):
+    # lam 2 and 3: blocks dropped and duplicated, in every class and
+    # across classes, with the sorted keys compared by runs of two keys
+    # and in one run; so are systems of up to lam + 1 copies of one block
+    rng = random.Random(sum(tup))
+    _, outer = _small_certificate(tup)
+    full = [list(cls) for cls in outer.classes]
+    every = list(chain.from_iterable(full))
+    verdicts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorization, "_SEGMENT", segment)
+        for trial in range(40):
+            classes = [list(cls) for cls in full]
+            for _ in range(trial % 5):
+                cls = rng.choice([c for c in classes if c])
+                if rng.random() < 0.5:
+                    del cls[rng.randrange(len(cls))]
+                else:
+                    rng.choice(classes).append(rng.choice(every))
+            fact = Factorization(outer.ground_size, outer.lam, outer.regularity, classes)
+            issues = factorization_issues(fact)
+            assert issues == tuple_factorization_issues(fact)
+            verdicts[any("cover" in issue for issue in issues)] += 1
+        for count in range(outer.lam + 2):
+            fact = Factorization(outer.ground_size, outer.lam, 1, [every[:1] * count])
+            assert factorization_issues(fact) == tuple_factorization_issues(fact)
+    assert verdicts[True] >= 25 and verdicts[False] >= 5
