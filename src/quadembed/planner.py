@@ -36,8 +36,9 @@ a few more.  ``build_plan`` takes the tier table and the totals from p once
 and hands them to ``plan_e``, ``plan_e_exact`` and ``plan_f``, which return
 runs; ``extend_plan`` forces g_j and h_j once per run, and a plan is its rows
 (count, e_j, f_j, g_j, h_j), which ``verify_plan`` re-checks in one pass
-from p alone, independently of the table and runs that built them.  Only
-``render_plan``, ``plan_to_json`` and ``detach`` write one entry per color.
+from p alone, independently of the table and runs that built them.
+``render_plan`` and ``plan_to_json`` write a plan as its rows; only
+``detach`` works with one entry per color.
 """
 
 from __future__ import annotations
@@ -309,33 +310,24 @@ def _header(p: EmbeddingParams, via: str) -> dict:
 
 
 def _numbered_rows(plan: AmalgamPlan, q: int):
-    """(first color, tier, count, e_j, f_j, g_j, h_j) per row; colors count from 1."""
-    j = 1
+    """(first, last, tier, e_j, f_j, g_j, h_j) per row; colors count from 1."""
+    first = 1
     for count, *quad in plan.rows:
-        yield (j, "old" if j <= q else "new", count, *quad)
-        j += count
+        yield (first, first + count - 1, "old" if first <= q else "new", *quad)
+        first += count
 
 
 def render_plan(plan: AmalgamPlan) -> str:
+    """The header line, then one line ``first last tier e f g h`` per row."""
     header = _header(plan.params, plan.via)
     lines = [" ".join("-" if x is None else str(x) for x in header.values())]
-    for j, tier, count, *quad in _numbered_rows(plan, header["q"]):
-        values = " ".join(map(str, quad))
-        lines += (f"{i} {tier} {values}" for i in range(j, j + count))
+    lines += (" ".join(map(str, row)) for row in _numbered_rows(plan, header["q"]))
     return "\n".join(lines) + "\n"
 
 
 def plan_to_json(plan: AmalgamPlan) -> str:
-    """The plan byte for byte as ``json.dumps(doc, indent=2)`` writes it,
-    with doc the header fields and a "colors" list of one object per color.
-    Only the header goes through ``json.dumps``; each row formats its colors
-    itself, because with an indent ``json.dumps`` falls back to its pure
-    Python encoder, 16x slower at k = 246,905."""
+    """The header fields and a "rows" list of one object per row."""
     header = _header(plan.params, plan.via)
-    head = json.dumps(header, indent=2)  # ends "\n}"
-    colors = []
-    for j, tier, count, *quad in _numbered_rows(plan, header["q"]):
-        body = "".join(f',\n      "{name}": {x}' for name, x in zip("efgh", quad))
-        colors += (f'    {{\n      "j": {i},\n      "tier": "{tier}"{body}\n    }}'
-                   for i in range(j, j + count))
-    return head[:-2] + ',\n  "colors": [\n' + ",\n".join(colors) + "\n  ]\n}"
+    keys = ("first", "last", "tier", "e", "f", "g", "h")
+    rows = [dict(zip(keys, row)) for row in _numbered_rows(plan, header["q"])]
+    return json.dumps({**header, "rows": rows}, indent=2)

@@ -225,6 +225,19 @@ def test_embed_refuses_a_ground_size_past_255(tmp_path, capsys):
     assert main(["plan", "6", "256", "2", "5", "1", "--out", str(tmp_path / "plan.txt")]) == 0
 
 
+def test_plan_prints_one_line_per_row(capsys):
+    # (6, 256, 2, 5, 1) has k = 546,227 colors in 4 rows: the header line
+    # and one line "first last tier e f g h" per row
+    assert main(["plan", "6", "256", "2", "5", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "6 256 2 5 1 5 546227 5.1 - general",
+        "1 5 old 6 0 0 311",
+        "6 502 new 10 0 0 310",
+        "503 31627 new 0 15 0 305",
+        "31628 546227 new 0 0 30 290",
+    ]
+
+
 FILE_BYTES = [bytes([c]) for c in b"0123456789 \t\n\r:,-x"] + [b"\xc3\xa9", b"\xff", b"\x00"]
 
 

@@ -209,15 +209,16 @@ def test_canonical_classes_skip_the_block_by_block_path(monkeypatch):
         sorted([*facts[0].classes[1], (1, 2, 3, 255)]))
 
 
-def _key(block, width=8):
+def _key(block):
     a, b, c, d = block
-    return ((a << width | b) << width | c) << width | d
+    return ((a << 8 | b) << 8 | c) << 8 | d
 
 
-@pytest.mark.parametrize("n, code, width", [(6, "I", 8), (254, "I", 8)])
+# the ids name the key format too: typecode "I", 8-bit fields
+@pytest.mark.parametrize("n", [6, 254], ids=["6-I-8", "254-I-8"])
 @pytest.mark.parametrize("bad", [(0, 1, 2, 3), (1, 2, 3, 3), (3, 2, 1, 7), (5, 6, 7, None),
                                  (2, 1, 3, 4), (1, 2, 3, 4)])
-def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
+def test_key_arrays_are_checked_as_their_vertices_are(n, bad):
     # a class given as an array of keys gets the outcome of the same blocks
     # given as tuples: the same keys, unsorted fields sorted, or the same
     # BlockError for the same block, whether it comes alone or with a class
@@ -225,7 +226,7 @@ def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
     # field holds)
     bad = tuple(n + 1 if v is None else v for v in bad)
     blocks = [(1, 2, 3, 4), bad, (2, 3, 4, 5)]
-    keys = array(code, [_key(block, width) for block in blocks])
+    keys = array("I", [_key(block) for block in blocks])
     outcomes = []
     for cls in (keys, blocks):
         for classes in ([cls], [[(1, 2, 5, 6)], cls]):
@@ -236,14 +237,13 @@ def test_key_arrays_are_checked_as_their_vertices_are(n, code, width, bad):
     assert outcomes[:2] == outcomes[2:]
     assert outcomes[0] == outcomes[1]
     if 1 <= min(bad) and max(bad) <= n and len(set(bad)) == 4:
-        assert outcomes[0] == array(code, sorted(
-            _key(block, width) for block in map(sorted, blocks))).tobytes()
+        assert outcomes[0] == array("I", sorted(
+            _key(block) for block in map(sorted, blocks))).tobytes()
     else:
         assert outcomes[0][0] is True
 
 
-@pytest.mark.parametrize("code, field, width", [("I", "B", 8)])
-def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
+def test_keys_are_a_bijection_that_keeps_tuple_order():
     # every 4-subset of 1..n, n <= 20, shuffled, as the constructor stores
     # it: the sorted keys are the packed vertices of the blocks in the order
     # of combinations(), which is tuple order, all distinct, and decode back
@@ -255,18 +255,18 @@ def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
         blocks = list(combinations(range(1, n + 1), 4))
         shuffled = rng.sample(blocks, len(blocks))
         fact = Factorization(ground, 1, 1, [shuffled])
-        keys = array(code, fact._keys[0])
-        assert list(keys) == [_key(block, width) for block in blocks]
+        keys = array("I", fact._keys[0])
+        assert list(keys) == [_key(block) for block in blocks]
         assert len(set(keys)) == len(blocks)
         assert all(x < y for x, y in zip(keys, keys[1:]))
-        assert list(array(field, fact._keys[0])[factorization._LAST::4]) == [
+        assert list(fact._keys[0][factorization._LAST::4]) == [
             d for *_, d in blocks]
         cls = fact.classes[0]
         assert list(cls) == blocks and len(cls) == len(blocks)
         assert [cls[i] for i in range(-len(blocks), len(blocks))] == blocks + blocks
         assert cls[1::3] == tuple(blocks[1::3])
     # the same keys as an array, in any order, are stored as they sort
-    shuffled_keys = array(code, [_key(block, width) for block in shuffled])
+    shuffled_keys = array("I", [_key(block) for block in shuffled])
     assert Factorization(ground, 1, 1, [shuffled_keys])._keys == (keys.tobytes(),)
     # classes packed and proved together, empty ones among them: each stores
     # its own sorted keys, in class order
@@ -274,7 +274,7 @@ def test_keys_are_a_bijection_that_keeps_tuple_order(code, field, width):
     ends = list(accumulate(counts, initial=0))
     parts = [shuffled[lo:hi] for lo, hi in zip(ends, ends[1:])]
     assert Factorization(ground, 1, 1, parts)._keys == tuple(
-        array(code, sorted(_key(block, width) for block in part)).tobytes() for part in parts)
+        array("I", sorted(_key(block) for block in part)).tobytes() for part in parts)
 
 
 def test_ground_size_past_255_is_refused():

@@ -414,12 +414,12 @@ PLANNED_CASES = {
 }
 
 
-# sha256(render_plan(build_plan(p)))[:16] beyond the desk box (k <= 7,308),
-# measured before planning worked on runs: the output is byte for byte the same
+# sha256(render_plan(build_plan(p)))[:16] beyond the desk box (k <= 7,308):
+# the header line and one line per row
 LARGE_PLAN_DIGESTS = {
-    (8, 116, 1, 1, 1): "b774698552da8da2",  # k = 246,905
-    (6, 48, 2, 5, 1): "ca3bd7ec2d90942f",
-    (12, 28, 5, 9, 2): "9bae73ce532b59cd",
+    (8, 116, 1, 1, 1): "2bfa6a7d78aceb04",  # k = 246,905
+    (6, 48, 2, 5, 1): "4344e49f9b75f99b",
+    (12, 28, 5, 9, 2): "4c27082b0047b8f5",
 }
 
 
@@ -441,37 +441,52 @@ def test_plan_json_shape():
     import json
     p = EmbeddingParams(6, 8, 2, 5, 1)
     doc = json.loads(plan_to_json(build_plan(p)))
+    assert list(doc) == ["m", "n", "r", "s", "lambda", "q", "k", "case", "subcase", "via",
+                         "rows"]
     assert doc["case"] == "5.2" and doc["q"] == 5 and doc["k"] == 7
-    assert doc["colors"][0] == {"j": 1, "tier": "old", "e": 4, "f": 3,
-                                "g": 0, "h": 0}
-    assert doc["colors"][-1]["tier"] == "new"
+    assert doc["rows"] == [
+        {"first": 1, "last": 5, "tier": "old", "e": 4, "f": 3, "g": 0, "h": 0},
+        {"first": 6, "last": 7, "tier": "new", "e": 10, "f": 0, "g": 0, "h": 0},
+    ]
 
 
-def _json_by_dumps(plan):
-    """The document ``plan_to_json`` writes, built as a dict and written by
-    ``json.dumps(..., indent=2)``; the colors come from the per-color views."""
+def _expand_rows(plan, rows):
+    """The columns e..h that rows (first, last, tier, e, f, g, h) give, one
+    entry per color, after checking that the rows tile 1..k in order, that
+    none crosses q and that each names its tier."""
+    q, k = color_counts(plan.params)
+    cols, j = ([], [], [], []), 1
+    for first, last, tier, *quad in rows:
+        assert first == j <= last and not first <= q < last, (first, last)
+        assert tier == ("old" if first <= q else "new"), (first, tier)
+        for col, x in zip(cols, quad):
+            col += [x] * (last - first + 1)
+        j = last + 1
+    assert j == k + 1
+    return tuple(map(tuple, cols))
+
+
+def test_plan_text_and_json_rows_expand_back_to_the_plan():
+    # every desk plan with k <= 100, one desk plan per (case, subcase,
+    # path), and the large plans: the text rows and the JSON rows each give
+    # back plan.e .. plan.h, under the same header
     import json
-    p = plan.params
-    q, k = color_counts(p)
-    colors = [{"j": j, "tier": "old" if j <= q else "new", "e": e, "f": f, "g": g, "h": h}
-              for j, (e, f, g, h) in enumerate(zip(plan.e, plan.f, plan.g, plan.h), 1)]
-    return json.dumps({"m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam,
-                       "q": q, "k": k, "case": plan.case.code, "subcase": plan.subcase,
-                       "via": plan.via, "colors": colors}, indent=2)
-
-
-def test_plan_json_is_byte_identical_to_json_dumps():
-    # plan_to_json writes the indent=2 layout itself, row by row.  The pure
-    # Python encoder behind the oracle takes about 8 s over all 1,783 desk
-    # plans, so: every desk plan with k <= 100, one desk plan per (case,
-    # subcase, path), and one far beyond the desk box (k = 246,905)
     small = [p for p in sweep_params(n_hi=30, r_hi=12, s_hi=12, lam_hi=2)
              if check_conditions(p).all_hold() and color_counts(p)[1] <= 100]
     assert len(small) == 311
     for p in [*small, *(EmbeddingParams(*tup) for tup in PLANNED_CASES.values()),
-              EmbeddingParams(8, 116, 1, 1, 1)]:
+              *(EmbeddingParams(*tup) for tup in LARGE_PLAN_DIGESTS)]:
         plan = build_plan(p)
-        assert plan_to_json(plan) == _json_by_dumps(plan), p
+        columns = (plan.e, plan.f, plan.g, plan.h)
+        header, *lines = render_plan(plan).splitlines()
+        text_rows = [(int(first), int(last), tier, *map(int, quad))
+                     for first, last, tier, *quad in map(str.split, lines)]
+        assert all(len(row) == 7 for row in text_rows), p
+        assert _expand_rows(plan, text_rows) == columns, p
+        doc = json.loads(plan_to_json(plan))
+        assert doc.pop("rows") == [dict(zip(("first", "last", "tier", *"efgh"), row))
+                                   for row in text_rows], p
+        assert ["-" if x is None else str(x) for x in doc.values()] == header.split(), p
 
 
 def test_case_code_with_subcase():
