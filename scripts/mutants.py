@@ -28,8 +28,8 @@ reader ``_columns``, the constructor's packer ``_packed``, the interleave
 into key memory ``_append_keys`` that both use, the runs of keys ``_runs``
 that the lane tests take, the one column proof ``_proved``, and the issue
 finders ``factorization_issues`` and ``restriction_issues`` with their lane
-tests ``_repeats`` and ``_restricted``, each with
-``tests/test_factorization.py``.
+tests ``_repeats`` and ``_restricted``, and ``certificate_issues``, which
+joins them, each with ``tests/test_factorization.py``.
 
     python scripts/mutants.py [--full]
 
@@ -58,7 +58,8 @@ TARGETS = (("planner", "verify_plan", "tests/test_planner.py"),
 FULL_TARGETS = TARGETS + tuple(
     ("factorization", function, "tests/test_factorization.py")
     for function in ("_by_columns", "_columns", "_packed", "_append_keys", "_runs", "_proved",
-                     "factorization_issues", "_repeats", "restriction_issues", "_restricted"))
+                     "factorization_issues", "_repeats", "restriction_issues", "_restricted",
+                     "certificate_issues"))
 
 # mutant name -> why no test can kill it
 EQUIVALENT = {

@@ -25,7 +25,7 @@ from .factorization import (
     render_factorization,
 )
 from .params import CONDITION_IDS, EmbeddingParams, check_conditions
-from .planner import _header, build_plan, plan_to_json, render_plan
+from .planner import build_plan, plan_to_json, render_plan
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -166,8 +166,7 @@ def _sweep_row(tup) -> dict:
         row["plan_ms"] = f"{(time.perf_counter() - t0) * 1000:.3f}"
         row["plan_found"] = int(plan is not None)
         if plan is not None:
-            header = _header(p, plan.via)
-            row["case"], row["subcase"] = header["case"], header["subcase"] or ""
+            row["case"], row["subcase"] = plan.case.code, plan.subcase or ""
     return row
 
 

@@ -104,8 +104,9 @@ a is small, up to 5 (a = 3).  The three a = 2 steps split 8, 338 and
 30,360 odd cells by trails.
 
 ``seed`` permutes the order in which the old vertices, and then the new
-vertices, are detached; seed 0 keeps the natural order, and any other
-seed sorts the fields of each block once all are detached.  Classes, types
+vertices, are detached; seed 0 keeps the natural order, and at any other
+seed a finished key holds its fields in detach order, which the
+``Factorization`` constructor sorts block by block.  Classes, types
 and the extra cells of a row are visited in a fixed order, so the output
 is a function of the inputs.
 """
@@ -122,7 +123,6 @@ from itertools import accumulate, chain, compress
 from .errors import InputError
 from .factorization import (
     MAX_GROUND_SIZE,
-    ColorClass,
     EmbeddingCertificate,
     Factorization,
     factorization_issues,
@@ -392,11 +392,12 @@ def _detach_vertex(classes: list[dict[EdgeType, int]], blocks: list[array],
 
 
 def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[array],
-                amalgams: list[tuple[range, bool, list[int]]], seed: int) -> list:
+                amalgams: list[tuple[range, bool, list[int]]], seed: int) -> list[array]:
     """Detach every vertex of each amalgam in turn; ``amalgams`` lists
-    (vertices, from_beta, degree).  A nonzero seed shuffles each amalgam's
-    order, all with one generator, and then the fields of each finished
-    key, in detach order, are sorted; the classes are returned."""
+    (vertices, from_beta, degree), and the key arrays of the classes are
+    returned.  A nonzero seed shuffles each amalgam's order, all with one
+    generator, so the fields of a finished key come in detach order, which
+    ``Factorization`` sorts block by block."""
     rng = random.Random(seed) if seed else None
     for vertices, from_beta, degree in amalgams:
         order = list(vertices)
@@ -406,8 +407,6 @@ def _detach_all(classes: list[dict[EdgeType, int]], blocks: list[array],
             _detach_vertex(classes, blocks, v, len(order) - i, from_beta, degree)
     if any(classes):
         raise RuntimeError("detachment left an amalgamated edge")
-    if rng:
-        return [list(map(sorted, ColorClass(out.tobytes()))) for out in blocks]
     return blocks
 
 

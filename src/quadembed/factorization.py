@@ -39,7 +39,8 @@ finders below never meet a malformed block.  Vertices are integers in the
 sense of ``operator.index``: a float, a Fraction or a string is rejected,
 even when its value is integral, and an ``int`` subclass such as ``bool``
 is stored as a plain ``int``.  The three header fields are converted and
-stored the same way.
+stored the same way.  It is a frozen dataclass of those fields and the keys,
+so it compares and hashes as they do, and ``classes`` is cached on first read.
 
 A class enters the constructor in one form, an array of keys in the
 class's own block order.  An array of such keys, which is what the
@@ -100,6 +101,7 @@ import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, compress, pairwise
 from math import comb
 from operator import index as index_of
@@ -260,12 +262,16 @@ class ColorClass(Sequence):
         return ColorClass, (self._keys,)
 
 
+@dataclass(frozen=True)
 class Factorization:
     """Immutable: each class is stored as the bytes of its sorted keys, so
     every block is a 4-subset of 1..ground_size.  ``classes`` is a tuple of
     read-only ``ColorClass`` views, built on first read."""
 
-    __slots__ = ("ground_size", "lam", "regularity", "_keys", "_view")
+    ground_size: int
+    lam: int
+    regularity: int
+    _keys: tuple[bytes, ...]
 
     def __init__(self, ground_size: int, lam: int, regularity: int, classes):
         try:
@@ -283,33 +289,11 @@ class Factorization:
                                      (_blocks(c) if type(c) is array else c)])
                        for i, c in enumerate(classes)]
         keys = tuple(array("I", sorted(c)).tobytes() for c in classes)
-        for name, x in zip(self.__slots__, (n, lam, reg, keys, None)):
-            object.__setattr__(self, name, x)
+        self.__dict__.update(ground_size=n, lam=lam, regularity=reg, _keys=keys)
 
-    @property
+    @cached_property
     def classes(self) -> tuple[ColorClass, ...]:
-        view = self._view
-        if view is None:
-            view = tuple(ColorClass(keys) for keys in self._keys)
-            object.__setattr__(self, "_view", view)
-        return view
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _state(self) -> tuple:
-        return self.ground_size, self.lam, self.regularity, self._keys
-
-    def __eq__(self, other):
-        if type(other) is not Factorization:
-            return NotImplemented
-        return self._state() == other._state()
-
-    def __hash__(self) -> int:
-        return hash(self._state())
+        return tuple(ColorClass(keys) for keys in self._keys)
 
     def __repr__(self) -> str:
         return (f"Factorization(ground_size={self.ground_size}, lam={self.lam},"

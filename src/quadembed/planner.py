@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from math import comb
 
@@ -71,14 +72,15 @@ class AmalgamPlan:
     e, f, g, h = (property(lambda plan, i=i: tuple(chain.from_iterable(
         repeat(row[i], row[0]) for row in plan.rows))) for i in range(1, 5))
 
-    @property
-    def case(self) -> AmalgamCase:
-        return sign_case(tier_bounds(self.params))
+    @cached_property
+    def _regime(self) -> tuple[AmalgamCase, str | None]:
+        """The case, and the threshold subcase ("i", "ii" or "iii") that the
+        e-intervals fire on the general path, else None: from one tier table."""
+        case, subcase, _, _ = _e_intervals(tier_bounds(self.params), totals(self.params)[0])
+        return case, subcase if self.via == "general" else None
 
-    @property
-    def subcase(self) -> str | None:
-        """The threshold subcase ("i", "ii" or "iii") on the general path, else None."""
-        return _header(self.params, self.via)["subcase"]
+    case = property(lambda plan: plan._regime[0])
+    subcase = property(lambda plan: plan._regime[1])
 
 
 def totals(p: EmbeddingParams) -> tuple[int, int, int, int]:
@@ -297,16 +299,11 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
     return extend_plan(p, tiers, e_runs, f_runs, via)
 
 
-def _header(p: EmbeddingParams, via: str) -> dict:
-    """The header fields of a plan for p made along ``via``; InputError if p has no bounds.
-
-    Only the general path has a subcase: the one its e-intervals fire.
-    """
-    (q, _, _), (new_colors, _, _) = tiers = tier_bounds(p)
-    case, subcase, _, _ = _e_intervals(tiers, totals(p)[0])
-    return {"m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam, "q": q,
-            "k": q + new_colors, "case": case.code,
-            "subcase": subcase if via == "general" else None, "via": via}
+def _header(plan: AmalgamPlan) -> dict:
+    """The header fields of ``plan``; only the general path has a subcase."""
+    p, (q, k) = plan.params, color_counts(plan.params)
+    return {"m": p.m, "n": p.n, "r": p.r, "s": p.s, "lambda": p.lam, "q": q, "k": k,
+            "case": plan.case.code, "subcase": plan.subcase, "via": plan.via}
 
 
 def _numbered_rows(plan: AmalgamPlan, q: int):
@@ -319,7 +316,7 @@ def _numbered_rows(plan: AmalgamPlan, q: int):
 
 def render_plan(plan: AmalgamPlan) -> str:
     """The header line, then one line ``first last tier e f g h`` per row."""
-    header = _header(plan.params, plan.via)
+    header = _header(plan)
     lines = [" ".join("-" if x is None else str(x) for x in header.values())]
     lines += (" ".join(map(str, row)) for row in _numbered_rows(plan, header["q"]))
     return "\n".join(lines) + "\n"
@@ -327,7 +324,7 @@ def render_plan(plan: AmalgamPlan) -> str:
 
 def plan_to_json(plan: AmalgamPlan) -> str:
     """The header fields and a "rows" list of one object per row."""
-    header = _header(plan.params, plan.via)
+    header = _header(plan)
     keys = ("first", "last", "tier", "e", "f", "g", "h")
     rows = [dict(zip(keys, row)) for row in _numbered_rows(plan, header["q"])]
     return json.dumps({**header, "rows": rows}, indent=2)

@@ -87,6 +87,7 @@ def test_sign_case_examples():
     assert case(6, 8, 2, 5, 1) is AmalgamCase.BOTH_FLOORS
     assert case(5, 8, 4, 5, 1) is AmalgamCase.NEW_FLOOR
     assert case(8, 16, 1, 1, 1) is AmalgamCase.OLD_PINNED_THRESHOLD
+    assert case(16, 66, 1, 96, 1) is AmalgamCase.FREE_RANGE  # k = q = 455
     assert case(6, 8, 2, 5, 1).code == "5.2"
 
 

@@ -118,6 +118,14 @@ def test_embed_has_no_node_budget(capsys):
     assert "unrecognized arguments: --node-budget" in capsys.readouterr().err
 
 
+def test_help_exits_0(capsys):
+    # only argparse's usage error, exit 2, is mapped to 3
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 def test_embed_no_plan_exits_2(monkeypatch, capsys):
     def infeasible(*args, **kwargs):
         raise PlanInfeasible("no e-multiset fits")
@@ -324,6 +332,19 @@ def test_sweep_row_derives_one_table_past_the_plan(monkeypatch):
         row = cli._sweep_row(tup)
         assert (row["case"], row["subcase"]) == (case, subcase)
         assert calls == planning + Counter(["tier_bounds", "totals", "_e_intervals", "sign_case"])
+
+
+def test_sweep_row_without_a_plan(monkeypatch):
+    # a tuple that passes every condition but gets no plan keeps its
+    # planning time and leaves the case and subcase empty
+    def infeasible(p, report=None):
+        raise PlanInfeasible("no plan")
+
+    monkeypatch.setattr(cli, "build_plan", infeasible)
+    row = cli._sweep_row((6, 8, 2, 5, 1))
+    assert row["all_hold"] == 1 and row["plan_found"] == 0
+    assert row["case"] == row["subcase"] == ""
+    assert float(row["plan_ms"]) >= 0
 
 
 def test_sweep_excluded_status(capsys):

@@ -622,6 +622,16 @@ def test_search_order_pinned(tup, monkeypatch):
     assert sha256(text.encode()).hexdigest()[:16] == PINNED_CERTIFICATES[tup]
 
 
+# the SHA-256 prefix of the outer certificate at a nonzero seed, whose keys
+# leave the detachment with their fields in detach order
+SEEDED_CERTIFICATES = {
+    ((6, 9, 2, 4, 1), 1): "c76b20fc468ba187",
+    ((6, 9, 2, 4, 1), 2): "e1a91b2eda3def66",
+    ((5, 10, 4, 6, 2), 1): "46814c92f70343ee",
+    ((5, 10, 4, 6, 2), 2): "eff789afc051e465",
+}
+
+
 @pytest.mark.parametrize("tup", [(6, 9, 2, 4, 1), (5, 10, 4, 6, 2)])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_seeded_order_permutes_each_amalgam(tup, seed, monkeypatch):
@@ -637,7 +647,10 @@ def test_seeded_order_permutes_each_amalgam(tup, seed, monkeypatch):
 
     monkeypatch.setattr(detach_module, "_detach_vertex", recorded)
     p = EmbeddingParams(*tup)
-    assert verify_certificate(_certificate(tup, seed))
+    cert = _certificate(tup, seed)
+    assert verify_certificate(cert)
+    text = render_factorization(cert.outer)
+    assert sha256(text.encode()).hexdigest()[:16] == SEEDED_CERTIFICATES[tup, seed]
     old, new = range(1, p.m + 1), range(p.m + 1, p.n + 1)
     amalgams = [(old, True), (old, True), (new, False)]
     assert len(order) == p.m + p.n

@@ -69,6 +69,10 @@ def test_factorization_is_immutable():
     with pytest.raises(AttributeError):
         fact.classes = ()
     with pytest.raises(AttributeError):
+        fact.lam = 2
+    with pytest.raises(AttributeError):
+        del fact.lam
+    with pytest.raises(AttributeError):
         EmbeddingCertificate(inner=fact, outer=fact).outer = fact
     assert fact == _intro(6)
 

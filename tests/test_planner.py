@@ -153,6 +153,10 @@ def test_verify_plan_rejects_malformed_rows():
         ((4, *old), (2, *old), (1, *new)),  # a row crossing q
     ):
         assert not verify_plan(p, replace(plan, rows=rows)), rows
+    # a row of four entries, and a tuple with no color counts
+    assert not verify_plan(p, replace(plan, rows=((5, 4, 3, 0), (2, 10, 0, 0, 0))))
+    inadmissible = EmbeddingParams(5, 8, 2, 5, 1)
+    assert not verify_plan(inadmissible, replace(plan, params=inadmissible))
     # an old and a new color never share a row: their old-vertex degrees
     # m(s - r) and sm differ when r >= 1, so the crossing rule rejects
     # nothing that a per-color check would accept (the totals reject the
@@ -369,6 +373,8 @@ def test_extend_plan_rejects_f_outside_its_interval():
     p = EmbeddingParams(6, 8, 2, 5, 1)
     with pytest.raises(InputError, match="above rho"):
         extend_plan(p, tier_bounds(p), runs([4] * 5 + [10] * 2), runs([4] * 5 + [0] * 2))
+    with pytest.raises(InputError, match="f_j=2 below iota_ij=3"):
+        extend_plan(p, tier_bounds(p), runs([4] * 5 + [10] * 2), runs([2] * 5 + [0] * 2))
 
 
 def test_extend_plan_raises_when_verification_fails(monkeypatch):
