@@ -1,6 +1,7 @@
 """Mutation check of verify_plan, the independent re-check of every plan,
-and of the lane test ``_less``; with ``--full``, of the certificate
-parser's column reader and the certificate checks as well.
+of the planning layers' gate ``tier_bounds`` and the regime reader
+``sign_case``, and of the lane test ``_less``; with ``--full``, of the
+certificate parser's column reader and the certificate checks as well.
 
 Each mutant changes one node of a target function:
 
@@ -21,7 +22,8 @@ yields, fails the run (exit 1).  The unmutated module, unparsed the same
 way, must pass first.
 
 The toy mode runs ``TARGETS``: ``verify_plan`` with
-``tests/test_planner.py``, and the lane test ``_less`` of the column proof
+``tests/test_planner.py``, ``tier_bounds`` and ``sign_case`` with
+``tests/test_bounds.py``, and the lane test ``_less`` of the column proof
 with ``tests/test_factorization.py``.  The full mode adds
 ``FULL_TARGETS``: the parser's batch reader ``_by_columns`` and its column
 reader ``_columns``, the constructor's packer ``_packed``, the interleave
@@ -54,6 +56,8 @@ PACKAGE = ROOT / "src" / "quadembed"
 
 # (module, function, test file): each function with the tests that guard it
 TARGETS = (("planner", "verify_plan", "tests/test_planner.py"),
+           ("bounds", "tier_bounds", "tests/test_bounds.py"),
+           ("bounds", "sign_case", "tests/test_bounds.py"),
            ("factorization", "_less", "tests/test_factorization.py"))
 FULL_TARGETS = TARGETS + tuple(
     ("factorization", function, "tests/test_factorization.py")

@@ -18,7 +18,7 @@ Usage: PYTHONPATH=src python scripts/reproduce_sporadic_table.py
 
 import sys
 
-from quadembed.bounds import global_bounds
+from quadembed.bounds import tier_bounds
 from quadembed.errors import PlanInfeasible
 from quadembed.params import EmbeddingParams, check_conditions
 from quadembed.planner import build_plan, plan_f, totals
@@ -78,7 +78,7 @@ def main() -> int:
             continue
         # floored global bounds per tier (count, c, d): iota = 2c - d,
         # floor(rho') = c // 2, floor(rho) = d // 3; NA for an empty new tier
-        tiers = global_bounds(p)  # the checked tier table of tier_bounds(p)
+        tiers = tier_bounds(p)
         floors = [x for count, c, d in tiers
                   for x in ((2 * c - d, c // 2, d // 3) if count else (None,) * 3)]
         e, f, g, _h = totals(p)

@@ -21,8 +21,9 @@ Admissibility of both triples gives 4 | rm and 4 | sn, so c_i, d_i, iota1
 and iota2 are integers; only rho_ij, rho_i and rhop_i can be fractional,
 and every bound here is computed from (c_i, d_i).  The global bounds are
 read off the same rows, iota_i = 2 c_i - d_i, rho_i = d_i / 3 and
-rhop_i = c_i / 2, so nothing here builds a Fraction (``global_bounds`` hands
-the checked rows to the ``bounds`` report, which prints the ratios).
+rhop_i = c_i / 2, so nothing here builds a Fraction.  ``tier_bounds`` is the
+one gate of the planning layers: it refuses s < r and k < q, so nothing
+that reads its table checks them again.
 
 Sign equivalences tying the two levels together (i = 1, 2):
 
@@ -69,26 +70,20 @@ class AmalgamCase(enum.Enum):
 
 
 def tier_bounds(p: EmbeddingParams) -> list[tuple[int, int, int]]:
-    """(count, c, d) for the old and the new tier; raises on inadmissible input.
-
-    A color of the tier at e_j has iota_ij = c - 2 e_j and 2 rho_ij = d - 3 e_j.
-    """
+    """(count, c, d) for the old and the new tier; raises on inadmissible input,
+    then on s < r, then on k < q.  At e_j, iota_ij = c - 2 e_j, 2 rho_ij = d - 3 e_j."""
     q, k = color_counts(p)  # the admissibility check: 4 | rm and 4 | sn
+    if p.s < p.r:
+        raise InputError(f"bounds need s >= r, got r={p.r}, s={p.s}")
+    if k < q:
+        raise InputError(f"new-tier color count k - q = {k - q} is negative")
     sm, sn4, rm = p.s * p.m, p.s * p.n // 4, p.r * p.m
     return [(q, sm - sn4 - 3 * rm // 4, sm - rm), (k - q, sm - sn4, sm)]
 
 
-def global_bounds(p: EmbeddingParams) -> list[tuple[int, int, int]]:
-    """The tier table of ``tier_bounds`` for the ``bounds`` report; needs s >= r, k >= q.
-
-    Tier i's global bounds are iota_i = 2 c - d, rho_i = d / 3 and rhop_i = c / 2.
-    """
-    tiers = tier_bounds(p)
-    if p.s < p.r:
-        raise InputError(f"bounds need s >= r, got r={p.r}, s={p.s}")
-    if tiers[1][0] < 0:
-        raise InputError(f"new-tier color count k - q = {tiers[1][0]} is negative")
-    return tiers
+# bench/workloads.py calls this name and bench/spans.py traces it (ROADMAP
+# item 2 drops it); the planner calls tier_bounds, which stays untraced
+global_bounds = tier_bounds
 
 
 def per_color_bounds(tiers, e_runs) -> list[tuple[int, int, int, int]]:
@@ -114,13 +109,9 @@ def per_color_bounds(tiers, e_runs) -> list[tuple[int, int, int, int]]:
 
 
 def sign_case(tiers: list[tuple[int, int, int]]) -> AmalgamCase:
-    """The unique sign regime of the tier table: rhop_i and iota_i have the signs
-    of c_i and 2 c_i - d_i.  InputError when s < r (d_1 < 0) or k < q."""
+    """The unique sign regime of a table from ``tier_bounds``: rhop_i and iota_i
+    have the signs of c_i and 2 c_i - d_i."""
     (_, c1, d1), (new_colors, c2, d2) = tiers
-    if d1 < 0:
-        raise InputError(f"no sign regime: d_1 = {d1} is negative (s < r)")
-    if new_colors < 0:
-        raise InputError(f"no sign regime: k - q = {new_colors} is negative")
     if not new_colors:
         if 2 * c1 >= d1:
             return AmalgamCase.BOTH_FLOORS

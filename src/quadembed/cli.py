@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .bounds import global_bounds, sign_case
+from .bounds import sign_case, tier_bounds
 from .detach import detach, generate_base
 from .errors import ConditionsFailed, FormatError, InputError, PlanInfeasible
 from .factorization import (
@@ -78,7 +78,7 @@ def _na(value) -> object:
 
 
 def cmd_bounds(args) -> int:
-    tiers = global_bounds(_params_from_args(args))
+    tiers = tier_bounds(_params_from_args(args))
     case = sign_case(tiers).code
     # tier i (count, c, d): iota_i = 2c - d, rho_i = d/3, rhop_i = c/2, all
     # None for the new tier when k = q (the old tier always has q > 0 colors)

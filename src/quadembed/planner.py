@@ -102,7 +102,7 @@ def _e_intervals(tiers, e_total: int):
     The pinned regimes 5.4 and 5.6 are 5.3 and 5.5 with rhop_1 < 0 read as 0,
     and a negative lower end iota_i reads as 0 in ``IntervalSystem``.  The
     threshold cases split into subcases by comparing e with the floor/ceil
-    threshold sums.  Raises InputError when there is no regime.
+    threshold sums.  The table comes from ``tier_bounds``, so a regime exists.
     """
     case, subcase = sign_case(tiers), None
     (q, c1, d1), (new_colors, c2, d2) = tiers
@@ -170,11 +170,8 @@ def extend_plan(p: EmbeddingParams, tiers, e_runs, f_runs, via: str = "general")
         while count > 0:
             while f_left <= 0:
                 f_left, f_j = next(f_iter)
+            # f_j outside [iota_ij, rho_ij] makes one negative: verify_plan rejects it
             g_j, h_j = two_rho - 2 * f_j, f_j - iota
-            if g_j < 0:
-                raise InputError(f"f_j={f_j} above rho_ij={two_rho}/2")
-            if h_j < 0:
-                raise InputError(f"f_j={f_j} below iota_ij={iota}")
             step = min(count, f_left)
             merged = rows.pop()[0] if rows and rows[-1][1:] == (e_j, f_j, g_j, h_j) else 0
             rows.append((merged + step, e_j, f_j, g_j, h_j))
@@ -242,12 +239,9 @@ def solve_e(tiers: list[tuple[int, int, int]], e_total: int, f_total: int):
     tier sum, balanced values plus the fewest splits give the least lower sum
     for each odd count, so scanning the old-tier sum upwards and spending the
     cheaper splits first is exact.  Each tier's values come out ascending,
-    one run per distinct value.
-    A negative new-tier count (k < q: no plan exists) raises InputError.
+    one run per distinct value; ``tiers`` comes from ``tier_bounds`` (k >= q).
     """
     (n1, c1, d1), (n2, c2, d2) = tiers
-    if n2 < 0:
-        raise InputError(f"new-tier color count k - q = {n2} is negative")
     odd_cap = n1 * d1 + n2 * d2 - 3 * e_total - 2 * f_total  # K - 2f
     for s1 in range(max(n1 * max(2 * c1 - d1, 0), e_total - n2 * (d2 // 3)),
                     min(n1 * (d1 // 3), e_total - n2 * max(2 * c2 - d2, 0)) + 1):

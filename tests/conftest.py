@@ -15,7 +15,7 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-from quadembed.bounds import global_bounds
+from quadembed.bounds import tier_bounds
 from quadembed.params import EmbeddingParams
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,9 +105,9 @@ def sweep_params(n_hi: int, r_hi: int, s_hi: int, lam_hi: int):
 
 def fraction_bounds(p: EmbeddingParams) -> list[tuple]:
     """Per tier (count, iota_i, rho_i, rhop_i) from the rows (count, c, d) of
-    ``global_bounds``: iota_i = 2c - d, rho_i = d/3, rhop_i = c/2 as Fractions."""
+    ``tier_bounds``: iota_i = 2c - d, rho_i = d/3, rhop_i = c/2 as Fractions."""
     return [(count, 2 * c - d, Fraction(d, 3), Fraction(c, 2))
-            for count, c, d in global_bounds(p)]
+            for count, c, d in tier_bounds(p)]
 
 
 # Runs (count, *value): ``count`` consecutive entries sharing a value.  The

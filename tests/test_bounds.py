@@ -30,10 +30,8 @@ def test_global_bounds_single_tier_when_counts_match():
 
 
 def test_global_bounds_is_the_checked_tier_table():
-    for p in sweep_params(n_hi=14, r_hi=6, s_hi=6, lam_hi=2):
-        q, k = color_counts(p)
-        if p.s >= p.r and k >= q:
-            assert global_bounds(p) == tier_bounds(p)
+    # one function under two names: the benchmark calls and traces global_bounds
+    assert global_bounds is tier_bounds
 
 
 def test_global_bounds_rejects_bad_input():
@@ -89,17 +87,22 @@ def test_sign_case_examples():
     assert case(8, 16, 1, 1, 1) is AmalgamCase.OLD_PINNED_THRESHOLD
     assert case(16, 66, 1, 96, 1) is AmalgamCase.FREE_RANGE  # k = q = 455
     assert case(6, 8, 2, 5, 1).code == "5.2"
+    # k = q with 2 c_1 < d_1 <= 3 c_1: tiers (5, 90, 186), (0, 99, 198), N1-N8 hold
+    assert case(6, 12, 2, 33, 1) is AmalgamCase.NEW_FLOOR
+    # k = q with rhop_1 = c_1 / 2 = 0: synthetic, as no admissible tuple with
+    # n <= 80, r <= s <= 40, lam <= 4 has it
+    assert sign_case([(5, 0, 4), (0, 0, 0)]) is AmalgamCase.NEW_FLOOR
 
 
-def test_sign_case_names_only_the_failing_condition():
-    # (4, 8, 2, 1, 2): s < r gives d_1 = 4 - 8 < 0, while k - q = 69 > 0
+def test_tier_bounds_names_only_the_failing_condition():
+    # (4, 8, 2, 1, 2): s < r, while k - q = 69 > 0
     with pytest.raises(InputError) as exc:
-        sign_case(tier_bounds(EmbeddingParams(4, 8, 2, 1, 2)))
-    assert str(exc.value) == "no sign regime: d_1 = -4 is negative (s < r)"
+        tier_bounds(EmbeddingParams(4, 8, 2, 1, 2))
+    assert str(exc.value) == "bounds need s >= r, got r=2, s=1"
     # (8, 9, 1, 4, 1): s > r, k - q = -21
     with pytest.raises(InputError) as exc:
-        sign_case(tier_bounds(EmbeddingParams(8, 9, 1, 4, 1)))
-    assert str(exc.value) == "no sign regime: k - q = -21 is negative"
+        tier_bounds(EmbeddingParams(8, 9, 1, 4, 1))
+    assert str(exc.value) == "new-tier color count k - q = -21 is negative"
 
 
 def _passing_in_scope(n_hi=25, r_hi=8, s_hi=8, lam_hi=2):

@@ -445,6 +445,12 @@ def test_small_multiplicity_step_checks_its_sums(state, a, degree, message):
                                      1, a, True, degree)
 
 
+def test_match_refuses_a_column_need_left_over():
+    # no row needs a cell, but column 9 still needs one: the sums disagree
+    with pytest.raises(RuntimeError, match="detachment step has no integral solution"):
+        detach_module._match([[9]], [{}], [0], {9: 1})
+
+
 @st.composite
 def b_matching_cases(draw):
     """A b-matching instance for ``_match``: each row's cells (column keys,

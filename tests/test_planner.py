@@ -79,6 +79,15 @@ def test_plan_f_rejects_bad_e_choice():
         plan_f(tier_bounds(p), runs([4, 0, 0, 0, 0, 8, 6, 6, 6, 6, 6, 6, 6, 6]), totals(p)[1])
 
 
+def test_malformed_e_system_is_plan_infeasible():
+    # d_2 = -3 gives the new tier the upper end floor(rho_2) = -1: a malformed
+    # system is PlanInfeasible, not InputError, so build_plan falls through
+    # to the exact stage instead of refusing the tuple as bad input (exit 3)
+    with pytest.raises(PlanInfeasible) as exc:
+        plan_e([(1, 0, 3), (1, -1, -3)], 1)
+    assert str(exc.value) == "e-system malformed for case 5.1: run 1: upper bound -1 is negative"
+
+
 def test_equal_regularity_forces_zero_f_on_old_colors():
     p = EmbeddingParams(8, 16, 1, 1, 1)
     plan = build_plan(p)
@@ -370,10 +379,11 @@ def test_solve_e_matches_brute_force(old, new, n1, n2, data):
 
 
 def test_extend_plan_rejects_f_outside_its_interval():
+    # f_j above rho_ij leaves g_j < 0, below iota_ij h_j < 0: verify_plan rejects both
     p = EmbeddingParams(6, 8, 2, 5, 1)
-    with pytest.raises(InputError, match="above rho"):
+    with pytest.raises(InputError, match="independent verification"):
         extend_plan(p, tier_bounds(p), runs([4] * 5 + [10] * 2), runs([4] * 5 + [0] * 2))
-    with pytest.raises(InputError, match="f_j=2 below iota_ij=3"):
+    with pytest.raises(InputError, match="independent verification"):
         extend_plan(p, tier_bounds(p), runs([4] * 5 + [10] * 2), runs([2] * 5 + [0] * 2))
 
 
@@ -533,13 +543,16 @@ def test_conditions_hold_exactly_when_an_e_list_exists():
     # exactly when the exact e-solve finds an e-list, and each found e-list
     # extends to a verified plan.  Where the conditions fail, solve_e itself
     # returns None, so no plan exists there (every plan's e_j lie in the
-    # master range it scans).  k < q raises; see the next test.
-    tuples = found = fewer = 0
+    # master range it scans).  tier_bounds refuses s < r and k < q, and N2
+    # fails on every tuple it refuses.
+    tuples = found = refused = 0
     for p in sweep_params(30, 12, 12, 2):
         tuples += 1
-        tiers = tier_bounds(p)
-        if tiers[1][0] < 0:  # k < q
-            fewer += 1
+        try:
+            tiers = tier_bounds(p)
+        except InputError:
+            assert not check_conditions(p).verdicts["N2"].holds, p
+            refused += 1
             continue
         f_total = totals(p)[1]
         e_runs = solve_e(tiers, totals(p)[0], f_total)
@@ -548,7 +561,7 @@ def test_conditions_hold_exactly_when_an_e_list_exists():
             found += 1
             # raises unless it verifies
             extend_plan(p, tiers, e_runs, plan_f(tiers, e_runs, f_total), "fallback")
-    assert (tuples, found, fewer) == (5416, 1783, 627)
+    assert (tuples, found, refused) == (5416, 1783, 2930)
 
 
 def test_fixture_chain_amalgamates_to_verified_plans():
@@ -563,7 +576,7 @@ def test_fixture_chain_amalgamates_to_verified_plans():
 
 
 def test_exact_e_solve_rejects_fewer_outer_than_inner_colors():
-    # k < q leaves a negative new tier; no plan can exist (N2 fails)
+    # tier_bounds refuses k < q, where no plan can exist (N2 fails)
     from conftest import sweep_params
     rejected = 0
     for p in sweep_params(30, 12, 12, 2):
@@ -572,8 +585,6 @@ def test_exact_e_solve_rejects_fewer_outer_than_inner_colors():
             continue
         assert not check_conditions(p).verdicts["N2"].holds, p
         with pytest.raises(InputError, match="negative"):
-            plan_e_exact(tier_bounds(p), *totals(p)[:2])
+            tier_bounds(p)
         rejected += 1
     assert rejected == 627
-    with pytest.raises(InputError, match="negative"):
-        solve_e([(35, 3, 8), (-14, 0, 0)], 0, 0)
