@@ -1,5 +1,6 @@
 """Mutation check of verify_plan, the independent re-check of every plan,
-of the planning layers' gate ``tier_bounds`` and the regime reader
+of the exact e-solve ``solve_e`` and its tier fit ``_tier_fit``, of the
+planning layers' gate ``tier_bounds`` and the regime reader
 ``sign_case``, and of the lane test ``_less``; with ``--full``, of the
 certificate parser's column reader and the certificate checks as well.
 
@@ -21,10 +22,10 @@ listed mutant that a test now kills or that the function no longer
 yields, fails the run (exit 1).  The unmutated module, unparsed the same
 way, must pass first.
 
-The toy mode runs ``TARGETS``: ``verify_plan`` with
-``tests/test_planner.py``, ``tier_bounds`` and ``sign_case`` with
-``tests/test_bounds.py``, and the lane test ``_less`` of the column proof
-with ``tests/test_factorization.py``.  The full mode adds
+The toy mode runs ``TARGETS``: ``verify_plan``, ``solve_e`` and
+``_tier_fit`` with ``tests/test_planner.py``, ``tier_bounds`` and
+``sign_case`` with ``tests/test_bounds.py``, and the lane test ``_less`` of
+the column proof with ``tests/test_factorization.py``.  The full mode adds
 ``FULL_TARGETS``: the parser's batch reader ``_by_columns`` and its column
 reader ``_columns``, the constructor's packer ``_packed``, the interleave
 into key memory ``_append_keys`` that both use, the runs of keys ``_runs``
@@ -56,6 +57,8 @@ PACKAGE = ROOT / "src" / "quadembed"
 
 # (module, function, test file): each function with the tests that guard it
 TARGETS = (("planner", "verify_plan", "tests/test_planner.py"),
+           ("planner", "solve_e", "tests/test_planner.py"),
+           ("planner", "_tier_fit", "tests/test_planner.py"),
            ("bounds", "tier_bounds", "tests/test_bounds.py"),
            ("bounds", "sign_case", "tests/test_bounds.py"),
            ("factorization", "_less", "tests/test_factorization.py"))
@@ -72,6 +75,14 @@ EQUIVALENT = {
     "verify_plan+19: start + count -> start - count":
         "it drops the crossing check; a row crossing q puts more than q colors under the old"
         " law m(s - r) != sm, so its sum of 3e + 2f + g misses the one the totals fix",
+    "solve_e+36: max(sum((fit.odd for fit in fits)) - odd_cap, 0)"
+    " -> max(sum((fit.odd for fit in fits)) - odd_cap, 1)":
+        "max(x, 0) // 2 and max(x, 1) // 2 are equal for every integer x",
+    "_tier_fit+8: (0, 0) -> (1, 0)":
+        "an empty tier's odd count, lower sum and splits are 0 whatever y is,"
+        " and its values all have count 0",
+    "_tier_fit+9: d + y -> d - y":
+        "d + y and d - y have the same parity",
     **dict.fromkeys((
         "factorization_issues+31: reg * (46 - n) > 30 * n -> reg * (46 - n) <= 30 * n",
         "factorization_issues+31: 46 - n -> 46 + n",

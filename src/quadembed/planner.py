@@ -27,13 +27,14 @@ subsets exist).  On such a failure the planner solves for the e_j exactly
 over the master range [max(iota_i, 0), floor(rho_i)], which holds the e_j of
 every plan: the f-system is feasible exactly when sum_j max(iota_ij, 0) <= f
 and at most K - 2f colors have 2 rho_ij odd, where K = sum_j 2 rho_ij is
-fixed by e (see ``solve_e``).
+fixed by e.  ``solve_e``'s docstring derives why testing the lower sum once,
+on balanced values, and then spending the fewest parity splits is exact.
 
 Planning works on runs (count, value): ``count`` consecutive colors that
 share a value.  Each tier's e_j come from one interval, so the e-system has
 one run per tier, and each solve or bound evaluation turns a few runs into
 a few more.  ``build_plan`` takes the tier table and the totals from p once
-and hands them to ``plan_e``, ``plan_e_exact`` and ``plan_f``, which return
+and hands them to ``plan_e``, ``solve_e`` and ``plan_f``, which return
 runs; ``extend_plan`` forces g_j and h_j once per run, and a plan is its rows
 (count, e_j, f_j, g_j, h_j), which ``verify_plan`` re-checks in one pass
 from p alone, independently of the table and runs that built them.
@@ -211,60 +212,70 @@ def verify_plan(p: EmbeddingParams, plan: AmalgamPlan) -> bool:
     return start == k and (e, f, g, h) == totals(p)
 
 
-_TierFit = namedtuple("_TierFit", "values w lower odd splits cost")
+_TierFit = namedtuple("_TierFit", "values w lower odd splits")
 
 
 def _tier_fit(count: int, c: int, d: int, total: int) -> _TierFit:
     """Balanced values y, y + 1 for ``count`` colors summing to ``total``.
 
     A color at e_j = v has iota_ij = c - 2v and 2 rho_ij = d - 3v.  Balanced
-    values minimise the convex lower sum; the colors with 2 rho_ij odd all sit
-    at w, and ``splits`` pairs of them may move to w - 1 and w + 1 inside the
-    master range [max(2c - d, 0), floor(d/3)], each adding ``cost`` to it.
+    values give the least lower sum ``lower``; the colors with 2 rho_ij odd
+    all sit at w, and ``splits`` pairs of them may move to w - 1 and w + 1
+    inside the master range [max(2c - d, 0), floor(d/3)].
     """
     y, a = divmod(total, count) if count else (0, 0)
     w = y if (d + y) % 2 else y + 1
     odd = count - a if w == y else a
-    phi = lambda v: max(c - 2 * v, 0)
-    lower = (count - a) * phi(y) + a * phi(y + 1)
+    lower = (count - a) * max(c - 2 * y, 0) + a * max(c - 2 * y - 2, 0)
     splits = odd // 2 if max(2 * c - d, 0) <= w - 1 and w + 1 <= d // 3 else 0
-    cost = phi(w - 1) + phi(w + 1) - 2 * phi(w)
-    return _TierFit(Counter({y: count - a, y + 1: a}), w, lower, odd, splits, cost)
+    return _TierFit(Counter({y: count - a, y + 1: a}), w, lower, odd, splits)
 
 
 def solve_e(tiers: list[tuple[int, int, int]], e_total: int, f_total: int):
     """First e-list in the master range with a feasible f-system, as runs (count, e_j), or None.
 
-    ``tiers`` holds (count, c, d) for the old and the new tier.  At a fixed
-    tier sum, balanced values plus the fewest splits give the least lower sum
-    for each odd count, so scanning the old-tier sum upwards and spending the
-    cheaper splits first is exact.  Each tier's values come out ascending,
-    one run per distinct value; ``tiers`` comes from ``tier_bounds`` (k >= q).
+    ``tiers`` holds (count, c, d) for the old and the new tier, from
+    ``tier_bounds`` (k >= q).  The scan runs over the old-tier sum s1
+    upwards; at each s1 it tests the lower sum L = sum_j max(iota_ij, 0) of
+    the balanced values once, then spends the fewest splits in tier order.
+    That is exact:
+
+    1. The f-system is feasible exactly when
+       L <= f <= sum_j floor(rho_ij) = (K - O)/2, where
+       K = sum_j 2 rho_ij = n1 d1 + n2 d2 - 3e is fixed by e and O counts
+       the colors whose 2 rho_ij is odd.
+    2. 2 rho_ij = d_i - 3 e_j has the parity of d_i + e_j, so O = K (mod 2).
+       A split moves two odd colors at w to the even w - 1 and w + 1, so when
+       O > K - 2f the fewest splits leave O = K - 2f exactly, and then
+       sum_j floor(rho_ij) = f.
+    3. In the master range [max(2c - d, 0), floor(d/3)] every color has
+       iota_ij <= rho_ij and 0 <= rho_ij, so max(iota_ij, 0) <= floor(rho_ij).
+       After the splits, L <= sum_j floor(rho_ij) = f.
+    4. So L can only fail on the balanced values, which minimise the convex
+       L at a fixed tier sum.  Neither a split's cost in L nor the order in
+       which the tiers split changes which s1 the scan accepts.
+
+    That the splits reach every odd count an e-list with the same tier sums
+    reaches is checked against all e-lists of small tiers in the tests.
+    Each tier's values come out ascending, one run per distinct value.
     """
     (n1, c1, d1), (n2, c2, d2) = tiers
     odd_cap = n1 * d1 + n2 * d2 - 3 * e_total - 2 * f_total  # K - 2f
     for s1 in range(max(n1 * max(2 * c1 - d1, 0), e_total - n2 * (d2 // 3)),
                     min(n1 * (d1 // 3), e_total - n2 * max(2 * c2 - d2, 0)) + 1):
         fits = [_tier_fit(n1, c1, d1, s1), _tier_fit(n2, c2, d2, e_total - s1)]
-        lower = sum(fit.lower for fit in fits)
-        need = (max(sum(fit.odd for fit in fits) - odd_cap, 0) + 1) // 2
-        for fit in sorted(fits, key=lambda fit: fit.cost):
+        if sum(fit.lower for fit in fits) > f_total:
+            continue
+        # O - (K - 2f) is even (step 2)
+        need = max(sum(fit.odd for fit in fits) - odd_cap, 0) // 2
+        for fit in fits:
             take = min(fit.splits, need)
             need -= take
-            lower += take * fit.cost
             fit.values.update({fit.w: -2 * take, fit.w - 1: take, fit.w + 1: take})
-        if need == 0 and lower <= f_total:
+        if need == 0:
             return [(count, v) for fit in fits
                     for v, count in sorted(fit.values.items()) if count > 0]
     return None
-
-
-def plan_e_exact(tiers, e_total: int, f_total: int) -> list[tuple[int, int]]:
-    """``solve_e`` over the master range of ``tiers``; PlanInfeasible proves no plan exists."""
-    e_runs = solve_e(tiers, e_total, f_total)
-    if e_runs is None:
-        raise PlanInfeasible("no e-multiset in the master range admits a feasible f-system")
-    return e_runs
 
 
 def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
@@ -288,7 +299,9 @@ def build_plan(p: EmbeddingParams, report: ConditionReport | None = None,
         e_runs, via = plan_e(tiers, e_total), "general"
         f_runs = plan_f(tiers, e_runs, f_total)
     except PlanInfeasible:
-        e_runs, via = plan_e_exact(tiers, e_total, f_total), "fallback"
+        e_runs, via = solve_e(tiers, e_total, f_total), "fallback"
+        if e_runs is None:
+            raise PlanInfeasible("no e-multiset in the master range admits a feasible f-system")
         f_runs = plan_f(tiers, e_runs, f_total)
     return extend_plan(p, tiers, e_runs, f_runs, via)
 

@@ -19,7 +19,6 @@ from quadembed.planner import (
     build_plan,
     extend_plan,
     plan_e,
-    plan_e_exact,
     plan_f,
     plan_to_json,
     render_plan,
@@ -190,6 +189,15 @@ def test_build_plan_fallback_repairs_parity():
     assert _embeds(p, plan)
 
 
+def test_build_plan_reports_an_empty_exact_solve(monkeypatch):
+    # the general path fails on (12, 16, 1, 2, 2); when solve_e finds no
+    # e-list either, no plan exists, and build_plan says so
+    monkeypatch.setattr(planner, "solve_e", lambda *args: None)
+    with pytest.raises(PlanInfeasible) as exc:
+        build_plan(EmbeddingParams(12, 16, 1, 2, 2))
+    assert str(exc.value) == "no e-multiset in the master range admits a feasible f-system"
+
+
 def test_build_plan_derives_one_tier_table(monkeypatch):
     # build_plan derives the tier table and the totals once and hands them to
     # every stage, on either path; verify_plan recomputes (q, k) and the
@@ -321,10 +329,9 @@ def test_exact_e_solve_agrees_with_enumerator():
             continue
         resolved += 1
         if not found:
-            with pytest.raises(PlanInfeasible):
-                plan_e_exact(tiers, e_total, f_total)
+            assert solve_e(tiers, e_total, f_total) is None
             continue
-        e_runs = plan_e_exact(tiers, e_total, f_total)
+        e_runs = solve_e(tiers, e_total, f_total)
         plan = extend_plan(p, tiers, e_runs, plan_f(tiers, e_runs, f_total))
         assert verify_plan(p, plan)
     assert (resolved, unresolved) == (151, 19)
@@ -376,6 +383,43 @@ def test_solve_e_matches_brute_force(old, new, n1, n2, data):
         for (_, c, d), values in zip(tiers, (old_vals, new_vals)):
             assert all(max(2 * c - d, 0) <= v <= d // 3 for v in values)
         assert _tiers_feasible(tiers, old_vals, new_vals, f_total)
+
+
+def test_solve_e_splits_odd_colors_of_a_wide_tier():
+    # d = 29 lies outside the brute-force draw: the balanced values 6, 6 both
+    # have 2 rho = 29 - 18 = 11 odd, but K - 2f = 58 - 36 - 22 = 0 allows no
+    # odd color, so the one split of the pair moves them to 5 and 7
+    assert solve_e([(2, 12, 29), (0, 19, 29)], 12, 11) == [(1, 5), (1, 7)]
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_solve_e_splits_leave_the_upper_sum_at_f(data):
+    # steps 2 and 3 of solve_e's derivation: when the balanced values leave
+    # too many colors with 2 rho_ij odd, the fewest splits stay in the master
+    # range and leave exactly sum_j floor(rho_ij) = f, and then L <= f; f is
+    # drawn near floor(K / 2), where splits are needed
+    tiers = []
+    for count in (data.draw(st.integers(1, 6)), data.draw(st.integers(0, 6))):
+        d = data.draw(st.integers(0, 30))
+        tiers.append((count, data.draw(st.integers(-3, (d + d // 3) // 2)), d))
+    e_total = data.draw(st.integers(sum(n * max(2 * c - d, 0) for n, c, d in tiers),
+                                    sum(n * (d // 3) for n, _, d in tiers)))
+    half = (sum(n * d for n, _, d in tiers) - 3 * e_total) // 2
+    f_total = data.draw(st.integers(max(half - 4, 0), half))
+    got = solve_e(tiers, e_total, f_total)
+    if got is None:
+        return
+    values = expand(got)
+    by_tier = values[:tiers[0][0]], values[tiers[0][0]:]
+    if all(max(vals) - min(vals) <= 1 for vals in by_tier if vals):
+        return  # balanced values, no split taken
+    lower = upper = 0
+    for (_, c, d), vals in zip(tiers, by_tier):
+        assert all(max(2 * c - d, 0) <= v <= d // 3 for v in vals)
+        lower += sum(max(c - 2 * v, 0) for v in vals)
+        upper += sum((d - 3 * v) // 2 for v in vals)
+    assert upper == f_total and lower <= f_total
 
 
 def test_extend_plan_rejects_f_outside_its_interval():
@@ -562,6 +606,33 @@ def test_conditions_hold_exactly_when_an_e_list_exists():
             # raises unless it verifies
             extend_plan(p, tiers, e_runs, plan_f(tiers, e_runs, f_total), "fallback")
     assert (tuples, found, refused) == (5416, 1783, 2930)
+
+
+def test_equal_color_counts_census_below_four_thirds():
+    # the region s > r with 3n < 4m (m <= 30, so n <= 39; lam <= 3, s <= 12):
+    # N1 and N2 pass exactly where tier_bounds accepts, N5 fails on most of
+    # those, and the rest pass N1-N8, all in sign case 5.2 with k = q, and
+    # all plan
+    accepted = fail_n5 = planned = 0
+    for p in sweep_params(39, 12, 12, 3):
+        if p.m > 30 or 3 * p.n >= 4 * p.m or p.r >= p.s:
+            continue
+        report = check_conditions(p)
+        try:
+            tier_bounds(p)
+        except InputError:
+            assert not (report.verdicts["N1"].holds and report.verdicts["N2"].holds), p
+            continue
+        assert report.verdicts["N1"].holds and report.verdicts["N2"].holds, p
+        accepted += 1
+        if not report.verdicts["N5"].holds:
+            fail_n5 += 1
+            continue
+        q, k = color_counts(p)
+        assert report.all_hold() and k == q, p
+        assert build_plan(p, report).case is AmalgamCase.BOTH_FLOORS, p
+        planned += 1
+    assert (accepted, fail_n5, planned) == (535, 489, 46)
 
 
 def test_fixture_chain_amalgamates_to_verified_plans():
